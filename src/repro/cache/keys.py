@@ -67,7 +67,12 @@ from repro.errors import CacheKeyError
 #: :func:`repro.experiments.bakeoff.bakeoff_cell_key`). The refactor is
 #: pinned bit-identical, but :5 entries predate the bake-off identity
 #: pin and must miss.
-CODE_VERSION_SALT = "rhythm-repro-cache:6"
+#: :7 — the fleet kernel (the default path of every batched run) no
+#: longer writes pre-kill BE progress back over jobs a last-tick
+#: STOP_BE killed, so cells ending on such a kill now report the scalar
+#: engine's BE throughput; :6 entries may hold the inflated figure.
+#: ColocationConfig also lost its ``tail_estimator`` field.
+CODE_VERSION_SALT = "rhythm-repro-cache:7"
 
 _PRIMITIVE_TAGS = {
     type(None): b"N",

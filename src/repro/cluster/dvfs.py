@@ -93,6 +93,10 @@ class DvfsGovernor:
         cap = self._cap.get(domain)
         return min(freq, cap) if cap is not None else freq
 
+    def requested(self, domain: str) -> int:
+        """The governor's requested frequency of ``domain``, before any cap."""
+        return self._freq.get(domain, self.max_mhz)
+
     def ratio(self, domain: str) -> float:
         """Current frequency of ``domain`` as a fraction of max."""
         return self.frequency(domain) / self.max_mhz

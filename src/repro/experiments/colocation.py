@@ -44,10 +44,10 @@ from repro.interference.model import InterferenceModel, Pressure
 from repro.loadgen.generator import WindowLoadGenerator
 from repro.loadgen.patterns import LoadPattern
 from repro.metrics.collector import MachineMetrics
-from repro.metrics.percentile import HistogramTailTracker, percentile
+from repro.metrics.percentile import percentile
 from repro.sim.engine import Engine
 from repro.sim.kernel import (
-    BatchedColocationKernel,
+    FleetColocationKernel,
     percentile_linear,
     resolve_kernel,
 )
@@ -74,21 +74,11 @@ class ColocationConfig:
     base_machine: Optional[MachineSpec] = None
     #: CutBE escalation toggle (see CpuLlcSubcontroller; ablation knob).
     cut_escalation: bool = True
-    #: Per-window tail estimator: "exact" sorts the window's samples
-    #: (np.percentile); "histogram" streams them through a fixed-bin
-    #: :class:`~repro.metrics.percentile.HistogramTailTracker` (O(1) per
-    #: sample, bounded relative error — see its docstring).
-    tail_estimator: str = "exact"
     #: Cluster-layer fault schedule injected mid-run (None = healthy run).
     faults: Optional[FaultSchedule] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.tail_estimator not in ("exact", "histogram"):
-            raise ExperimentError(
-                f"tail_estimator must be 'exact' or 'histogram', "
-                f"got {self.tail_estimator!r}"
-            )
         if self.faults is not None and not isinstance(self.faults, FaultSchedule):
             raise ExperimentError(
                 f"faults must be a FaultSchedule, got "
@@ -196,11 +186,6 @@ class ColocationExperiment:
             min_samples=self.config.min_samples,
             burst_sigma=self.config.burst_sigma,
         )
-        self._tail_estimator = (
-            HistogramTailTracker(service.tail_percentile)
-            if self.config.tail_estimator == "histogram"
-            else None
-        )
         self._fault_injector: Optional[ClusterFaultInjector] = None
         if self.config.faults is not None and len(self.config.faults) > 0:
             self._fault_injector = ClusterFaultInjector(
@@ -232,9 +217,6 @@ class ColocationExperiment:
         # shared across them (tests prove the identity that justifies
         # this — see tests/test_kernel_identity.py).
         self.kernel = resolve_kernel(kernel)
-        self._batched: Optional[BatchedColocationKernel] = (
-            BatchedColocationKernel(self) if self.kernel == "batched" else None
-        )
         # Optional post-decision hook ``(pod, action) -> action``. Not a
         # config field (it is runtime wiring, like ``kernel``), so cache
         # keys are untouched. The fleet zone governor uses it to clamp
@@ -246,21 +228,13 @@ class ColocationExperiment:
     def run(self) -> ColocationResult:
         """Advance the full experiment and return its result."""
         cfg = self.config
-        if (
-            self._batched is not None
-            and self._fault_injector is None
-            and self._tail_estimator is None
-        ):
-            # Healthy batched runs take the fleet SoA tick path — the
-            # same vectorized phases a fleet shard uses, degenerate at
+        if self.kernel == "batched":
+            # Batched runs, healthy or faulted, take the fleet SoA tick
+            # path — the same phases a fleet shard uses, degenerate at
             # one instance. Bit-identical to the engine-driven loop
-            # (tests/test_kernel_identity.py pins it), and the tick
-            # schedule reproduces the engine's float accumulation, so
-            # events_fired matches too. Faulted or histogram-estimator
-            # runs keep the per-instance kernel: the fleet path
-            # delegates those whole-tick anyway.
-            from repro.sim.kernel import FleetColocationKernel
-
+            # below (tests/test_kernel_identity.py pins it), and the
+            # tick schedule reproduces the engine's float accumulation,
+            # so events_fired matches too.
             return FleetColocationKernel([self]).run()[0]
         engine = Engine()
         load_sum = [0.0]
@@ -284,9 +258,6 @@ class ColocationExperiment:
         )
 
     def _tick(self, t: float, dt: float) -> None:
-        if self._batched is not None:
-            self._batched.tick(t, dt)
-            return
         window = self._begin_tick(t, dt)
         load = window.load
         realized = window.realized_load
@@ -334,7 +305,7 @@ class ColocationExperiment:
         self._advance_be(dt, snapshots)
         self._control_phase(t, dt, load, tail_ms, window_closed, snapshots, usages)
 
-    # -- shared tick phases (used by both kernels) ----------------------------
+    # -- shared tick phases (scalar loop and the bake-off's physics pass) ----
 
     def _begin_tick(self, t: float, dt: float):
         """Phase 0: the world degrades before anyone observes it — fault
@@ -347,9 +318,6 @@ class ColocationExperiment:
 
     def _window_tail(self, latencies: np.ndarray) -> float:
         """The window tail estimate from this tick's latency samples."""
-        if self._tail_estimator is not None:
-            self._tail_estimator.add_samples(latencies)
-            return float(self._tail_estimator.roll_window() or 0.0)
         lat = np.asarray(latencies, dtype=np.float64)
         if lat.ndim == 1 and lat.size:
             # percentile_linear is pinned bitwise to np.percentile.

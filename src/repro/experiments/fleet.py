@@ -135,7 +135,8 @@ class FleetInstanceSpec:
     pattern: LoadPattern
     #: Root seed of the instance's private RNG streams.
     seed: int = 0
-    #: Optional per-instance fault schedule (delegated tick path).
+    #: Optional per-instance fault schedule, injected inside the fleet
+    #: kernel's tick (see ``FleetColocationKernel``).
     faults: Optional[FaultSchedule] = None
 
 
@@ -497,8 +498,7 @@ class _ZoneGovernor:
         self._tick_in_epoch = 0
         self.records: List[ZoneEpochRecord] = []
 
-    def observe(self, tick_index, t, loads, closed, tails, be_rates) -> None:
-        del tick_index, loads, closed, be_rates
+    def observe(self, t: float, tails: Sequence[float]) -> None:
         sla = self._sla
         for zid, members in self._zones:
             count = 0
@@ -812,7 +812,6 @@ class FleetExperiment:
         for index, spec in enumerate(self.instances):
             experiment = _build_experiment(spec, self.config)
             experiment.kernel = "scalar"
-            experiment._batched = None
             result = experiment.run()
             summaries.append(_summarise(index, spec, experiment, result))
         return FleetResult(

@@ -117,13 +117,33 @@ class ClusterFaultInjector:
 
     # -- observation hooks (read by the co-location loop) ------------------
 
+    def machine_terms(self, machine_name: str) -> Tuple[float, bool, float]:
+        """``(extra_llc, nic_fault, stall)`` of the faults active on a machine.
+
+        ``extra_llc`` sums the lost-way fractions (added to LLC
+        pressure), ``nic_fault`` says whether a NIC degradation is
+        active (its shortfall then becomes network pressure), and
+        ``stall`` is the product of stall slowdowns (>= 1). Folded in
+        active-set order, which only changes at :meth:`advance`
+        transitions, so callers may cache the terms between them.
+        """
+        extra_llc = 0.0
+        nic_fault = False
+        stall = 1.0
+        for name, spec in self._active:
+            if name != machine_name:
+                continue
+            if spec.kind is FaultKind.LLC_WAY_LOSS:
+                extra_llc += spec.magnitude
+            elif spec.kind is FaultKind.NIC_DEGRADE:
+                nic_fault = True
+            elif spec.kind is FaultKind.MACHINE_STALL:
+                stall *= 1.0 + STALL_SLOWDOWN_SPAN * spec.magnitude
+        return extra_llc, nic_fault, stall
+
     def stall_factor(self, machine_name: str) -> float:
         """Product of active stall slowdowns on ``machine_name`` (>= 1)."""
-        factor = 1.0
-        for name, spec in self._active:
-            if name == machine_name and spec.kind is FaultKind.MACHINE_STALL:
-                factor *= 1.0 + STALL_SLOWDOWN_SPAN * spec.magnitude
-        return factor
+        return self.machine_terms(machine_name)[2]
 
     def adjust_pressure(self, machine: Machine, pressure: Pressure) -> Pressure:
         """Fold active fault effects into the LC's residual pressure.
@@ -132,16 +152,7 @@ class ClusterFaultInjector:
         controller can only see through the interference they cause —
         this is where they enter the latency model.
         """
-        name = machine.spec.name
-        extra_llc = 0.0
-        has_nic_fault = False
-        for active_name, spec in self._active:
-            if active_name != name:
-                continue
-            if spec.kind is FaultKind.LLC_WAY_LOSS:
-                extra_llc += spec.magnitude
-            elif spec.kind is FaultKind.NIC_DEGRADE:
-                has_nic_fault = True
+        extra_llc, has_nic_fault, _stall = self.machine_terms(machine.spec.name)
         if extra_llc <= 0 and not has_nic_fault:
             return pressure
         llc = min(1.0, pressure.llc + extra_llc)

@@ -17,14 +17,18 @@ and drains whole ticks with vectorized operations:
 - :func:`drain_fifo_queue` replays the G/G/c FIFO event loop as a
   Lindley start-time recurrence over plain floats plus vectorized
   sojourn/wait extraction — no engine, no per-request closures.
-- :class:`BatchedColocationKernel` composes the pieces into a drop-in
-  replacement for the scalar ``ColocationExperiment._tick``.
-- :class:`FleetColocationKernel` lifts the same idea across *machines*:
-  it runs many ``ColocationExperiment`` instances in lockstep, holding
-  one contiguous (machines × job-slots) array family for BE rates and
-  progress, (machines,) arrays for LC usage, NIC caps, DVFS state and
-  metric integrals, so a fleet tick is a handful of whole-array numpy
-  ops plus one python pass for the (stateful) per-machine controllers.
+- :class:`FleetColocationKernel` runs every non-scalar colocation run:
+  many ``ColocationExperiment`` instances (or just one) in lockstep,
+  holding one contiguous (machines × job-slots) array family for BE
+  rates and progress, (machines,) arrays for LC usage, NIC caps, DVFS
+  state, fault state and metric integrals, so a fleet tick is a
+  handful of whole-array numpy ops plus one python pass for the
+  (stateful) per-machine controllers. Healthy and faulted instances
+  share that one tick path.
+- :class:`BatchedColocationKernel` composes the per-machine pieces into
+  the controller-independent half of the scalar
+  ``ColocationExperiment._tick``; it is the shared physics pass of
+  :class:`BakeoffKernel`.
 
 Identity pinning
 ----------------
@@ -655,12 +659,13 @@ def percentile_linear_rows(stack: np.ndarray, pct: float) -> List[float]:
 
 
 class BatchedColocationKernel:
-    """Drop-in batched implementation of ``ColocationExperiment._tick``.
+    """Batched phases 0-3 of ``ColocationExperiment._tick`` for one world.
 
-    The experiment's world objects (machines, pools, subcontrollers,
-    fault injector, metrics) stay authoritative and are mutated through
-    the experiment's own shared phase helpers; the kernel only swaps the
-    two hot computations — BE rate evaluation and latency sampling — for
+    The bake-off's shared physics pass (:meth:`observe`). The
+    experiment's world objects (machines, pools, subcontrollers, fault
+    injector, metrics) stay authoritative and are mutated through the
+    experiment's own shared phase helpers; the kernel only swaps the two
+    hot computations — BE rate evaluation and latency sampling — for
     their SoA counterparts, plus caches each Servpod's (deterministic)
     effective sensitivity vector.
     """
@@ -718,14 +723,6 @@ class BatchedColocationKernel:
         )
         self._counter_cache[pod] = (machine.version, gauges)
         return gauges
-
-    def tick(self, t: float, dt: float) -> None:
-        """One control period, bit-identical to the scalar ``_tick``."""
-        exp = self._exp
-        load, tail_ms, window_closed, snapshots, usages = self.observe(t, dt)
-        exp._control_phase(
-            t, dt, load, tail_ms, window_closed, snapshots, usages
-        )
 
     def observe(
         self, t: float, dt: float
@@ -859,14 +856,23 @@ class FleetColocationKernel:
     genuinely stateful per machine (controller decisions, subcontroller
     actions, RNG-driven latency sampling).
 
-    Identity contract (the PR-2/PR-6 pattern, fleet-wide): running
+    Identity contract (fleet-wide): running
     ``FleetColocationKernel([e1, .., ek]).run()`` is bit-identical —
-    results, metrics, controller history, final RNG states — to running
-    ``e1.run(); ..; ek.run()`` sequentially. Instances with fault
-    schedules or histogram tail estimators are *delegated*: their whole
-    ticks run through their own (already identity-pinned) per-instance
-    path, interleaved on the same lockstep clock, so mixed fleets
-    compose without weakening the pin.
+    results, metrics, controller history, final RNG states, final
+    machine state — to running ``e1.run(); ..; ek.run()`` sequentially
+    on the scalar engine, healthy or faulted.
+
+    Fault injection is per-machine state, not a second tick path. Each
+    instance's :class:`~repro.faults.cluster.ClusterFaultInjector`
+    advances on the lockstep clock, mutating the shared machines exactly
+    as the scalar loop does. Only on ticks where it reports transitions
+    does :meth:`_refresh_faults` re-read the instance's machines: the
+    effective NIC link, the LC/BE DVFS caps, the fault-held cores and
+    LLC ways, and the injector's LLC/NIC/stall pressure terms; it also
+    reloads their job rows, since ``offline_cores`` may shrink BE jobs.
+    Machines with no active fault term carry ``None`` pressure terms,
+    ``f_max`` caps and a 1.0 LC power factor, so the same arithmetic
+    stays bit-for-bit the healthy one and healthy fleets pay no refresh.
 
     How the vectorized path keeps the pin:
 
@@ -874,18 +880,25 @@ class FleetColocationKernel:
       through the *same* subcontroller code on the shared machines and
       pools; the SoA job mirror is invalidated by ``Machine.version``;
     - subcontroller applies are memoized per machine on ``(action,
-      version, mem_version)``: a key can only enter the memo set after
-      an execution that provably changed nothing, so skipping a repeat
-      cannot change state (STOP is never memoized — its DVFS reset is a
-      side effect the key cannot witness);
+      version, mem_version, (offlined cores, lost LLC ways))``: a key
+      can only enter the memo set after an execution that provably
+      changed nothing, so skipping a repeat cannot change state (STOP is
+      never memoized — its DVFS reset is a side effect the key cannot
+      witness; fault-held capacity moves without a version bump, hence
+      its place in the key);
     - BE progress integrates in-place in SoA (elementwise float64 ==
       python-float arithmetic) and is flushed back to the ``BeJob``
-      objects before any apply that might read or rearrange them;
+      objects before any apply or fault transition that might read or
+      rearrange them — never over a row already flushed and dirtied,
+      whose jobs an apply may have killed;
     - reductions over a machine's jobs run as padded column sweeps
       (``acc = acc + col``), exact because pads contribute ``+0.0`` to
       non-negative accumulators; the interference impact sum and the
       ``x ** gamma`` terms stay per-machine python arithmetic, where
       vectorized ``np.power`` is known to differ by 1 ulp;
+    - the BE DVFS mirror holds the governor's *requested* frequency;
+      the effective one is its minimum with the fault cap, exactly as
+      :meth:`~repro.cluster.dvfs.DvfsGovernor.frequency` reports it;
     - per-window tails group instances by ``(n_samples, percentile)``
       and reduce with one ``np.percentile(stack, pct, axis=1)`` call,
       bitwise equal per row to the scalar per-instance call;
@@ -894,10 +907,10 @@ class FleetColocationKernel:
       window-tail replays once, at the end of the run.
 
     All experiments must share ``duration_s`` and ``control_period_s``
-    (one lockstep clock). ``on_tick(tick_index, t, loads, closed,
-    tails, be_rates)`` — lists indexed like ``experiments`` — fires
-    after each control phase; a fleet-level governor may mutate the
-    experiments' ``action_filter`` there, taking effect next tick.
+    (one lockstep clock). ``on_tick(t, tails)`` — ``tails`` indexed
+    like ``experiments`` — fires after each control phase; a
+    fleet-level governor may mutate the experiments' ``action_filter``
+    there, taking effect next tick.
     """
 
     def __init__(
@@ -922,13 +935,11 @@ class FleetColocationKernel:
                     "fleet experiments must share duration_s and "
                     "control_period_s (one lockstep clock)"
                 )
-        self._del_idx = [
-            i
+        self._injectors = [
+            (i, exp._fault_injector)
             for i, exp in enumerate(self._exps)
-            if exp._fault_injector is not None or exp._tail_estimator is not None
+            if exp._fault_injector is not None
         ]
-        delegated = set(self._del_idx)
-        self._vec_idx = [i for i in range(len(self._exps)) if i not in delegated]
 
         # -- machine-major bookkeeping (global machine index m) -------------
         # Machine *names* collide across experiments (deploy_service
@@ -939,33 +950,25 @@ class FleetColocationKernel:
         self._m_run: List = []
         self._m_mach: List[Machine] = []
         self._inst_machines: List[List[int]] = []
-        m_vi: List[int] = []
-        for vi, i in enumerate(self._vec_idx):
-            exp = self._exps[i]
+        for i, exp in enumerate(self._exps):
             rows: List[int] = []
             for pod in exp._runs:
                 rows.append(len(self._m_pod))
                 self._m_pod.append(pod)
                 self._m_i.append(i)
-                m_vi.append(vi)
                 self._m_run.append(exp._runs[pod])
                 self._m_mach.append(exp.deployment.servpod(pod).machine)
             self._inst_machines.append(rows)
         M = len(self._m_pod)
         self._n_machines = M
-        self._m_vi_arr = np.asarray(m_vi, dtype=np.intp)
+        self._m_i_arr = np.asarray(self._m_i, dtype=np.intp)
 
-        self._samplers = [
-            BatchedServiceSampler(self._exps[i].service) for i in self._vec_idx
-        ]
-        self._tail_pct = [
-            self._exps[i].spec.tail_percentile for i in self._vec_idx
-        ]
-
-        jmax = 1
-        for i in self._vec_idx:
-            jmax = max(jmax, int(self._exps[i].config.max_be_instances))
-        self._jmax = jmax
+        self._samplers = [BatchedServiceSampler(exp.service) for exp in self._exps]
+        self._tail_pct = [exp.spec.tail_percentile for exp in self._exps]
+        self._jmax = max(
+            1, max(int(exp.config.max_be_instances) for exp in self._exps)
+        )
+        jmax = self._jmax
 
         # -- static per-machine parameters ----------------------------------
         busy_c: List[float] = []
@@ -983,7 +986,7 @@ class FleetColocationKernel:
         f_min: List[int] = []
         f_max: List[int] = []
         f_step: List[int] = []
-        f_now: List[int] = []
+        f_req: List[int] = []
         self._cores_i: List[int] = []
         self._iso: List = []
         self._pconst: List[Tuple] = []
@@ -995,7 +998,7 @@ class FleetColocationKernel:
             busy_c.append(bc)
             membw_c.append(mc)
             net_c.append(nc)
-            link_nic.append(machine.nic.link_gbps)
+            link_nic.append(machine.nic.effective_link_gbps)
             link_spec.append(machine.spec.link_gbps)
             guard.append(machine.nic.lc_guard_factor)
             self._cores_i.append(machine.spec.cores)
@@ -1010,7 +1013,7 @@ class FleetColocationKernel:
             f_min.append(dvfs.min_mhz)
             f_max.append(dvfs.max_mhz)
             f_step.append(dvfs.step_mhz)
-            f_now.append(dvfs.frequency(BE_DOMAIN))
+            f_req.append(dvfs.requested(BE_DOMAIN))
             self._iso.append(exp.config.isolation)
             sens = exp.deployment.servpod(pod).effective_sensitivity()
             model = exp.config.interference
@@ -1040,7 +1043,7 @@ class FleetColocationKernel:
         self._f_max = np.asarray(f_max, dtype=np.int64)
         self._f_step = np.asarray(f_step, dtype=np.int64)
         self._f_max_l = f_max
-        self._freq = np.asarray(f_now, dtype=np.int64)
+        self._freq = np.asarray(f_req, dtype=np.int64)
 
         # (freq / max) ** 3 lookup, computed with *python* pow: the
         # vectorized cube diverges from the scalar path by 1 ulp.
@@ -1108,11 +1111,10 @@ class FleetColocationKernel:
         # satisfy the same identity pin. State lives in python twins of
         # the SoA columns; each mode touches only its own storage.
         self._small = M <= _SMALL_FLEET_MACHINES
-        self._m_vi = m_vi
         self._rows_py: List[Tuple] = [() for _ in range(M)]
         self._nw_py: List[List[float]] = [[] for _ in range(M)]
         self._rs_py: List[List[float]] = [[] for _ in range(M)]
-        self._freq_py: List[int] = list(f_now)
+        self._freq_py: List[int] = list(f_req)
         self._md_l: List[float] = [0.0] * M
         self._nd_l: List[float] = [0.0] * M
         self._cnt_inst_l: List[int] = [0] * M
@@ -1138,6 +1140,22 @@ class FleetColocationKernel:
         self._cpu_int_l: List[float] = [0.0] * M
         self._membw_int_l: List[float] = [0.0] * M
         self._last_net_l: Optional[List[float]] = None
+
+        # -- fault state (neutral until an injector reports transitions) ----
+        # Per machine: ``None`` while no pressure term is active, else
+        # ``(extra_llc, nic_fault, p_freq, stall)`` for the faulted
+        # slowdown. BE DVFS caps (``f_max`` = none), the LC power factor
+        # ``(lc ratio) ** 3`` and the fault-held ``(cores, ways)`` memo
+        # coordinate live in their own columns (neutral values on healthy
+        # machines, so both tick paths apply them unconditionally).
+        self._fault_m: List[Optional[Tuple]] = [None] * M
+        self._fcap = np.asarray(f_max, dtype=np.int64)
+        self._fcap_l: List[int] = list(f_max)
+        self._lc_r3 = np.ones(M)
+        self._lc_r3_l: List[float] = [1.0] * M
+        self._fkey: List[Tuple[int, int]] = [(0, 0)] * M
+        for i, _inj in self._injectors:
+            self._refresh_faults(i)
 
     # -- SoA <-> world synchronisation --------------------------------------
 
@@ -1308,48 +1326,142 @@ class FleetColocationKernel:
             job.normalized_work = nw[j]
             job.running_seconds = rs[j]
 
+    # -- fault state ----------------------------------------------------------
+
+    def _refresh_faults(self, i: int) -> None:
+        """Re-read instance ``i``'s fault-touched machine state.
+
+        Runs at construction and on every tick where the instance's
+        injector reported transitions, right after ``advance`` — the
+        same point in the tick where the scalar loop's next reads see
+        the new state. Everything cached here is constant between
+        transitions: the injector's pressure terms (its active set only
+        changes in ``advance``), the caps and link scale it recomputes
+        there, and the fault-held cores and ways. Rows are reloaded
+        because ``offline_cores`` may have shrunk BE jobs; progress is
+        flushed first unless the row is already dirty (then its jobs
+        were flushed before the apply that dirtied it, and may since
+        have been killed).
+        """
+        injector = self._exps[i]._fault_injector
+        for m in self._inst_machines[i]:
+            machine = self._m_mach[m]
+            dvfs = machine.dvfs
+            extra_llc, nic_fault, stall = injector.machine_terms(machine.spec.name)
+            lc_ratio = dvfs.ratio(LC_DOMAIN)
+            p_freq = max(0.0, 1.0 - lc_ratio)
+            if extra_llc > 0.0 or nic_fault or stall != 1.0 or p_freq != 0.0:
+                self._fault_m[m] = (extra_llc, nic_fault, p_freq, stall)
+            else:
+                self._fault_m[m] = None
+            f_max = self._f_max_l[m]
+            be_cap = dvfs.cap(BE_DOMAIN)
+            fcap = f_max if be_cap is None else be_cap
+            lc_r3 = lc_ratio**3
+            self._fcap[m] = fcap
+            self._fcap_l[m] = fcap
+            self._lc_r3[m] = lc_r3
+            self._lc_r3_l[m] = lc_r3
+            link = machine.nic.effective_link_gbps
+            self._link_nic[m] = link
+            self._link_nic_l[m] = link
+            self._fkey[m] = (machine.offlined_cores, machine.lost_llc_ways)
+            if m not in self._dirty:
+                self._flush_row(m)
+                self._dirty.add(m)
+
+    def _slowdown(
+        self,
+        m: int,
+        p_cpu: float,
+        p_llc: float,
+        p_membw: float,
+        p_net: float,
+        real: float,
+        lc_net,
+    ) -> Tuple[float, float]:
+        """``(slowdown, sigma inflation)`` of machine ``m`` this tick.
+
+        The scalar physics operand for operand: the pressure vector of
+        ``Pressure.from_be_snapshot`` (its LC frequency term is exactly
+        0.0 without a DVFS cap), ``ClusterFaultInjector.adjust_pressure``
+        (lost-way LLC pressure, NIC shortfall as network pressure), the
+        ``InterferenceModel.slowdown`` fold, the stall factor and
+        ``sigma_inflation``. The impact fold and ``x ** gamma`` stay
+        python arithmetic (vectorized ``np.power`` drifts by 1 ulp).
+        ``lc_net[m]`` is this tick's LC traffic, the demand the scalar
+        NIC's ``lc_shortfall_fraction`` reads; healthy machines
+        (``_fault_m[m] is None``) only pay a multiply by a 1.0 stall.
+        """
+        coeffs, gamma, beta, hroom, coup, cap = self._pconst[m]
+        fault = self._fault_m[m]
+        if fault is None:
+            p_freq = 0.0
+            stall = 1.0
+        else:
+            extra_llc, nic_fault, p_freq, stall = fault
+            p_llc = min(1.0, p_llc + extra_llc)
+            if nic_fault:
+                demand = float(lc_net[m])
+                short = 0.0
+                if demand > 0:
+                    short = max(0.0, demand - self._link_nic_l[m]) / demand
+                p_net = min(1.0, max(p_net, short))
+        if (
+            p_cpu == 0.0
+            and p_llc == 0.0
+            and p_membw == 0.0
+            and p_net == 0.0
+            and p_freq == 0.0
+        ):
+            slow = 1.0
+        else:
+            impact = coeffs[0] * p_cpu**gamma
+            impact = impact + coeffs[1] * p_llc**gamma
+            impact = impact + coeffs[2] * p_membw**gamma
+            impact = impact + coeffs[3] * p_net**gamma
+            impact = impact + coeffs[4] * p_freq**gamma
+            lo = min(max(real, 0.0), 1.0)
+            amp = 1.0 + beta * lo / (hroom + (1.0 - lo))
+            slow = 1.0 + amp * impact
+        slow *= stall
+        return slow, min(cap, 1.0 + coup * (slow - 1.0))
+
     # -- one lockstep tick ---------------------------------------------------
 
-    def tick(self, tick_index: int, t: float, dt: float, last: bool) -> None:
+    def tick(self, t: float, dt: float, last: bool) -> None:
         """One control period across the whole fleet."""
-        exps = self._exps
-        n_exp = len(exps)
-        loads: List[float] = [0.0] * n_exp
-        tails: List[float] = [0.0] * n_exp
-        closed: List[bool] = [False] * n_exp
-        want_obs = self._on_tick is not None
-        be_rates: List[float] = [0.0] * n_exp
+        if self._small:
+            tails = self._tick_small(t, dt, last)
+        else:
+            tails = self._tick_vec(t, dt, last)
+        if self._on_tick is not None:
+            self._on_tick(t, tails)
 
-        # Delegated instances: whole per-instance ticks on the shared
-        # clock (cross-instance order is irrelevant — streams, machines
-        # and pools are per-instance).
-        for i in self._del_idx:
-            exp = exps[i]
-            run0 = next(iter(exp._runs.values()))
-            n_wins = len(run0.metrics.tail._per_window)
-            exp._tick(t, dt)
-            sample = run0.metrics.samples[-1]
-            loads[i] = sample.load
-            tails[i] = sample.tail_ms
-            closed[i] = len(run0.metrics.tail._per_window) > n_wins
-            if want_obs:
-                rate_sum = 0.0
-                for run in exp._runs.values():
-                    rate_sum += run.last_snapshot.total_rate
-                be_rates[i] = rate_sum
-
-        vec = self._vec_idx
-        if vec:
-            if self._small:
-                self._tick_small(
-                    t, dt, last, loads, tails, closed, be_rates, want_obs
-                )
-            else:
-                self._tick_vec(
-                    t, dt, last, loads, tails, closed, be_rates, want_obs
-                )
-        if want_obs:
-            self._on_tick(tick_index, t, loads, closed, tails, be_rates)
+    def _begin_tick(
+        self, t: float, dt: float
+    ) -> Tuple[List[float], List[float], List[int]]:
+        """Phase 0 for every instance: fault transitions (refreshing the
+        fault state of instances that had any), the load window, then
+        the rows invalidated by applies or transitions since last tick.
+        Returns per-instance ``(loads, realized loads, sample counts)``."""
+        for i, injector in self._injectors:
+            if injector.advance(t):
+                self._refresh_faults(i)
+        n = len(self._exps)
+        w_load: List[float] = [0.0] * n
+        w_real: List[float] = [0.0] * n
+        w_n: List[int] = [0] * n
+        for i, exp in enumerate(self._exps):
+            window = exp._generator.window(t - dt, dt)
+            w_load[i] = window.load
+            w_real[i] = window.realized_load
+            w_n[i] = window.n_samples
+        if self._dirty:
+            for m in sorted(self._dirty):
+                self._rebuild_row(m)
+            self._dirty.clear()
+        return w_load, w_real, w_n
 
     def _sample_tails(
         self,
@@ -1358,59 +1470,116 @@ class FleetColocationKernel:
         slow_l: List[float],
         infl_l: List[float],
     ) -> Tuple[List[bool], List[float]]:
-        """Latency sampling + window tails for every vectorized instance.
+        """Latency sampling + window tails for every instance.
 
         Per-instance RNG draws stay sequential (stream identity); the
         tail reduction groups instances by ``(n_samples, percentile)``
         and runs one partitioned percentile per group, bitwise equal to
         the scalar per-instance ``np.percentile`` call.
         """
-        vec = self._vec_idx
+        n_exp = len(self._exps)
         groups: Dict[Tuple[int, float], Tuple[List[int], List[np.ndarray]]] = {}
-        for vi in range(len(vec)):
-            n = w_n[vi]
+        for i in range(n_exp):
+            n = w_n[i]
             if n <= 0:
                 continue
             slowdowns: Dict[str, float] = {}
             inflations: Dict[str, float] = {}
-            for m in self._inst_machines[vi]:
+            for m in self._inst_machines[i]:
                 pod = self._m_pod[m]
                 slowdowns[pod] = slow_l[m]
                 inflations[pod] = infl_l[m]
-            lat = self._samplers[vi].sample_e2e(
-                w_real[vi], n, slowdowns, inflations
-            )
-            key = (n, self._tail_pct[vi])
+            lat = self._samplers[i].sample_e2e(w_real[i], n, slowdowns, inflations)
+            key = (n, self._tail_pct[i])
             bucket = groups.get(key)
             if bucket is None:
                 bucket = ([], [])
                 groups[key] = bucket
-            bucket[0].append(vi)
+            bucket[0].append(i)
             bucket[1].append(lat)
-        closed_vec = [False] * len(vec)
-        tails_vec = [0.0] * len(vec)
-        for (_n, pct), (vis, lats) in groups.items():
+        closed = [False] * n_exp
+        tails = [0.0] * n_exp
+        for (_n, pct), (idxs, lats) in groups.items():
             if len(lats) == 1:
                 vals = [percentile_linear(lats[0], pct)]
             else:
                 vals = percentile_linear_rows(np.stack(lats), pct)
-            for vi, tail in zip(vis, vals):
-                closed_vec[vi] = True
-                tails_vec[vi] = tail
-        return closed_vec, tails_vec
+            for i, tail in zip(idxs, vals):
+                closed[i] = True
+                tails[i] = tail
+        return closed, tails
+
+    def _control(
+        self,
+        t: float,
+        last: bool,
+        w_load: List[float],
+        tails: List[float],
+        snapshot_of,
+    ) -> None:
+        """Phase 4: decide per machine, then the memoized applies.
+
+        ``decide`` is stateful python per machine; the applies run
+        through the shared subcontrollers, memoized on no-op keys (see
+        the class docstring). ``snapshot_of(m)`` builds machine ``m``'s
+        final ``last_snapshot`` on the last tick.
+        """
+        exps = self._exps
+        acts: List[str] = [""] * self._n_machines
+        stop = BeAction.STOP_BE
+        small = self._small
+        fkey = self._fkey
+        for m in range(self._n_machines):
+            i = self._m_i[m]
+            exp = exps[i]
+            run = self._m_run[m]
+            machine = self._m_mach[m]
+            action = run.controller.decide(w_load[i], tails[i], t=t)
+            filt = exp.action_filter
+            if filt is not None:
+                action = filt(self._m_pod[m], action)
+            run.last_action = action
+            acts[m] = action.value
+            if last:
+                run.last_snapshot = snapshot_of(m)
+            memo = self._memo[m]
+            key = (action, machine.version, machine.mem_version, fkey[m])
+            if key in memo:
+                continue
+            self._flush_row(m)
+            v0 = machine.version
+            mv0 = machine.mem_version
+            exp._cpu_llc.apply(action, machine, run.pool)
+            exp._memory.apply(action, machine, run.pool)
+            if action is stop:
+                # STOP reset the BE DVFS domain's requested frequency;
+                # mirror it and never memoize (the key cannot witness
+                # this side effect).
+                if small:
+                    self._freq_py[m] = self._f_max_l[m]
+                else:
+                    self._freq[m] = self._f_max_l[m]
+            if machine.version != v0:
+                self._dirty.add(m)
+                if small:
+                    self._cnt_inst_l[m] = machine.be_instance_count
+                    self._cnt_cores_l[m] = machine.be_total_cores
+                    self._cnt_ways_l[m] = machine.be_total_llc_ways
+                else:
+                    self._cnt_inst[m] = machine.be_instance_count
+                    self._cnt_cores[m] = machine.be_total_cores
+                    self._cnt_ways[m] = machine.be_total_llc_ways
+            elif machine.mem_version == mv0 and action is not stop:
+                memo.add(key)
+        self._acts.append(acts)
 
     def _tick_small(
         self,
         t: float,
         dt: float,
         last: bool,
-        loads: List[float],
-        tails: List[float],
-        closed: List[bool],
-        be_rates: List[float],
-        want_obs: bool,
-    ) -> None:
-        """Per-machine python tick for small fleets.
+    ) -> List[float]:
+        """Per-machine python tick for small fleets; returns the tails.
 
         Identical arithmetic to :meth:`_tick_vec`, operand for operand:
         every whole-array op there is elementwise over machines (or a
@@ -1420,26 +1589,10 @@ class FleetColocationKernel:
         become ``min``/``max`` — equivalent here because no operand is
         NaN and no tie mixes signed zeros.
         """
-        exps = self._exps
-        vec = self._vec_idx
+        w_load, w_real, w_n = self._begin_tick(t, dt)
         M = self._n_machines
-        m_vi = self._m_vi
-
-        # Phase 0: load windows (per-instance RNG, python).
-        w_load: List[float] = [0.0] * len(vec)
-        w_real: List[float] = [0.0] * len(vec)
-        w_n: List[int] = [0] * len(vec)
-        for vi, i in enumerate(vec):
-            window = exps[i]._begin_tick(t, dt)
-            w_load[vi] = window.load
-            w_real[vi] = window.realized_load
-            w_n[vi] = window.n_samples
-            loads[i] = window.load
-
-        if self._dirty:
-            for m in sorted(self._dirty):
-                self._rebuild_row(m)
-            self._dirty.clear()
+        m_i = self._m_i
+        fcap_l = self._fcap_l
 
         # Phases 1 + 3 fused per machine: LC usage, NIC caps, headroom
         # shares, Leontief rates, BE progress, pressure -> slowdown.
@@ -1455,14 +1608,15 @@ class FleetColocationKernel:
         membw_tot_l: List[float] = [0.0] * M
         load_m: List[float] = [0.0] * M
         for m in range(M):
-            vi = m_vi[m]
-            real = w_real[vi]
-            load_m[m] = w_load[vi]
+            i = m_i[m]
+            real = w_real[i]
+            load_m[m] = w_load[i]
             lc_busy = self._busy_c_l[m] * real
             lc_membw = self._membw_c_l[m] * real
             if lc_membw > 1.0:
                 lc_membw = 1.0
             lc_net = self._net_c_l[m] * real
+            lc_net_l[m] = lc_net
             link = self._link_nic_l[m]
             lc_sent = lc_net if lc_net < link else link
             be_cap = link - self._guard_l[m] * lc_sent
@@ -1484,7 +1638,10 @@ class FleetColocationKernel:
                 net_scale = be_cap_frac / nd
                 if net_scale > 1.0:
                     net_scale = 1.0
-            fratio = self._freq_py[m] / self._f_max_l[m]
+            freq = self._freq_py[m]
+            if fcap_l[m] < freq:
+                freq = fcap_l[m]
+            fratio = freq / self._f_max_l[m]
             (cpu_b, req_c, llc_r, mbw, mbw_m, mbw_d,
              net_b, net_m, net_d) = self._rows_py[m]
             nw = self._nw_py[m]
@@ -1520,31 +1677,18 @@ class FleetColocationKernel:
                 rs[j] = rs[j] + dt
             snap_membw = membw_used if membw_used < 1.0 else 1.0
             snap_net = net_used if net_used < 1.0 else 1.0
-            p_cpu = self._p_cpu_l[m]
-            p_llc = self._p_llc_l[m]
-            coeffs, gamma, beta, hroom, coup, cap = self._pconst[m]
-            if p_cpu == 0.0 and p_llc == 0.0 and snap_membw == 0.0 and snap_net == 0.0:
-                slow = 1.0
-            else:
-                impact = coeffs[0] * p_cpu**gamma
-                impact = impact + coeffs[1] * p_llc**gamma
-                impact = impact + coeffs[2] * snap_membw**gamma
-                impact = impact + coeffs[3] * snap_net**gamma
-                impact = impact + coeffs[4] * 0.0**gamma
-                lo = real
-                if lo < 0.0:
-                    lo = 0.0
-                elif lo > 1.0:
-                    lo = 1.0
-                amp = 1.0 + beta * lo / (hroom + (1.0 - lo))
-                slow = 1.0 + amp * impact
-            slow_l[m] = slow
-            infl = 1.0 + coup * (slow - 1.0)
-            infl_l[m] = infl if infl < cap else cap
+            slow_l[m], infl_l[m] = self._slowdown(
+                m,
+                self._p_cpu_l[m],
+                self._p_llc_l[m],
+                snap_membw,
+                snap_net,
+                real,
+                lc_net_l,
+            )
             membw_l[m] = snap_membw
             net_l[m] = snap_net
             lc_busy_l[m] = lc_busy
-            lc_net_l[m] = lc_net
             rate_rows[m] = rates
             rate_tot_l[m] = rate_total
             busy_tot = lc_busy + self._busy_be_l[m]
@@ -1561,10 +1705,7 @@ class FleetColocationKernel:
         self._elapsed += dt
 
         # Phase 2: latency sampling (shared with the vectorized path).
-        closed_vec, tails_vec = self._sample_tails(w_real, w_n, slow_l, infl_l)
-        for vi, i in enumerate(vec):
-            tails[i] = tails_vec[vi]
-            closed[i] = closed_vec[vi]
+        closed, tails = self._sample_tails(w_real, w_n, slow_l, infl_l)
 
         # Deferred metrics: python columns; counters copied before the
         # applies, like the scalar record_tick.
@@ -1572,7 +1713,7 @@ class FleetColocationKernel:
             (
                 t,
                 load_m,
-                [tails_vec[m_vi[m]] for m in range(M)],
+                [tails[m_i[m]] for m in range(M)],
                 busy_tot_l,
                 membw_tot_l,
                 rate_tot_l,
@@ -1582,115 +1723,58 @@ class FleetColocationKernel:
                 list(self._njobs_l),
             )
         )
-        self._wins.append((closed_vec, tails_vec))
+        self._wins.append((closed, tails))
 
-        # Phase 4: control (same memoized-apply loop as the vec path).
-        acts: List[str] = [""] * M
-        stop = BeAction.STOP_BE
-        for m in range(M):
-            i = self._m_i[m]
-            exp = exps[i]
-            run = self._m_run[m]
-            machine = self._m_mach[m]
-            action = run.controller.decide(loads[i], tails[i], t=t)
-            filt = exp.action_filter
-            if filt is not None:
-                action = filt(self._m_pod[m], action)
-            run.last_action = action
-            acts[m] = action.value
-            if last:
-                ids = self._row_ids[m]
-                run.last_snapshot = BeResourceSnapshot(
-                    busy_cores=self._busy_be_l[m],
-                    membw_fraction=membw_l[m],
-                    llc_demand_fraction=self._llc_dem_l[m],
-                    llc_occupied_fraction=self._llc_occ_l[m],
-                    net_fraction=net_l[m],
-                    rates=dict(zip(ids, rate_rows[m][: len(ids)])),
-                )
-            memo = self._memo[m]
-            key = (action, machine.version, machine.mem_version)
-            if key in memo:
-                continue
-            self._flush_row(m)
-            v0 = machine.version
-            mv0 = machine.mem_version
-            exp._cpu_llc.apply(action, machine, run.pool)
-            exp._memory.apply(action, machine, run.pool)
-            if action is stop:
-                self._freq_py[m] = self._f_max_l[m]
-            if machine.version != v0:
-                self._dirty.add(m)
-                self._cnt_inst_l[m] = machine.be_instance_count
-                self._cnt_cores_l[m] = machine.be_total_cores
-                self._cnt_ways_l[m] = machine.be_total_llc_ways
-            elif machine.mem_version == mv0 and action is not stop:
-                memo.add(key)
-        self._acts.append(acts)
+        def snapshot_of(m: int) -> BeResourceSnapshot:
+            ids = self._row_ids[m]
+            return BeResourceSnapshot(
+                busy_cores=self._busy_be_l[m],
+                membw_fraction=membw_l[m],
+                llc_demand_fraction=self._llc_dem_l[m],
+                llc_occupied_fraction=self._llc_occ_l[m],
+                net_fraction=net_l[m],
+                rates=dict(zip(ids, rate_rows[m][: len(ids)])),
+            )
+
+        self._control(t, last, w_load, tails, snapshot_of)
 
         # Phase 5: frequency subcontroller per machine (post-apply BE
         # core counts, python pow cube — same table the vec path uses).
+        # Steps start from the effective (capped) frequency, like
+        # ``DvfsGovernor.step_down``/``step_up``.
         r3_cache = self._r3_cache
         for m in range(M):
             f = self._freq_py[m]
+            if fcap_l[m] < f:
+                f = fcap_l[m]
             mx = self._f_max_l[m]
             v = r3_cache.get((f, mx))
             if v is None:
                 v = (f / mx) ** 3
                 r3_cache[(f, mx)] = v
             power = self._idle_l[m] + self._active_l[m] * (
-                lc_busy_l[m] + self._cnt_cores_l[m] * v
+                lc_busy_l[m] * self._lc_r3_l[m] + self._cnt_cores_l[m] * v
             )
             if power > self._hi_l[m]:
                 self._freq_py[m] = max(self._f_min_l[m], f - self._f_step_l[m])
             elif power < self._lo_l[m]:
                 self._freq_py[m] = min(mx, f + self._f_step_l[m])
         self._last_net_l = lc_net_l
-
-        if want_obs:
-            for vi, i in enumerate(vec):
-                rate_sum = 0.0
-                for m in self._inst_machines[vi]:
-                    rate_sum += rate_tot_l[m]
-                be_rates[i] = rate_sum
+        return tails
 
     def _tick_vec(
         self,
         t: float,
         dt: float,
         last: bool,
-        loads: List[float],
-        tails: List[float],
-        closed: List[bool],
-        be_rates: List[float],
-        want_obs: bool,
-    ) -> None:
-        """Whole-array tick over the vectorized instances (large fleets)."""
-        exps = self._exps
-        vec = self._vec_idx
+    ) -> List[float]:
+        """Whole-array tick (large fleets); returns the tails."""
+        w_load, w_real, w_n = self._begin_tick(t, dt)
         M = self._n_machines
 
-        # Phase 0: load windows (per-instance RNG, python).
-        w_load: List[float] = [0.0] * len(vec)
-        w_real: List[float] = [0.0] * len(vec)
-        w_n: List[int] = [0] * len(vec)
-        for vi, i in enumerate(vec):
-            window = exps[i]._begin_tick(t, dt)
-            w_load[vi] = window.load
-            w_real[vi] = window.realized_load
-            w_n[vi] = window.n_samples
-            loads[i] = window.load
-
-        # Rebuild rows invalidated by last tick's applies.
-        if self._dirty:
-            for m in sorted(self._dirty):
-                self._rebuild_row(m)
-            self._dirty.clear()
-
-        # Phase 1a: LC usage and NIC caps, whole fleet at once. Healthy
-        # link (faulted instances are delegated): effective capacity ==
-        # physical link, bitwise.
-        real_m = np.asarray(w_real)[self._m_vi_arr]
+        # Phase 1a: LC usage and NIC caps, whole fleet at once, against
+        # each machine's effective (possibly fault-degraded) link.
+        real_m = np.asarray(w_real)[self._m_i_arr]
         lc_busy = self._busy_coeff * real_m
         lc_membw = np.minimum(1.0, self._membw_coeff * real_m)
         lc_net = self._net_coeff * real_m
@@ -1709,7 +1793,7 @@ class FleetColocationKernel:
         net_scale = np.minimum(1.0, quot)
 
         # Phase 1c: Leontief rates, exact BeRateKernel op order.
-        fratio = self._freq / self._f_max
+        fratio = np.minimum(self._freq, self._fcap) / self._f_max
         ratios = (self._cpu_base * fratio[:, None]) / self._req_cpu
         ratios = np.minimum(ratios, self._llc_ratio)
         granted_membw = self._membw * membw_scale[:, None]
@@ -1744,36 +1828,16 @@ class FleetColocationKernel:
         infl_l: List[float] = [1.0] * M
         p_cpu_l = self._p_cpu_l
         p_llc_l = self._p_llc_l
+        slowdown = self._slowdown
         for m in range(M):
-            p_cpu = p_cpu_l[m]
-            p_llc = p_llc_l[m]
-            p_membw = membw_l[m]
-            p_net = net_l[m]
-            # p_freq == 0.0 exactly: the LC DVFS domain is untouched on
-            # healthy machines, so its ratio is bitwise 1.0.
-            coeffs, gamma, beta, hroom, coup, cap = self._pconst[m]
-            if p_cpu == 0.0 and p_llc == 0.0 and p_membw == 0.0 and p_net == 0.0:
-                slow = 1.0
-            else:
-                impact = coeffs[0] * p_cpu**gamma
-                impact = impact + coeffs[1] * p_llc**gamma
-                impact = impact + coeffs[2] * p_membw**gamma
-                impact = impact + coeffs[3] * p_net**gamma
-                impact = impact + coeffs[4] * 0.0**gamma
-                lo = real_l[m]
-                lo = min(max(lo, 0.0), 1.0)
-                amp = 1.0 + beta * lo / (hroom + (1.0 - lo))
-                slow = 1.0 + amp * impact
-            slow_l[m] = slow
-            infl_l[m] = min(cap, 1.0 + coup * (slow - 1.0))
+            slow_l[m], infl_l[m] = slowdown(
+                m, p_cpu_l[m], p_llc_l[m], membw_l[m], net_l[m], real_l[m], lc_net
+            )
 
         # Phase 2: latency sampling per instance (per-instance RNG),
         # tails reduced per (n_samples, percentile) group in one
         # partitioned-percentile call — bitwise equal per row.
-        closed_vec, tails_vec = self._sample_tails(w_real, w_n, slow_l, infl_l)
-        for vi, i in enumerate(vec):
-            tails[i] = tails_vec[vi]
-            closed[i] = closed_vec[vi]
+        closed, tails = self._sample_tails(w_real, w_n, slow_l, infl_l)
 
         # Phase 3: BE progress, in place (elementwise == python floats).
         self._nw += dt * rate
@@ -1782,8 +1846,8 @@ class FleetColocationKernel:
         # Deferred metrics: integrate now, materialise at end of run.
         # Counter columns are copied *before* this tick's applies, like
         # the scalar record_tick.
-        tail_m = np.asarray(tails_vec)[self._m_vi_arr]
-        load_m = np.asarray(w_load)[self._m_vi_arr]
+        tail_m = np.asarray(tails)[self._m_i_arr]
+        load_m = np.asarray(w_load)[self._m_i_arr]
         busy_total = lc_busy + self._busy_be
         membw_total = np.minimum(1.0, lc_membw + snap_membw)
         self._lc_int += load_m * dt
@@ -1805,64 +1869,31 @@ class FleetColocationKernel:
                 self._njobs.copy(),
             )
         )
-        self._wins.append((closed_vec, tails_vec))
+        self._wins.append((closed, tails))
 
-        # Phase 4: control — decide is stateful python per machine; the
-        # applies run through the shared subcontrollers, memoized on
-        # (action, version, mem_version) no-op keys.
-        acts: List[str] = [""] * M
-        stop = BeAction.STOP_BE
-        for m in range(M):
-            i = self._m_i[m]
-            exp = exps[i]
-            run = self._m_run[m]
-            machine = self._m_mach[m]
-            action = run.controller.decide(loads[i], tails[i], t=t)
-            filt = exp.action_filter
-            if filt is not None:
-                action = filt(self._m_pod[m], action)
-            run.last_action = action
-            acts[m] = action.value
-            if last:
-                ids = self._row_ids[m]
-                run.last_snapshot = BeResourceSnapshot(
-                    busy_cores=busy_l[m],
-                    membw_fraction=membw_l[m],
-                    llc_demand_fraction=self._llc_dem_l[m],
-                    llc_occupied_fraction=self._llc_occ_l[m],
-                    net_fraction=net_l[m],
-                    rates=dict(zip(ids, rate[m, : len(ids)].tolist())),
-                )
-            memo = self._memo[m]
-            key = (action, machine.version, machine.mem_version)
-            if key in memo:
-                continue
-            self._flush_row(m)
-            v0 = machine.version
-            mv0 = machine.mem_version
-            exp._cpu_llc.apply(action, machine, run.pool)
-            exp._memory.apply(action, machine, run.pool)
-            if action is stop:
-                # STOP reset the BE DVFS domain; mirror it and never
-                # memoize (the key cannot witness this side effect).
-                self._freq[m] = self._f_max_l[m]
-            if machine.version != v0:
-                self._dirty.add(m)
-                self._cnt_inst[m] = machine.be_instance_count
-                self._cnt_cores[m] = machine.be_total_cores
-                self._cnt_ways[m] = machine.be_total_llc_ways
-            elif machine.mem_version == mv0 and action is not stop:
-                memo.add(key)
-        self._acts.append(acts)
+        def snapshot_of(m: int) -> BeResourceSnapshot:
+            ids = self._row_ids[m]
+            return BeResourceSnapshot(
+                busy_cores=busy_l[m],
+                membw_fraction=membw_l[m],
+                llc_demand_fraction=self._llc_dem_l[m],
+                llc_occupied_fraction=self._llc_occ_l[m],
+                net_fraction=net_l[m],
+                rates=dict(zip(ids, rate[m, : len(ids)].tolist())),
+            )
+
+        self._control(t, last, w_load, tails, snapshot_of)
 
         # Phase 5: frequency subcontroller, whole fleet at once. Uses
-        # post-apply BE core counts, exactly like the scalar pass.
+        # post-apply BE core counts, exactly like the scalar pass, and
+        # steps from the effective (capped) frequency.
+        freq = np.minimum(self._freq, self._fcap)
         if self._r3_table is not None:
-            r3 = self._r3_table[(self._freq - self._r3_base) // self._r3_step]
+            r3 = self._r3_table[(freq - self._r3_base) // self._r3_step]
         else:
             cache = self._r3_cache
             vals = []
-            for m, f in enumerate(self._freq.tolist()):
+            for m, f in enumerate(freq.tolist()):
                 mx = self._f_max_l[m]
                 v = cache.get((f, mx))
                 if v is None:
@@ -1870,25 +1901,20 @@ class FleetColocationKernel:
                     cache[(f, mx)] = v
                 vals.append(v)
             r3 = np.asarray(vals)
-        power = self._idle_w + self._active_w * (lc_busy + self._cnt_cores * r3)
+        power = self._idle_w + self._active_w * (
+            lc_busy * self._lc_r3 + self._cnt_cores * r3
+        )
         down = power > self._hi_w
         up = (~down) & (power < self._lo_w)
         self._freq = np.where(
             down,
-            np.maximum(self._f_min, self._freq - self._f_step),
+            np.maximum(self._f_min, freq - self._f_step),
             np.where(
-                up, np.minimum(self._f_max, self._freq + self._f_step), self._freq
+                up, np.minimum(self._f_max, freq + self._f_step), self._freq
             ),
         )
         self._last_net = lc_net
-
-        if want_obs:
-            rt_l = rate_total.tolist()
-            for vi, i in enumerate(vec):
-                rate_sum = 0.0
-                for m in self._inst_machines[vi]:
-                    rate_sum += rt_l[m]
-                be_rates[i] = rate_sum
+        return tails
 
     # -- whole runs ----------------------------------------------------------
 
@@ -1912,7 +1938,7 @@ class FleetColocationKernel:
         n_ticks = len(times)
         lsum = [0.0] * len(self._exps)
         for k, t in enumerate(times):
-            self.tick(k, t, self._period_s, last=(k == n_ticks - 1))
+            self.tick(t, self._period_s, last=(k == n_ticks - 1))
             for i, exp in enumerate(self._exps):
                 lsum[i] += min(1.0, max(0.0, exp.pattern.load_at(t)))
         self._finalize()
@@ -1922,7 +1948,12 @@ class FleetColocationKernel:
         ]
 
     def _finalize(self) -> None:
-        """Flush SoA state back into the world objects and metrics."""
+        """Flush SoA state back into the world objects and metrics.
+
+        Rows the last tick's applies left dirty are not flushed: their
+        jobs were flushed before the apply, which may have killed them
+        (``BeJob.kill`` floors the work the flush would write back).
+        """
         if self._small:
             self._finalize_small()
             return
@@ -1933,7 +1964,8 @@ class FleetColocationKernel:
         cpu_l = self._cpu_int.tolist()
         mb_l = self._membw_int.tolist()
         for m in range(M):
-            self._flush_row(m)
+            if m not in self._dirty:
+                self._flush_row(m)
             metrics = self._m_run[m].metrics
             emu = metrics.emu
             emu._lc_integral = lc_l[m]
@@ -1991,7 +2023,8 @@ class FleetColocationKernel:
         M = self._n_machines
         elapsed = self._elapsed
         for m in range(M):
-            self._flush_row(m)
+            if m not in self._dirty:
+                self._flush_row(m)
             metrics = self._m_run[m].metrics
             emu = metrics.emu
             emu._lc_integral = self._lc_int_l[m]
@@ -2202,10 +2235,6 @@ class BakeoffKernel:
         self._pods = pods
         self._duration_s = experiment.config.duration_s
         self._period_s = experiment.config.control_period_s
-        # Histogram tail estimators carry cross-tick state that the
-        # merge digest does not model; forking still works, merging is
-        # simply never attempted.
-        self._mergeable = experiment._tail_estimator is None
         self._members: List[_BakeoffMember] = []
         for name, controllers in members.items():
             metrics = {
@@ -2219,15 +2248,15 @@ class BakeoffKernel:
                 for pod in pods
             }
             self._members.append(_BakeoffMember(name, dict(controllers), metrics))
-        # The root branch reuses the experiment's own batched kernel if
-        # present; ``_batched`` is then detached so world forks do not
-        # deepcopy SoA mirrors (each fork builds a fresh kernel whose
-        # mirrors rebuild on the next version check).
-        root_kernel = experiment._batched or BatchedColocationKernel(experiment)
-        experiment._batched = None
+        # Kernels live on branches, not on the experiment, so world
+        # forks never deepcopy SoA mirrors (each fork builds a fresh
+        # kernel whose mirrors rebuild on the next version check).
         self._branches: List[_BakeoffBranch] = [
             _BakeoffBranch(
-                experiment, root_kernel, list(range(len(self._members))), set()
+                experiment,
+                BatchedColocationKernel(experiment),
+                list(range(len(self._members))),
+                set(),
             )
         ]
         self.stats = BakeoffStats(members=len(self._members))
@@ -2259,7 +2288,7 @@ class BakeoffKernel:
         for t in times:
             for branch in list(self._branches):
                 self._tick_branch(branch, t, self._period_s)
-            if self._mergeable and len(self._branches) > 1:
+            if len(self._branches) > 1:
                 self._try_merge()
             self.stats.max_branches = max(
                 self.stats.max_branches, len(self._branches)
@@ -2394,7 +2423,7 @@ class BakeoffKernel:
 
         A fork must duplicate exactly the state a branch can *mutate*:
         machine/cluster state, BE pools, RNG streams, the load
-        generator, the fault injector, tail estimators. Everything else
+        generator, the fault injector. Everything else
         about the scenario is decision-independent and read-only for
         the whole run — the frozen service/BE specs, the load pattern,
         the config (and its fault schedule), the stateless
@@ -2427,10 +2456,10 @@ class BakeoffKernel:
 
         The deep copy is seeded with a memo mapping every shared
         scenario object to itself (:meth:`_scenario_shared_state`), so
-        only the mutable world state is duplicated. The clone's
-        ``_batched`` mirror is already detached (done once at
-        construction), so no SoA arrays are copied either — the fork's
-        fresh :class:`BatchedColocationKernel` rebuilds them lazily.
+        only the mutable world state is duplicated. Kernels hang off
+        branches, not experiments, so no SoA arrays are copied either —
+        the fork's fresh :class:`BatchedColocationKernel` rebuilds them
+        lazily.
         """
         self.stats.forks += 1
         exp = branch.exp

@@ -244,3 +244,61 @@ class TestSmallFleetPathEquivalence:
         assert fleet_identity_probe(
             "fleet", n_instances=2, duration_s=30.0
         ) == fleet_identity_probe("reference", n_instances=2, duration_s=30.0)
+
+
+class TestLastTickKill:
+    """A STOP_BE on the last tick must not resurrect killed work.
+
+    The fleet kernel flushes SoA progress into the ``BeJob`` objects
+    before every apply; a row the last tick's apply dirtied was already
+    flushed, and its jobs may since have been killed (``BeJob.kill``
+    floors their work). These cells end on such a kill: the fleet
+    kernel used to write the pre-kill progress back at finalize and
+    report BE throughput the scalar engine and the bake-off do not.
+    """
+
+    CASES = [(2, "heracles"), (10, "predictive")]
+
+    @staticmethod
+    def _cell(seed, member_name):
+        from repro.experiments.bakeoff import (
+            BakeoffConfig,
+            bakeoff_scenario_grid,
+            heracles_member,
+            predictive_member,
+        )
+
+        member = (
+            heracles_member("Redis")
+            if member_name == "heracles"
+            else predictive_member()
+        )
+        scenario = bakeoff_scenario_grid(
+            service="Redis",
+            loads=(0.85,),
+            be_jobs=("stream-llc",),
+            duration_s=600.0,
+            seed=seed,
+        )[0]
+        return scenario, member, BakeoffConfig(duration_s=600.0)
+
+    @pytest.mark.parametrize("seed,member_name", CASES)
+    def test_default_kernel_matches_scalar(self, seed, member_name, monkeypatch):
+        from repro.experiments.bakeoff import run_member_reference
+
+        scenario, member, config = self._cell(seed, member_name)
+        monkeypatch.setenv(KERNEL_ENV_VAR, "scalar")
+        scalar = run_member_reference(scenario, member, config)
+        monkeypatch.delenv(KERNEL_ENV_VAR)
+        fast = run_member_reference(scenario, member, config)
+        assert fast.digest == scalar.digest
+        assert fast.be_throughput == scalar.be_throughput == 0.0
+
+    @pytest.mark.parametrize("seed,member_name", CASES)
+    def test_bakeoff_member_matches_solo(self, seed, member_name, monkeypatch):
+        from repro.experiments.bakeoff import run_bakeoff, run_member_reference
+
+        monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
+        scenario, member, config = self._cell(seed, member_name)
+        cell = run_bakeoff([scenario], [member], config=config).cells[0]
+        assert cell.digest == run_member_reference(scenario, member, config).digest

@@ -347,29 +347,3 @@ class TestHotPathSatellites:
         b.record_window_tail(percentile(samples, 99.0))
         assert b.window_tails == (rolled,)
         assert b.worst_tail == a.worst_tail
-
-
-class TestHistogramEstimatorInColocation:
-    def test_histogram_estimator_runs_and_stays_close(self, tiny_artifact):
-        service, artifact = tiny_artifact
-        cell = [GridCell(service, evaluation_be_jobs()[0], 0.45, seed=0)]
-        artifacts = {service.name: artifact}
-        exact = run_comparison_grid(
-            cell, config=FAST, workers=1, artifacts=artifacts
-        )[0]
-        approx_cfg = ColocationConfig(
-            duration_s=FAST.duration_s,
-            sample_cap=FAST.sample_cap,
-            min_samples=FAST.min_samples,
-            tail_estimator="histogram",
-        )
-        approx = run_comparison_grid(
-            cell, config=approx_cfg, workers=1, artifacts=artifacts
-        )[0]
-        assert approx.rhythm.worst_tail_ms == pytest.approx(
-            exact.rhythm.worst_tail_ms, rel=0.10
-        )
-
-    def test_bad_estimator_rejected(self):
-        with pytest.raises(ExperimentError):
-            ColocationConfig(tail_estimator="sorted")
