@@ -30,7 +30,8 @@ import dataclasses
 import enum
 import hashlib
 import math
-from typing import Any
+from operator import itemgetter
+from typing import Any, List
 
 import numpy as np
 
@@ -124,15 +125,18 @@ def _feed(h: "hashlib._Hash", obj: Any) -> None:
         for item in obj:
             _feed(h, item)
         return
+    # Unordered containers feed their members sorted by canonical
+    # encoding: unlike ``repr`` (default reprs embed memory addresses)
+    # it is the same in every process.
     if isinstance(obj, (set, frozenset)):
         h.update(b"T" + str(len(obj)).encode("ascii") + b":")
-        for item in sorted(obj, key=repr):
-            _feed(h, item)
+        for data in sorted(_encode(item) for item in obj):
+            h.update(data)
         return
     if isinstance(obj, dict):
         h.update(b"M" + str(len(obj)).encode("ascii") + b":")
-        for key in sorted(obj, key=repr):
-            _feed(h, key)
+        for data, key in sorted(((_encode(k), k) for k in obj), key=itemgetter(0)):
+            h.update(data)
             _feed(h, obj[key])
         return
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -157,6 +161,25 @@ def _feed(h: "hashlib._Hash", obj: Any) -> None:
         f"cannot build a stable cache key from {type(obj).__module__}."
         f"{type(obj).__qualname__} instance {obj!r}"
     )
+
+
+class _Collector:
+    """A ``hashlib``-like sink that keeps the bytes fed to it."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self) -> None:
+        self.parts: List[bytes] = []
+
+    def update(self, data: bytes) -> None:
+        self.parts.append(data)
+
+
+def _encode(obj: Any) -> bytes:
+    """The canonical encoding :func:`_feed` streams for ``obj``."""
+    sink = _Collector()
+    _feed(sink, obj)
+    return b"".join(sink.parts)
 
 
 def _qualname(obj: Any) -> str:

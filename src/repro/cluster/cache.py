@@ -34,6 +34,8 @@ class LastLevelCache:
         self.size_mb = float(size_mb)
         self.n_ways = int(n_ways)
         self._owned: Dict[str, int] = {}
+        # Sum of ``_owned``, kept in step by every mutation.
+        self._held = 0
 
     @property
     def mb_per_way(self) -> float:
@@ -43,7 +45,7 @@ class LastLevelCache:
     @property
     def free_ways(self) -> int:
         """Ways not assigned to any owner."""
-        return self.n_ways - sum(self._owned.values())
+        return self.n_ways - self._held
 
     def ways_of(self, owner: str) -> int:
         """Ways currently held by ``owner`` (0 if unknown)."""
@@ -66,6 +68,7 @@ class LastLevelCache:
                 f"LLC exhausted: {owner!r} wants {ways} ways, {self.free_ways} free"
             )
         self._owned[owner] = self._owned.get(owner, 0) + ways
+        self._held += ways
         return self._owned[owner]
 
     def release(self, owner: str, ways: int) -> int:
@@ -74,6 +77,7 @@ class LastLevelCache:
         if ways < 0 or ways > held:
             raise ReleaseError(f"{owner!r} holds {held} ways, cannot release {ways}")
         remaining = held - ways
+        self._held -= ways
         if remaining:
             self._owned[owner] = remaining
         else:
@@ -82,7 +86,9 @@ class LastLevelCache:
 
     def release_all(self, owner: str) -> int:
         """Return all of ``owner``'s ways to the free pool; returns count."""
-        return self._owned.pop(owner, 0)
+        ways = self._owned.pop(owner, 0)
+        self._held -= ways
+        return ways
 
     def step_ways(self, fraction: float = 0.10) -> int:
         """Ways corresponding to one adjustment step (default 10% of LLC)."""

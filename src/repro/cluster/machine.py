@@ -13,7 +13,7 @@ or cache ways that do not exist).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.cluster.cache import LastLevelCache
 from repro.cluster.cgroups import CpuSet
@@ -125,6 +125,10 @@ class Machine:
         self.counters = MachineCounters()
         self._lc_memory_gb = 0.0
         self._be: Dict[str, BeAllocation] = {}
+        # Integer totals over ``_be``, kept in step by every mutation
+        # (integer sums are exact, so they equal a from-scratch fold).
+        self._be_cores = 0
+        self._be_ways = 0
         # Cached left fold of per-job memory, refreshed on every mutation.
         # ``free_memory_gb`` is read in tight grow loops, so the O(n) sum
         # runs once per allocation change instead of once per read.
@@ -193,13 +197,13 @@ class Machine:
 
     @property
     def be_total_cores(self) -> int:
-        """Cores held by all BE jobs."""
-        return sum(a.cores for a in self._be.values())
+        """Cores held by all BE jobs (maintained total, O(1) per read)."""
+        return self._be_cores
 
     @property
     def be_total_llc_ways(self) -> int:
-        """LLC ways held by all BE jobs."""
-        return sum(a.llc_ways for a in self._be.values())
+        """LLC ways held by all BE jobs (maintained total, O(1) per read)."""
+        return self._be_ways
 
     @property
     def be_total_memory_gb(self) -> float:
@@ -242,6 +246,8 @@ class Machine:
             memory_gb=self.be_initial_memory_gb,
         )
         self._be[job_id] = alloc
+        self._be_cores += alloc.cores
+        self._be_ways += step
         self._refresh_be_mem_total()
         self.counters.be_launches += 1
         self.version += 1
@@ -258,6 +264,8 @@ class Machine:
             self.llc.allocate(job_id, step)
         alloc.cores += 1
         alloc.llc_ways += step
+        self._be_cores += 1
+        self._be_ways += step
         self.version += 1
         return True
 
@@ -275,6 +283,8 @@ class Machine:
             self.llc.release(job_id, step)
         alloc.cores -= 1
         alloc.llc_ways -= step
+        self._be_cores -= 1
+        self._be_ways -= step
         self.version += 1
         return True
 
@@ -287,6 +297,36 @@ class Machine:
         self._refresh_be_mem_total()
         self.mem_version += 1
         return True
+
+    def grow_be_memory_many(self, job_ids: Sequence[str]) -> int:
+        """:meth:`grow_be_memory` for each of ``job_ids`` in order.
+
+        Returns how many steps were granted. The result — allocations,
+        the bits of the cached memory fold, :attr:`mem_version` — equals
+        the per-job loop's. When free memory covers ``n + 1`` steps with
+        a margin wider than any float fold error, every one of the
+        loop's ``free_memory_gb`` checks passes (each step lowers free
+        memory by one step, give or take that error), so the steps are
+        applied together and the fold runs once: the loop's final fold
+        is the same left fold over the same final values. Otherwise the
+        per-job loop runs, refusing steps exactly where it would.
+        """
+        n = len(job_ids)
+        step = self.be_memory_step_gb
+        allocs = [self._be.get(job_id) for job_id in job_ids]
+        # Each value and partial sum is at most the machine's capacity,
+        # so every rounding moves the fold by at most one ulp of it.
+        fold_err = (2 * len(self._be) + n + 4) * self.spec.memory_gb * 2.0**-52
+        if (
+            any(alloc is None for alloc in allocs)
+            or self.free_memory_gb - (n + 1) * step <= fold_err
+        ):
+            return sum(self.grow_be_memory(job_id) for job_id in job_ids)
+        for alloc in allocs:
+            alloc.memory_gb += step
+        self._refresh_be_mem_total()
+        self.mem_version += n
+        return n
 
     def shrink_be_memory(self, job_id: str) -> bool:
         """Take one 100 MB memory step back (not below the initial 2 GB)."""
@@ -317,6 +357,8 @@ class Machine:
         self.cpuset.release_all(job_id)
         self.llc.release_all(job_id)
         del self._be[alloc.job_id]
+        self._be_cores -= alloc.cores
+        self._be_ways -= alloc.llc_ways
         self._refresh_be_mem_total()
         self.counters.be_kills += 1
         self.version += 1

@@ -46,7 +46,12 @@ class BeJobPool:
         self.max_instances = int(max_instances)
         self._spec_cycle = itertools.cycle(self.specs)
         self._counter = 0
+        #: Every job ever placed, killed ones included (work accounting).
         self._jobs: Dict[str, BeJob] = {}
+        #: The jobs not yet killed, in placement order: the live view
+        #: every per-period query walks, so its cost tracks the live set
+        #: rather than the run's whole history.
+        self._live: Dict[str, BeJob] = {}
         self.total_killed = 0
 
     def new_job(self) -> BeJob:
@@ -55,15 +60,17 @@ class BeJobPool:
         spec = next(self._spec_cycle)
         job = BeJob(job_id=f"{self.machine_name}/be-{self._counter}", spec=spec)
         self._jobs[job.job_id] = job
+        self._live[job.job_id] = job
         return job
 
     def jobs(self) -> List[BeJob]:
         """Every job ever placed that has not been killed."""
-        return [j for j in self._jobs.values() if j.state != BeJobState.KILLED]
+        return list(self._live.values())
 
     def running(self) -> List[BeJob]:
         """Jobs currently in RUNNING state."""
-        return [j for j in self._jobs.values() if j.state == BeJobState.RUNNING]
+        running = BeJobState.RUNNING
+        return [j for j in self._live.values() if j.state is running]
 
     def job(self, job_id: str) -> BeJob:
         """Look up a job by id."""
@@ -75,7 +82,7 @@ class BeJobPool:
     @property
     def active_count(self) -> int:
         """Jobs placed on the machine (running or suspended)."""
-        return len(self.jobs())
+        return len(self._live)
 
     @property
     def total_normalized_work(self) -> float:
@@ -84,11 +91,11 @@ class BeJobPool:
 
     def kill_all(self) -> int:
         """Kill every live job; returns how many died."""
-        n = 0
-        for job in self.jobs():
+        n = len(self._live)
+        for job in self._live.values():
             job.kill()
-            self.total_killed += 1
-            n += 1
+        self._live.clear()
+        self.total_killed += n
         return n
 
 
@@ -190,11 +197,16 @@ class CpuLlcSubcontroller:
             machine.launch_be(job.job_id)
             job.start(machine.spec.name)
             return
-        live = pool.running()
-        if live:
-            thinnest = min(
-                live, key=lambda j: machine.be_allocation(j.job_id).cores
-            )
+        # One pass; strict ``<`` keeps the first minimum, like ``min``.
+        thinnest = None
+        fewest = 0
+        alloc_of = machine.be_allocation
+        for job in pool.running():
+            cores = alloc_of(job.job_id).cores
+            if thinnest is None or cores < fewest:
+                thinnest = job
+                fewest = cores
+        if thinnest is not None:
             machine.grow_be(thinnest.job_id)
 
 
@@ -226,10 +238,16 @@ class MemorySubcontroller:
     def apply(self, action: BeAction, machine: Machine, pool: BeJobPool) -> None:
         """Grow/shrink each BE job's memory one step, per the action."""
         if action == BeAction.ALLOW_BE_GROWTH:
+            # A step only moves its own job's allocation, so the growth
+            # set can be chosen up front and granted in one batch.
+            grow = []
+            alloc_of = machine.be_allocation
             for job in pool.running():
-                alloc = machine.be_allocation(job.job_id)
+                alloc = alloc_of(job.job_id)
                 if alloc is not None and alloc.memory_gb < job.spec.memory_gb:
-                    machine.grow_be_memory(job.job_id)
+                    grow.append(job.job_id)
+            if grow:
+                machine.grow_be_memory_many(grow)
         elif action == BeAction.CUT_BE:
             for job in pool.running():
                 if machine.be_allocation(job.job_id) is not None:

@@ -887,10 +887,16 @@ class FleetColocationKernel:
       witness; fault-held capacity moves without a version bump, hence
       its place in the key);
     - BE progress integrates in-place in SoA (elementwise float64 ==
-      python-float arithmetic) and is flushed back to the ``BeJob``
-      objects before any apply or fault transition that might read or
-      rearrange them — never over a row already flushed and dirtied,
-      whose jobs an apply may have killed;
+      python-float arithmetic) and is written back to the ``BeJob``
+      objects only where it is read: before a STOP apply (``kill``
+      floors the work), for all dirty rows in one batch before the
+      tick's rebuild, and at finalize — never over a row a STOP already
+      flushed and dirtied, whose jobs it killed. Other applies and
+      fault transitions only rearrange allocations, which the flushed
+      values do not depend on;
+    - rows are rebuilt only when dirtied (a ``Machine.version`` bump or
+      a fault transition) into python twins, then copied into the SoA
+      columns with one gather and one scatter per column per tick;
     - reductions over a machine's jobs run as padded column sweeps
       (``acc = acc + col``), exact because pads contribute ``+0.0`` to
       non-negative accumulators; the interference impact sum and the
@@ -1073,9 +1079,29 @@ class FleetColocationKernel:
         self._valid = np.zeros((M, jmax))
         self._nw = np.zeros((M, jmax))
         self._rs = np.zeros((M, jmax))
+        # (column, pad) for the first nine fields of a job row, in row
+        # order; :meth:`_upload_rows` scatters them from ``_row_table``.
+        self._soa_cols: Tuple[Tuple[np.ndarray, object], ...] = (
+            (self._cpu_base, 0.0),
+            (self._req_cpu, 1.0),
+            (self._llc_ratio, np.inf),
+            (self._membw, 0.0),
+            (self._membw_mask, False),
+            (self._membw_div, 1.0),
+            (self._net, 0.0),
+            (self._net_mask, False),
+            (self._net_div, 1.0),
+        )
         self._row_jobs: List[List] = [[] for _ in range(M)]
         self._row_ids: List[List[str]] = [[] for _ in range(M)]
-        self._row_cache: Dict[Tuple, Tuple] = {}
+        # Distinct job rows, fleet-wide: key -> row id, the python rows
+        # by id, and their first nine fields as a float table (bools as
+        # 1.0/0.0) that grows whenever new rows appear. ``_rids[m]`` is
+        # machine m's running jobs as row ids, in pool order.
+        self._row_cache: Dict[Tuple, int] = {}
+        self._row_py: List[Tuple] = []
+        self._row_table = np.zeros((0, len(self._soa_cols)))
+        self._rids: List[List[int]] = [[] for _ in range(M)]
         self._busy_be = np.zeros(M)
         self._busy_be_l: List[float] = [0.0] * M
         self._p_cpu_l: List[float] = [0.0] * M
@@ -1089,6 +1115,9 @@ class FleetColocationKernel:
         self._cnt_ways = np.zeros(M, dtype=np.int64)
         self._njobs = np.zeros(M, dtype=np.int64)
         self._dirty = set(range(M))
+        #: Dirty rows whose progress is still only in the row state; it
+        #: is written back right before the rebuild reads it.
+        self._unflushed: set = set()
         self._memo: List[set] = [set() for _ in range(M)]
 
         # -- deferred metric state ------------------------------------------
@@ -1108,10 +1137,11 @@ class FleetColocationKernel:
         # single-experiment batched path that rides this kernel) run the
         # same arithmetic as per-machine python floats: elementwise
         # float64 ops equal python-float ops bit for bit, so both paths
-        # satisfy the same identity pin. State lives in python twins of
-        # the SoA columns; each mode touches only its own storage.
+        # satisfy the same identity pin. Row state (job rows, totals,
+        # counters) is always rebuilt into the python twins below; the
+        # small path ticks on them, the vec path copies dirty rows into
+        # its SoA columns once per tick and then owns progress there.
         self._small = M <= _SMALL_FLEET_MACHINES
-        self._rows_py: List[Tuple] = [() for _ in range(M)]
         self._nw_py: List[List[float]] = [[] for _ in range(M)]
         self._rs_py: List[List[float]] = [[] for _ in range(M)]
         self._freq_py: List[int] = list(f_req)
@@ -1160,68 +1190,38 @@ class FleetColocationKernel:
     # -- SoA <-> world synchronisation --------------------------------------
 
     def _rebuild_row(self, m: int) -> None:
-        """Reload machine ``m``'s job rows from the world objects.
+        """Reload machine ``m``'s python row state from the world objects.
 
-        Same math, same python fold order as :class:`_MachineMirror`;
-        pads carry the identity elements of every downstream op (0 for
-        sums and rates, 1 for divisors, ``inf`` for min-reductions).
+        Same math, same python fold order as :class:`_MachineMirror`.
+        Both tick paths read the python twins written here; the vec
+        path then copies every rebuilt row into its SoA columns in one
+        batch (:meth:`_upload_rows`).
         """
         machine = self._m_mach[m]
-        run = self._m_run[m]
         total_cores = self._cores_i[m]
-        running = [
-            job
-            for job in run.pool.jobs()
-            if job.state == BeJobState.RUNNING
-            and machine.be_allocation(job.job_id) is not None
-            and not machine.be_allocation(job.job_id).suspended
-        ]
-        if len(running) > self._jmax:  # pragma: no cover - pool caps instances
-            raise ConfigurationError(
-                f"machine {machine.spec.name!r} has {len(running)} running BE "
-                f"jobs, fleet rows hold {self._jmax}"
-            )
-        if not self._small:
-            self._cpu_base[m, :] = 0.0
-            self._req_cpu[m, :] = 1.0
-            self._llc_ratio[m, :] = np.inf
-            self._membw[m, :] = 0.0
-            self._membw_div[m, :] = 1.0
-            self._membw_mask[m, :] = False
-            self._net[m, :] = 0.0
-            self._net_div[m, :] = 1.0
-            self._net_mask[m, :] = False
-            self._valid[m, :] = 0.0
-            self._nw[m, :] = 0.0
-            self._rs[m, :] = 0.0
+        n_ways = machine.llc.n_ways
+        alloc_of = machine.be_allocation
+        cache = self._row_cache
+        row_py = self._row_py
+        running: List = []
+        rids: List[int] = []
         total_membw_demand = 0.0
         total_net_demand = 0.0
         busy_cores = 0.0
         llc_demand_total = 0.0
         llc_occupied_total = 0.0
-        n_ways = machine.llc.n_ways
-        cache = self._row_cache
-        cpu_b: List[float] = []
-        req_c: List[float] = []
-        llc_r: List[float] = []
-        mbw: List[float] = []
-        mbw_m: List[bool] = []
-        mbw_d: List[float] = []
-        net_l: List[float] = []
-        net_m: List[bool] = []
-        net_d: List[float] = []
-        nw_l: List[float] = []
-        rs_l: List[float] = []
-        for job in running:
+        for job in self._m_run[m].pool.running():
+            alloc = alloc_of(job.job_id)
+            if alloc is None or alloc.suspended:
+                continue
             spec = job.spec
-            alloc = machine.be_allocation(job.job_id)
             # Row values depend only on (spec, cores, llc ways, machine
             # geometry) — all in the key — so one computation serves every
             # job of the same shape fleet-wide. The spec object rides along
-            # in the entry to pin its id() for the cache's lifetime.
+            # in the row to pin its id() for the cache's lifetime.
             key = (id(spec), alloc.cores, alloc.llc_ways, total_cores, n_ways)
-            row = cache.get(key)
-            if row is None:
+            rid = cache.get(key)
+            if rid is None:
                 cores = alloc.cores
                 llc_granted = alloc.llc_ways / n_ways
                 llc_demand = spec.demand_fraction("llc", cores, total_cores)
@@ -1232,72 +1232,48 @@ class FleetColocationKernel:
                 llc_usage = spec.usage("llc")
                 membw_usage = spec.usage("membw")
                 net_usage = spec.usage("net")
-                row = (
-                    cores / total_cores,
-                    min(1.0, spec.saturation_cores / total_cores),
-                    llc_granted / llc_usage if llc_usage > 0 else np.inf,
-                    min(1.0, membw_demand),
-                    membw_usage > 0,
-                    membw_usage if membw_usage > 0 else 1.0,
-                    spec.demand_fraction("net", cores, total_cores),
-                    net_usage > 0,
-                    net_usage if net_usage > 0 else 1.0,
-                    llc_demand,
-                    llc_granted,
-                    cores,
-                    spec,
+                rid = len(row_py)
+                row_py.append(
+                    (
+                        cores / total_cores,
+                        min(1.0, spec.saturation_cores / total_cores),
+                        llc_granted / llc_usage if llc_usage > 0 else np.inf,
+                        min(1.0, membw_demand),
+                        membw_usage > 0,
+                        membw_usage if membw_usage > 0 else 1.0,
+                        spec.demand_fraction("net", cores, total_cores),
+                        net_usage > 0,
+                        net_usage if net_usage > 0 else 1.0,
+                        llc_demand,
+                        llc_granted,
+                        cores,
+                        spec,
+                    )
                 )
-                cache[key] = row
-            cpu_b.append(row[0])
-            req_c.append(row[1])
-            llc_r.append(row[2])
-            mbw.append(row[3])
-            mbw_m.append(row[4])
-            mbw_d.append(row[5])
-            net_l.append(row[6])
-            net_m.append(row[7])
-            net_d.append(row[8])
-            nw_l.append(job.normalized_work)
-            rs_l.append(job.running_seconds)
+                cache[key] = rid
+            row = row_py[rid]
+            running.append(job)
+            rids.append(rid)
             total_membw_demand += row[3]
             total_net_demand += row[6]
             busy_cores += row[11]
             llc_demand_total += row[9]
             llc_occupied_total += row[10]
         k = len(running)
-        if self._small:
-            self._rows_py[m] = (
-                cpu_b, req_c, llc_r, mbw, mbw_m, mbw_d, net_l, net_m, net_d
+        if k > self._jmax:  # pragma: no cover - pool caps instances
+            raise ConfigurationError(
+                f"machine {machine.spec.name!r} has {k} running BE "
+                f"jobs, fleet rows hold {self._jmax}"
             )
-            self._nw_py[m] = nw_l
-            self._rs_py[m] = rs_l
-            self._md_l[m] = total_membw_demand
-            self._nd_l[m] = total_net_demand
-            self._cnt_inst_l[m] = machine.be_instance_count
-            self._cnt_cores_l[m] = machine.be_total_cores
-            self._cnt_ways_l[m] = machine.be_total_llc_ways
-            self._njobs_l[m] = k
-        else:
-            if k:
-                self._cpu_base[m, :k] = cpu_b
-                self._req_cpu[m, :k] = req_c
-                self._llc_ratio[m, :k] = llc_r
-                self._membw[m, :k] = mbw
-                self._membw_mask[m, :k] = mbw_m
-                self._membw_div[m, :k] = mbw_d
-                self._net[m, :k] = net_l
-                self._net_mask[m, :k] = net_m
-                self._net_div[m, :k] = net_d
-                self._valid[m, :k] = 1.0
-                self._nw[m, :k] = nw_l
-                self._rs[m, :k] = rs_l
-            self._busy_be[m] = busy_cores
-            self._md_total[m] = total_membw_demand
-            self._nd_total[m] = total_net_demand
-            self._cnt_inst[m] = machine.be_instance_count
-            self._cnt_cores[m] = machine.be_total_cores
-            self._cnt_ways[m] = machine.be_total_llc_ways
-            self._njobs[m] = k
+        self._rids[m] = rids
+        self._nw_py[m] = [job.normalized_work for job in running]
+        self._rs_py[m] = [job.running_seconds for job in running]
+        self._md_l[m] = total_membw_demand
+        self._nd_l[m] = total_net_demand
+        self._cnt_inst_l[m] = machine.be_instance_count
+        self._cnt_cores_l[m] = machine.be_total_cores
+        self._cnt_ways_l[m] = machine.be_total_llc_ways
+        self._njobs_l[m] = k
         self._row_jobs[m] = running
         self._row_ids[m] = [job.job_id for job in running]
         self._busy_be_l[m] = busy_cores
@@ -1311,20 +1287,71 @@ class FleetColocationKernel:
             self._llc_occ_l[m], self._llc_dem_l[m]
         )
 
-    def _flush_row(self, m: int) -> None:
-        """Write accumulated BE progress back into the ``BeJob`` objects."""
-        jobs = self._row_jobs[m]
-        if not jobs:
-            return
+    def _upload_rows(self, ms: List[int]) -> None:
+        """Copy rows ``ms``' python twins into the SoA columns.
+
+        Job rows are gathered from ``_row_table`` by row id, then each
+        padded column takes one reset and one scatter, whatever the
+        number of rows. Pads carry the identity elements of every
+        downstream op (0 for sums and rates, 1 for divisors, ``inf`` for
+        min-reductions); python floats land in float64 cells exactly,
+        and the table's 1.0/0.0 masks cast to the same bools.
+        """
+        if len(self._row_py) > len(self._row_table):
+            self._row_table = np.asarray(
+                [row[:9] for row in self._row_py], dtype=np.float64
+            )
+        idx = np.asarray(ms, dtype=np.intp)
+        ks = np.asarray([self._njobs_l[m] for m in ms], dtype=np.intp)
+        rids: List[int] = []
+        nw: List[float] = []
+        rs: List[float] = []
+        for m in ms:
+            rids.extend(self._rids[m])
+            nw.extend(self._nw_py[m])
+            rs.extend(self._rs_py[m])
+        for arr, pad in self._soa_cols:
+            arr[idx] = pad
+        self._nw[idx] = 0.0
+        self._rs[idx] = 0.0
+        self._valid[idx] = 0.0
+        if rids:
+            starts = np.cumsum(ks) - ks
+            cells = (
+                np.repeat(idx, ks),
+                np.arange(len(rids)) - np.repeat(starts, ks),
+            )
+            block = self._row_table[rids]
+            for c, (arr, _pad) in enumerate(self._soa_cols):
+                arr[cells] = block[:, c]
+            self._nw[cells] = nw
+            self._rs[cells] = rs
+            self._valid[cells] = 1.0
+        self._busy_be[idx] = [self._busy_be_l[m] for m in ms]
+        self._md_total[idx] = [self._md_l[m] for m in ms]
+        self._nd_total[idx] = [self._nd_l[m] for m in ms]
+        self._njobs[idx] = ks
+        self._upload_counts(idx, ms)
+
+    def _upload_counts(self, idx: np.ndarray, ms: List[int]) -> None:
+        """Copy rows ``ms``' BE instance/core/way counters into SoA."""
+        self._cnt_inst[idx] = [self._cnt_inst_l[m] for m in ms]
+        self._cnt_cores[idx] = [self._cnt_cores_l[m] for m in ms]
+        self._cnt_ways[idx] = [self._cnt_ways_l[m] for m in ms]
+
+    def _flush_rows(self, ms: List[int]) -> None:
+        """Write rows ``ms``' accumulated BE progress into their ``BeJob``s."""
         if self._small:
-            nw = self._nw_py[m]
-            rs = self._rs_py[m]
+            nw_rows = [self._nw_py[m] for m in ms]
+            rs_rows = [self._rs_py[m] for m in ms]
         else:
-            nw = self._nw[m, : len(jobs)].tolist()
-            rs = self._rs[m, : len(jobs)].tolist()
-        for j, job in enumerate(jobs):
-            job.normalized_work = nw[j]
-            job.running_seconds = rs[j]
+            idx = np.asarray(ms, dtype=np.intp)
+            nw_rows = self._nw[idx].tolist()
+            rs_rows = self._rs[idx].tolist()
+        for m, nw, rs in zip(ms, nw_rows, rs_rows):
+            for j, job in enumerate(self._row_jobs[m]):
+                job.normalized_work = nw[j]
+                job.running_seconds = rs[j]
 
     # -- fault state ----------------------------------------------------------
 
@@ -1338,10 +1365,9 @@ class FleetColocationKernel:
         transitions: the injector's pressure terms (its active set only
         changes in ``advance``), the caps and link scale it recomputes
         there, and the fault-held cores and ways. Rows are reloaded
-        because ``offline_cores`` may have shrunk BE jobs; progress is
-        flushed first unless the row is already dirty (then its jobs
-        were flushed before the apply that dirtied it, and may since
-        have been killed).
+        because ``offline_cores`` may have shrunk BE jobs. A clean row
+        becomes dirty and unflushed, so its progress is written back
+        before the rebuild; an already dirty row keeps its flush state.
         """
         injector = self._exps[i]._fault_injector
         for m in self._inst_machines[i]:
@@ -1367,8 +1393,8 @@ class FleetColocationKernel:
             self._link_nic_l[m] = link
             self._fkey[m] = (machine.offlined_cores, machine.lost_llc_ways)
             if m not in self._dirty:
-                self._flush_row(m)
                 self._dirty.add(m)
+                self._unflushed.add(m)
 
     def _slowdown(
         self,
@@ -1458,8 +1484,14 @@ class FleetColocationKernel:
             w_real[i] = window.realized_load
             w_n[i] = window.n_samples
         if self._dirty:
-            for m in sorted(self._dirty):
+            if self._unflushed:
+                self._flush_rows(sorted(self._unflushed))
+                self._unflushed.clear()
+            dirty = sorted(self._dirty)
+            for m in dirty:
                 self._rebuild_row(m)
+            if not self._small:
+                self._upload_rows(dirty)
             self._dirty.clear()
         return w_load, w_real, w_n
 
@@ -1529,6 +1561,7 @@ class FleetColocationKernel:
         stop = BeAction.STOP_BE
         small = self._small
         fkey = self._fkey
+        moved: List[int] = []
         for m in range(self._n_machines):
             i = self._m_i[m]
             exp = exps[i]
@@ -1546,7 +1579,9 @@ class FleetColocationKernel:
             key = (action, machine.version, machine.mem_version, fkey[m])
             if key in memo:
                 continue
-            self._flush_row(m)
+            if action is stop:
+                # Killing floors the work, so the progress lands first.
+                self._flush_rows([m])
             v0 = machine.version
             mv0 = machine.mem_version
             exp._cpu_llc.apply(action, machine, run.pool)
@@ -1561,16 +1596,17 @@ class FleetColocationKernel:
                     self._freq[m] = self._f_max_l[m]
             if machine.version != v0:
                 self._dirty.add(m)
-                if small:
-                    self._cnt_inst_l[m] = machine.be_instance_count
-                    self._cnt_cores_l[m] = machine.be_total_cores
-                    self._cnt_ways_l[m] = machine.be_total_llc_ways
-                else:
-                    self._cnt_inst[m] = machine.be_instance_count
-                    self._cnt_cores[m] = machine.be_total_cores
-                    self._cnt_ways[m] = machine.be_total_llc_ways
+                if action is not stop:
+                    self._unflushed.add(m)
+                self._cnt_inst_l[m] = machine.be_instance_count
+                self._cnt_cores_l[m] = machine.be_total_cores
+                self._cnt_ways_l[m] = machine.be_total_llc_ways
+                moved.append(m)
             elif machine.mem_version == mv0 and action is not stop:
                 memo.add(key)
+        if moved and not small:
+            # Phase 5 reads post-apply core counts this tick.
+            self._upload_counts(np.asarray(moved, dtype=np.intp), moved)
         self._acts.append(acts)
 
     def _tick_small(
@@ -1593,6 +1629,7 @@ class FleetColocationKernel:
         M = self._n_machines
         m_i = self._m_i
         fcap_l = self._fcap_l
+        row_py = self._row_py
 
         # Phases 1 + 3 fused per machine: LC usage, NIC caps, headroom
         # shares, Leontief rates, BE progress, pressure -> slowdown.
@@ -1642,27 +1679,27 @@ class FleetColocationKernel:
             if fcap_l[m] < freq:
                 freq = fcap_l[m]
             fratio = freq / self._f_max_l[m]
-            (cpu_b, req_c, llc_r, mbw, mbw_m, mbw_d,
-             net_b, net_m, net_d) = self._rows_py[m]
+            rids = self._rids[m]
             nw = self._nw_py[m]
             rs = self._rs_py[m]
-            rates: List[float] = [0.0] * len(cpu_b)
+            rates: List[float] = [0.0] * len(rids)
             membw_used = 0.0
             net_used = 0.0
             rate_total = 0.0
-            for j in range(len(cpu_b)):
-                r = (cpu_b[j] * fratio) / req_c[j]
-                lr = llc_r[j]
+            for j, rid in enumerate(rids):
+                row = row_py[rid]
+                r = (row[0] * fratio) / row[1]
+                lr = row[2]
                 if lr < r:
                     r = lr
-                g_m = mbw[j] * membw_scale
-                if mbw_m[j]:
-                    q = g_m / mbw_d[j]
+                g_m = row[3] * membw_scale
+                if row[4]:
+                    q = g_m / row[5]
                     if q < r:
                         r = q
-                g_n = net_b[j] * net_scale
-                if net_m[j]:
-                    q = g_n / net_d[j]
+                g_n = row[6] * net_scale
+                if row[7]:
+                    q = g_n / row[8]
                     if q < r:
                         r = q
                 if r > 1.0:
@@ -1950,10 +1987,19 @@ class FleetColocationKernel:
     def _finalize(self) -> None:
         """Flush SoA state back into the world objects and metrics.
 
-        Rows the last tick's applies left dirty are not flushed: their
-        jobs were flushed before the apply, which may have killed them
-        (``BeJob.kill`` floors the work the flush would write back).
+        Progress goes back to every row that still holds it: clean rows
+        and unflushed dirty ones. Rows a last-tick STOP dirtied are
+        skipped: their jobs were flushed before the kill, which floors
+        the work a second flush would write back.
         """
+        dirty = self._dirty
+        self._flush_rows(
+            [
+                m
+                for m in range(self._n_machines)
+                if m not in dirty or m in self._unflushed
+            ]
+        )
         if self._small:
             self._finalize_small()
             return
@@ -1964,8 +2010,6 @@ class FleetColocationKernel:
         cpu_l = self._cpu_int.tolist()
         mb_l = self._membw_int.tolist()
         for m in range(M):
-            if m not in self._dirty:
-                self._flush_row(m)
             metrics = self._m_run[m].metrics
             emu = metrics.emu
             emu._lc_integral = lc_l[m]
@@ -2023,8 +2067,6 @@ class FleetColocationKernel:
         M = self._n_machines
         elapsed = self._elapsed
         for m in range(M):
-            if m not in self._dirty:
-                self._flush_row(m)
             metrics = self._m_run[m].metrics
             emu = metrics.emu
             emu._lc_integral = self._lc_int_l[m]
@@ -2513,11 +2555,9 @@ class BakeoffKernel:
             by_digest.setdefault(_world_digest(branch.exp), []).append(branch)
         if len(by_digest) == len(self._branches):
             return
-        survivors: List[_BakeoffBranch] = []
-        for branch in self._branches:
-            group = by_digest.get(_world_digest(branch.exp))
-            if group is None or group[0] is branch:
-                survivors.append(branch)
+        # Each group's first branch survives; groups iterate in
+        # first-seen order, which keeps the branches' own order.
+        survivors = [group[0] for group in by_digest.values()]
         for group in by_digest.values():
             keep = group[0]
             k_kills = keep.exp.deployment.cluster.total_be_kills

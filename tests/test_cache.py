@@ -80,6 +80,13 @@ def store(tmp_path) -> CacheStore:
 FAST = ColocationConfig(duration_s=20.0, sample_cap=150, min_samples=50)
 
 
+class _Thing:
+    """A plain value object with the default, address-bearing repr."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+
 class TestStableHash:
     def test_deterministic(self):
         obj = ("grid-cell", make_tiny_service(), 0.45, 7, {"a": [1.5, None]})
@@ -94,6 +101,21 @@ class TestStableHash:
 
     def test_dict_order_does_not_matter(self):
         assert stable_hash({"a": 1, "b": 2}) == stable_hash({"b": 2, "a": 1})
+
+    def test_unordered_members_sort_by_encoding_not_address(self):
+        # Default reprs embed id(); ordering by them made the key of the
+        # same set depend on where its members happened to be allocated.
+        things = [_Thing(k % 2) for k in range(40)]
+        zeros, ones = things[0::2], things[1::2]
+        pairs = [(a, b) for a in zeros for b in ones]
+        low_first = next((a, b) for a, b in pairs if id(a) < id(b))
+        high_first = next((a, b) for a, b in pairs if id(a) > id(b))
+        assert stable_hash(frozenset(low_first)) == stable_hash(
+            frozenset(high_first)
+        )
+        assert stable_hash({low_first[0]: 0, low_first[1]: 1}) == stable_hash(
+            {high_first[1]: 1, high_first[0]: 0}
+        )
 
     def test_float_precision_is_exact(self):
         assert stable_hash(0.1 + 0.2) != stable_hash(0.3)

@@ -30,7 +30,7 @@ from repro.experiments.fleet import (
     instance_digest,
 )
 from repro.faults.spec import FaultKind, FaultSchedule, FaultSpec
-from repro.loadgen.patterns import ConstantLoad
+from repro.loadgen.patterns import ConstantLoad, StepLoad
 from repro.sim.kernel import FleetColocationKernel
 from repro.workloads.catalog import lc_service_spec
 
@@ -153,6 +153,21 @@ def saturated_fleet(shards: int = 1, faults: bool = True):
     return FleetExperiment(specs, config)
 
 
+def overloaded_fleet(shards: int = 1, faults: bool = True):
+    """The saturated fleet, healthy, with its load jumping to 1.0 late.
+
+    Full machines make ALLOW a memoized no-op, so BE progress sits in
+    clean kernel rows for many ticks; the overload then drives STOP_BE,
+    whose kills floor that progress, so it must reach the jobs first.
+    """
+    fleet = saturated_fleet(shards, faults=False)
+    fleet.instances[:] = [
+        dataclasses.replace(spec, pattern=StepLoad([(0.0, 0.3), (110.0, 1.0)]))
+        for spec in fleet.instances
+    ]
+    return fleet
+
+
 def machine_state(experiment):
     """Observable per-machine hardware and BE state after a run."""
     state = []
@@ -240,9 +255,14 @@ def tick_path(request, monkeypatch):
 
 
 class TestEveryFaultKind:
-    @pytest.mark.parametrize("build", [mixed_fleet, saturated_fleet])
+    @pytest.mark.parametrize(
+        "build", [mixed_fleet, saturated_fleet, overloaded_fleet]
+    )
     def test_fleet_kernel_matches_scalar_engine(self, build, tick_path):
         fast, ref = run_both(build())
+        if build is overloaded_fleet:
+            # Every machine saw STOP_BE kills (state[12] is be_kills).
+            assert all(state[12] > 0 for _, machines in ref for state in machines)
         for index, (got, want) in enumerate(zip(fast, ref)):
             assert got[0] == want[0], f"instance {index} digest ({tick_path})"
             assert got[1] == want[1], f"instance {index} machines ({tick_path})"

@@ -5,9 +5,18 @@ interleavings of BE lifecycle operations (launch, grow, shrink, suspend,
 resume, kill, memory steps) and checks the conservation invariants after
 every step: cores and LLC ways are never oversubscribed or leaked, and
 memory accounting never goes negative.
+
+Seeded random op sequences (fault-held cores and ways included) also pin
+the machine's maintained totals to from-scratch folds, batched memory
+growth to the per-job loop it replaces, and the BE pool's live-job view
+to a state filter over every job ever placed.
 """
 
 from __future__ import annotations
+
+import copy
+import dataclasses
+import random
 
 import pytest
 from hypothesis import settings
@@ -20,7 +29,15 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
+from repro.bejobs.catalog import STREAM_DRAM
+from repro.bejobs.job import BeJobState
 from repro.cluster.machine import Machine, MachineSpec
+from repro.core.actions import BeAction
+from repro.core.subcontrollers import (
+    BeJobPool,
+    CpuLlcSubcontroller,
+    MemorySubcontroller,
+)
 from repro.errors import AllocationError
 
 
@@ -118,3 +135,164 @@ MachineLifecycle.TestCase.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )
 TestMachineLifecycle = MachineLifecycle.TestCase
+
+
+# -- seeded random op sequences ---------------------------------------------
+
+#: A BE job that keeps asking for memory: 2 GB at launch, 6 GB wanted.
+HUNGRY = dataclasses.replace(STREAM_DRAM, name="hungry", memory_gb=6.0)
+SEEDS = range(12)
+
+
+def _small_machine() -> Machine:
+    """A crowded machine: 16 GB of BE memory fills after a few launches."""
+    machine = Machine(MachineSpec(name="m", cores=20, llc_ways=10, memory_gb=48.0))
+    machine.reserve_lc(cores=6, llc_ways=3, memory_gb=32.0)
+    return machine
+
+
+def _bits(x):
+    """Exact identity of a fold (an empty ``sum`` is the *int* 0)."""
+    return type(x), float(x).hex()
+
+
+def _assert_totals_fold(machine: Machine) -> None:
+    allocs = list(machine.be_jobs().values())
+    assert machine.be_total_cores == sum(a.cores for a in allocs)
+    assert machine.be_total_llc_ways == sum(a.llc_ways for a in allocs)
+    assert float(machine.be_total_memory_gb).hex() == float(
+        sum(a.memory_gb for a in allocs)
+    ).hex()
+    assert (
+        machine.lc_cores + machine.be_total_cores + machine.offlined_cores
+        + machine.cpuset.free_cores
+    ) == machine.spec.cores
+    assert (
+        machine.lc_llc_ways + machine.be_total_llc_ways + machine.lost_llc_ways
+        + machine.llc.free_ways
+    ) == machine.llc.n_ways
+
+
+def _memory_state(machine: Machine):
+    return (
+        [(j, a.memory_gb.hex()) for j, a in machine.be_jobs().items()],
+        _bits(machine.be_total_memory_gb),
+        machine.mem_version,
+        machine.version,
+    )
+
+
+def _check_grow_many(machine: Machine, job_ids, paths) -> None:
+    """``grow_be_memory_many`` on ``machine`` == the loop on a copy."""
+    twin = copy.deepcopy(machine)
+    step = machine.be_memory_step_gb
+    paths.add(machine.free_memory_gb > (len(job_ids) + 1) * step)
+    looped = sum(twin.grow_be_memory(j) for j in job_ids)
+    assert machine.grow_be_memory_many(job_ids) == looped
+    assert _memory_state(machine) == _memory_state(twin)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_ops_keep_totals_and_batched_memory_exact(seed):
+    rng = random.Random(seed)
+    machine = _small_machine()
+    live: list = []
+    offlined = 0
+    lost = 0
+    paths: set = set()
+    for step in range(400):
+        op = rng.randrange(12)
+        job = rng.choice(live) if live else None
+        if op == 0:
+            job_id = f"j{step}"
+            if machine.can_launch_be():
+                machine.launch_be(job_id)
+                live.append(job_id)
+            else:
+                with pytest.raises(AllocationError):
+                    machine.launch_be(job_id)
+        elif op == 1 and job:
+            machine.grow_be(job)
+        elif op == 2 and job:
+            machine.shrink_be(job)
+        elif op == 3 and job:
+            machine.suspend_be(job)
+        elif op == 4 and job:
+            machine.resume_be(job)
+        elif op == 5 and job and rng.random() < 0.3:
+            machine.kill_be(job)
+            live.remove(job)
+        elif op == 6:
+            offlined += machine.offline_cores(rng.randrange(1, 5))
+        elif op == 7 and offlined:
+            n = rng.randrange(1, offlined + 1)
+            machine.restore_offlined_cores(n)
+            offlined -= n
+        elif op == 8:
+            lost += machine.fault_llc_ways(rng.randrange(1, 3))
+        elif op == 9 and lost:
+            machine.restore_fault_llc_ways(lost)
+            lost = 0
+        elif op == 10 and job:
+            if rng.random() < 0.5:
+                machine.grow_be_memory(job)
+            else:
+                machine.shrink_be_memory(job)
+        elif op == 11 and live:
+            ids = rng.sample(live, rng.randrange(1, len(live) + 1))
+            if rng.random() < 0.2:
+                ids.append(ids[0])  # a repeated id gets two steps
+            _check_grow_many(machine, ids, paths)
+        _assert_totals_fold(machine)
+    assert True in paths
+
+
+def test_grow_many_near_full_refuses_exactly_where_the_loop_does():
+    machine = _small_machine()
+    ids = []
+    while machine.can_launch_be():
+        ids.append(f"j{len(ids)}")
+        machine.launch_be(ids[-1])
+    # 16 GB of BE memory, eight 2 GB jobs: full. Free three steps.
+    for job_id in ids[:3]:
+        machine.shrink_be_memory(job_id) or machine.grow_be_memory(job_id)
+    machine.kill_be(ids.pop())
+    paths: set = set()
+    while machine.free_memory_gb >= machine.be_memory_step_gb:
+        _check_grow_many(machine, ids, paths)
+    _check_grow_many(machine, ids, paths)
+    # Both the one-fold batch and the near-full per-job fallback ran.
+    assert paths == {True, False}
+    _assert_totals_fold(machine)
+
+
+def _old_jobs(pool: BeJobPool) -> list:
+    return [j for j in pool._jobs.values() if j.state != BeJobState.KILLED]
+
+
+def _old_running(pool: BeJobPool) -> list:
+    return [j for j in pool._jobs.values() if j.state == BeJobState.RUNNING]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pool_live_view_matches_state_filter(seed):
+    rng = random.Random(seed)
+    machine = _small_machine()
+    pool = BeJobPool([HUNGRY, STREAM_DRAM], "m", max_instances=6)
+    cpu_llc = CpuLlcSubcontroller()
+    memory = MemorySubcontroller()
+    actions = list(BeAction)
+    weights = [1 if a == BeAction.STOP_BE else 6 for a in actions]
+    kills = 0
+    for _ in range(300):
+        action = rng.choices(actions, weights)[0]
+        kills += pool.active_count if action == BeAction.STOP_BE else 0
+        cpu_llc.apply(action, machine, pool)
+        memory.apply(action, machine, pool)
+        if rng.random() < 0.1:
+            machine.offline_cores(rng.randrange(1, 4))
+        assert pool.jobs() == _old_jobs(pool)
+        assert pool.running() == _old_running(pool)
+        assert pool.active_count == len(_old_jobs(pool))
+        assert pool.total_killed == kills
+        _assert_totals_fold(machine)
