@@ -8,6 +8,12 @@ Measures the single-pass multi-controller evaluation engine end to end:
   :class:`~repro.sim.kernel.BakeoffKernel` pass. The shared pass must be
   >=2x faster in aggregate and reproduce every member's cell digest
   bit-identically (``identical_results``).
+- ``divergent``: the same roster at a load where the members keep
+  disagreeing and re-converging (forks and merges every few ticks),
+  the case the shared pass pays branch bookkeeping for. Records the
+  fork and merge counts, the mean cost of one ``_fork`` and of one
+  ``_try_merge`` call (from a separate instrumented pass), and the
+  speedup over independent runs. Members must stay bit-identical.
 - ``cached``: the same roster against a private store — the cold run
   writes one ``bakeoff-cell`` entry per member, the warm re-run must
   execute ZERO shared passes and return identical digests.
@@ -30,7 +36,7 @@ import json
 import shutil
 import tempfile
 import time
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from bench_env import environment
 from repro.cache import CacheStore
@@ -43,6 +49,7 @@ from repro.experiments.bakeoff import (
     run_bakeoff,
     run_member_reference,
 )
+from repro.sim.kernel import BakeoffKernel
 
 DEFAULT_REPORT = "BENCH_bakeoff.json"
 DEFAULT_GATE = None
@@ -55,6 +62,10 @@ BENCH_LOAD = 0.30
 BENCH_BE_JOB = "stream-llc"
 BENCH_SEED = 11
 BENCH_ROUNDS = 5
+#: The divergence probe's load: at this seed the roster forks and
+#: re-merges dozens of times over the run while still sharing most
+#: physics passes.
+DIVERGENT_LOAD = 0.45
 
 
 def _members(service: str):
@@ -63,6 +74,80 @@ def _members(service: str):
         interference_member(),
         predictive_member(),
     ]
+
+
+def _best_of(fn: Callable[[], object]) -> float:
+    """Best wall time of ``BENCH_ROUNDS`` calls, cyclic GC paused in each."""
+    best = float("inf")
+    for _ in range(BENCH_ROUNDS):
+        gc.collect()
+        gc.disable()
+        try:
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+        finally:
+            gc.enable()
+    return best
+
+
+def _independent_vs_shared(scenarios, members, config):
+    """(independent_s, bakeoff_s, identical, shared result) for a grid."""
+    # Warm-up: both paths once, outside the timed rounds.
+    references = {
+        member.name: run_member_reference(scenarios[0], member, config)
+        for member in members
+    }
+    shared = run_bakeoff(scenarios, members, config=config, cache=None)
+
+    def independent():
+        for scenario in scenarios:
+            for member in members:
+                run_member_reference(scenario, member, config)
+
+    independent_s = _best_of(independent)
+    bakeoff_s = _best_of(
+        lambda: run_bakeoff(scenarios, members, config=config, cache=None)
+    )
+    identical = all(
+        cell.digest == references[cell.member].digest for cell in shared.cells
+    )
+    return independent_s, bakeoff_s, identical, shared
+
+
+def _branch_bookkeeping(scenarios, members, config) -> Dict[str, float]:
+    """Mean µs of one ``_fork`` and one ``_try_merge``, instrumented pass."""
+    spent = {"_fork": [0.0, 0], "_try_merge": [0.0, 0]}
+    originals = {name: getattr(BakeoffKernel, name) for name in spent}
+
+    def timed(name):
+        original = originals[name]
+
+        def wrapper(*args):
+            t0 = time.perf_counter()
+            try:
+                return original(*args)
+            finally:
+                spent[name][0] += time.perf_counter() - t0
+                spent[name][1] += 1
+
+        return wrapper
+
+    for name in spent:
+        setattr(BakeoffKernel, name, timed(name))
+    try:
+        run_bakeoff(scenarios, members, config=config, cache=None)
+    finally:
+        for name, original in originals.items():
+            setattr(BakeoffKernel, name, original)
+    (fork_s, forks), (merge_s, merge_calls) = spent["_fork"], spent["_try_merge"]
+    return {
+        "merge_calls": merge_calls,
+        "us_per_fork": round(fork_s / forks * 1e6, 1) if forks else None,
+        "us_per_merge_call": (
+            round(merge_s / merge_calls * 1e6, 1) if merge_calls else None
+        ),
+    }
 
 
 def run_benchmark(
@@ -80,44 +165,38 @@ def run_benchmark(
         seed=BENCH_SEED,
     )
     config = BakeoffConfig(duration_s=BENCH_DURATION_S)
-
-    # Warm-up: both paths once, outside the timed rounds.
-    references = {
-        member.name: run_member_reference(scenarios[0], member, config)
-        for member in members
-    }
-    shared = run_bakeoff(scenarios, members, config=config, cache=None)
-
-    independent_s = float("inf")
-    for _ in range(BENCH_ROUNDS):
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            for scenario in scenarios:
-                for member in members:
-                    run_member_reference(scenario, member, config)
-            independent_s = min(independent_s, time.perf_counter() - t0)
-        finally:
-            gc.enable()
-
-    bakeoff_s = float("inf")
-    for _ in range(BENCH_ROUNDS):
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            shared = run_bakeoff(
-                scenarios, members, config=config, cache=None
-            )
-            bakeoff_s = min(bakeoff_s, time.perf_counter() - t0)
-        finally:
-            gc.enable()
-
-    identical = all(
-        cell.digest == references[cell.member].digest for cell in shared.cells
+    independent_s, bakeoff_s, identical, shared = _independent_vs_shared(
+        scenarios, members, config
     )
     speedup = round(independent_s / bakeoff_s, 2) if bakeoff_s > 0 else None
+
+    divergent_scenarios = bakeoff_scenario_grid(
+        service=service,
+        loads=(DIVERGENT_LOAD,),
+        be_jobs=(BENCH_BE_JOB,),
+        duration_s=BENCH_DURATION_S,
+        seed=BENCH_SEED,
+    )
+    d_independent_s, d_bakeoff_s, d_identical, d_shared = (
+        _independent_vs_shared(divergent_scenarios, members, config)
+    )
+    divergent = {
+        "load": DIVERGENT_LOAD,
+        "cpu_count": environment()["cpu_count"],
+        "forks": d_shared.forks,
+        "merges": d_shared.merges,
+        "branch_ticks": d_shared.branch_ticks,
+        "shared_fraction": round(d_shared.shared_fraction, 4),
+        **_branch_bookkeeping(divergent_scenarios, members, config),
+        "independent_s": round(d_independent_s, 4),
+        "bakeoff_s": round(d_bakeoff_s, 4),
+        "speedup": (
+            round(d_independent_s / d_bakeoff_s, 2) if d_bakeoff_s > 0 else None
+        ),
+        "identical_results": d_identical,
+    }
+    # The probe must keep exercising both branch operations.
+    divergent["exercised"] = divergent["forks"] > 0 and divergent["merges"] > 0
 
     cache_dir = tempfile.mkdtemp(prefix="rhythm-bench-bakeoff-")
     try:
@@ -167,10 +246,13 @@ def run_benchmark(
             "member_ticks": shared.member_ticks,
             "shared_fraction": round(shared.shared_fraction, 4),
         },
+        "divergent": divergent,
         "cached": cached,
     }
     correct = bool(
         identical
+        and d_identical
+        and divergent["exercised"]
         and cached["warm_zero_passes"]
         and cached["warm_identical_digest"]
     )
@@ -213,7 +295,10 @@ def main() -> int:
     report = run_benchmark(out=args.out, gate=args.gate)
     print(json.dumps(report, indent=2))
     if not report["correct"]:
-        print("FAIL: bake-off diverged from the reference or re-simulated")
+        print(
+            "FAIL: bake-off diverged from the reference, re-simulated, "
+            "or the divergence probe stopped forking/merging"
+        )
         return 1
     print(
         f"\nindependent {report['independent_s']}s | "

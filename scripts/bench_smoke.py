@@ -430,7 +430,10 @@ def smoke_bakeoff() -> None:
     the independent reference runs' digests bit-identically through the
     shared-physics single pass, and a warm re-run against a throwaway
     disk cache must execute zero shared passes while returning the cold
-    run's digest.
+    run's digest. The identity probe's faulted pass forks but never
+    re-merges, so a divergent faulted roster (seeded to fork and re-merge
+    within the run) must match its solo runs too, having forked and
+    merged at least once.
     """
     import shutil
     import tempfile
@@ -444,6 +447,7 @@ def smoke_bakeoff() -> None:
         interference_member,
         predictive_member,
         run_bakeoff,
+        run_member_reference,
     )
 
     t0 = time.perf_counter()
@@ -459,17 +463,35 @@ def smoke_bakeoff() -> None:
                 f"shared bake-off pass diverged from the independent "
                 f"reference runs (with_faults={with_faults})"
             )
-    identity_s = time.perf_counter() - t0
-
     members = [
         heracles_member("Redis"),
         interference_member(),
         predictive_member(),
     ]
+    config = BakeoffConfig(duration_s=40.0)
+    divergent = bakeoff_scenario_grid(
+        loads=(0.4,), duration_s=40.0, seed=11, faults_per_minute=4.0
+    )
+    shared = run_bakeoff(divergent, members, config=config, cache=None)
+    solo = [
+        run_member_reference(scenario, member, config).digest
+        for scenario in divergent
+        for member in members
+    ]
+    if [cell.digest for cell in shared.cells] != solo:
+        raise AssertionError(
+            "divergent faulted bake-off diverged from the solo runs"
+        )
+    if shared.forks < 1 or shared.merges < 1:
+        raise AssertionError(
+            f"divergent faulted bake-off did not exercise branch "
+            f"bookkeeping: {shared.forks} forks, {shared.merges} merges"
+        )
+    identity_s = time.perf_counter() - t0
+
     scenarios = bakeoff_scenario_grid(
         loads=(0.35,), duration_s=40.0, seed=3
     )
-    config = BakeoffConfig(duration_s=40.0)
     cache_dir = tempfile.mkdtemp(prefix="rhythm-smoke-bakeoff-")
     try:
         store = CacheStore(cache_dir)
@@ -490,7 +512,8 @@ def smoke_bakeoff() -> None:
         raise AssertionError("warm bake-off digest diverged from the cold run")
     print(
         f"smoke bakeoff OK: 3-member roster bit-identical to independent "
-        f"runs, healthy + faulted ({identity_s:.1f}s); cold {cold_s:.1f}s "
+        f"runs, healthy + faulted + divergent ({shared.forks} forks, "
+        f"{shared.merges} merges; {identity_s:.1f}s); cold {cold_s:.1f}s "
         f"-> warm {warm_s:.3f}s, zero shared passes warm"
     )
 

@@ -19,8 +19,9 @@
 #      smoke: a warm fleet re-run must execute zero simulations and
 #      reproduce the cold run's FleetResult.digest, and the bake-off
 #      smoke: a shared-physics multi-controller pass bit-identical to
-#      independent reference runs, healthy and faulted, with a warm
-#      cache re-run executing zero shared passes, and the storm smoke:
+#      independent reference runs, healthy, faulted and on a divergent
+#      faulted roster that must fork and re-merge at least once, with a
+#      warm cache re-run executing zero shared passes, and the storm smoke:
 #      a correlated fault storm bit-identical to the scalar reference
 #      with a warm re-run executing zero simulations)
 #      from scripts/bench_smoke.py, then

@@ -43,6 +43,14 @@ class BeJob:
     #: Wall-clock seconds spent in RUNNING state.
     running_seconds: float = 0.0
 
+    def __deepcopy__(self, memo) -> "BeJob":
+        # Every field is an immutable scalar, an enum member or the
+        # frozen spec, so a flat field copy is a deep copy that keeps the
+        # spec shared (world forks copy every job a pool ever placed).
+        clone = object.__new__(self.__class__)
+        clone.__dict__.update(self.__dict__)
+        return clone
+
     def start(self, machine_name: str) -> None:
         """Mark the job as running on ``machine_name``."""
         if self.state == BeJobState.KILLED:

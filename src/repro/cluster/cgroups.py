@@ -29,6 +29,16 @@ class CpuSet:
         self._free: Set[int] = set(range(self._total))
         self._owned: Dict[str, Set[int]] = {}
 
+    def __deepcopy__(self, memo) -> "CpuSet":
+        # Core ids are ints and owners are strings, so fresh sets of the
+        # same members are a deep copy — without the generic walk's one
+        # reconstruct per set and one dispatch per core id.
+        clone = object.__new__(self.__class__)
+        clone._total = self._total
+        clone._free = set(self._free)
+        clone._owned = {owner: set(cores) for owner, cores in self._owned.items()}
+        return clone
+
     @property
     def total_cores(self) -> int:
         """Total physical cores on the machine."""

@@ -75,6 +75,14 @@ class BeAllocation:
     memory_gb: float = 0.0
     suspended: bool = False
 
+    def __deepcopy__(self, memo) -> "BeAllocation":
+        # Every field is an immutable scalar, so a flat field copy is a
+        # deep copy (world forks copy many of these; the generic
+        # reduce/reconstruct walk costs several times more).
+        clone = object.__new__(self.__class__)
+        clone.__dict__.update(self.__dict__)
+        return clone
+
     def as_vector(self, mb_per_way: float) -> ResourceVector:
         """This allocation as a :class:`ResourceVector`."""
         return ResourceVector(

@@ -2234,10 +2234,15 @@ class BakeoffKernel:
     observation and record their own metrics; their action vectors are
     then normalised through the branch's no-op memo and partitioned.
     One partition keeps the branch; each additional partition **forks**
-    a copy-on-write world (``copy.deepcopy`` of the experiment: machine
-    state, pools, RNG streams, fault injector) and applies its own
-    actions — so the cost of divergence is paid only when decisions
-    actually differ in effect.
+    a copy-on-write world and applies its own actions — so the cost of
+    divergence is paid only when decisions actually differ in effect.
+    A fork deep-copies only what a branch can mutate (machine state,
+    pools and job records, RNG streams, load generator, fault
+    injector): a memo built once per kernel maps every shared scenario
+    object — frozen specs, pattern, config, stateless subcontrollers,
+    the scenario experiment's own controllers and metrics — to itself
+    (:meth:`_scenario_shared_state`), and job, allocation and cpuset
+    records copy flat through their own ``__deepcopy__``.
 
     Because controller decisions never change RNG *consumption* (window
     sample counts and latency-draw shapes depend only on the load
@@ -2245,7 +2250,10 @@ class BakeoffKernel:
     equal, and branches whose worlds re-converge — same live jobs, same
     allocations and float progress, same DVFS/NIC state — are detected
     by a state digest and **re-merged**, with per-member integer
-    kill/suspension counters virtualised via exact offsets.
+    kill/suspension counters virtualised via exact offsets. The digest
+    is compared in two stages (:meth:`_merge_groups`): a cheap per-pod
+    scalar key for every branch, the job/RNG detail only where keys
+    collide.
 
     Identity contract: for every member, the returned
     ``ColocationResult`` and the final RNG stream states are
@@ -2301,6 +2309,12 @@ class BakeoffKernel:
                 set(),
             )
         ]
+        # Deep-copy memo for forks, built once: id -> itself for every
+        # object all branches share (deepcopy adds to the memo it is
+        # given, so each fork seeds a fresh copy of this one).
+        self._shared_memo: Dict[int, object] = {
+            id(obj): obj for obj in self._scenario_shared_state(experiment)
+        }
         self.stats = BakeoffStats(members=len(self._members))
         self._member_branch: Dict[str, _BakeoffBranch] = {}
 
@@ -2460,22 +2474,27 @@ class BakeoffKernel:
 
     # -- copy-on-write world forking --------------------------------------
 
-    def _scenario_shared_state(self, exp) -> List[object]:
+    @staticmethod
+    def _scenario_shared_state(exp) -> List[object]:
         """The scenario objects every branch may share by reference.
 
         A fork must duplicate exactly the state a branch can *mutate*:
-        machine/cluster state, BE pools, RNG streams, the load
-        generator, the fault injector. Everything else
-        about the scenario is decision-independent and read-only for
-        the whole run — the frozen service/BE specs, the load pattern,
-        the config (and its fault schedule), the stateless
-        subcontrollers, and the experiment's own controllers (the
-        bake-off consults only *member* controllers, never the
-        scenario experiment's; enforced by every member carrying a
-        fresh ``build_controllers`` set). Sharing these turns the fork
-        deep-copy into a copy-on-write snapshot of just the mutable
-        world, which is what lets the engine win even on
-        high-divergence rosters (see ``bench_bakeoff.py``).
+        machine/cluster state, BE pools and job records, RNG streams,
+        the load generator, the fault injector. Everything else about
+        the scenario is decision-independent and read-only for the
+        whole run, so every branch holds the very same objects: the
+        frozen specs (service, Servpod and component specs with their
+        sensitivity vectors, machine specs, power models, BE job specs),
+        the load pattern, the config (and its fault schedule), the
+        stateless subcontrollers, and the scenario experiment's own
+        controllers and ``MachineRun.metrics`` (the bake-off consults
+        only *member* controllers and records only *member* metrics,
+        never the scenario experiment's; enforced by every member
+        carrying a fresh ``build_controllers`` set). Sharing these
+        turns the fork deep-copy into a copy-on-write snapshot of just
+        the mutable world; the ``divergent`` block of
+        ``bench_bakeoff.py`` records what one fork costs on a roster
+        that forks and re-merges every few ticks.
         """
         shared: List[object] = [
             exp.spec,
@@ -2486,29 +2505,36 @@ class BakeoffKernel:
             exp._memory,
             exp._network,
         ]
+        for pod_spec in exp.spec.servpods:
+            shared.append(pod_spec)
+            for component in pod_spec.components:
+                shared.append(component)
+                shared.append(component.sensitivity)
+        for machine in exp.deployment.cluster:
+            shared.append(machine.spec)
+            shared.append(machine.power_model)
         if exp.config.faults is not None:
             shared.append(exp.config.faults)
             shared.extend(exp.config.faults.faults)
         shared.extend(exp.be_specs)
         shared.extend(exp.controllers.values())
+        shared.extend(run.metrics for run in exp._runs.values())
         return shared
 
     def _fork(self, branch: _BakeoffBranch, group: List[int]) -> _BakeoffBranch:
         """Clone ``branch``'s world for a diverging member partition.
 
         The deep copy is seeded with a memo mapping every shared
-        scenario object to itself (:meth:`_scenario_shared_state`), so
-        only the mutable world state is duplicated. Kernels hang off
-        branches, not experiments, so no SoA arrays are copied either —
-        the fork's fresh :class:`BatchedColocationKernel` rebuilds them
-        lazily.
+        scenario object to itself (:meth:`_scenario_shared_state`,
+        collected once per kernel: every branch shares the root's
+        objects), so only the mutable world state is duplicated; job
+        and allocation records copy flat through their own
+        ``__deepcopy__``. Kernels hang off branches, not experiments,
+        so no SoA arrays are copied either — the fork's fresh
+        :class:`BatchedColocationKernel` rebuilds them lazily.
         """
         self.stats.forks += 1
-        exp = branch.exp
-        memo: Dict[int, object] = {
-            id(obj): obj for obj in self._scenario_shared_state(exp)
-        }
-        clone = copy.deepcopy(exp, memo)
+        clone = copy.deepcopy(branch.exp, dict(self._shared_memo))
         return _BakeoffBranch(
             clone,
             BatchedColocationKernel(clone),
@@ -2548,17 +2574,36 @@ class BakeoffKernel:
 
     # -- re-merge detection ---------------------------------------------
 
+    def _merge_groups(self) -> List[List[_BakeoffBranch]]:
+        """Live branches grouped by equal :func:`_world_digest`.
+
+        Two stages: every branch gets the cheap scalar
+        :func:`_world_key`, and only branches whose keys collide pay for
+        the detailed part (:func:`_world_detail`). The key is a
+        projection of the digest, so equal digests imply equal keys:
+        grouping by ``(key, detail-or-None)`` is exactly the grouping
+        by full digest. Groups and their members keep first-seen branch
+        order.
+        """
+        keys = [_world_key(branch.exp) for branch in self._branches]
+        counts: Dict[Tuple, int] = {}
+        for key in keys:
+            counts[key] = counts.get(key, 0) + 1
+        groups: Dict[Tuple, List[_BakeoffBranch]] = {}
+        for branch, key in zip(self._branches, keys):
+            detail = _world_detail(branch.exp) if counts[key] > 1 else None
+            groups.setdefault((key, detail), []).append(branch)
+        return list(groups.values())
+
     def _try_merge(self) -> None:
         """Collapse branches whose forward-relevant state re-converged."""
-        by_digest: Dict[Tuple, List[_BakeoffBranch]] = {}
-        for branch in self._branches:
-            by_digest.setdefault(_world_digest(branch.exp), []).append(branch)
-        if len(by_digest) == len(self._branches):
+        groups = self._merge_groups()
+        if len(groups) == len(self._branches):
             return
         # Each group's first branch survives; groups iterate in
         # first-seen order, which keeps the branches' own order.
-        survivors = [group[0] for group in by_digest.values()]
-        for group in by_digest.values():
+        survivors = [group[0] for group in groups]
+        for group in groups:
             keep = group[0]
             k_kills = keep.exp.deployment.cluster.total_be_kills
             k_susp = sum(
@@ -2615,25 +2660,59 @@ class BakeoffKernel:
         )
 
 
-def _world_digest(exp: "ColocationExperiment") -> Tuple:
-    """Forward-relevant world state of one experiment, id-free.
+def _world_key(exp: "ColocationExperiment") -> Tuple:
+    """The cheap scalar stage of :func:`_world_digest`: per-pod counts.
 
-    Two branches with equal digests evolve identically from here on, so
-    they may share one world. The digest deliberately **excludes** the
-    monotonic counters that merging virtualises — kill/suspension/launch
-    counters, the pool's job-id counter, ``Machine.version`` — and
-    compares live jobs *positionally* (spec, state, float progress in
-    exact bits, allocation) rather than by id: job ids never enter
-    physics or results. The spec-cycle position IS included — with a
-    multi-spec BE mix it determines which spec the next launch gets.
-    Everything float is compared via ``float.hex`` (bitwise).
+    Live-job count, ``total_normalized_work`` bits, spec-cycle position,
+    DVFS state, NIC caps, fault-held cores/ways and free cores/ways —
+    O(pods), no walk over jobs or RNG states. Branches with different
+    keys can never share a digest, so only key collisions need the
+    detail.
+
+    DVFS state is the governor's *requested* frequency plus the
+    hardware cap per domain. The effective frequency is their minimum,
+    so it is covered; the requested one is not covered by the effective
+    one: under a cap, two worlds can run at the same capped frequency
+    while requesting different ones, and they part ways once the cap
+    lifts.
     """
-    pods_state = []
+    key = []
     for pod, run in exp._runs.items():
         machine = exp.deployment.servpod(pod).machine
         pool = run.pool
+        dvfs = machine.dvfs
+        key.append(
+            (
+                pod,
+                pool.active_count,
+                float(pool.total_normalized_work).hex(),
+                pool._counter % len(pool.specs),
+                dvfs.requested(LC_DOMAIN),
+                dvfs.requested(BE_DOMAIN),
+                dvfs.cap(LC_DOMAIN),
+                dvfs.cap(BE_DOMAIN),
+                machine.nic.be_cap_gbps.hex(),
+                machine.nic.link_scale.hex(),
+                machine.offlined_cores,
+                machine.lost_llc_ways,
+                machine.cpuset.free_cores,
+                machine.llc.free_ways,
+            )
+        )
+    return tuple(key)
+
+
+def _world_detail(exp: "ColocationExperiment") -> Tuple:
+    """The detailed stage of :func:`_world_digest`: jobs and RNG states.
+
+    Live jobs positionally per pod (spec, state, float progress in exact
+    bits, allocation) and every RNG stream's bit-generator state.
+    """
+    pods_jobs = []
+    for pod, run in exp._runs.items():
+        machine = exp.deployment.servpod(pod).machine
         jobs = []
-        for job in pool.jobs():
+        for job in run.pool.jobs():
             alloc = machine.be_allocation(job.job_id)
             jobs.append(
                 (
@@ -2651,26 +2730,31 @@ def _world_digest(exp: "ColocationExperiment") -> Tuple:
                     ),
                 )
             )
-        pods_state.append(
-            (
-                pod,
-                tuple(jobs),
-                float(pool.total_normalized_work).hex(),
-                pool._counter % len(pool.specs),
-                machine.dvfs.frequency(LC_DOMAIN),
-                machine.dvfs.frequency(BE_DOMAIN),
-                machine.dvfs.cap(LC_DOMAIN),
-                machine.dvfs.cap(BE_DOMAIN),
-                machine.nic.be_cap_gbps.hex(),
-                machine.nic.link_scale.hex(),
-                machine.offlined_cores,
-                machine.lost_llc_ways,
-                machine.cpuset.free_cores,
-                machine.llc.free_ways,
-            )
-        )
+        pods_jobs.append(tuple(jobs))
     rng = tuple(
         (name, repr(exp.streams._streams[name].bit_generator.state))
         for name in sorted(exp.streams._streams)
     )
-    return (tuple(pods_state), rng)
+    return (tuple(pods_jobs), rng)
+
+
+def _world_digest(exp: "ColocationExperiment") -> Tuple:
+    """Forward-relevant world state of one experiment, id-free.
+
+    Two branches with equal digests evolve identically from here on, so
+    they may share one world. The digest deliberately **excludes** the
+    monotonic counters that merging virtualises — kill/suspension/launch
+    counters, the pool's job-id counter, ``Machine.version`` — and
+    compares live jobs *positionally* (spec, state, float progress in
+    exact bits, allocation) rather than by id: job ids never enter
+    physics or results. The spec-cycle position IS included — with a
+    multi-spec BE mix it determines which spec the next launch gets.
+    Everything float is compared via ``float.hex`` (bitwise).
+
+    It is the pair ``(_world_key(exp), _world_detail(exp))``: the cheap
+    per-pod scalar key first, then the job/RNG detail. The merge step
+    (:meth:`BakeoffKernel._merge_groups`) computes the detail only for
+    branches whose keys collide; because the key is part of the digest,
+    that yields exactly the partition by full digest.
+    """
+    return (_world_key(exp), _world_detail(exp))

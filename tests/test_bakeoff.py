@@ -25,6 +25,7 @@ from repro.baselines.predictive import PredictivePolicy, predictive_controllers
 from repro.bejobs.catalog import evaluation_be_jobs
 from repro.cache import CacheStore
 from repro.cache.keys import CODE_VERSION_SALT
+from repro.cluster.machine import BE_DOMAIN, LC_DOMAIN
 from repro.core.actions import BeAction
 from repro.core.controller import ColocationController
 from repro.errors import ConfigurationError
@@ -46,7 +47,7 @@ from repro.experiments.colocation import ColocationConfig, ColocationExperiment
 from repro.faults.spec import FaultSchedule
 from repro.loadgen.patterns import ConstantLoad, DiurnalLoad
 from repro.parallel.grid import colocation_fingerprint
-from repro.sim.kernel import BakeoffKernel
+from repro.sim.kernel import BakeoffKernel, _world_digest
 from repro.sim.rng import RandomStreams
 from repro.workloads.catalog import redis_service
 
@@ -116,6 +117,32 @@ def assert_members_identical(service, members, pattern, seed, config):
         assert colocation_fingerprint(results[name]) == fingerprint, name
         assert rng_states(kernel.member_streams(name)) == states, name
     return kernel
+
+
+def check_merge_key(monkeypatch):
+    """Pin every ``_try_merge`` to the full-digest partition.
+
+    The two-stage grouping (scalar key, detail only on collisions) must
+    give the same groups, holding the same branches in the same order,
+    as grouping every live branch by its full ``_world_digest``.
+    Returns a dict counting the attempts checked.
+    """
+    seen = {"attempts": 0, "merging": 0}
+    original = BakeoffKernel._try_merge
+
+    def checked(self):
+        by_digest = {}
+        for branch in self._branches:
+            by_digest.setdefault(_world_digest(branch.exp), []).append(branch)
+        expected = [[id(b) for b in group] for group in by_digest.values()]
+        got = [[id(b) for b in group] for group in self._merge_groups()]
+        assert got == expected
+        seen["attempts"] += 1
+        seen["merging"] += len(expected) < len(self._branches)
+        return original(self)
+
+    monkeypatch.setattr(BakeoffKernel, "_try_merge", checked)
+    return seen
 
 
 class TestBakeoffKernelIdentity:
@@ -209,12 +236,14 @@ class TestBakeoffKernelIdentity:
         assert kernel.stats.merges >= 1
         assert len(kernel._branches) == 1
 
-    def test_high_divergence_roster_under_faults(self):
+    def test_high_divergence_roster_under_faults(self, monkeypatch):
         # The worst case for copy-on-write forking: five members whose
         # scripts disagree early and often, under an active fault
         # schedule (so forked clones carry live injector state), with a
         # mid-run flip that lets some branches re-converge. Every member
-        # must still match its independent reference run bit for bit.
+        # must still match its independent reference run bit for bit,
+        # and every merge attempt must group as the full digest does.
+        merge_checks = check_merge_key(monkeypatch)
         service = redis_service()
         faults = FaultSchedule.generate(11, 60.0, faults_per_minute=6.0)
         kernel = assert_members_identical(
@@ -236,6 +265,8 @@ class TestBakeoffKernelIdentity:
             ColocationConfig(duration_s=60.0, faults=faults),
         )
         assert kernel.stats.forks >= 3
+        assert merge_checks["attempts"] > 0
+        assert merge_checks["merging"] > 0
 
     def test_rejects_empty_roster_and_missing_pods(self):
         service = redis_service()
@@ -267,6 +298,133 @@ class TestBakeoffKernelIdentity:
         exp.action_filter = lambda pod, action: action
         with pytest.raises(ConfigurationError):
             BakeoffKernel(exp, {"a": heracles_controllers(service)})
+
+
+class TestForkAndMerge:
+    """What a fork copies, what it shares, and what a merge compares."""
+
+    def _forked(self):
+        service = redis_service()
+        faults = FaultSchedule.generate(7, 30.0, faults_per_minute=6.0)
+        kernel, _ = run_shared(
+            service,
+            {
+                "grower": scripted({}, BeAction.ALLOW_BE_GROWTH),
+                "heracles": heracles_controllers,
+            },
+            ConstantLoad(0.3),
+            5,
+            ColocationConfig(duration_s=30.0, faults=faults),
+        )
+        parent = kernel._branches[0]
+        return kernel, parent, kernel._fork(parent, list(parent.members))
+
+    @staticmethod
+    def _records(exp):
+        jobs = [
+            job for run in exp._runs.values() for job in run.pool._jobs.values()
+        ]
+        allocations = [
+            alloc for machine in exp.deployment.cluster
+            for alloc in machine._be.values()
+        ]
+        return jobs, allocations
+
+    def test_fork_is_isolated_from_its_parent(self):
+        kernel, parent, fork = self._forked()
+        before = _world_digest(parent.exp)
+        assert _world_digest(fork.exp) == before
+
+        # Declared-shared scenario objects are the very same objects.
+        shared = kernel._scenario_shared_state(parent.exp)
+        forked = kernel._scenario_shared_state(fork.exp)
+        assert len(shared) == len(forked)
+        for ours, theirs in zip(shared, forked):
+            assert ours is theirs
+        # Job records and allocations are all distinct objects.
+        jobs, allocations = self._records(parent.exp)
+        fork_jobs, fork_allocations = self._records(fork.exp)
+        assert jobs and allocations
+        assert len(fork_jobs) == len(jobs)
+        assert len(fork_allocations) == len(allocations)
+        assert not {id(j) for j in jobs} & {id(j) for j in fork_jobs}
+        assert not {id(a) for a in allocations} & {
+            id(a) for a in fork_allocations
+        }
+
+        # Mutate every kind of world state the fork owns.
+        exp = fork.exp
+        for pod, run in exp._runs.items():
+            machine = exp.deployment.servpod(pod).machine
+            for job in run.pool.running():
+                job.advance(1.0, 0.5)
+            for job_id in list(machine._be):
+                machine.grow_be_memory(job_id)
+            exp._cpu_llc.apply(BeAction.STOP_BE, machine, run.pool)  # kills
+            exp._cpu_llc.apply(BeAction.ALLOW_BE_GROWTH, machine, run.pool)
+            launched = run.pool.jobs()
+            assert launched  # the ALLOW launched a fresh job
+            machine.grow_be_memory(launched[0].job_id)
+            machine.dvfs.step_down(BE_DOMAIN)
+            machine.dvfs.step_down(LC_DOMAIN)
+            machine.dvfs.set_cap(BE_DOMAIN, machine.dvfs.min_mhz)
+            machine.offline_cores(1)
+        for name, stream in exp.streams._streams.items():
+            assert stream is not parent.exp.streams._streams[name]
+            stream.random(3)
+
+        assert _world_digest(fork.exp) != before
+        assert _world_digest(parent.exp) == before
+
+    def test_digest_sees_requested_frequency_under_a_cap(self):
+        # Under a DVFS cap two worlds can run at the same effective BE
+        # frequency while requesting different ones; once the cap lifts
+        # they run apart, so they must never merge.
+        service = redis_service()
+
+        def build():
+            return ColocationExperiment(
+                service,
+                heracles_controllers(service),
+                [evaluation_be_jobs()[0]],
+                ConstantLoad(0.4),
+                streams=RandomStreams(5),
+                config=ColocationConfig(duration_s=30.0),
+            )
+
+        a, b = build(), build()
+        assert _world_digest(a) == _world_digest(b)
+        pod = service.servpod_names[0]
+        dvfs_a = a.deployment.servpod(pod).machine.dvfs
+        dvfs_b = b.deployment.servpod(pod).machine.dvfs
+        for dvfs in (dvfs_a, dvfs_b):
+            dvfs.set_cap(BE_DOMAIN, dvfs.min_mhz)
+        dvfs_b.set_frequency(BE_DOMAIN, dvfs_b.max_mhz - dvfs_b.step_mhz)
+        assert dvfs_a.frequency(BE_DOMAIN) == dvfs_b.frequency(BE_DOMAIN)
+        assert dvfs_a.cap(BE_DOMAIN) == dvfs_b.cap(BE_DOMAIN)
+        assert _world_digest(a) != _world_digest(b)
+        for dvfs in (dvfs_a, dvfs_b):
+            dvfs.clear_cap(BE_DOMAIN)
+        assert dvfs_a.frequency(BE_DOMAIN) != dvfs_b.frequency(BE_DOMAIN)
+
+    def test_merge_key_matches_full_digest_four_member_roster(self, monkeypatch):
+        merge_checks = check_merge_key(monkeypatch)
+        scenarios = bakeoff_scenario_grid(
+            service="Redis",
+            loads=(0.6,),
+            be_jobs=("stream-llc",),
+            duration_s=600.0,
+            seed=1,
+        )
+        result = run_bakeoff(
+            scenarios,
+            default_members("Redis"),
+            BakeoffConfig(duration_s=600.0),
+            cache=None,
+        )
+        assert result.forks > 0 and result.merges > 0
+        assert merge_checks["attempts"] > 0
+        assert merge_checks["merging"] > 0
 
 
 class TestBakeoffExperiment:
