@@ -137,6 +137,9 @@ class Machine:
         # (integer sums are exact, so they equal a from-scratch fold).
         self._be_cores = 0
         self._be_ways = 0
+        #: Suspended allocations in ``_be``, kept exact by
+        #: suspend/resume/kill; lets controllers skip resume scans.
+        self.be_suspended_count = 0
         # Cached left fold of per-job memory, refreshed on every mutation.
         # ``free_memory_gb`` is read in tight grow loops, so the O(n) sum
         # runs once per allocation change instead of once per read.
@@ -351,13 +354,17 @@ class Machine:
         alloc = self._require(job_id)
         if not alloc.suspended:
             alloc.suspended = True
+            self.be_suspended_count += 1
             self.counters.be_suspensions += 1
             self.version += 1
 
     def resume_be(self, job_id: str) -> None:
-        """Resume a suspended BE job."""
-        self._require(job_id).suspended = False
-        self.version += 1
+        """Resume a suspended BE job; a no-op if it is not suspended."""
+        alloc = self._require(job_id)
+        if alloc.suspended:
+            alloc.suspended = False
+            self.be_suspended_count -= 1
+            self.version += 1
 
     def kill_be(self, job_id: str) -> None:
         """Kill ``job_id`` and release every resource it held."""
@@ -367,6 +374,8 @@ class Machine:
         del self._be[alloc.job_id]
         self._be_cores -= alloc.cores
         self._be_ways -= alloc.llc_ways
+        if alloc.suspended:
+            self.be_suspended_count -= 1
         self._refresh_be_mem_total()
         self.counters.be_kills += 1
         self.version += 1

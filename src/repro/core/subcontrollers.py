@@ -177,8 +177,12 @@ class CpuLlcSubcontroller:
         Gradual resumption avoids re-applying a full pool's worth of
         interference in a single control period after a SuspendBE phase
         ends — the pressure step would otherwise outrun the feedback
-        loop and spike the tail straight past the SLA.
+        loop and spike the tail straight past the SLA. A suspended job
+        always holds a suspended allocation, so a machine holding none
+        has nothing to resume and the scan is skipped.
         """
+        if not machine.be_suspended_count:
+            return
         resumed = 0
         for job in pool.jobs():
             if resumed >= count:
@@ -197,6 +201,8 @@ class CpuLlcSubcontroller:
             machine.launch_be(job.job_id)
             job.start(machine.spec.name)
             return
+        if machine.cpuset.free_cores < 1:
+            return  # ``grow_be`` would refuse whichever job the scan picked
         # One pass; strict ``<`` keeps the first minimum, like ``min``.
         thinnest = None
         fewest = 0

@@ -20,7 +20,7 @@ from repro.bejobs.catalog import evaluation_be_jobs
 from repro.bejobs.spec import BeJobSpec
 from repro.experiments.colocation import ColocationConfig
 from repro.parallel.grid import GridCell, run_comparison_grid
-from repro.workloads.catalog import LC_CATALOG
+from repro.workloads.catalog import LC_CATALOG, lc_service_spec
 from repro.workloads.spec import ServiceSpec
 
 from repro.experiments.figures.figure9_11 import GRID_LOADS
@@ -85,7 +85,7 @@ def run_service_grid(
     """
     service_names = list(services) if services is not None else list(LC_CATALOG)
     be_specs = list(be_specs) if be_specs is not None else evaluation_be_jobs()
-    builder = service_builder or (lambda name: LC_CATALOG[name]())
+    builder = service_builder or lc_service_spec
     config = config or ColocationConfig(duration_s=60.0)
     cells: List[GridCell] = []
     for service_name in service_names:

@@ -21,7 +21,7 @@ from repro.experiments.colocation import ColocationConfig
 from repro.loadgen.clarknet import clarknet_production_load
 from repro.parallel.grid import GridCell, run_comparison_grid
 from repro.loadgen.patterns import LoadPattern
-from repro.workloads.catalog import LC_CATALOG
+from repro.workloads.catalog import LC_CATALOG, lc_service_spec
 from repro.workloads.spec import ServiceSpec
 
 
@@ -63,7 +63,7 @@ def run_figure15(
     """
     service_names = list(services) if services is not None else list(LC_CATALOG)
     be_specs = list(be_specs) if be_specs is not None else evaluation_be_jobs()
-    builder = service_builder or (lambda name: LC_CATALOG[name]())
+    builder = service_builder or lc_service_spec
     pattern = pattern or clarknet_production_load(duration_s=duration_s, days=1)
     config = config or ColocationConfig(duration_s=duration_s)
     cells: List[GridCell] = []

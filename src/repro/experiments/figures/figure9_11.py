@@ -22,7 +22,7 @@ from repro.bejobs.catalog import evaluation_be_jobs
 from repro.bejobs.spec import BeJobSpec
 from repro.experiments.colocation import ColocationConfig
 from repro.parallel.grid import GridCell, run_comparison_grid
-from repro.workloads.catalog import LC_CATALOG
+from repro.workloads.catalog import lc_service_spec
 from repro.workloads.spec import ServiceSpec
 
 #: The five showcased (service, Servpod) pairs of Figures 9-11.
@@ -76,7 +76,7 @@ def run_servpod_grid(
     incremental re-execution.
     """
     be_specs = list(be_specs) if be_specs is not None else evaluation_be_jobs()
-    builder = service_builder or (lambda name: LC_CATALOG[name]())
+    builder = service_builder or lc_service_spec
     config = config or ColocationConfig(duration_s=60.0)
     specs: Dict[str, ServiceSpec] = {}
     cells: List[GridCell] = []

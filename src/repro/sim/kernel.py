@@ -11,9 +11,10 @@ and drains whole ticks with vectorized operations:
   flat per-job arrays (CPU grants, LLC ratios, bandwidth demands),
   revalidated with one integer compare against ``Machine.version``, and
   evaluates every job's Leontief rate in a handful of array ops.
-- :class:`BatchedServiceSampler` builds the per-Servpod lognormal
-  parameter blocks once per tick and replays the call-tree walk against
-  them, consuming the latency RNG stream in exactly the scalar order.
+- :class:`BatchedServiceSampler` compiles each request type's call
+  tree once into pod-indexed tuples, builds the per-Servpod lognormal
+  parameter blocks once per call and replays the walk against them,
+  consuming the latency RNG stream in exactly the scalar order.
 - :func:`drain_fifo_queue` replays the G/G/c FIFO event loop as a
   Lindley start-time recurrence over plain floats plus vectorized
   sojourn/wait extraction — no engine, no per-request closures.
@@ -395,32 +396,53 @@ class BeRateKernel:
 
 
 # ---------------------------------------------------------------------------
-# Latency sampling: pod-indexed parameter arrays, one build per tick
+# Latency sampling: call trees compiled once, pod-indexed parameters per call
 # ---------------------------------------------------------------------------
 
 
-class BatchedServiceSampler:
-    """Call-tree sampler over per-tick pod-indexed parameter arrays.
+def _compile_tree(node: "CallNode", index: Dict[str, int]) -> Tuple:
+    """``node`` as nested ``(pod index, children, combine)`` tuples.
 
-    ``Service.sample_e2e`` rebuilds each visited node's lognormal
-    parameter block (log-medians, sigmas) on every visit; this sampler
-    builds one ``(components, 1)`` block per Servpod per tick — via the
-    same :meth:`LatencyModel.component_params` — and replays the exact
-    walk. Draw shapes, draw order and combination operators
-    (``np.maximum.reduce`` / ``np.add.reduce``) match the scalar walk
-    call for call, so the RNG bit stream is consumed identically.
+    ``combine`` is ``None`` below a single child: a max- or sum-reduce
+    over one array returns that array's values bit for bit, so the walk
+    adds the child's times directly.
+    """
+    children = tuple(_compile_tree(child, index) for child in node.children)
+    combine = None
+    if len(children) > 1:
+        combine = np.maximum.reduce if node.parallel else np.add.reduce
+    return (index[node.servpod], children, combine)
+
+
+class BatchedServiceSampler:
+    """Call-tree sampler compiled once per service.
+
+    ``Service.sample_e2e`` walks the ``CallNode`` tree and rebuilds each
+    visited node's lognormal parameter block (log-medians, sigmas) on
+    every visit. This sampler compiles each request type's tree once
+    into nested ``(pod index, children, combine)`` tuples, builds one
+    parameter block per Servpod per call from slowdown and inflation
+    *lists in servpod order* — the exact expressions of
+    :meth:`LatencyModel.component_params` — and replays the walk. Draw
+    shapes and draw order match the scalar walk call for call, so the
+    RNG bit stream is consumed identically; children combine with the
+    scalar walk's ``np.maximum.reduce`` / ``np.add.reduce``, except that
+    a lone child, whose reduce is a copy, is added directly. A
+    single-type service draws no type split: ``Service._type_counts``
+    consumes no RNG for one type.
     """
 
     def __init__(self, service: "Service") -> None:
         self._service = service
-        self._stream_name = f"service:{service.spec.name}:latency"
-        self._pods = {pod.name: pod for pod in service.spec.servpods}
-        # Component constants hoisted once so the per-tick parameter
-        # build is plain float math — the exact expressions of
-        # ``component_median_ms`` / ``component_sigma``, just without
-        # the per-call attribute walks and revalidation.
-        self._consts = {
-            name: [
+        spec = service.spec
+        self._stream_name = f"service:{spec.name}:latency"
+        index = {pod.name: k for k, pod in enumerate(spec.servpods)}
+        # Component constants hoisted once, in servpod order, so the
+        # per-call parameter build is plain float math — the exact
+        # expressions of ``component_median_ms`` / ``component_sigma``,
+        # just without the per-call attribute walks and revalidation.
+        self._consts = [
+            [
                 (
                     c.base_ms,
                     c.lin_growth,
@@ -432,20 +454,56 @@ class BatchedServiceSampler:
                 )
                 for c in pod.components
             ]
-            for name, pod in self._pods.items()
-        }
+            for pod in spec.servpods
+        ]
+        types = spec.request_types
+        self._trees = [_compile_tree(rtype.root, index) for rtype in types]
+        # ``Service._type_counts``'s normalised weights, same expression.
+        weights = np.array([rtype.weight for rtype in types], dtype=float)
+        weights /= weights.sum()
+        self._weights = weights
 
-    def _params(
+    def sample_e2e(
+        self,
+        load: float,
+        n: int,
+        slowdowns: Sequence[float],
+        inflations: Sequence[float],
+    ) -> np.ndarray:
+        """Bit-identical to ``Service.sample_e2e`` under the same state.
+
+        ``slowdowns`` and ``inflations`` hold one value per Servpod, in
+        ``spec.servpods`` order.
+        """
+        rng = self._service.streams.stream(self._stream_name)
+        u = float(load)
+        if not (0.0 <= u <= 1.02):
+            raise ConfigurationError(
+                f"load fraction must be in [0, 1.02], got {load!r}"
+            )
+        params = self._pod_params(u, slowdowns, inflations)
+        trees = self._trees
+        if len(trees) == 1:
+            return self._draw(trees[0], n, params, rng)
+        counts = rng.multinomial(n, self._weights).tolist()
+        e2e = np.empty(n)
+        offset = 0
+        for tree, count in zip(trees, counts):
+            if count == 0:
+                continue
+            e2e[offset : offset + count] = self._draw(tree, count, params, rng)
+            offset += count
+        return e2e
+
+    def _pod_params(
         self,
         u: float,
-        slowdowns: Dict[str, float],
-        inflations: Dict[str, float],
-    ) -> Dict[str, Tuple]:
+        slowdowns: Sequence[float],
+        inflations: Sequence[float],
+    ) -> List[Tuple]:
         """Per-pod lognormal parameters; floats for single-component pods."""
-        params: Dict[str, Tuple] = {}
-        for name, consts in self._consts.items():
-            slowdown = slowdowns.get(name, 1.0)
-            inflation = inflations.get(name, 1.0)
+        params: List[Tuple] = []
+        for consts, slowdown, inflation in zip(self._consts, slowdowns, inflations):
             if slowdown < 1.0:
                 raise ConfigurationError(f"slowdown must be >= 1, got {slowdown}")
             if inflation < 1.0:
@@ -456,9 +514,11 @@ class BatchedServiceSampler:
                 base, lin, sat, p, knee, s0, sg = consts[0]
                 median = base * (1.0 + lin * u + sat * u**p / (1.25 - u))
                 ramp = max(0.0, (u - knee) / (1.0 - knee))
-                params[name] = (
-                    math.log(median * slowdown),
-                    s0 * (1.0 + sg * ramp**2) * inflation,
+                params.append(
+                    (
+                        math.log(median * slowdown),
+                        s0 * (1.0 + sg * ramp**2) * inflation,
+                    )
                 )
             else:
                 means = []
@@ -468,71 +528,35 @@ class BatchedServiceSampler:
                     means.append(math.log(median * slowdown))
                     ramp = max(0.0, (u - knee) / (1.0 - knee))
                     sigmas.append(s0 * (1.0 + sg * ramp**2) * inflation)
-                params[name] = (
-                    np.array(means)[:, None],
-                    np.array(sigmas)[:, None],
+                params.append(
+                    (np.array(means)[:, None], np.array(sigmas)[:, None])
                 )
         return params
 
-    def sample_e2e(
+    def _draw(
         self,
-        load: float,
+        node: Tuple,
         n: int,
-        slowdowns: Dict[str, float],
-        inflations: Dict[str, float],
-    ) -> np.ndarray:
-        """Bit-identical to ``Service.sample_e2e`` under the same state."""
-        service = self._service
-        rng = service.streams.stream(self._stream_name)
-        u = float(load)
-        if not (0.0 <= u <= 1.02):
-            raise ConfigurationError(
-                f"load fraction must be in [0, 1.02], got {load!r}"
-            )
-        params = self._params(u, slowdowns, inflations)
-        counts = service._type_counts(n, rng)
-        e2e = np.empty(n)
-        offset = 0
-        for rtype, count in counts:
-            if count == 0:
-                continue
-            e2e[offset : offset + count] = self._walk(
-                rtype.root, count, params, rng
-            )
-            offset += count
-        return e2e
-
-    def _walk(
-        self,
-        node: "CallNode",
-        n: int,
-        params: Dict[str, Tuple],
+        params: List[Tuple],
         rng: np.random.Generator,
     ) -> np.ndarray:
-        p = params[node.servpod]
-        if type(p[0]) is float:
+        k, children, combine = node
+        mean, sigma = params[k]
+        if type(mean) is float:
             # Single-component pod: scalar-parameter draw. Verified
             # bit-identical to the (1, n) array-parameter broadcast —
             # same value stream, same generator state after.
-            total = rng.lognormal(mean=p[0], sigma=p[1], size=n)
+            total = rng.lognormal(mean=mean, sigma=sigma, size=n)
         else:
-            means, sigmas = p
-            draws = rng.lognormal(
-                mean=means, sigma=sigmas, size=(means.shape[0], n)
-            )
+            draws = rng.lognormal(mean=mean, sigma=sigma, size=(mean.shape[0], n))
             total = draws[0]
             for row in draws[1:]:
                 total = total + row
-        if not node.children:
+        if not children:
             return total
-        child_times = [
-            self._walk(child, n, params, rng) for child in node.children
-        ]
-        if node.parallel:
-            downstream = np.maximum.reduce(child_times)
-        else:
-            downstream = np.add.reduce(child_times)
-        return total + downstream
+        if combine is None:
+            return total + self._draw(children[0], n, params, rng)
+        return total + combine([self._draw(c, n, params, rng) for c in children])
 
 
 # ---------------------------------------------------------------------------
@@ -751,8 +775,10 @@ class BatchedColocationKernel:
         # ``from_be_snapshot`` — the identity tests pin both); faulted
         # experiments keep the object path, whose injector hooks rewrite
         # the pressure vector wholesale.
-        slowdowns: Dict[str, float] = {}
-        inflations: Dict[str, float] = {}
+        # Per-pod slowdowns and inflations in servpod order (``_pods``
+        # is ``_runs`` order, which is ``servpod_names`` order).
+        slowdowns: List[float] = []
+        inflations: List[float] = []
         snapshots: Dict[str, BeResourceSnapshot] = {}
         usages: Dict[str, LcUsage] = {}
         gamma, beta, hroom, coup, cap = self._model_consts
@@ -795,8 +821,8 @@ class BatchedColocationKernel:
                     amp = 1.0 + beta * lo / (hroom + (1.0 - lo))
                     slowdown = 1.0 + amp * impact
                 infl = 1.0 + coup * (slowdown - 1.0)
-                slowdowns[pod] = slowdown
-                inflations[pod] = infl if infl < cap else cap
+                slowdowns.append(slowdown)
+                inflations.append(infl if infl < cap else cap)
             else:
                 pressure = Pressure.from_be_snapshot(
                     snapshot,
@@ -809,10 +835,10 @@ class BatchedColocationKernel:
                     self._sensitivities[pod], pressure, realized
                 )
                 slowdown *= injector.stall_factor(machine.spec.name)
-                slowdowns[pod] = slowdown
-                inflations[pod] = model.sigma_inflation(slowdown)
+                slowdowns.append(slowdown)
+                inflations.append(model.sigma_inflation(slowdown))
 
-        # Phase 2: batched latency sampling over per-tick pod arrays.
+        # Phase 2: batched latency sampling over per-tick pod lists.
         if window.n_samples > 0:
             latencies = self._sampler.sample_e2e(
                 realized, window.n_samples, slowdowns, inflations
@@ -1515,13 +1541,14 @@ class FleetColocationKernel:
             n = w_n[i]
             if n <= 0:
                 continue
-            slowdowns: Dict[str, float] = {}
-            inflations: Dict[str, float] = {}
-            for m in self._inst_machines[i]:
-                pod = self._m_pod[m]
-                slowdowns[pod] = slow_l[m]
-                inflations[pod] = infl_l[m]
-            lat = self._samplers[i].sample_e2e(w_real[i], n, slowdowns, inflations)
+            # Rows follow ``_runs`` order, which is servpod order.
+            rows = self._inst_machines[i]
+            lat = self._samplers[i].sample_e2e(
+                w_real[i],
+                n,
+                [slow_l[m] for m in rows],
+                [infl_l[m] for m in rows],
+            )
             key = (n, self._tail_pct[i])
             bucket = groups.get(key)
             if bucket is None:

@@ -24,6 +24,7 @@ knee=0.83 → ~0.87 (Tomcat), knee=0.89 → ~0.91 (Slave), knee=0.915 →
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 from typing import Callable, Dict, List
 
@@ -431,8 +432,17 @@ LC_CATALOG: Dict[str, Callable[[], ServiceSpec]] = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def lc_service_spec(name: str) -> ServiceSpec:
-    """Build the calibrated spec of a catalogued LC service by name."""
+    """The calibrated spec of a catalogued LC service, built once per process.
+
+    A calibrated spec is a pure function of this module's constants (the
+    calibration probe runs on a fixed seed) and is frozen all the way
+    down, so every caller can share one instance: fleet, bake-off and
+    scenario builders ask for it per instance, and each build would
+    otherwise re-run the 6,000-request calibration probe. An unknown
+    name raises before anything is cached.
+    """
     try:
         builder = LC_CATALOG[name]
     except KeyError:
@@ -444,7 +454,7 @@ def lc_service_spec(name: str) -> ServiceSpec:
 
 def evaluation_lc_services() -> List[ServiceSpec]:
     """The five LC services used in the §5 evaluation grids, in paper order."""
-    return [builder() for builder in LC_CATALOG.values()]
+    return [lc_service_spec(name) for name in LC_CATALOG]
 
 
 def np_seed_probe() -> np.ndarray:  # pragma: no cover - debugging helper

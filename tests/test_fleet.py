@@ -346,6 +346,31 @@ class TestHeterogeneousServices:
             config=config,
         )
 
+    def test_calibrates_once_per_distinct_service(self, monkeypatch):
+        from repro.workloads import catalog
+
+        calls = []
+        real = catalog.calibrate_to_sla
+
+        def counting(spec, *args, **kwargs):
+            calls.append(spec.name)
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(catalog, "calibrate_to_sla", counting)
+        catalog.lc_service_spec.cache_clear()
+        config = FleetConfig(duration_s=20.0, shards=2, workers=1, zone_size=2)
+        fleet = alibaba_fleet(
+            24,
+            policy="heracles",
+            duration_s=20.0,
+            seed=5,
+            services=("Redis", "E-commerce"),
+            config=config,
+        )
+        assert len(fleet.instances) == 8
+        fleet.run(cache=None)
+        assert sorted(calls) == ["E-commerce", "Redis"]
+
     def test_services_cycle_across_instances(self):
         fleet = self._mixed(shards=1)
         names = [s.service for s in fleet.instances]

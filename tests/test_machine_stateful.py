@@ -7,9 +7,11 @@ every step: cores and LLC ways are never oversubscribed or leaked, and
 memory accounting never goes negative.
 
 Seeded random op sequences (fault-held cores and ways included) also pin
-the machine's maintained totals to from-scratch folds, batched memory
-growth to the per-job loop it replaces, and the BE pool's live-job view
-to a state filter over every job ever placed.
+the machine's maintained totals (the suspended count among them) to
+from-scratch folds, batched memory growth to the per-job loop it
+replaces, the BE pool's live-job view to a state filter over every job
+ever placed, and the CPU/LLC subcontroller's skipped resume and grow
+scans to the full scans they replace.
 """
 
 from __future__ import annotations
@@ -85,6 +87,20 @@ class MachineLifecycle(RuleBasedStateMachine):
 
     @precondition(lambda self: self.live)
     @rule(data=st.data())
+    def suspend(self, data):
+        self.machine.suspend_be(data.draw(st.sampled_from(self.live)))
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
+    def resume(self, data):
+        job_id = data.draw(st.sampled_from(self.live))
+        suspended = self.machine.be_allocation(job_id).suspended
+        version = self.machine.version
+        self.machine.resume_be(job_id)
+        assert self.machine.version == version + suspended
+
+    @precondition(lambda self: self.live)
+    @rule(data=st.data())
     def memory_steps(self, data):
         job_id = data.draw(st.sampled_from(self.live))
         self.machine.grow_be_memory(job_id)
@@ -125,6 +141,15 @@ class MachineLifecycle(RuleBasedStateMachine):
             assert alloc.memory_gb >= self.machine.be_initial_memory_gb - 1e-9
 
     @invariant()
+    def suspended_count_is_exact(self):
+        if not hasattr(self, "machine"):
+            return
+        machine = self.machine
+        assert machine.be_suspended_count == sum(
+            a.suspended for a in machine._be.values()
+        )
+
+    @invariant()
     def allocation_records_match_live_set(self):
         if not hasattr(self, "machine"):
             return
@@ -158,6 +183,7 @@ def _bits(x):
 
 def _assert_totals_fold(machine: Machine) -> None:
     allocs = list(machine.be_jobs().values())
+    assert machine.be_suspended_count == sum(a.suspended for a in machine._be.values())
     assert machine.be_total_cores == sum(a.cores for a in allocs)
     assert machine.be_total_llc_ways == sum(a.llc_ways for a in allocs)
     assert float(machine.be_total_memory_gb).hex() == float(
@@ -218,7 +244,12 @@ def test_random_ops_keep_totals_and_batched_memory_exact(seed):
         elif op == 3 and job:
             machine.suspend_be(job)
         elif op == 4 and job:
+            # Resuming a job that is not suspended changes nothing.
+            before = (machine.version, machine.be_suspended_count)
+            suspended = machine.be_allocation(job).suspended
             machine.resume_be(job)
+            if not suspended:
+                assert (machine.version, machine.be_suspended_count) == before
         elif op == 5 and job and rng.random() < 0.3:
             machine.kill_be(job)
             live.remove(job)
@@ -296,3 +327,112 @@ def test_pool_live_view_matches_state_filter(seed):
         assert pool.active_count == len(_old_jobs(pool))
         assert pool.total_killed == kills
         _assert_totals_fold(machine)
+
+
+class _FullScanCpuLlc(CpuLlcSubcontroller):
+    """The CPU/LLC subcontroller with the resume and grow scans it ran
+    before they learned to skip: the reference the skips must equal."""
+
+    @staticmethod
+    def _resume_some(machine: Machine, pool: BeJobPool, count: int) -> None:
+        resumed = 0
+        for job in pool.jobs():
+            if resumed >= count:
+                break
+            if job.state == BeJobState.SUSPENDED:
+                machine.resume_be(job.job_id)
+                job.resume()
+                resumed += 1
+
+    @staticmethod
+    def _grow(machine: Machine, pool: BeJobPool) -> None:
+        if pool.active_count < pool.max_instances and machine.can_launch_be():
+            job = pool.new_job()
+            machine.launch_be(job.job_id)
+            job.start(machine.spec.name)
+            return
+        thinnest = None
+        fewest = 0
+        for job in pool.running():
+            cores = machine.be_allocation(job.job_id).cores
+            if thinnest is None or cores < fewest:
+                thinnest = job
+                fewest = cores
+        if thinnest is not None:
+            machine.grow_be(thinnest.job_id)
+
+
+def _world(machine: Machine, pool: BeJobPool):
+    """Everything a subcontroller apply can change, exactly."""
+    return (
+        [
+            (a.job_id, a.cores, a.llc_ways, a.memory_gb.hex(), a.suspended)
+            for a in machine._be.values()
+        ],
+        [
+            (j.job_id, j.state, j.machine_name, j.normalized_work.hex())
+            for j in pool._jobs.values()
+        ],
+        list(pool._live),
+        machine.version,
+        machine.mem_version,
+        machine.be_suspended_count,
+        dataclasses.astuple(machine.counters),
+        machine.cpuset.free_cores,
+        machine.llc.free_ways,
+        pool.total_killed,
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scan_skips_match_full_scans(seed):
+    """The pool run above, each period also applied to a deep copy of the
+    world through the full-scan reference: the worlds must stay equal."""
+    rng = random.Random(seed)
+    machine = _small_machine()
+    pool = BeJobPool([HUNGRY, STREAM_DRAM], "m", max_instances=6)
+    cpu_llc = CpuLlcSubcontroller()
+    reference = _FullScanCpuLlc()
+    memory = MemorySubcontroller()
+    actions = list(BeAction)
+    weights = [1 if a == BeAction.STOP_BE else 6 for a in actions]
+    resumers = (BeAction.DISALLOW_BE_GROWTH, BeAction.ALLOW_BE_GROWTH)
+    skipped = {"resume": 0, "grow": 0}
+    for _ in range(300):
+        action = rng.choices(actions, weights)[0]
+        if action in resumers and not machine.be_suspended_count:
+            skipped["resume"] += 1
+        if (
+            action == BeAction.ALLOW_BE_GROWTH
+            and not (pool.active_count < pool.max_instances and machine.can_launch_be())
+            and machine.cpuset.free_cores < 1
+        ):
+            skipped["grow"] += 1
+        twin_machine, twin_pool = copy.deepcopy((machine, pool))
+        reference.apply(action, twin_machine, twin_pool)
+        memory.apply(action, twin_machine, twin_pool)
+        cpu_llc.apply(action, machine, pool)
+        memory.apply(action, machine, pool)
+        assert _world(machine, pool) == _world(twin_machine, twin_pool)
+        if rng.random() < 0.1:
+            machine.offline_cores(rng.randrange(1, 4))
+    assert skipped["resume"] and skipped["grow"]
+
+
+@pytest.mark.parametrize("free", [0, 1, 2])
+def test_grow_scan_boundary_matches_full_scan(free):
+    """At the instance cap, ``_grow`` widens the thinnest job whenever a
+    core is free and changes nothing when none is."""
+    machine = _small_machine()
+    pool = BeJobPool([STREAM_DRAM], "m", max_instances=2)
+    cpu_llc = CpuLlcSubcontroller()
+    for _ in range(3):
+        cpu_llc.apply(BeAction.ALLOW_BE_GROWTH, machine, pool)
+    machine.offline_cores(machine.cpuset.free_cores - free)
+    assert machine.cpuset.free_cores == free
+    twin_machine, twin_pool = copy.deepcopy((machine, pool))
+    version = machine.version
+    cpu_llc.apply(BeAction.ALLOW_BE_GROWTH, machine, pool)
+    _FullScanCpuLlc().apply(BeAction.ALLOW_BE_GROWTH, twin_machine, twin_pool)
+    assert _world(machine, pool) == _world(twin_machine, twin_pool)
+    assert machine.version == version + (free > 0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,22 @@ class TestCatalogs:
     def test_unknown_service_rejected(self):
         with pytest.raises(ConfigurationError):
             lc_service_spec("Netflix")
+
+    def test_spec_is_built_once_and_frozen(self):
+        spec = lc_service_spec("Redis")
+        assert lc_service_spec("Redis") is spec
+        assert spec == redis_service()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.sla_ms = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.servpods[0].components[0].base_ms = 1.0
+
+    def test_unknown_service_is_not_cached(self):
+        cached = lc_service_spec.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ConfigurationError):
+                lc_service_spec("Netflix")
+        assert lc_service_spec.cache_info().currsize == cached
 
     def test_table1_constants(self):
         ecom = ecommerce_service(calibrated=False)
