@@ -5,15 +5,20 @@ Measures the single-pass multi-controller evaluation engine end to end:
 - ``independent`` vs ``bakeoff``: three controllers (Heracles,
   interference-scoring, predictive) evaluated on one scenario — first
   as three independent reference runs, then as one shared-physics
-  :class:`~repro.sim.kernel.BakeoffKernel` pass. The shared pass must be
-  >=2x faster in aggregate and reproduce every member's cell digest
-  bit-identically (``identical_results``).
+  pass (three aliased slots of one
+  :class:`~repro.sim.kernel.FleetColocationKernel`). The shared pass
+  must be >=2x faster in aggregate and reproduce every member's cell
+  digest bit-identically (``identical_results``).
 - ``divergent``: the same roster at a load where the members keep
-  disagreeing and re-converging (forks and merges every few ticks),
-  the case the shared pass pays branch bookkeeping for. Records the
-  fork and merge counts, the mean cost of one ``_fork`` and of one
-  ``_try_merge`` call (from a separate instrumented pass), and the
-  speedup over independent runs. Members must stay bit-identical.
+  disagreeing (the interference member says DISALLOW every few ticks
+  while the others ALLOW), the case the shared pass pays slot
+  bookkeeping for: it forks and re-merges until a merge has carried
+  the proof that both actions are no-ops to the surviving slot. Records the
+  fork and merge counts, the mean cost of one fork
+  (``FleetColocationKernel._fork``) and of one merge check
+  (``_merge_converged``, one call per tick with more live slots than
+  scenarios) from a separate instrumented pass, and the speedup over
+  independent runs. Members must stay bit-identical.
 - ``cached``: the same roster against a private store — the cold run
   writes one ``bakeoff-cell`` entry per member, the warm re-run must
   execute ZERO shared passes and return identical digests.
@@ -49,7 +54,7 @@ from repro.experiments.bakeoff import (
     run_bakeoff,
     run_member_reference,
 )
-from repro.sim.kernel import BakeoffKernel
+from repro.sim.kernel import FleetColocationKernel
 
 DEFAULT_REPORT = "BENCH_bakeoff.json"
 DEFAULT_GATE = None
@@ -116,9 +121,9 @@ def _independent_vs_shared(scenarios, members, config):
 
 
 def _branch_bookkeeping(scenarios, members, config) -> Dict[str, float]:
-    """Mean µs of one ``_fork`` and one ``_try_merge``, instrumented pass."""
-    spent = {"_fork": [0.0, 0], "_try_merge": [0.0, 0]}
-    originals = {name: getattr(BakeoffKernel, name) for name in spent}
+    """Mean µs of one fork and one merge check, instrumented pass."""
+    spent = {"_fork": [0.0, 0], "_merge_converged": [0.0, 0]}
+    originals = {name: getattr(FleetColocationKernel, name) for name in spent}
 
     def timed(name):
         original = originals[name]
@@ -134,13 +139,16 @@ def _branch_bookkeeping(scenarios, members, config) -> Dict[str, float]:
         return wrapper
 
     for name in spent:
-        setattr(BakeoffKernel, name, timed(name))
+        setattr(FleetColocationKernel, name, timed(name))
     try:
         run_bakeoff(scenarios, members, config=config, cache=None)
     finally:
         for name, original in originals.items():
-            setattr(BakeoffKernel, name, original)
-    (fork_s, forks), (merge_s, merge_calls) = spent["_fork"], spent["_try_merge"]
+            setattr(FleetColocationKernel, name, original)
+    (fork_s, forks), (merge_s, merge_calls) = (
+        spent["_fork"],
+        spent["_merge_converged"],
+    )
     return {
         "merge_calls": merge_calls,
         "us_per_fork": round(fork_s / forks * 1e6, 1) if forks else None,

@@ -698,6 +698,7 @@ def cmd_bakeoff(args: argparse.Namespace) -> int:
         "interference": lambda: interference_member(),
         "predictive": lambda: predictive_member(),
     }
+    config = BakeoffConfig(duration_s=args.duration)
     members = [factories[name]() for name in args.members]
     scenarios = bakeoff_scenario_grid(
         service=args.service,
@@ -707,7 +708,6 @@ def cmd_bakeoff(args: argparse.Namespace) -> int:
         seed=args.seed,
         faults_per_minute=args.faults_per_minute,
     )
-    config = BakeoffConfig(duration_s=args.duration)
     cache = default_store() if args.cache else None
     start = time.perf_counter()
     result = run_bakeoff(scenarios, members, config, cache=cache)

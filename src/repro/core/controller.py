@@ -12,8 +12,8 @@ via the CPU-LLC subcontroller, memory sizing, DVFS stepping).
 :class:`ColocationController` is the extracted contract: subclasses
 implement :meth:`_decide` only; the base class owns slack computation,
 input validation and the timestamped decision history. Anything that
-satisfies this interface can ride the shared-physics bake-off kernel
-(:class:`repro.sim.kernel.BakeoffKernel`) or plug into a
+satisfies this interface can ride a shared-physics bake-off (a member
+slot of :class:`repro.sim.kernel.FleetColocationKernel`) or plug into a
 :class:`~repro.experiments.colocation.ColocationExperiment` directly.
 """
 

@@ -1,32 +1,36 @@
 """Single-pass controller bake-off over a seeded scenario grid.
 
-This module turns the :class:`~repro.sim.kernel.BakeoffKernel` into an
-experiment: N *members* (controller families — Rhythm's profiled
-thresholds, Heracles' uniform ones, the interference-scoring and
-PCS-style predictive baselines) run over the same seeded scenarios in a
-single shared-physics pass per scenario, and the per-(scenario, member)
-summaries fold into a league table.
+N *members* (controller families — Rhythm's profiled thresholds,
+Heracles' uniform ones, the interference-scoring and PCS-style
+predictive baselines) run over the same seeded scenarios in one
+:class:`~repro.sim.kernel.FleetColocationKernel` pass: every pending
+(scenario, member) cell is one slot of the kernel, the members of a
+scenario start aliased to one live slot and fork only when their
+decisions differ in effect, and the per-cell summaries fold into a
+league table.
 
 Identity contract (the repo-wide pattern): every member's summary —
 result fingerprint *and* final RNG stream states — is bit-identical to
 running that member alone through a fresh
 :class:`~repro.experiments.colocation.ColocationExperiment`
-(:func:`run_member_reference`); ``tests/test_bakeoff.py`` pins this
+(:func:`run_member_reference`), on either kernel;
+``tests/test_bakeoff.py`` pins this against the scalar engine,
 in-process, across fork/spawn, and under fault schedules.
 
 **Incremental runs.** :func:`run_bakeoff` memoizes per *cell* — one
 (scenario, member) pair — in the content-addressed
 :class:`~repro.cache.store.CacheStore`, keyed by
 :func:`bakeoff_cell_key`. The member (the controller identity and every
-threshold inside it) IS a key coordinate; a scenario's shared pass then
-runs only the members that missed, which is safe precisely because of
-the identity contract: a member's results cannot depend on who else
-shared the pass. A fully warm league table executes zero simulations.
+threshold inside it) IS a key coordinate; the pass then runs only the
+cells that missed, which is safe precisely because of the identity
+contract: a member's results cannot depend on who else shared the
+pass. A fully warm league table executes zero simulations.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -44,12 +48,13 @@ from repro.experiments.colocation import (
     ColocationConfig,
     ColocationExperiment,
     ColocationResult,
+    check_clock,
 )
 from repro.experiments.fleet import PodPolicy
 from repro.faults.spec import FaultSchedule
 from repro.loadgen.patterns import DiurnalLoad, LoadPattern
 from repro.parallel.profile import resolve_store
-from repro.sim.kernel import BakeoffKernel
+from repro.sim.kernel import FleetColocationKernel
 from repro.sim.rng import RandomStreams
 from repro.workloads.catalog import lc_service_spec
 from repro.workloads.spec import ServiceSpec
@@ -206,8 +211,7 @@ class BakeoffConfig:
     max_be_instances: int = 16
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0 or self.control_period_s <= 0:
-            raise ConfigurationError("bake-off duration/period must be positive")
+        check_clock(self.duration_s, self.control_period_s)
 
     def colocation_config(self, scenario: BakeoffScenario) -> ColocationConfig:
         """The per-run config this bake-off config induces."""
@@ -239,6 +243,11 @@ def bakeoff_scenario_grid(
     """
     if not loads:
         raise ConfigurationError("need at least one load point")
+    check_clock(duration_s)
+    if not (math.isfinite(faults_per_minute) and faults_per_minute >= 0):
+        raise ConfigurationError(
+            f"faults_per_minute must be finite and >= 0, got {faults_per_minute!r}"
+        )
     scenarios: List[BakeoffScenario] = []
     for i, load in enumerate(loads):
         faults = (
@@ -459,12 +468,12 @@ class BakeoffResult:
     cells: List[BakeoffCellSummary]
     #: Cell-level cache accounting, or None when the run was uncached.
     cache: Optional[BakeoffCacheStats] = None
-    #: Shared physics passes actually executed (0 on a fully warm run).
+    #: Scenarios simulated (0 on a fully warm run).
     passes: int = 0
-    #: Divergence forks / re-merges across executed passes.
+    #: Divergence forks / re-merges across the pass.
     forks: int = 0
     merges: int = 0
-    #: Branch-ticks actually simulated vs. the member-ticks an
+    #: Slot-ticks actually simulated vs. the member-ticks an
     #: independent-runs sweep of the same pending cells would cost.
     branch_ticks: int = 0
     member_ticks: int = 0
@@ -528,7 +537,7 @@ def _build_root(
     scenario: BakeoffScenario,
     member: BakeoffMember,
     service: ServiceSpec,
-    config: BakeoffConfig,
+    run_config: ColocationConfig,
 ) -> ColocationExperiment:
     from repro.bejobs.catalog import be_job_spec
 
@@ -538,7 +547,7 @@ def _build_root(
         [be_job_spec(name) for name in scenario.be_jobs],
         scenario.pattern,
         streams=RandomStreams(scenario.seed),
-        config=config.colocation_config(scenario),
+        config=run_config,
     )
 
 
@@ -550,7 +559,9 @@ def run_member_reference(
     """One member alone through a fresh experiment — the identity oracle."""
     config = config or BakeoffConfig()
     service = lc_service_spec(scenario.service)
-    experiment = _build_root(scenario, member, service, config)
+    experiment = _build_root(
+        scenario, member, service, config.colocation_config(scenario)
+    )
     result = experiment.run()
     return _summarise(scenario, member.name, service, experiment.streams, result)
 
@@ -561,15 +572,16 @@ def run_bakeoff(
     config: Optional[BakeoffConfig] = None,
     cache: Union[None, bool, CacheStore] = None,
 ) -> BakeoffResult:
-    """Run every member over every scenario, one shared pass per scenario.
+    """Run every member over every scenario in one kernel pass.
 
     ``cache`` follows the grid convention: ``None``/``False`` run
     uncached, ``True`` uses the environment-default store, a
     :class:`CacheStore` is used as given. Cached cells are served
-    without simulating; each scenario's shared pass covers exactly the
-    members that missed (safe by the identity contract — see module
-    docstring). A fully warm run reports ``passes == 0`` and reproduces
-    the cold digest bit-identically.
+    without simulating; the pass covers exactly the cells that missed
+    (safe by the identity contract — see module docstring), one kernel
+    slot each, with a scenario's slots aliased to its first. A fully
+    warm run reports ``passes == 0`` and reproduces the cold digest
+    bit-identically.
     """
     if not scenarios:
         raise ConfigurationError("bake-off needs at least one scenario")
@@ -584,11 +596,17 @@ def run_bakeoff(
     result = BakeoffResult(
         duration_s=config.duration_s, members=names, cells=[], cache=stats
     )
-    for scenario in scenarios:
+    by_cell: Dict[Tuple[int, str], BakeoffCellSummary] = {}
+    keys: Dict[Tuple[int, str], Optional[str]] = {}
+    # Pending cells in (scenario, member) order, their experiments, and
+    # each experiment's alias: the scenario's first pending slot.
+    pending: List[Tuple[int, BakeoffMember]] = []
+    experiments: List[ColocationExperiment] = []
+    aliases: List[int] = []
+    for s, scenario in enumerate(scenarios):
         service = lc_service_spec(scenario.service)
-        by_member: Dict[str, BakeoffCellSummary] = {}
-        keys: Dict[str, Optional[str]] = {}
-        pending: List[BakeoffMember] = []
+        run_config = config.colocation_config(scenario)
+        head = len(experiments)
         for member in members:
             key = None
             if store is not None:
@@ -596,45 +614,45 @@ def run_bakeoff(
                     key = bakeoff_cell_key(scenario, member, config)
                 except CacheKeyError:
                     key = None
-            keys[member.name] = key
+            keys[s, member.name] = key
             cached = store.get(key) if store is not None and key else None
             if isinstance(cached, BakeoffCellSummary):
-                by_member[member.name] = replace(cached, scenario=scenario.label)
+                by_cell[s, member.name] = replace(cached, scenario=scenario.label)
                 stats.hits += 1
             else:
-                pending.append(member)
-        if pending:
-            root = _build_root(scenario, pending[0], service, config)
-            kernel = BakeoffKernel(
-                root,
-                {m.name: m.build_controllers(service) for m in pending},
+                pending.append((s, member))
+                aliases.append(head)
+                experiments.append(_build_root(scenario, member, service, run_config))
+    if experiments:
+        kernel = FleetColocationKernel(experiments, aliases=aliases)
+        run_results = kernel.run()
+        result.passes = len(set(aliases))
+        result.forks = kernel.forks
+        result.merges = kernel.merges
+        result.branch_ticks = kernel.slot_ticks
+        result.member_ticks = run_results[0].events_fired * len(experiments)
+        for c, (s, member) in enumerate(pending):
+            scenario = scenarios[s]
+            summary = _summarise(
+                scenario,
+                member.name,
+                lc_service_spec(scenario.service),
+                kernel.member_world(c).streams,
+                run_results[c],
             )
-            run_results = kernel.run()
-            result.passes += 1
-            result.forks += kernel.stats.forks
-            result.merges += kernel.stats.merges
-            result.branch_ticks += kernel.stats.branch_ticks
-            result.member_ticks += kernel.stats.ticks * len(pending)
-            for member in pending:
-                summary = _summarise(
-                    scenario,
-                    member.name,
-                    service,
-                    kernel.member_streams(member.name),
-                    run_results[member.name],
-                )
-                by_member[member.name] = summary
-                key = keys[member.name]
-                if stats is not None:
-                    if key is None:
-                        stats.skipped += 1
-                    else:
-                        stats.misses += 1
-                if store is not None and key is not None:
-                    # Label-free entry: the label is not a key
-                    # coordinate, so it must not be baked in either.
-                    store.put(key, replace(summary, scenario=""))
-        result.cells.extend(by_member[name] for name in names)
+            by_cell[s, member.name] = summary
+            key = keys[s, member.name]
+            if stats is not None:
+                if key is None:
+                    stats.skipped += 1
+                else:
+                    stats.misses += 1
+            if store is not None and key is not None:
+                # Label-free entry: the label is not a key coordinate,
+                # so it must not be baked in either.
+                store.put(key, replace(summary, scenario=""))
+    for s in range(len(scenarios)):
+        result.cells.extend(by_cell[s, name] for name in names)
     return result
 
 
@@ -649,7 +667,7 @@ def bakeoff_identity_probe(
     Importable by reference (spawn-safe), so identity tests can run it
     in fork- and spawn-started children and compare against the
     parent's independent-runs digest. ``mode`` is ``"bakeoff"`` (one
-    shared pass per scenario) or ``"reference"`` (every member alone);
+    shared kernel pass) or ``"reference"`` (every member alone);
     equal digests mean bit-identity. The roster skips Rhythm — its
     profiling pipeline would dominate a cold spawn child — which loses
     no coverage: members are interchangeable behind the interface.

@@ -18,6 +18,7 @@ periods. Each period it:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Mapping, Optional, Sequence
 
@@ -36,7 +37,7 @@ from repro.core.subcontrollers import (
     NetworkSubcontroller,
 )
 from repro.core.top_controller import CONTROL_PERIOD_S, TopController
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.faults.cluster import ClusterFaultInjector
 from repro.faults.spec import FaultSchedule
 from repro.interference.isolation import IsolationConfig
@@ -54,6 +55,21 @@ from repro.sim.kernel import (
 from repro.sim.rng import RandomStreams
 from repro.workloads.service import Service, ServiceState
 from repro.workloads.spec import ServiceSpec
+
+
+def check_clock(
+    duration_s: float, control_period_s: float = CONTROL_PERIOD_S
+) -> None:
+    """Reject a run clock that cannot tick: both values must be finite
+    and positive (NaN runs zero ticks, infinity never ends)."""
+    for name, value in (
+        ("duration_s", duration_s),
+        ("control_period_s", control_period_s),
+    ):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigurationError(
+                f"{name} must be finite and positive, got {value!r}"
+            )
 
 
 @dataclass
@@ -79,6 +95,7 @@ class ColocationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        check_clock(self.duration_s, self.control_period_s)
         if self.faults is not None and not isinstance(self.faults, FaultSchedule):
             raise ExperimentError(
                 f"faults must be a FaultSchedule, got "
@@ -377,14 +394,28 @@ class ColocationExperiment:
             )
 
     def _result(
-        self, lc_load_mean: float, events_fired: int = 0
+        self,
+        lc_load_mean: float,
+        events_fired: int = 0,
+        world: Optional["ColocationExperiment"] = None,
+        kill_offset: int = 0,
+        susp_offset: int = 0,
     ) -> ColocationResult:
+        """This run's result from its metrics and ``world``'s state.
+
+        ``world`` is the experiment whose machines and pools the run
+        ended on (itself unless a bake-off moved it onto a shared
+        world); the offsets are the kill/suspension totals its own
+        world would have counted beyond ``world``'s.
+        """
+        world = self if world is None else world
         machines = {pod: run.metrics for pod, run in self._runs.items()}
         for pod, run in self._runs.items():
             # Finished-work throughput: kills already clawed back their
             # in-flight units inside BeJob.kill().
             run.metrics.completed_be_throughput = (
-                run.pool.total_normalized_work / self.config.duration_s
+                world._runs[pod].pool.total_normalized_work
+                / self.config.duration_s
             )
         violations = sum(m.sla_violations for m in machines.values())
         # Every machine sees the same e2e tail, so count one machine's
@@ -395,10 +426,11 @@ class ColocationExperiment:
             duration_s=self.config.duration_s,
             lc_load_mean=lc_load_mean,
             machines=machines,
-            be_kills=self.deployment.cluster.total_be_kills,
+            be_kills=world.deployment.cluster.total_be_kills + kill_offset,
             be_suspensions=sum(
-                m.counters.be_suspensions for m in self.deployment.cluster
-            ),
+                m.counters.be_suspensions for m in world.deployment.cluster
+            )
+            + susp_offset,
             sla_violations=first.sla_violations,
             worst_tail_ms=max(m.worst_tail_ms for m in machines.values()),
             events_fired=events_fired,

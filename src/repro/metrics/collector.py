@@ -87,23 +87,6 @@ class MachineMetrics:
             )
         )
 
-    def record_shared_tick(
-        self, dt: float, sample: TickSample, busy_cores: float
-    ) -> None:
-        """Record one interval from a prebuilt (possibly shared) sample.
-
-        Bit-identical to :meth:`record_tick` with the same field values:
-        the EMU and utilisation folds read them straight off the sample.
-        ``TickSample`` is frozen, so several collectors appending the
-        same instance cannot observe each other. ``busy_cores`` rides
-        alongside because the sample only keeps the capped utilisation
-        ratio, and the utilisation integral needs the raw value.
-        """
-        self.emu.observe(dt, sample.load, sample.be_rate)
-        assert self.utilisation is not None
-        self.utilisation.observe(dt, busy_cores, sample.membw_utilisation)
-        self.samples.append(sample)
-
     #: When set (by the experiment harness at teardown), BE throughput in
     #: terms of *successfully finished* work only — kills lose the
     #: in-flight unit, matching the paper's EMU definition.

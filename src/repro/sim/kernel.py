@@ -7,10 +7,6 @@ events per second on one core. This module re-expresses the same-tick
 work as contiguous numpy arrays keyed by (machine, Servpod) coordinates
 and drains whole ticks with vectorized operations:
 
-- :class:`BeRateKernel` mirrors each machine's BE allocation state into
-  flat per-job arrays (CPU grants, LLC ratios, bandwidth demands),
-  revalidated with one integer compare against ``Machine.version``, and
-  evaluates every job's Leontief rate in a handful of array ops.
 - :class:`BatchedServiceSampler` compiles each request type's call
   tree once into pod-indexed tuples, builds the per-Servpod lognormal
   parameter blocks once per call and replays the walk against them,
@@ -18,18 +14,28 @@ and drains whole ticks with vectorized operations:
 - :func:`drain_fifo_queue` replays the G/G/c FIFO event loop as a
   Lindley start-time recurrence over plain floats plus vectorized
   sojourn/wait extraction — no engine, no per-request closures.
-- :class:`FleetColocationKernel` runs every non-scalar colocation run:
-  many ``ColocationExperiment`` instances (or just one) in lockstep,
-  holding one contiguous (machines × job-slots) array family for BE
-  rates and progress, (machines,) arrays for LC usage, NIC caps, DVFS
-  state, fault state and metric integrals, so a fleet tick is a
-  handful of whole-array numpy ops plus one python pass for the
-  (stateful) per-machine controllers. Healthy and faulted instances
-  share that one tick path.
-- :class:`BatchedColocationKernel` composes the per-machine pieces into
-  the controller-independent half of the scalar
-  ``ColocationExperiment._tick``; it is the shared physics pass of
-  :class:`BakeoffKernel`.
+- :class:`FleetColocationKernel` is the one non-scalar tick path. It
+  runs ``ColocationExperiment`` *slots* in lockstep — one for a single
+  batched run, one per instance for a fleet, one per (scenario, member)
+  cell for a controller bake-off — holding one contiguous
+  (machines × job-slots) array family for BE rates and progress and
+  (machines,) arrays for LC usage, NIC caps, DVFS state, fault state
+  and metrics, so a tick is a handful of whole-array numpy ops plus one
+  python pass for the (stateful) per-machine controllers. Healthy and
+  faulted slots share that one tick path.
+
+Slots, dormancy and write-back
+------------------------------
+A bake-off member rides one live slot; the members of one scenario
+start on its first slot, the others *dormant* (no window, no injector,
+no sampling, no control). When riders' decisions differ in effect, the
+pre-apply world is copied into a dormant slot of the same scenario (a
+**fork**); live slots whose worlds re-converge **merge** back, the
+later one turning dormant again. The kernel holds BE progress, the
+requested BE frequency and the NIC caps between writes back, so before
+a fork copies a world and before a merge key reads one, the slot's
+state is written back (:meth:`FleetColocationKernel._write_back`, the
+same steps the end of a run takes).
 
 Identity pinning
 ----------------
@@ -56,27 +62,21 @@ the sharing).
 
 from __future__ import annotations
 
+import bisect
 import copy
 import heapq
 import math
 import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bejobs.job import (
-    LLC_SPILL_TO_MEMBW,
-    BeJobState,
-    BeResourceSnapshot,
-    LcUsage,
-)
+from repro.bejobs.job import LLC_SPILL_TO_MEMBW, BeResourceSnapshot
 from repro.cluster.machine import BE_DOMAIN, LC_DOMAIN, Machine
 from repro.core.actions import BeAction
 from repro.errors import ConfigurationError
-from repro.interference.model import Pressure
 from repro.interference.sensitivity import PRESSURE_KINDS
-from repro.metrics.collector import MachineMetrics, TickSample
+from repro.metrics.collector import TickSample
 from repro.workloads.latency import LatencyModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -108,291 +108,6 @@ def resolve_kernel(explicit: Optional[str] = None) -> str:
             f"unknown simulation kernel {value!r}; expected one of {KERNELS}"
         )
     return value
-
-
-# ---------------------------------------------------------------------------
-# BE progress rates: SoA mirror of one machine's allocation state
-# ---------------------------------------------------------------------------
-
-
-class _MachineMirror:
-    """Flat per-job rows for one machine's *running* BE jobs.
-
-    Rebuilt whenever ``Machine.version`` moves (launch/kill/grow/shrink/
-    suspend/resume); between bumps every cached value is exactly what
-    the scalar :func:`~repro.bejobs.job.compute_be_rates` would
-    recompute from the same allocations. Rows are python lists, not
-    arrays: a machine holds at most a handful of BE jobs, so the fused
-    scalar loop in :meth:`BeRateKernel.be_rates` beats whole-array
-    numpy on dispatch cost alone — and elementwise float64 equals
-    python-float arithmetic bit for bit, so the identity pin holds.
-
-    ``row_cache`` (per machine, owned by :class:`BeRateKernel`) carries
-    individual job rows across rebuilds: a row depends only on the
-    job's frozen spec and its ``(cores, llc_ways)`` allocation, so a
-    version bump that touches one job (launch, grow) can reuse every
-    other job's row verbatim. Cached rows are the exact floats the
-    uncached branch computes, and the totals folds below always run in
-    job order over those values, so rounding is unchanged.
-    """
-
-    __slots__ = (
-        "version",
-        "job_ids",
-        "jobs",
-        "cpu_base",
-        "req_cpu",
-        "llc_ratio",
-        "membw",
-        "membw_div",
-        "membw_mask",
-        "net",
-        "net_div",
-        "net_mask",
-        "total_membw_demand",
-        "total_net_demand",
-        "busy_cores",
-        "llc_demand_total",
-        "llc_occupied_total",
-        "p_cpu",
-        "p_llc",
-        "last_rates",
-    )
-
-    def __init__(
-        self,
-        machine: Machine,
-        jobs: Sequence,
-        isolation=None,
-        row_cache: Optional[Dict[tuple, tuple]] = None,
-    ) -> None:
-        self.version = machine.version
-        total_cores = machine.spec.cores
-        running = [
-            job
-            for job in jobs
-            if job.state == BeJobState.RUNNING
-            and machine.be_allocation(job.job_id) is not None
-            and not machine.be_allocation(job.job_id).suspended
-        ]
-        n = len(running)
-        self.job_ids: List[str] = [job.job_id for job in running]
-        self.jobs = running
-        self.last_rates: List[float] = []
-        cpu_base: List[float] = [0.0] * n
-        req_cpu: List[float] = [0.0] * n
-        llc_ratio: List[float] = [0.0] * n
-        membw: List[float] = [0.0] * n
-        membw_div: List[float] = [0.0] * n
-        membw_mask: List[bool] = [False] * n
-        net: List[float] = [0.0] * n
-        net_div: List[float] = [0.0] * n
-        net_mask: List[bool] = [False] * n
-        # Scalar-order python folds: compute_be_rates accumulates these
-        # with ``+=`` over the running list, so the cached totals carry
-        # the exact same rounding.
-        total_membw_demand = 0.0
-        total_net_demand = 0.0
-        busy_cores = 0.0
-        llc_demand_total = 0.0
-        llc_occupied_total = 0.0
-        for i, job in enumerate(running):
-            spec = job.spec
-            alloc = machine.be_allocation(job.job_id)
-            cores = alloc.cores
-            row_key = (job.job_id, spec.name, cores, alloc.llc_ways)
-            row = None if row_cache is None else row_cache.get(row_key)
-            if row is None:
-                llc_granted = alloc.llc_ways / machine.llc.n_ways
-                llc_demand = spec.demand_fraction("llc", cores, total_cores)
-                membw_demand = spec.demand_fraction(
-                    "membw", cores, total_cores
-                )
-                membw_demand += LLC_SPILL_TO_MEMBW * max(
-                    0.0, llc_demand - llc_granted
-                )
-                membw_i = min(1.0, membw_demand)
-                net_i = spec.demand_fraction("net", cores, total_cores)
-                llc_usage = spec.usage("llc")
-                membw_usage = spec.usage("membw")
-                net_usage = spec.usage("net")
-                row = (
-                    llc_granted,
-                    llc_demand,
-                    cores / total_cores,
-                    min(1.0, spec.saturation_cores / total_cores),
-                    llc_granted / llc_usage if llc_usage > 0 else np.inf,
-                    membw_i,
-                    membw_usage > 0,
-                    membw_usage if membw_usage > 0 else 1.0,
-                    net_i,
-                    net_usage > 0,
-                    net_usage if net_usage > 0 else 1.0,
-                )
-                if row_cache is not None:
-                    row_cache[row_key] = row
-            llc_granted = row[0]
-            llc_demand = row[1]
-            cpu_base[i] = row[2]
-            req_cpu[i] = row[3]
-            llc_ratio[i] = row[4]
-            membw_i = row[5]
-            membw[i] = membw_i
-            membw_mask[i] = row[6]
-            membw_div[i] = row[7]
-            net_i = row[8]
-            net[i] = net_i
-            net_mask[i] = row[9]
-            net_div[i] = row[10]
-            total_membw_demand += membw_i
-            total_net_demand += net_i
-            busy_cores += cores
-            llc_demand_total += llc_demand
-            llc_occupied_total += llc_granted
-        self.cpu_base = cpu_base
-        self.req_cpu = req_cpu
-        self.llc_ratio = llc_ratio
-        self.membw = membw
-        self.membw_div = membw_div
-        self.membw_mask = membw_mask
-        self.net = net
-        self.net_div = net_div
-        self.net_mask = net_mask
-        self.total_membw_demand = total_membw_demand
-        self.total_net_demand = total_net_demand
-        self.busy_cores = busy_cores
-        self.llc_demand_total = llc_demand_total
-        self.llc_occupied_total = llc_occupied_total
-        # CPU and LLC pressure depend only on allocation state, so they
-        # are row-cacheable (membw/net pressure is per-tick). Same
-        # expressions as ``Pressure.from_be_snapshot`` over this
-        # mirror's totals.
-        if isolation is not None:
-            self.p_cpu = isolation.cpu_pressure(
-                min(1.0, busy_cores / total_cores)
-            )
-            self.p_llc = isolation.llc_pressure(
-                min(1.0, llc_occupied_total), min(1.0, llc_demand_total)
-            )
-        else:
-            self.p_cpu = 0.0
-            self.p_llc = 0.0
-
-
-class BeRateKernel:
-    """Mirror-cached, scalar-fused replacement for ``compute_be_rates``."""
-
-    def __init__(self, isolation=None) -> None:
-        self._mirrors: Dict[str, _MachineMirror] = {}
-        self._isolation = isolation
-        # Per-machine job-row caches shared across mirror rebuilds (see
-        # the ``row_cache`` note on :class:`_MachineMirror`).
-        self._rows: Dict[str, Dict[tuple, tuple]] = {}
-
-    def mirror(self, machine: Machine) -> _MachineMirror:
-        """The current (freshly validated) mirror for ``machine``.
-
-        Valid immediately after a same-tick :meth:`be_rates` call; the
-        cached ``p_cpu``/``p_llc`` and ``last_rates`` belong to that
-        call's allocation state and rate computation.
-        """
-        return self._mirrors[machine.spec.name]
-
-    def advance_be(self, machine: Machine, dt: float) -> None:
-        """Phase-3 BE progress from the mirror's cached job rows.
-
-        Bit-identical to ``ColocationExperiment._advance_be`` for this
-        machine's pod: the same two ``+=`` folds per running job, in the
-        same job order, at the rates just computed by :meth:`be_rates`
-        (mirror membership == ``pool.running()`` with a live allocation,
-        and any suspend/resume/kill bumps ``Machine.version`` which
-        rebuilds the mirror before the next call).
-        """
-        mirror = self._mirrors[machine.spec.name]
-        for job, rate in zip(mirror.jobs, mirror.last_rates):
-            job.normalized_work += dt * rate
-            job.running_seconds += dt
-
-    def be_rates(
-        self, machine: Machine, jobs: Sequence, lc_usage: LcUsage
-    ) -> BeResourceSnapshot:
-        """Bit-identical to ``compute_be_rates(machine, jobs, lc_usage)``."""
-        mirror = self._mirrors.get(machine.spec.name)
-        if mirror is None or mirror.version != machine.version:
-            rows = self._rows.get(machine.spec.name)
-            if rows is None:
-                rows = self._rows[machine.spec.name] = {}
-            mirror = _MachineMirror(machine, jobs, self._isolation, rows)
-            self._mirrors[machine.spec.name] = mirror
-        if not mirror.job_ids:
-            # The scalar path returns before touching the NIC when no
-            # jobs run — preserve that exactly (NIC state is observable).
-            return BeResourceSnapshot()
-
-        freq_ratio = machine.dvfs.ratio(BE_DOMAIN)
-        membw_headroom = max(0.0, 1.0 - lc_usage.membw_fraction)
-        membw_scale = (
-            min(1.0, membw_headroom / mirror.total_membw_demand)
-            if mirror.total_membw_demand > 0
-            else 1.0
-        )
-        machine.nic.observe_lc_traffic(lc_usage.net_gbps)
-        be_cap_fraction = machine.nic.be_cap_gbps / machine.spec.link_gbps
-        net_scale = (
-            min(1.0, be_cap_fraction / mirror.total_net_demand)
-            if mirror.total_net_demand > 0
-            else 1.0
-        )
-
-        # Leontief rates, one fused scalar pass per job — the same
-        # min-chain the scalar path folds per job (resources a job does
-        # not use are simply skipped, exactly like its absent ratios),
-        # and the same left-to-right ``+=`` folds over granted shares.
-        cpu_base = mirror.cpu_base
-        req_cpu = mirror.req_cpu
-        llc_ratio = mirror.llc_ratio
-        membw = mirror.membw
-        membw_mask = mirror.membw_mask
-        membw_div = mirror.membw_div
-        net = mirror.net
-        net_mask = mirror.net_mask
-        net_div = mirror.net_div
-        rates: Dict[str, float] = {}
-        rate_list: List[float] = []
-        membw_used = 0.0
-        net_used = 0.0
-        for j, job_id in enumerate(mirror.job_ids):
-            r = (cpu_base[j] * freq_ratio) / req_cpu[j]
-            lr = llc_ratio[j]
-            if lr < r:
-                r = lr
-            g_m = membw[j] * membw_scale
-            if membw_mask[j]:
-                q = g_m / membw_div[j]
-                if q < r:
-                    r = q
-            g_n = net[j] * net_scale
-            if net_mask[j]:
-                q = g_n / net_div[j]
-                if q < r:
-                    r = q
-            if r > 1.0:
-                r = 1.0
-            elif r < 0.0:
-                r = 0.0
-            rates[job_id] = r
-            rate_list.append(r)
-            membw_used += g_m
-            net_used += g_n
-        mirror.last_rates = rate_list
-        return BeResourceSnapshot(
-            busy_cores=mirror.busy_cores,
-            membw_fraction=min(1.0, membw_used),
-            llc_demand_fraction=min(1.0, mirror.llc_demand_total),
-            llc_occupied_fraction=min(1.0, mirror.llc_occupied_total),
-            net_fraction=min(1.0, net_used),
-            rates=rates,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -678,196 +393,16 @@ def percentile_linear_rows(stack: np.ndarray, pct: float) -> List[float]:
 
 
 # ---------------------------------------------------------------------------
-# The batched colocation tick
-# ---------------------------------------------------------------------------
-
-
-class BatchedColocationKernel:
-    """Batched phases 0-3 of ``ColocationExperiment._tick`` for one world.
-
-    The bake-off's shared physics pass (:meth:`observe`). The
-    experiment's world objects (machines, pools, subcontrollers, fault
-    injector, metrics) stay authoritative and are mutated through the
-    experiment's own shared phase helpers; the kernel only swaps the two
-    hot computations — BE rate evaluation and latency sampling — for
-    their SoA counterparts, plus caches each Servpod's (deterministic)
-    effective sensitivity vector.
-    """
-
-    def __init__(self, experiment: "ColocationExperiment") -> None:
-        self._exp = experiment
-        self._pods = list(experiment._runs)
-        self._servpods = {
-            pod: experiment.deployment.servpod(pod) for pod in self._pods
-        }
-        self._machines = {
-            pod: self._servpods[pod].machine for pod in self._pods
-        }
-        self._sensitivities = {
-            pod: self._servpods[pod].effective_sensitivity()
-            for pod in self._pods
-        }
-        self._be = BeRateKernel(experiment.config.isolation)
-        self._sampler = BatchedServiceSampler(experiment.service)
-        # Flat slowdown constants: the sensitivity coefficients in
-        # ``PRESSURE_KINDS`` order plus the interference model's scalar
-        # parameters, hoisted so healthy ticks run the fused fold below
-        # instead of the object path (same arithmetic, same fold order).
-        model = experiment.config.interference
-        self._sens_coeffs = {
-            pod: tuple(
-                self._sensitivities[pod].coefficient(kind)
-                for kind in PRESSURE_KINDS
-            )
-            for pod in self._pods
-        }
-        self._model_consts = (
-            model.gamma,
-            model.beta,
-            model.headroom,
-            model.sigma_coupling,
-            model.sigma_cap,
-        )
-        # BE counter gauges (instances / cores / LLC ways) per pod,
-        # keyed by ``Machine.version`` — every allocation change bumps
-        # it, so a hit is exactly the genexpr-sum recomputation.
-        self._counter_cache: Dict[str, Tuple[int, Tuple[int, int, int]]] = {}
-
-    def be_counters(self, pod: str) -> Tuple[int, int, int]:
-        """``(be_instance_count, be_total_cores, be_total_llc_ways)``
-        for ``pod``'s machine, cached on ``Machine.version``."""
-        machine = self._machines[pod]
-        cached = self._counter_cache.get(pod)
-        if cached is not None and cached[0] == machine.version:
-            return cached[1]
-        gauges = (
-            machine.be_instance_count,
-            machine.be_total_cores,
-            machine.be_total_llc_ways,
-        )
-        self._counter_cache[pod] = (machine.version, gauges)
-        return gauges
-
-    def observe(
-        self, t: float, dt: float
-    ) -> Tuple[float, float, bool, Dict[str, BeResourceSnapshot], Dict[str, LcUsage]]:
-        """Phases 0-3 of one control period: everything up to (but not
-        including) the control decisions.
-
-        Faults advance, the load window opens, BE rates / pressure /
-        Servpod slowdowns are computed, latencies are sampled and BE
-        progress integrates — all of it controller-independent, which is
-        what lets :class:`BakeoffKernel` share one ``observe`` pass
-        across several controller sets. Returns the control-phase inputs
-        ``(load, tail_ms, window_closed, snapshots, usages)``.
-        """
-        exp = self._exp
-        model = exp.config.interference
-        injector = exp._fault_injector
-        window = exp._begin_tick(t, dt)
-        load = window.load
-        realized = window.realized_load
-
-        # Phase 1: physics across all pods — fused scalar BE rates per
-        # machine, shared pressure/slowdown math on top. Healthy ticks
-        # run the flat fold (same expressions, same fold order as
-        # ``InterferenceModel.slowdown`` over a ``Pressure`` built by
-        # ``from_be_snapshot`` — the identity tests pin both); faulted
-        # experiments keep the object path, whose injector hooks rewrite
-        # the pressure vector wholesale.
-        # Per-pod slowdowns and inflations in servpod order (``_pods``
-        # is ``_runs`` order, which is ``servpod_names`` order).
-        slowdowns: List[float] = []
-        inflations: List[float] = []
-        snapshots: Dict[str, BeResourceSnapshot] = {}
-        usages: Dict[str, LcUsage] = {}
-        gamma, beta, hroom, coup, cap = self._model_consts
-        for pod in self._pods:
-            machine = self._machines[pod]
-            run = exp._runs[pod]
-            usage = usages[pod] = exp.service.lc_usage(pod, realized)
-            exp._network.apply(machine, usage.net_gbps)
-            snapshot = self._be.be_rates(machine, run.pool.jobs(), usage)
-            snapshots[pod] = snapshot
-            if injector is None:
-                mirror = self._be.mirror(machine)
-                p_cpu = mirror.p_cpu
-                p_llc = mirror.p_llc
-                p_membw = snapshot.membw_fraction
-                p_net = snapshot.net_fraction
-                p_freq = 1.0 - machine.dvfs.ratio(LC_DOMAIN)
-                if p_freq < 0.0:
-                    p_freq = 0.0
-                if (
-                    p_cpu == 0.0
-                    and p_llc == 0.0
-                    and p_membw == 0.0
-                    and p_net == 0.0
-                    and p_freq == 0.0
-                ):
-                    slowdown = 1.0
-                else:
-                    c = self._sens_coeffs[pod]
-                    impact = c[0] * p_cpu**gamma
-                    impact = impact + c[1] * p_llc**gamma
-                    impact = impact + c[2] * p_membw**gamma
-                    impact = impact + c[3] * p_net**gamma
-                    impact = impact + c[4] * p_freq**gamma
-                    lo = realized
-                    if lo < 0.0:
-                        lo = 0.0
-                    elif lo > 1.0:
-                        lo = 1.0
-                    amp = 1.0 + beta * lo / (hroom + (1.0 - lo))
-                    slowdown = 1.0 + amp * impact
-                infl = 1.0 + coup * (slowdown - 1.0)
-                slowdowns.append(slowdown)
-                inflations.append(infl if infl < cap else cap)
-            else:
-                pressure = Pressure.from_be_snapshot(
-                    snapshot,
-                    machine.spec.cores,
-                    exp.config.isolation,
-                    lc_freq_ratio=machine.dvfs.ratio(LC_DOMAIN),
-                )
-                pressure = injector.adjust_pressure(machine, pressure)
-                slowdown = model.slowdown(
-                    self._sensitivities[pod], pressure, realized
-                )
-                slowdown *= injector.stall_factor(machine.spec.name)
-                slowdowns.append(slowdown)
-                inflations.append(model.sigma_inflation(slowdown))
-
-        # Phase 2: batched latency sampling over per-tick pod lists.
-        if window.n_samples > 0:
-            latencies = self._sampler.sample_e2e(
-                realized, window.n_samples, slowdowns, inflations
-            )
-            tail_ms = exp._window_tail(latencies)
-            window_closed = True
-        else:
-            tail_ms = 0.0
-            window_closed = False
-
-        # Phase 3: BE progress from the mirrors' cached job rows —
-        # bit-identical to ``exp._advance_be(dt, snapshots)`` (see
-        # :meth:`BeRateKernel.advance_be`); job-level accumulation is
-        # independent across pods, so pod order cannot matter.
-        be = self._be
-        for pod in self._pods:
-            be.advance_be(self._machines[pod], dt)
-        return load, tail_ms, window_closed, snapshots, usages
-
-
-# ---------------------------------------------------------------------------
 # Fleet-wide SoA: many colocation experiments in lockstep
 # ---------------------------------------------------------------------------
 
-#: Machine count at or below which a fleet runs the per-machine python
-#: tick instead of whole-array numpy: under this size every array op is
-#: dominated by its fixed dispatch cost. Both paths are bit-identical,
-#: so the threshold is purely a performance knob.
-_SMALL_FLEET_MACHINES = 8
+#: Machine rows (dormant bake-off slots included) at or below which the
+#: kernel runs the per-machine python tick instead of whole-array numpy:
+#: under this size the fixed dispatch cost of the ~40 array ops per tick
+#: outweighs the per-row python loop, and dormant rows cost the python
+#: tick nothing. Both paths are bit-identical, so the threshold is purely
+#: a performance constant; DESIGN.md §8 records the crossover measured.
+_SMALL_FLEET_MACHINES = 32
 
 
 class FleetColocationKernel:
@@ -888,11 +423,42 @@ class FleetColocationKernel:
     machine state — to running ``e1.run(); ..; ek.run()`` sequentially
     on the scalar engine, healthy or faulted.
 
+    **Slots and members.** Each experiment owns one *slot* (its rows)
+    and is one *member* (its controllers and metrics). A member rides
+    one live slot; a slot's world (machines, pools, RNG streams, load
+    generator, fault injector) is whatever experiment is bound to it.
+    A fleet is the case where every member rides its own slot. With
+    ``aliases`` (``aliases[i]`` is the experiment whose world
+    experiment ``i`` shares at the start, ``i`` itself for a slot that
+    starts live), experiments over one seeded scenario start as
+    *dormant* slots whose members ride the scenario's first slot: that
+    is the controller bake-off. Every tick, the members riding a slot
+    decide on its observation; their action vectors are normalised
+    through the slot's no-op memo (a proven no-op matches anything) and
+    partitioned, and each extra partition **forks** the pre-apply world
+    into a dormant slot of the same scenario and moves there. After the
+    tick, live slots of one scenario whose worlds re-converged
+    (:func:`_world_key`, then :func:`_world_detail` on key collisions)
+    **merge**: the later slot turns dormant and its members ride the
+    survivor, with their kill/suspension totals carried as exact
+    integer offsets. Controllers never change RNG consumption, so every
+    slot's streams stay bitwise equal to each member's solo run.
+
+    A scenario's slots have identical static rows, so a fork or a merge
+    never resizes an array: it rebinds the slot's world objects, reloads
+    its rows, and flips it between live and dormant. Dormant slots draw
+    no load window, advance no injector, sample no latency and run no
+    control; the python passes skip them through a live-row list that
+    only forks and merges rebuild. Each tick's metric columns are kept
+    per slot row with the row map members rode by then (``None`` for a
+    fleet); at the end every member's samples, window tails and metric
+    integrals are read through those maps, in tick order.
+
     Fault injection is per-machine state, not a second tick path. Each
-    instance's :class:`~repro.faults.cluster.ClusterFaultInjector`
-    advances on the lockstep clock, mutating the shared machines exactly
-    as the scalar loop does. Only on ticks where it reports transitions
-    does :meth:`_refresh_faults` re-read the instance's machines: the
+    live slot's :class:`~repro.faults.cluster.ClusterFaultInjector`
+    advances on the lockstep clock, mutating its machines exactly as
+    the scalar loop does. Only on ticks where it reports transitions
+    does :meth:`_refresh_faults` re-read the slot's machines: the
     effective NIC link, the LC/BE DVFS caps, the fault-held cores and
     LLC ways, and the injector's LLC/NIC/stall pressure terms; it also
     reloads their job rows, since ``offline_cores`` may shrink BE jobs.
@@ -916,10 +482,12 @@ class FleetColocationKernel:
       python-float arithmetic) and is written back to the ``BeJob``
       objects only where it is read: before a STOP apply (``kill``
       floors the work), for all dirty rows in one batch before the
-      tick's rebuild, and at finalize — never over a row a STOP already
-      flushed and dirtied, whose jobs it killed. Other applies and
-      fault transitions only rearrange allocations, which the flushed
-      values do not depend on;
+      tick's rebuild, before a fork copies a world or a merge key reads
+      one (:meth:`_write_back`, which also syncs the requested BE
+      frequency and the NIC caps), and at finalize — never over a row
+      a STOP already flushed and dirtied, whose jobs it killed. Other
+      applies and fault transitions only rearrange allocations, which
+      the flushed values do not depend on;
     - rows are rebuilt only when dirtied (a ``Machine.version`` bump or
       a fault transition) into python twins, then copied into the SoA
       columns with one gather and one scatter per column per tick;
@@ -934,8 +502,8 @@ class FleetColocationKernel:
     - per-window tails group instances by ``(n_samples, percentile)``
       and reduce with one ``np.percentile(stack, pct, axis=1)`` call,
       bitwise equal per row to the scalar per-instance call;
-    - metric columns (one ``(machines,)`` array per tick) integrate
-      vectorized and only materialise into ``TickSample`` objects and
+    - metric columns (one ``(machines,)`` array per tick) only
+      materialise into ``TickSample`` objects, metric integrals and
       window-tail replays once, at the end of the run.
 
     All experiments must share ``duration_s`` and ``control_period_s``
@@ -949,9 +517,13 @@ class FleetColocationKernel:
         self,
         experiments: Sequence["ColocationExperiment"],
         on_tick=None,
+        aliases: Optional[Sequence[int]] = None,
     ) -> None:
         if not experiments:
             raise ConfigurationError("fleet needs at least one experiment")
+        #: Member ``i``'s own experiment: controllers, metrics, result.
+        self._homes: List["ColocationExperiment"] = list(experiments)
+        #: The world slot ``i`` simulates; a fork rebinds it.
         self._exps: List["ColocationExperiment"] = list(experiments)
         self._on_tick = on_tick
         cfg0 = self._exps[0].config
@@ -967,19 +539,21 @@ class FleetColocationKernel:
                     "fleet experiments must share duration_s and "
                     "control_period_s (one lockstep clock)"
                 )
-        self._injectors = [
-            (i, exp._fault_injector)
-            for i, exp in enumerate(self._exps)
-            if exp._fault_injector is not None
-        ]
+        n_exp = len(self._exps)
+        self._head: List[int] = self._check_aliases(aliases)
+        self._heads: List[int] = [i for i in range(n_exp) if self._head[i] == i]
+        self._inj = [exp._fault_injector for exp in self._exps]
 
         # -- machine-major bookkeeping (global machine index m) -------------
         # Machine *names* collide across experiments (deploy_service
         # names machines after Servpods), so every mapping here is
-        # keyed by index, never by name.
+        # keyed by index, never by name. ``_m_home`` is the member's
+        # ``MachineRun`` (controller, metrics); ``_m_pool``/``_m_mach``
+        # are the slot's world objects, rebound by a fork.
         self._m_pod: List[str] = []
         self._m_i: List[int] = []
-        self._m_run: List = []
+        self._m_home: List = []
+        self._m_pool: List = []
         self._m_mach: List[Machine] = []
         self._inst_machines: List[List[int]] = []
         for i, exp in enumerate(self._exps):
@@ -988,7 +562,8 @@ class FleetColocationKernel:
                 rows.append(len(self._m_pod))
                 self._m_pod.append(pod)
                 self._m_i.append(i)
-                self._m_run.append(exp._runs[pod])
+                self._m_home.append(exp._runs[pod])
+                self._m_pool.append(exp._runs[pod].pool)
                 self._m_mach.append(exp.deployment.servpod(pod).machine)
             self._inst_machines.append(rows)
         M = len(self._m_pod)
@@ -1075,7 +650,6 @@ class FleetColocationKernel:
         self._f_max = np.asarray(f_max, dtype=np.int64)
         self._f_step = np.asarray(f_step, dtype=np.int64)
         self._f_max_l = f_max
-        self._freq = np.asarray(f_req, dtype=np.int64)
 
         # (freq / max) ** 3 lookup, computed with *python* pow: the
         # vectorized cube diverges from the scalar path by 1 ulp.
@@ -1147,30 +721,34 @@ class FleetColocationKernel:
         self._memo: List[set] = [set() for _ in range(M)]
 
         # -- deferred metric state ------------------------------------------
-        self._lc_int = np.zeros(M)
-        self._be_int = np.zeros(M)
-        self._cpu_int = np.zeros(M)
-        self._membw_int = np.zeros(M)
         self._elapsed = 0.0
         self._cols: List[Tuple] = []
+        #: The BE counter columns as of the last change (instances,
+        #: cores, ways, running jobs); ticks share it until a rebuild
+        #: or an apply moves a counter.
+        self._counts: Optional[Tuple] = None
         self._acts: List[List[str]] = []
         self._wins: List[Tuple[List[bool], List[float]]] = []
-        self._last_net: Optional[np.ndarray] = None
 
         # -- small-fleet python fast path -----------------------------------
-        # Under ~8 machines the fixed dispatch cost of each whole-array
-        # numpy op dwarfs the elementwise work, so tiny fleets (and the
-        # single-experiment batched path that rides this kernel) run the
-        # same arithmetic as per-machine python floats: elementwise
+        # Up to ``_SMALL_FLEET_MACHINES`` rows the fixed dispatch cost of
+        # each whole-array numpy op outweighs the elementwise work, so
+        # small fleets, bake-offs and single batched runs run the same
+        # arithmetic as per-machine python floats: elementwise
         # float64 ops equal python-float ops bit for bit, so both paths
         # satisfy the same identity pin. Row state (job rows, totals,
         # counters) is always rebuilt into the python twins below; the
         # small path ticks on them, the vec path copies dirty rows into
         # its SoA columns once per tick and then owns progress there.
+        # ``_freq`` (requested BE MHz), ``_lc_busy`` and ``_last_net``
+        # (this tick's LC busy cores and traffic) are python lists on
+        # the small path and arrays on the vec path.
         self._small = M <= _SMALL_FLEET_MACHINES
+        self._freq = list(f_req) if self._small else np.asarray(f_req, dtype=np.int64)
+        self._lc_busy = None
+        self._last_net = None
         self._nw_py: List[List[float]] = [[] for _ in range(M)]
         self._rs_py: List[List[float]] = [[] for _ in range(M)]
-        self._freq_py: List[int] = list(f_req)
         self._md_l: List[float] = [0.0] * M
         self._nd_l: List[float] = [0.0] * M
         self._cnt_inst_l: List[int] = [0] * M
@@ -1191,11 +769,6 @@ class FleetColocationKernel:
         self._lo_l = lo_w
         self._f_min_l = f_min
         self._f_step_l = f_step
-        self._lc_int_l: List[float] = [0.0] * M
-        self._be_int_l: List[float] = [0.0] * M
-        self._cpu_int_l: List[float] = [0.0] * M
-        self._membw_int_l: List[float] = [0.0] * M
-        self._last_net_l: Optional[List[float]] = None
 
         # -- fault state (neutral until an injector reports transitions) ----
         # Per machine: ``None`` while no pressure term is active, else
@@ -1210,18 +783,120 @@ class FleetColocationKernel:
         self._lc_r3 = np.ones(M)
         self._lc_r3_l: List[float] = [1.0] * M
         self._fkey: List[Tuple[int, int]] = [(0, 0)] * M
-        for i, _inj in self._injectors:
-            self._refresh_faults(i)
+        for i, injector in enumerate(self._inj):
+            if injector is not None:
+                self._refresh_faults(i)
+
+        # -- slots: who rides where ------------------------------------------
+        self._ride: List[int] = list(self._head)
+        self._riders: List[List[int]] = [[] for _ in range(n_exp)]
+        for c, h in enumerate(self._head):
+            self._riders[h].append(c)
+        #: Live slots in creation order (forks append, merges remove).
+        self._live: List[int] = list(self._heads)
+        #: Dormant slots per scenario head, ascending.
+        self._dormant: Dict[int, List[int]] = {}
+        #: Per scenario with dormant slots: the deep-copy memo of the
+        #: objects every slot shares (:func:`_scenario_shared_state`).
+        self._shared: Dict[int, Dict[int, object]] = {}
+        for i, h in enumerate(self._head):
+            if h != i:
+                self._dormant.setdefault(h, []).append(i)
+        for i, h in enumerate(self._head):
+            if h in self._dormant:
+                memo = self._shared.setdefault(h, {})
+                for obj in _scenario_shared_state(self._exps[i]):
+                    memo[id(obj)] = obj
+        self._kill_off = [0] * n_exp
+        self._susp_off = [0] * n_exp
+        #: Sharing accounting: divergence forks, re-merges, and the
+        #: slot-ticks actually simulated (one per live slot per tick).
+        self.forks = 0
+        self.merges = 0
+        self.slot_ticks = 0
+        self._relive()
+
+    def _check_aliases(self, aliases: Optional[Sequence[int]]) -> List[int]:
+        """Validate ``aliases`` into one scenario head per experiment.
+
+        An aliased experiment must be the same seeded world as its head
+        (same service, pattern, config and BE mix, equal world digest)
+        and carry no ``action_filter``: its member rides the head's
+        world, so anything else would silently simulate another run.
+        """
+        n = len(self._exps)
+        if aliases is None:
+            return list(range(n))
+        heads = [int(h) for h in aliases]
+        if len(heads) != n:
+            raise ConfigurationError(
+                f"aliases has {len(heads)} entries for {n} experiments"
+            )
+        for i, h in enumerate(heads):
+            if not (0 <= h <= i) or heads[h] != h:
+                raise ConfigurationError(
+                    f"experiment {i} aliases {h}, which is not a scenario head"
+                )
+            if h == i:
+                continue
+            exp, head = self._exps[i], self._exps[h]
+            if exp.action_filter is not None or head.action_filter is not None:
+                raise ConfigurationError(
+                    "aliased experiments do not compose with action_filter hooks"
+                )
+            if (
+                exp.spec != head.spec
+                or exp.pattern != head.pattern
+                or exp.config != head.config
+                or exp.be_specs != head.be_specs
+                or _world_digest(exp) != _world_digest(head)
+            ):
+                raise ConfigurationError(
+                    f"experiment {i} cannot alias experiment {h}: "
+                    "their worlds differ"
+                )
+        return heads
+
+    def _relive(self) -> None:
+        """Recompute the live-row list and the member gathers.
+
+        Runs at construction and after every fork or merge. ``_rowmap``
+        maps each member's home row to the row it rides (``None`` while
+        every member rides its own slot, as in a fleet); ``_ride_map``
+        is the same per member (slot index), ``None`` alike.
+        """
+        rows_of = self._inst_machines
+        self._live_rows = sorted(m for i in self._live for m in rows_of[i])
+        self._injectors = [
+            (i, self._inj[i]) for i in self._live if self._inj[i] is not None
+        ]
+        if all(r == c for c, r in enumerate(self._ride)):
+            self._ride_map = None
+            self._rowmap = None
+            return
+        rowmap = [0] * self._n_machines
+        for c, r in enumerate(self._ride):
+            for mh, mr in zip(rows_of[c], rows_of[r]):
+                rowmap[mh] = mr
+        # Fresh objects every time: each tick's columns keep a reference.
+        self._ride_map = list(self._ride)
+        self._rowmap = rowmap
+
+    def member_world(self, c: int) -> "ColocationExperiment":
+        """The world member ``c`` rides (after :meth:`run`: its final
+        RNG streams and machine state)."""
+        return self._exps[self._ride[c]]
 
     # -- SoA <-> world synchronisation --------------------------------------
 
     def _rebuild_row(self, m: int) -> None:
         """Reload machine ``m``'s python row state from the world objects.
 
-        Same math, same python fold order as :class:`_MachineMirror`.
-        Both tick paths read the python twins written here; the vec
-        path then copies every rebuilt row into its SoA columns in one
-        batch (:meth:`_upload_rows`).
+        Same math and python fold order as the scalar
+        :func:`~repro.bejobs.job.compute_be_rates`. Both tick paths read
+        the python twins written here; the vec path then copies every
+        rebuilt row into its SoA columns in one batch
+        (:meth:`_upload_rows`).
         """
         machine = self._m_mach[m]
         total_cores = self._cores_i[m]
@@ -1236,7 +911,7 @@ class FleetColocationKernel:
         busy_cores = 0.0
         llc_demand_total = 0.0
         llc_occupied_total = 0.0
-        for job in self._m_run[m].pool.running():
+        for job in self._m_pool[m].running():
             alloc = alloc_of(job.job_id)
             if alloc is None or alloc.suspended:
                 continue
@@ -1300,6 +975,7 @@ class FleetColocationKernel:
         self._cnt_cores_l[m] = machine.be_total_cores
         self._cnt_ways_l[m] = machine.be_total_llc_ways
         self._njobs_l[m] = k
+        self._counts = None
         self._row_jobs[m] = running
         self._row_ids[m] = [job.job_id for job in running]
         self._busy_be_l[m] = busy_cores
@@ -1379,12 +1055,38 @@ class FleetColocationKernel:
                 job.normalized_work = nw[j]
                 job.running_seconds = rs[j]
 
+    def _sync_hardware(self, rows: Sequence[int]) -> None:
+        """Write the requested BE frequency and this tick's LC traffic
+        (the NIC's BE cap) of ``rows`` back into their machines."""
+        freq = self._freq
+        net = self._last_net
+        for m in rows:
+            machine = self._m_mach[m]
+            f = int(freq[m])
+            if f >= self._f_max_l[m]:
+                machine.dvfs.reset(BE_DOMAIN)
+            else:
+                machine.dvfs.set_frequency(BE_DOMAIN, f)
+            if net is not None:
+                machine.nic.observe_lc_traffic(float(net[m]))
+
+    def _write_back(self, rows: Sequence[int]) -> None:
+        """Make ``rows``' world objects current: BE progress, requested
+        BE frequency and NIC caps, everything the SoA holds between
+        writes. Rows a STOP dirtied this tick are not flushed again:
+        their jobs were flushed before the kill, which floors the work
+        a second flush would write back."""
+        dirty = self._dirty
+        unflushed = self._unflushed
+        self._flush_rows([m for m in rows if m not in dirty or m in unflushed])
+        self._sync_hardware(rows)
+
     # -- fault state ----------------------------------------------------------
 
     def _refresh_faults(self, i: int) -> None:
-        """Re-read instance ``i``'s fault-touched machine state.
+        """Re-read slot ``i``'s fault-touched machine state.
 
-        Runs at construction and on every tick where the instance's
+        Runs at construction and on every tick where the slot's
         injector reported transitions, right after ``advance`` — the
         same point in the tick where the scalar loop's next reads see
         the new state. Everything cached here is constant between
@@ -1395,7 +1097,7 @@ class FleetColocationKernel:
         becomes dirty and unflushed, so its progress is written back
         before the rebuild; an already dirty row keeps its flush state.
         """
-        injector = self._exps[i]._fault_injector
+        injector = self._inj[i]
         for m in self._inst_machines[i]:
             machine = self._m_mach[m]
             dvfs = machine.dvfs
@@ -1483,20 +1185,23 @@ class FleetColocationKernel:
 
     def tick(self, t: float, dt: float, last: bool) -> None:
         """One control period across the whole fleet."""
+        self.slot_ticks += len(self._live)
         if self._small:
             tails = self._tick_small(t, dt, last)
         else:
             tails = self._tick_vec(t, dt, last)
+        if len(self._live) > len(self._heads):
+            self._merge_converged()
         if self._on_tick is not None:
             self._on_tick(t, tails)
 
     def _begin_tick(
         self, t: float, dt: float
     ) -> Tuple[List[float], List[float], List[int]]:
-        """Phase 0 for every instance: fault transitions (refreshing the
-        fault state of instances that had any), the load window, then
+        """Phase 0 for every live slot: fault transitions (refreshing
+        the fault state of slots that had any), the load window, then
         the rows invalidated by applies or transitions since last tick.
-        Returns per-instance ``(loads, realized loads, sample counts)``."""
+        Returns per-slot ``(loads, realized loads, sample counts)``."""
         for i, injector in self._injectors:
             if injector.advance(t):
                 self._refresh_faults(i)
@@ -1504,8 +1209,9 @@ class FleetColocationKernel:
         w_load: List[float] = [0.0] * n
         w_real: List[float] = [0.0] * n
         w_n: List[int] = [0] * n
-        for i, exp in enumerate(self._exps):
-            window = exp._generator.window(t - dt, dt)
+        exps = self._exps
+        for i in self._live:
+            window = exps[i]._generator.window(t - dt, dt)
             w_load[i] = window.load
             w_real[i] = window.realized_load
             w_n[i] = window.n_samples
@@ -1528,16 +1234,16 @@ class FleetColocationKernel:
         slow_l: List[float],
         infl_l: List[float],
     ) -> Tuple[List[bool], List[float]]:
-        """Latency sampling + window tails for every instance.
+        """Latency sampling + window tails for every live slot.
 
-        Per-instance RNG draws stay sequential (stream identity); the
-        tail reduction groups instances by ``(n_samples, percentile)``
-        and runs one partitioned percentile per group, bitwise equal to
-        the scalar per-instance ``np.percentile`` call.
+        Per-slot RNG draws stay sequential (stream identity); the tail
+        reduction groups slots by ``(n_samples, percentile)`` and runs
+        one partitioned percentile per group, bitwise equal to the
+        scalar per-instance ``np.percentile`` call.
         """
         n_exp = len(self._exps)
         groups: Dict[Tuple[int, float], Tuple[List[int], List[np.ndarray]]] = {}
-        for i in range(n_exp):
+        for i in self._live:
             n = w_n[i]
             if n <= 0:
                 continue
@@ -1576,65 +1282,291 @@ class FleetColocationKernel:
         tails: List[float],
         snapshot_of,
     ) -> None:
-        """Phase 4: decide per machine, then the memoized applies.
+        """Phase 4: every member decides, then the memoized applies.
 
-        ``decide`` is stateful python per machine; the applies run
-        through the shared subcontrollers, memoized on no-op keys (see
-        the class docstring). ``snapshot_of(m)`` builds machine ``m``'s
-        final ``last_snapshot`` on the last tick.
+        ``decide`` is stateful python per member and machine; the
+        applies run through the shared subcontrollers, memoized on no-op
+        keys (see the class docstring). Members riding one slot whose
+        normalised action vectors differ fork it (:meth:`_diverge`).
+        ``snapshot_of(m)`` builds row ``m``'s final ``last_snapshot`` on
+        the last tick.
         """
-        exps = self._exps
         acts: List[str] = [""] * self._n_machines
-        stop = BeAction.STOP_BE
-        small = self._small
-        fkey = self._fkey
         moved: List[int] = []
-        for m in range(self._n_machines):
-            i = self._m_i[m]
-            exp = exps[i]
-            run = self._m_run[m]
-            machine = self._m_mach[m]
-            action = run.controller.decide(w_load[i], tails[i], t=t)
-            filt = exp.action_filter
-            if filt is not None:
-                action = filt(self._m_pod[m], action)
-            run.last_action = action
-            acts[m] = action.value
-            if last:
-                run.last_snapshot = snapshot_of(m)
-            memo = self._memo[m]
-            key = (action, machine.version, machine.mem_version, fkey[m])
-            if key in memo:
+        for i in list(self._live):
+            riders = self._riders[i]
+            load, tail = w_load[i], tails[i]
+            if len(riders) > 1:
+                votes = [
+                    self._decide(c, i, load, tail, t, last, snapshot_of, acts)
+                    for c in riders
+                ]
+                self._apply(i, self._diverge(i, votes, moved), moved)
                 continue
-            if action is stop:
-                # Killing floors the work, so the progress lands first.
-                self._flush_rows([m])
-            v0 = machine.version
-            mv0 = machine.mem_version
-            exp._cpu_llc.apply(action, machine, run.pool)
-            exp._memory.apply(action, machine, run.pool)
-            if action is stop:
-                # STOP reset the BE DVFS domain's requested frequency;
-                # mirror it and never memoize (the key cannot witness
-                # this side effect).
-                if small:
-                    self._freq_py[m] = self._f_max_l[m]
-                else:
-                    self._freq[m] = self._f_max_l[m]
-            if machine.version != v0:
-                self._dirty.add(m)
-                if action is not stop:
-                    self._unflushed.add(m)
-                self._cnt_inst_l[m] = machine.be_instance_count
-                self._cnt_cores_l[m] = machine.be_total_cores
-                self._cnt_ways_l[m] = machine.be_total_llc_ways
-                moved.append(m)
-            elif machine.mem_version == mv0 and action is not stop:
-                memo.add(key)
-        if moved and not small:
+            # One rider (every fleet slot): decide and apply machine by
+            # machine, the per-tick hot loop of fleets and single runs.
+            c = riders[0]
+            filt = self._homes[c].action_filter
+            exp = self._exps[i]
+            for mh, m in zip(self._inst_machines[c], self._inst_machines[i]):
+                run = self._m_home[mh]
+                action = run.controller.decide(load, tail, t=t)
+                if filt is not None:
+                    action = filt(self._m_pod[mh], action)
+                run.last_action = action
+                acts[mh] = action.value
+                if last:
+                    run.last_snapshot = snapshot_of(m)
+                machine = self._m_mach[m]
+                key = (action, machine.version, machine.mem_version, self._fkey[m])
+                if key not in self._memo[m]:
+                    self._apply_row(exp, m, action, key, moved)
+        if moved and not self._small:
             # Phase 5 reads post-apply core counts this tick.
             self._upload_counts(np.asarray(moved, dtype=np.intp), moved)
         self._acts.append(acts)
+
+    def _decide(
+        self,
+        c: int,
+        i: int,
+        load: float,
+        tail: float,
+        t: float,
+        last: bool,
+        snapshot_of,
+        acts: List[str],
+    ) -> List[BeAction]:
+        """Member ``c``'s actions on slot ``i``'s observation, per pod."""
+        filt = self._homes[c].action_filter
+        actions: List[BeAction] = []
+        for mh, m in zip(self._inst_machines[c], self._inst_machines[i]):
+            run = self._m_home[mh]
+            action = run.controller.decide(load, tail, t=t)
+            if filt is not None:
+                action = filt(self._m_pod[mh], action)
+            run.last_action = action
+            acts[mh] = action.value
+            if last:
+                run.last_snapshot = snapshot_of(m)
+            actions.append(action)
+        return actions
+
+    def _diverge(
+        self, i: int, votes: List[List[BeAction]], moved: List[int]
+    ) -> List[BeAction]:
+        """Partition slot ``i``'s riders by memo-normalised action vector.
+
+        A pod whose memo key is a proven no-op is a wildcard: riders
+        differing only there share one world mutation. The verdict
+        depends only on (pod, action, machine state), so it is resolved
+        once per distinct action. The first partition keeps slot ``i``;
+        every other one forks the pre-apply world into a dormant slot,
+        moves there and applies its actions. Returns the actions slot
+        ``i`` applies.
+        """
+        first = votes[0]
+        if all(actions == first for actions in votes):
+            return first
+        rows = self._inst_machines[i]
+        fkey = self._fkey
+        norm: Dict[Tuple[int, BeAction], Optional[BeAction]] = {}
+        partitions: Dict[Tuple, List[int]] = {}
+        for k, actions in enumerate(votes):
+            sig = []
+            for p, action in enumerate(actions):
+                verdict = norm.get((p, action), _UNRESOLVED)
+                if verdict is _UNRESOLVED:
+                    m = rows[p]
+                    machine = self._m_mach[m]
+                    key = (action, machine.version, machine.mem_version, fkey[m])
+                    verdict = None if key in self._memo[m] else action
+                    norm[(p, action)] = verdict
+                sig.append(verdict)
+            partitions.setdefault(tuple(sig), []).append(k)
+        groups = list(partitions.values())
+        riders = self._riders[i]
+        for group in groups[1:]:
+            j = self._fork(i, [riders[k] for k in group])
+            self._apply(j, votes[group[0]], moved)
+        return votes[groups[0][0]]
+
+    def _apply(self, i: int, actions: List[BeAction], moved: List[int]) -> None:
+        """Slot ``i``'s memoized subcontroller applies, one per pod."""
+        exp = self._exps[i]
+        for m, action in zip(self._inst_machines[i], actions):
+            machine = self._m_mach[m]
+            key = (action, machine.version, machine.mem_version, self._fkey[m])
+            if key not in self._memo[m]:
+                self._apply_row(exp, m, action, key, moved)
+
+    def _apply_row(
+        self, exp, m: int, action: BeAction, key: Tuple, moved: List[int]
+    ) -> None:
+        """Row ``m``'s subcontroller apply on world ``exp``, whose no-op
+        memo key ``key`` missed; records the key if nothing changed."""
+        machine = self._m_mach[m]
+        stop = action is BeAction.STOP_BE
+        if stop:
+            # Killing floors the work, so the progress lands first.
+            self._flush_rows([m])
+        v0 = machine.version
+        mv0 = machine.mem_version
+        pool = self._m_pool[m]
+        exp._cpu_llc.apply(action, machine, pool)
+        exp._memory.apply(action, machine, pool)
+        if stop:
+            # STOP reset the BE DVFS domain's requested frequency;
+            # mirror it and never memoize (the key cannot witness
+            # this side effect).
+            self._freq[m] = self._f_max_l[m]
+        if machine.version != v0:
+            self._dirty.add(m)
+            if not stop:
+                self._unflushed.add(m)
+            self._cnt_inst_l[m] = machine.be_instance_count
+            self._cnt_cores_l[m] = machine.be_total_cores
+            self._cnt_ways_l[m] = machine.be_total_llc_ways
+            self._counts = None
+            moved.append(m)
+        elif machine.mem_version == mv0 and not stop:
+            self._memo[m].add(key)
+
+    # -- forks and merges ------------------------------------------------------
+
+    def _fork(self, src: int, riders: List[int]) -> int:
+        """Move ``riders`` off live slot ``src`` onto a copy of its world
+        in the scenario's lowest dormant slot, which turns live; returns
+        that slot. Runs mid-tick, before either slot applies actions.
+
+        ``src`` is written back first, so the deep copy sees current
+        progress, requested frequency and NIC caps. The copy is seeded
+        with a memo mapping every object the scenario's slots share to
+        itself (:func:`_scenario_shared_state`), so only the mutable
+        world is duplicated. The new slot's rows are then reloaded from
+        the copy, and the kernel-side state no world object holds — the
+        no-op memo, fault terms, requested frequency and this tick's LC
+        load — is copied row for row.
+        """
+        dst = self._dormant[self._head[src]].pop(0)
+        rows_s = self._inst_machines[src]
+        rows_d = self._inst_machines[dst]
+        self._write_back(rows_s)
+        clone = copy.deepcopy(self._exps[src], dict(self._shared[self._head[src]]))
+        self._exps[dst] = clone
+        self._inj[dst] = clone._fault_injector
+        self._samplers[dst] = BatchedServiceSampler(clone.service)
+        per_row = (
+            self._freq,
+            self._lc_busy,
+            self._last_net,
+            self._fault_m,
+            self._fcap,
+            self._fcap_l,
+            self._lc_r3,
+            self._lc_r3_l,
+            self._link_nic,
+            self._link_nic_l,
+            self._fkey,
+        )
+        for ms, md in zip(rows_s, rows_d):
+            self._dirty.discard(md)
+            self._unflushed.discard(md)
+            pod = self._m_pod[md]
+            self._m_pool[md] = clone._runs[pod].pool
+            self._m_mach[md] = clone.deployment.servpod(pod).machine
+            for column in per_row:
+                column[md] = column[ms]
+            self._memo[md] = set(self._memo[ms])
+            self._rebuild_row(md)
+        if not self._small:
+            self._upload_rows(rows_d)
+        moving = set(riders)
+        self._riders[src] = [c for c in self._riders[src] if c not in moving]
+        self._riders[dst] = list(riders)
+        for c in riders:
+            self._ride[c] = dst
+        self._live.append(dst)
+        self._relive()
+        self.forks += 1
+        return dst
+
+    def _merge_groups(self, slots: List[int]) -> List[List[int]]:
+        """Live ``slots`` (one scenario, written back) grouped by equal
+        :func:`_world_digest`.
+
+        Two stages: every slot gets the cheap scalar :func:`_world_key`,
+        and only slots whose keys collide pay for the detailed part
+        (:func:`_world_detail`). The key is a projection of the digest,
+        so equal digests imply equal keys: grouping by
+        ``(key, detail-or-None)`` is exactly the grouping by full
+        digest. Groups and their slots keep first-seen order.
+        """
+        keys = [_world_key(self._exps[i]) for i in slots]
+        counts: Dict[Tuple, int] = {}
+        for key in keys:
+            counts[key] = counts.get(key, 0) + 1
+        groups: Dict[Tuple, List[int]] = {}
+        for i, key in zip(slots, keys):
+            detail = _world_detail(self._exps[i]) if counts[key] > 1 else None
+            groups.setdefault((key, detail), []).append(i)
+        return list(groups.values())
+
+    def _merge_converged(self) -> None:
+        """Retire live slots whose world re-converged with an earlier
+        live slot of the same scenario; their riders move over."""
+        by_head: Dict[int, List[int]] = {}
+        for i in self._live:
+            by_head.setdefault(self._head[i], []).append(i)
+        merged = False
+        for slots in by_head.values():
+            if len(slots) < 2:
+                continue
+            for i in slots:
+                self._write_back(self._inst_machines[i])
+            for group in self._merge_groups(slots):
+                keep = group[0]
+                k_kills, k_susp = _kill_counts(self._exps[keep])
+                for other in group[1:]:
+                    o_kills, o_susp = _kill_counts(self._exps[other])
+                    for c in self._riders[other]:
+                        self._kill_off[c] += o_kills - k_kills
+                        self._susp_off[c] += o_susp - k_susp
+                        self._ride[c] = keep
+                    self._riders[keep].extend(self._riders[other])
+                    self._riders[other] = []
+                    self._live.remove(other)
+                    bisect.insort(self._dormant[self._head[other]], other)
+                    for mk, mo in zip(
+                        self._inst_machines[keep], self._inst_machines[other]
+                    ):
+                        self._dirty.discard(mo)
+                        self._unflushed.discard(mo)
+                        self._adopt_memo(mk, mo)
+                    self.merges += 1
+                    merged = True
+                self._riders[keep].sort()
+        if merged:
+            self._relive()
+
+    def _adopt_memo(self, mk: int, mo: int) -> None:
+        """Teach survivor row ``mk`` the no-ops retired row ``mo`` proved
+        in its current machine state.
+
+        The two worlds merged, so their current states are equal in
+        every forward-relevant respect; an apply that changed nothing in
+        one changes nothing in the other. Only entries keyed at ``mo``'s
+        current ``(version, mem_version, fault-held capacity)`` describe
+        that state; they are re-keyed at ``mk``'s. Other entries describe
+        a history the survivor did not share and are dropped.
+        """
+        src = self._m_mach[mo]
+        dst = self._m_mach[mk]
+        now = (src.version, src.mem_version, self._fkey[mo])
+        memo = self._memo[mk]
+        for action, version, mem_version, fkey in self._memo[mo]:
+            if (version, mem_version, fkey) == now:
+                memo.add((action, dst.version, dst.mem_version, self._fkey[mk]))
 
     def _tick_small(
         self,
@@ -1657,6 +1589,7 @@ class FleetColocationKernel:
         m_i = self._m_i
         fcap_l = self._fcap_l
         row_py = self._row_py
+        freq_l = self._freq
 
         # Phases 1 + 3 fused per machine: LC usage, NIC caps, headroom
         # shares, Leontief rates, BE progress, pressure -> slowdown.
@@ -1670,11 +1603,8 @@ class FleetColocationKernel:
         rate_tot_l: List[float] = [0.0] * M
         busy_tot_l: List[float] = [0.0] * M
         membw_tot_l: List[float] = [0.0] * M
-        load_m: List[float] = [0.0] * M
-        for m in range(M):
-            i = m_i[m]
-            real = w_real[i]
-            load_m[m] = w_load[i]
+        for m in self._live_rows:
+            real = w_real[m_i[m]]
             lc_busy = self._busy_c_l[m] * real
             lc_membw = self._membw_c_l[m] * real
             if lc_membw > 1.0:
@@ -1702,7 +1632,7 @@ class FleetColocationKernel:
                 net_scale = be_cap_frac / nd
                 if net_scale > 1.0:
                     net_scale = 1.0
-            freq = self._freq_py[m]
+            freq = freq_l[m]
             if fcap_l[m] < freq:
                 freq = fcap_l[m]
             fratio = freq / self._f_max_l[m]
@@ -1755,39 +1685,41 @@ class FleetColocationKernel:
             lc_busy_l[m] = lc_busy
             rate_rows[m] = rates
             rate_tot_l[m] = rate_total
-            busy_tot = lc_busy + self._busy_be_l[m]
-            busy_tot_l[m] = busy_tot
+            busy_tot_l[m] = lc_busy + self._busy_be_l[m]
             membw_tot = lc_membw + snap_membw
             if membw_tot > 1.0:
                 membw_tot = 1.0
             membw_tot_l[m] = membw_tot
-            cores_f = self._cores_f_l[m]
-            self._lc_int_l[m] += load_m[m] * dt
-            self._be_int_l[m] += rate_total * dt
-            self._cpu_int_l[m] += (busy_tot if busy_tot < cores_f else cores_f) * dt
-            self._membw_int_l[m] += membw_tot * dt
         self._elapsed += dt
 
         # Phase 2: latency sampling (shared with the vectorized path).
         closed, tails = self._sample_tails(w_real, w_n, slow_l, infl_l)
 
-        # Deferred metrics: python columns; counters copied before the
-        # applies, like the scalar record_tick.
-        self._cols.append(
-            (
-                t,
-                load_m,
-                [tails[m_i[m]] for m in range(M)],
-                busy_tot_l,
-                membw_tot_l,
-                rate_tot_l,
+        # Deferred metrics: python columns per slot row (loads and tails
+        # per slot), with the row map members rode by this tick;
+        # counters as of before the applies, like the scalar
+        # record_tick.
+        if self._counts is None:
+            self._counts = (
                 list(self._cnt_inst_l),
                 list(self._cnt_cores_l),
                 list(self._cnt_ways_l),
                 list(self._njobs_l),
             )
+        self._cols.append(
+            (
+                t,
+                dt,
+                self._rowmap,
+                w_load,
+                tails,
+                busy_tot_l,
+                membw_tot_l,
+                rate_tot_l,
+            )
+            + self._counts
         )
-        self._wins.append((closed, tails))
+        self._wins.append((closed, tails, self._ride_map))
 
         def snapshot_of(m: int) -> BeResourceSnapshot:
             ids = self._row_ids[m]
@@ -1800,6 +1732,8 @@ class FleetColocationKernel:
                 rates=dict(zip(ids, rate_rows[m][: len(ids)])),
             )
 
+        self._lc_busy = lc_busy_l
+        self._last_net = lc_net_l
         self._control(t, last, w_load, tails, snapshot_of)
 
         # Phase 5: frequency subcontroller per machine (post-apply BE
@@ -1807,8 +1741,8 @@ class FleetColocationKernel:
         # Steps start from the effective (capped) frequency, like
         # ``DvfsGovernor.step_down``/``step_up``.
         r3_cache = self._r3_cache
-        for m in range(M):
-            f = self._freq_py[m]
+        for m in self._live_rows:
+            f = freq_l[m]
             if fcap_l[m] < f:
                 f = fcap_l[m]
             mx = self._f_max_l[m]
@@ -1820,10 +1754,9 @@ class FleetColocationKernel:
                 lc_busy_l[m] * self._lc_r3_l[m] + self._cnt_cores_l[m] * v
             )
             if power > self._hi_l[m]:
-                self._freq_py[m] = max(self._f_min_l[m], f - self._f_step_l[m])
+                freq_l[m] = max(self._f_min_l[m], f - self._f_step_l[m])
             elif power < self._lo_l[m]:
-                self._freq_py[m] = min(mx, f + self._f_step_l[m])
-        self._last_net_l = lc_net_l
+                freq_l[m] = min(mx, f + self._f_step_l[m])
         return tails
 
     def _tick_vec(
@@ -1832,7 +1765,12 @@ class FleetColocationKernel:
         dt: float,
         last: bool,
     ) -> List[float]:
-        """Whole-array tick (large fleets); returns the tails."""
+        """Whole-array tick (large fleets); returns the tails.
+
+        Array phases run over every row, dormant slots included (their
+        rows hold finite stale state nothing reads back); the python
+        passes run over live rows only.
+        """
         w_load, w_real, w_n = self._begin_tick(t, dt)
         M = self._n_machines
 
@@ -1856,7 +1794,7 @@ class FleetColocationKernel:
         np.divide(be_cap_frac, self._nd_total, out=quot, where=self._nd_total > 0.0)
         net_scale = np.minimum(1.0, quot)
 
-        # Phase 1c: Leontief rates, exact BeRateKernel op order.
+        # Phase 1c: Leontief rates, the scalar per-job min-chain order.
         fratio = np.minimum(self._freq, self._fcap) / self._f_max
         ratios = (self._cpu_base * fratio[:, None]) / self._req_cpu
         ratios = np.minimum(ratios, self._llc_ratio)
@@ -1893,13 +1831,13 @@ class FleetColocationKernel:
         p_cpu_l = self._p_cpu_l
         p_llc_l = self._p_llc_l
         slowdown = self._slowdown
-        for m in range(M):
+        for m in self._live_rows:
             slow_l[m], infl_l[m] = slowdown(
                 m, p_cpu_l[m], p_llc_l[m], membw_l[m], net_l[m], real_l[m], lc_net
             )
 
-        # Phase 2: latency sampling per instance (per-instance RNG),
-        # tails reduced per (n_samples, percentile) group in one
+        # Phase 2: latency sampling per slot (per-slot RNG), tails
+        # reduced per (n_samples, percentile) group in one
         # partitioned-percentile call — bitwise equal per row.
         closed, tails = self._sample_tails(w_real, w_n, slow_l, infl_l)
 
@@ -1907,33 +1845,32 @@ class FleetColocationKernel:
         self._nw += dt * rate
         self._rs += dt * self._valid
 
-        # Deferred metrics: integrate now, materialise at end of run.
-        # Counter columns are copied *before* this tick's applies, like
+        # Deferred metrics: keep the columns (with the row map members
+        # rode by this tick), integrate and materialise at end of run.
+        # Counter columns are as of *before* this tick's applies, like
         # the scalar record_tick.
-        tail_m = np.asarray(tails)[self._m_i_arr]
-        load_m = np.asarray(w_load)[self._m_i_arr]
-        busy_total = lc_busy + self._busy_be
-        membw_total = np.minimum(1.0, lc_membw + snap_membw)
-        self._lc_int += load_m * dt
-        self._be_int += rate_total * dt
-        self._cpu_int += np.minimum(busy_total, self._cores_farr) * dt
-        self._membw_int += np.minimum(membw_total, 1.0) * dt
         self._elapsed += dt
-        self._cols.append(
-            (
-                t,
-                load_m,
-                tail_m,
-                busy_total,
-                membw_total,
-                rate_total,
+        if self._counts is None:
+            self._counts = (
                 self._cnt_inst.copy(),
                 self._cnt_cores.copy(),
                 self._cnt_ways.copy(),
                 self._njobs.copy(),
             )
+        self._cols.append(
+            (
+                t,
+                dt,
+                self._rowmap,
+                w_load,
+                tails,
+                lc_busy + self._busy_be,
+                np.minimum(1.0, lc_membw + snap_membw),
+                rate_total,
+            )
+            + self._counts
         )
-        self._wins.append((closed, tails))
+        self._wins.append((closed, tails, self._ride_map))
 
         def snapshot_of(m: int) -> BeResourceSnapshot:
             ids = self._row_ids[m]
@@ -1946,6 +1883,8 @@ class FleetColocationKernel:
                 rates=dict(zip(ids, rate[m, : len(ids)].tolist())),
             )
 
+        self._lc_busy = lc_busy
+        self._last_net = lc_net
         self._control(t, last, w_load, tails, snapshot_of)
 
         # Phase 5: frequency subcontroller, whole fleet at once. Uses
@@ -1966,7 +1905,7 @@ class FleetColocationKernel:
                 vals.append(v)
             r3 = np.asarray(vals)
         power = self._idle_w + self._active_w * (
-            lc_busy * self._lc_r3 + self._cnt_cores * r3
+            self._lc_busy * self._lc_r3 + self._cnt_cores * r3
         )
         down = power > self._hi_w
         up = (~down) & (power < self._lo_w)
@@ -1977,7 +1916,6 @@ class FleetColocationKernel:
                 up, np.minimum(self._f_max, freq + self._f_step), self._freq
             ),
         )
-        self._last_net = lc_net
         return tails
 
     # -- whole runs ----------------------------------------------------------
@@ -1997,47 +1935,57 @@ class FleetColocationKernel:
         return times
 
     def run(self) -> List["ColocationResult"]:
-        """Run every experiment to completion; results in input order."""
+        """Run every member to completion; results in input order."""
         times = self._tick_times()
         n_ticks = len(times)
         lsum = [0.0] * len(self._exps)
+        heads = self._heads
+        homes = self._homes
         for k, t in enumerate(times):
             self.tick(t, self._period_s, last=(k == n_ticks - 1))
-            for i, exp in enumerate(self._exps):
-                lsum[i] += min(1.0, max(0.0, exp.pattern.load_at(t)))
+            for h in heads:
+                lsum[h] += min(1.0, max(0.0, homes[h].pattern.load_at(t)))
         self._finalize()
         return [
-            exp._result(lsum[i] / max(1, n_ticks), events_fired=n_ticks)
-            for i, exp in enumerate(self._exps)
+            home._result(
+                lsum[self._head[c]] / max(1, n_ticks),
+                events_fired=n_ticks,
+                world=self._exps[self._ride[c]],
+                kill_offset=self._kill_off[c],
+                susp_offset=self._susp_off[c],
+            )
+            for c, home in enumerate(homes)
         ]
 
     def _finalize(self) -> None:
-        """Flush SoA state back into the world objects and metrics.
+        """Write the live slots back and fold every member's metrics.
 
-        Progress goes back to every row that still holds it: clean rows
-        and unflushed dirty ones. Rows a last-tick STOP dirtied are
-        skipped: their jobs were flushed before the kill, which floors
-        the work a second flush would write back.
+        Each tick's columns are per slot row; member row ``m`` reads row
+        ``rowmap[m]`` of the tick (itself in a fleet). The metric
+        integrals fold in tick order (the scalar accumulation, operand
+        for operand), the columns materialise into ``TickSample``s —
+        one per (row, action) and tick, shared by the members that rode
+        that row and chose that action (samples are frozen) — and the
+        window tails replay into each member's tail tracker.
         """
-        dirty = self._dirty
-        self._flush_rows(
-            [
-                m
-                for m in range(self._n_machines)
-                if m not in dirty or m in self._unflushed
-            ]
-        )
+        self._write_back(self._live_rows)
         if self._small:
             self._finalize_small()
-            return
-        M = self._n_machines
+        else:
+            self._finalize_vec()
+        wins = self._wins
+        for c, rows in enumerate(self._inst_machines):
+            slots = [c if ride is None else ride[c] for _, _, ride in wins]
+            window_tails = [
+                tails[i] for (closed, tails, _), i in zip(wins, slots) if closed[i]
+            ]
+            for m in rows:
+                self._m_home[m].metrics.tail.record_window_tails(window_tails)
+
+    def _set_integrals(self, lc_l, be_l, cpu_l, mb_l) -> None:
         elapsed = self._elapsed
-        lc_l = self._lc_int.tolist()
-        be_l = self._be_int.tolist()
-        cpu_l = self._cpu_int.tolist()
-        mb_l = self._membw_int.tolist()
-        for m in range(M):
-            metrics = self._m_run[m].metrics
+        for m in range(self._n_machines):
+            metrics = self._m_home[m].metrics
             emu = metrics.emu
             emu._lc_integral = lc_l[m]
             emu._be_integral = be_l[m]
@@ -2046,161 +1994,120 @@ class FleetColocationKernel:
             util._cpu_integral = cpu_l[m]
             util._membw_integral = mb_l[m]
             util._elapsed = elapsed
-        for col, acts in zip(self._cols, self._acts):
-            (t, load_m, tail_m, busy, membw, rate_tot, ci, cc, cw, nj) = col
-            slack = (self._sla_arr - tail_m) / self._sla_arr
-            cpu_u = np.minimum(1.0, busy / self._cores_farr)
+
+    def _finalize_vec(self) -> None:
+        M = self._n_machines
+        m_i = self._m_i_arr
+        home = [self._m_home[m].metrics.samples for m in range(M)]
+        lc_int = np.zeros(M)
+        be_int = np.zeros(M)
+        cpu_int = np.zeros(M)
+        mb_int = np.zeros(M)
+        cols = self._cols
+        for k, acts in enumerate(self._acts):
+            (t, dt, rm, w_load, tails, busy, membw, rate_tot, ci, cc, cw, nj) = cols[k]
+            cols[k] = None  # consumed: the samples take its place
+            load_m = np.asarray(w_load)[m_i]
+            tail_m = np.asarray(tails)[m_i]
+            pick = slice(None) if rm is None else rm
+            lc_int += load_m[pick] * dt
+            be_int += rate_tot[pick] * dt
+            cpu_int += np.minimum(busy[pick], self._cores_farr) * dt
+            mb_int += np.minimum(membw[pick], 1.0) * dt
+            slack = ((self._sla_arr - tail_m) / self._sla_arr).tolist()
+            cpu_u = np.minimum(1.0, busy / self._cores_farr).tolist()
             ll = load_m.tolist()
             tl = tail_m.tolist()
-            sl = slack.tolist()
-            cl = cpu_u.tolist()
             mb = membw.tolist()
             rt = rate_tot.tolist()
             cil = ci.tolist()
             ccl = cc.tolist()
             cwl = cw.tolist()
             njl = nj.tolist()
+            made: Dict[Tuple[int, str], TickSample] = {}
             for m in range(M):
-                self._m_run[m].metrics.samples.append(
-                    TickSample(
+                r = m if rm is None else rm[m]
+                action = acts[m]
+                sample = made.get((r, action))
+                if sample is None:
+                    sample = made[r, action] = TickSample(
                         t=t,
-                        load=ll[m],
-                        slack=sl[m],
-                        tail_ms=tl[m],
-                        cpu_utilisation=cl[m],
-                        membw_utilisation=mb[m],
-                        be_instances=cil[m],
-                        be_cores=ccl[m],
-                        be_llc_ways=cwl[m],
+                        load=ll[r],
+                        slack=slack[r],
+                        tail_ms=tl[r],
+                        cpu_utilisation=cpu_u[r],
+                        membw_utilisation=mb[r],
+                        be_instances=cil[r],
+                        be_cores=ccl[r],
+                        be_llc_ways=cwl[r],
                         # An empty rates dict sums to the *int* 0 on the
                         # scalar path (sum of no floats) — match it so
                         # fingerprint reprs stay bitwise identical.
-                        be_rate=rt[m] if njl[m] else 0,
-                        action=acts[m],
+                        be_rate=rt[r] if njl[r] else 0,
+                        action=action,
                     )
-                )
-        for vi, rows in enumerate(self._inst_machines):
-            window_tails = [tl[vi] for (cv, tl) in self._wins if cv[vi]]
-            for m in rows:
-                self._m_run[m].metrics.tail.record_window_tails(window_tails)
-        # Sync the hardware observables (DVFS frequency, NIC caps) so
-        # post-run machine state matches a scalar run's.
-        freq_l = self._freq.tolist()
-        net_l = self._last_net.tolist() if self._last_net is not None else None
-        self._sync_hardware(freq_l, net_l)
+                home[m].append(sample)
+        self._set_integrals(
+            lc_int.tolist(), be_int.tolist(), cpu_int.tolist(), mb_int.tolist()
+        )
 
     def _finalize_small(self) -> None:
-        """Python finalize over the small-fleet twins (same values)."""
+        """Python finalize over the small-fleet columns (same values)."""
         M = self._n_machines
-        elapsed = self._elapsed
-        for m in range(M):
-            metrics = self._m_run[m].metrics
-            emu = metrics.emu
-            emu._lc_integral = self._lc_int_l[m]
-            emu._be_integral = self._be_int_l[m]
-            emu._elapsed = elapsed
-            util = metrics.utilisation
-            util._cpu_integral = self._cpu_int_l[m]
-            util._membw_integral = self._membw_int_l[m]
-            util._elapsed = elapsed
-        for col, acts in zip(self._cols, self._acts):
-            (t, load_m, tail_m, busy, membw, rate_tot, ci, cc, cw, nj) = col
+        m_i = self._m_i
+        sla_l = self._sla_l
+        cores_l = self._cores_f_l
+        home = [self._m_home[m].metrics.samples for m in range(M)]
+        lc_int = [0.0] * M
+        be_int = [0.0] * M
+        cpu_int = [0.0] * M
+        mb_int = [0.0] * M
+        cols = self._cols
+        for k, acts in enumerate(self._acts):
+            (t, dt, rm, w_load, tails, busy, membw, rate_tot, ci, cc, cw, nj) = cols[k]
+            cols[k] = None  # consumed: the samples take its place
+            made: Dict[Tuple[int, str], TickSample] = {}
             for m in range(M):
-                tail = tail_m[m]
-                sla = self._sla_l[m]
-                self._m_run[m].metrics.samples.append(
-                    TickSample(
+                r = m if rm is None else rm[m]
+                i = m_i[r]
+                load = w_load[i]
+                busy_r = busy[r]
+                cores_f = cores_l[m]
+                lc_int[m] += load * dt
+                be_int[m] += rate_tot[r] * dt
+                cpu_int[m] += (busy_r if busy_r < cores_f else cores_f) * dt
+                mb_int[m] += membw[r] * dt
+                action = acts[m]
+                sample = made.get((r, action))
+                if sample is None:
+                    tail = tails[i]
+                    sla = sla_l[m]
+                    sample = made[r, action] = TickSample(
                         t=t,
-                        load=load_m[m],
+                        load=load,
                         slack=(sla - tail) / sla,
                         tail_ms=tail,
-                        cpu_utilisation=min(1.0, busy[m] / self._cores_f_l[m]),
-                        membw_utilisation=membw[m],
-                        be_instances=ci[m],
-                        be_cores=cc[m],
-                        be_llc_ways=cw[m],
+                        cpu_utilisation=min(1.0, busy_r / cores_f),
+                        membw_utilisation=membw[r],
+                        be_instances=ci[r],
+                        be_cores=cc[r],
+                        be_llc_ways=cw[r],
                         # Same int-0 quirk as the vec path: the scalar
                         # rates dict sums to the *int* 0 when empty.
-                        be_rate=rate_tot[m] if nj[m] else 0,
-                        action=acts[m],
+                        be_rate=rate_tot[r] if nj[r] else 0,
+                        action=action,
                     )
-                )
-        for vi, rows in enumerate(self._inst_machines):
-            window_tails = [tl[vi] for (cv, tl) in self._wins if cv[vi]]
-            for m in rows:
-                self._m_run[m].metrics.tail.record_window_tails(window_tails)
-        self._sync_hardware(self._freq_py, self._last_net_l)
-
-    def _sync_hardware(
-        self, freq_l: List[int], net_l: Optional[List[float]]
-    ) -> None:
-        for m in range(self._n_machines):
-            machine = self._m_mach[m]
-            if freq_l[m] >= self._f_max_l[m]:
-                machine.dvfs.reset(BE_DOMAIN)
-            else:
-                machine.dvfs.set_frequency(BE_DOMAIN, freq_l[m])
-            if net_l is not None:
-                machine.nic.observe_lc_traffic(net_l[m])
+                home[m].append(sample)
+        self._set_integrals(lc_int, be_int, cpu_int, mb_int)
 
 
-# ---------------------------------------------------------------------------
-# Bake-off: many controller sets over one shared physics pass
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BakeoffStats:
-    """Sharing accounting of one :class:`BakeoffKernel` run.
-
-    ``branch_ticks`` counts physics passes actually executed (one per
-    live branch per tick); running the ``members`` controller sets
-    independently would cost ``members * ticks`` passes, so the saving
-    is their difference.
-    """
-
-    members: int = 0
-    ticks: int = 0
-    branch_ticks: int = 0
-    forks: int = 0
-    merges: int = 0
-    max_branches: int = 0
-
-    @property
-    def physics_passes_saved(self) -> int:
-        """Physics passes avoided vs independent per-member runs."""
-        return self.members * self.ticks - self.branch_ticks
-
-    @property
-    def shared_fraction(self) -> float:
-        """Fraction of the independent-run physics cost avoided."""
-        total = self.members * self.ticks
-        return self.physics_passes_saved / total if total else 0.0
-
-
-class _BakeoffMember:
-    """One controller set racing in the bake-off, with its own metrics."""
-
-    __slots__ = (
-        "name",
-        "controllers",
-        "metrics",
-        "kill_offset",
-        "susp_offset",
-        "actions",
+def _kill_counts(exp: "ColocationExperiment") -> Tuple[int, int]:
+    """A world's (BE kills, BE suspensions) totals."""
+    cluster = exp.deployment.cluster
+    return (
+        cluster.total_be_kills,
+        sum(m.counters.be_suspensions for m in cluster),
     )
-
-    def __init__(self, name, controllers, metrics) -> None:
-        self.name = name
-        self.controllers = controllers
-        self.metrics = metrics
-        # Integer counter virtualisation: this member's independent-run
-        # kill/suspension totals equal its branch world's totals plus
-        # these offsets. Exact integer arithmetic, adjusted only at
-        # merge time, so no float associativity is ever at stake.
-        self.kill_offset = 0
-        self.susp_offset = 0
-        self.actions: Dict[str, BeAction] = {}
 
 
 #: Distinct-from-everything marker for the memo-normalisation lookup
@@ -2208,483 +2115,49 @@ class _BakeoffMember:
 _UNRESOLVED = object()
 
 
-def _memo_key(pod: str, action: BeAction, machine) -> Tuple:
-    """The no-op memo key for one pod's pending action.
+def _scenario_shared_state(exp: "ColocationExperiment") -> List[object]:
+    """The scenario objects every slot of one scenario may share.
 
-    ``version``/``mem_version`` witness every BE-visible allocation
-    change, but fault injection moves capacity *without* bumping them:
-    ``offline_cores``/``fault_llc_ways`` park cores and cache ways under
-    the fault owner and the restore hands them straight back to the free
-    pool. A memoized "ALLOW was a no-op" verdict recorded while capacity
-    was fault-held would otherwise stay live after the restore and skip
-    a launch that the scalar engine performs. Including the fault-held
-    counts in the key invalidates the memo across every such transition.
+    A fork must duplicate exactly the state a slot can *mutate*:
+    machine/cluster state, BE pools and job records, RNG streams, the
+    load generator, the fault injector. Everything else about the
+    scenario is decision-independent and read-only for the whole run,
+    so every slot holds the very same objects: the frozen specs
+    (service, Servpod and component specs with their sensitivity
+    vectors, machine specs, power models, BE job specs), the load
+    pattern, the config (and its fault schedule), the stateless
+    subcontrollers, and the experiment's own controllers and
+    ``MachineRun.metrics`` (the kernel consults only *members'*
+    controllers and metrics, never a world's). Sharing these turns the
+    fork deep-copy into a copy-on-write snapshot of just the mutable
+    world; the ``divergent`` block of ``bench_bakeoff.py`` records what
+    one fork costs on a roster that forks and re-merges every few
+    ticks.
     """
-    return (
-        pod,
-        action,
-        machine.version,
-        machine.mem_version,
-        machine.offlined_cores,
-        machine.lost_llc_ways,
-    )
-
-
-class _BakeoffBranch:
-    """One materialised world shared by members whose decisions agree."""
-
-    __slots__ = ("exp", "kernel", "members", "memo")
-
-    def __init__(self, exp, kernel, members, memo) -> None:
-        self.exp = exp
-        self.kernel = kernel
-        self.members = members  # member indices, ascending
-        # No-op memo in the FleetColocationKernel style: a key (see
-        # :func:`_memo_key`) enters only after an apply that provably
-        # changed nothing, so skipping a repeat cannot change state
-        # (STOP never enters — its DVFS reset is a side effect the key
-        # cannot witness). Used both to skip repeated applies and to
-        # *normalise* action vectors before divergence partitioning:
-        # two members whose actions differ only on memoized-no-op pods
-        # share one world mutation.
-        self.memo = memo
-
-
-class BakeoffKernel:
-    """Runs N controller sets over one seeded scenario in a single pass.
-
-    The controller-independent physics of a tick — fault advance, load
-    window, BE rates, interference pressure, Servpod latency draws, BE
-    progress — runs **once per branch** through
-    :meth:`BatchedColocationKernel.observe` and is broadcast to every
-    member (controller set) on that branch. Members decide on the shared
-    observation and record their own metrics; their action vectors are
-    then normalised through the branch's no-op memo and partitioned.
-    One partition keeps the branch; each additional partition **forks**
-    a copy-on-write world and applies its own actions — so the cost of
-    divergence is paid only when decisions actually differ in effect.
-    A fork deep-copies only what a branch can mutate (machine state,
-    pools and job records, RNG streams, load generator, fault
-    injector): a memo built once per kernel maps every shared scenario
-    object — frozen specs, pattern, config, stateless subcontrollers,
-    the scenario experiment's own controllers and metrics — to itself
-    (:meth:`_scenario_shared_state`), and job, allocation and cpuset
-    records copy flat through their own ``__deepcopy__``.
-
-    Because controller decisions never change RNG *consumption* (window
-    sample counts and latency-draw shapes depend only on the load
-    pattern and the shared seed), every branch's streams stay bitwise
-    equal, and branches whose worlds re-converge — same live jobs, same
-    allocations and float progress, same DVFS/NIC state — are detected
-    by a state digest and **re-merged**, with per-member integer
-    kill/suspension counters virtualised via exact offsets. The digest
-    is compared in two stages (:meth:`_merge_groups`): a cheap per-pod
-    scalar key for every branch, the job/RNG detail only where keys
-    collide.
-
-    Identity contract: for every member, the returned
-    ``ColocationResult`` and the final RNG stream states are
-    bit-identical to constructing a fresh ``ColocationExperiment`` with
-    that member's controllers over the same seeded scenario and calling
-    ``run()`` (``tests/test_bakeoff.py`` pins this in-process, across
-    fork/spawn, and under fault schedules).
-    """
-
-    def __init__(
-        self,
-        experiment: "ColocationExperiment",
-        members: "Dict[str, Dict[str, object]]",
-    ) -> None:
-        if not members:
-            raise ConfigurationError("bake-off needs at least one member")
-        if experiment.action_filter is not None:
-            raise ConfigurationError(
-                "bake-off does not compose with action_filter hooks"
-            )
-        pods = list(experiment._runs)
-        for name, controllers in members.items():
-            missing = set(pods) - set(controllers)
-            if missing:
-                raise ConfigurationError(
-                    f"member {name!r} lacks controllers for {sorted(missing)}"
-                )
-        self._exp = experiment
-        self._pods = pods
-        self._duration_s = experiment.config.duration_s
-        self._period_s = experiment.config.control_period_s
-        self._members: List[_BakeoffMember] = []
-        for name, controllers in members.items():
-            metrics = {
-                pod: MachineMetrics(
-                    machine_name=experiment.deployment.servpod(pod).machine.spec.name,
-                    servpod=pod,
-                    total_cores=experiment.deployment.servpod(pod).machine.spec.cores,
-                    sla_ms=experiment.spec.sla_ms,
-                    tail_pct=experiment.spec.tail_percentile,
-                )
-                for pod in pods
-            }
-            self._members.append(_BakeoffMember(name, dict(controllers), metrics))
-        # Kernels live on branches, not on the experiment, so world
-        # forks never deepcopy SoA mirrors (each fork builds a fresh
-        # kernel whose mirrors rebuild on the next version check).
-        self._branches: List[_BakeoffBranch] = [
-            _BakeoffBranch(
-                experiment,
-                BatchedColocationKernel(experiment),
-                list(range(len(self._members))),
-                set(),
-            )
-        ]
-        # Deep-copy memo for forks, built once: id -> itself for every
-        # object all branches share (deepcopy adds to the memo it is
-        # given, so each fork seeds a fresh copy of this one).
-        self._shared_memo: Dict[int, object] = {
-            id(obj): obj for obj in self._scenario_shared_state(experiment)
-        }
-        self.stats = BakeoffStats(members=len(self._members))
-        self._member_branch: Dict[str, _BakeoffBranch] = {}
-
-    # -- the run loop ---------------------------------------------------
-
-    def _tick_times(self) -> List[float]:
-        """The scalar engine's tick schedule, float accumulation and all."""
-        times: List[float] = []
-        t = self._period_s
-        if t <= self._duration_s:
-            times.append(t)
-            while True:
-                nxt = t + self._period_s
-                if nxt > self._duration_s:
-                    break
-                times.append(nxt)
-                t = nxt
-        return times
-
-    def run(self) -> "Dict[str, ColocationResult]":
-        """Run every member to completion; results keyed by member name."""
-        times = self._tick_times()
-        n_ticks = len(times)
-        self.stats.ticks = n_ticks
-        lsum = 0.0
-        pattern = self._exp.pattern
-        for t in times:
-            for branch in list(self._branches):
-                self._tick_branch(branch, t, self._period_s)
-            if len(self._branches) > 1:
-                self._try_merge()
-            self.stats.max_branches = max(
-                self.stats.max_branches, len(self._branches)
-            )
-            lsum += min(1.0, max(0.0, pattern.load_at(t)))
-        lc_load_mean = lsum / max(1, n_ticks)
-        results: Dict[str, "ColocationResult"] = {}
-        for branch in self._branches:
-            for mi in branch.members:
-                member = self._members[mi]
-                self._member_branch[member.name] = branch
-                results[member.name] = self._member_result(
-                    member, branch, lc_load_mean, n_ticks
-                )
-        return {m.name: results[m.name] for m in self._members}
-
-    def member_streams(self, name: str):
-        """The final RNG streams of ``name``'s branch (after ``run``)."""
-        return self._member_branch[name].exp.streams
-
-    # -- one tick of one branch -----------------------------------------
-
-    def _tick_branch(self, branch: _BakeoffBranch, t: float, dt: float) -> None:
-        self.stats.branch_ticks += 1
-        exp = branch.exp
-        load, tail_ms, window_closed, snapshots, usages = branch.kernel.observe(
-            t, dt
-        )
-        machines = branch.kernel._machines
-
-        # Pre-apply machine gauges and per-pod sample fields, computed
-        # once and recorded for every member: the world is shared until
-        # the apply phase, so each member's scalar run would read these
-        # exact values.
-        pod_fields: Dict[str, Tuple] = {}
-        for pod in self._pods:
-            snapshot = snapshots[pod]
-            usage = usages[pod]
-            n_inst, n_cores, n_ways = branch.kernel.be_counters(pod)
-            pod_fields[pod] = (
-                usage.busy_cores + snapshot.busy_cores,
-                min(1.0, usage.membw_fraction + snapshot.membw_fraction),
-                n_inst,
-                n_cores,
-                n_ways,
-                snapshot.total_rate,
-            )
-
-        # Decide + record for every member on the shared observation.
-        # Machines are per-pod, so recording all members before any
-        # apply sees exactly the pre-apply state the scalar per-pod
-        # decide/record/apply interleaving sees. Members that chose the
-        # same action for a pod record the exact same field values, so
-        # one frozen ``TickSample`` per distinct (pod, action) is built
-        # and shared (every member's sla / core capacity comes from the
-        # one scenario service, enforced at construction).
-        sample_cache: Dict[Tuple[str, BeAction], TickSample] = {}
-        for mi in branch.members:
-            member = self._members[mi]
-            actions: Dict[str, BeAction] = {}
-            for pod in self._pods:
-                actions[pod] = member.controllers[pod].decide(load, tail_ms, t=t)
-            member.actions = actions
-            for pod in self._pods:
-                action = actions[pod]
-                metrics = member.metrics[pod]
-                if window_closed:
-                    metrics.tail.record_window_tail(tail_ms)
-                key = (pod, action)
-                sample = sample_cache.get(key)
-                if sample is None:
-                    (busy, membw, n_inst, n_cores, n_ways, be_rate) = (
-                        pod_fields[pod]
-                    )
-                    sla = metrics.sla_ms
-                    sample = TickSample(
-                        t=t,
-                        load=load,
-                        slack=(sla - tail_ms) / sla,
-                        tail_ms=tail_ms,
-                        cpu_utilisation=min(1.0, busy / metrics.total_cores),
-                        membw_utilisation=membw,
-                        be_instances=n_inst,
-                        be_cores=n_cores,
-                        be_llc_ways=n_ways,
-                        be_rate=be_rate,
-                        action=action.value,
-                    )
-                    sample_cache[key] = sample
-                metrics.record_shared_tick(dt, sample, pod_fields[pod][0])
-
-        # Partition members by memo-normalised action vector: a pod
-        # whose memo key is a proven no-op is a wildcard — members
-        # differing only there share one world mutation. The memo
-        # verdict depends only on (pod, action, machine state), so it
-        # is resolved once per distinct action and reused.
-        norm: Dict[Tuple[str, BeAction], Optional[BeAction]] = {}
-        partitions: Dict[Tuple, List[int]] = {}
-        for mi in branch.members:
-            member = self._members[mi]
-            sig_parts = []
-            for pod in self._pods:
-                action = member.actions[pod]
-                pk = (pod, action)
-                verdict = norm.get(pk, _UNRESOLVED)
-                if verdict is _UNRESOLVED:
-                    verdict = (
-                        None
-                        if _memo_key(pod, action, machines[pod]) in branch.memo
-                        else action
-                    )
-                    norm[pk] = verdict
-                sig_parts.append(verdict)
-            partitions.setdefault(tuple(sig_parts), []).append(mi)
-
-        groups = list(partitions.values())
-        if len(groups) > 1:
-            # Lazy divergence forking: clone the pre-apply world once
-            # per extra partition, then let each partition apply its own
-            # actions to its own copy.
-            branch.members = groups[0]
-            for group in groups[1:]:
-                fork = self._fork(branch, group)
-                self._branches.append(fork)
-                self._apply(fork, self._members[group[0]].actions, usages)
-        self._apply(branch, self._members[branch.members[0]].actions, usages)
-
-    # -- copy-on-write world forking --------------------------------------
-
-    @staticmethod
-    def _scenario_shared_state(exp) -> List[object]:
-        """The scenario objects every branch may share by reference.
-
-        A fork must duplicate exactly the state a branch can *mutate*:
-        machine/cluster state, BE pools and job records, RNG streams,
-        the load generator, the fault injector. Everything else about
-        the scenario is decision-independent and read-only for the
-        whole run, so every branch holds the very same objects: the
-        frozen specs (service, Servpod and component specs with their
-        sensitivity vectors, machine specs, power models, BE job specs),
-        the load pattern, the config (and its fault schedule), the
-        stateless subcontrollers, and the scenario experiment's own
-        controllers and ``MachineRun.metrics`` (the bake-off consults
-        only *member* controllers and records only *member* metrics,
-        never the scenario experiment's; enforced by every member
-        carrying a fresh ``build_controllers`` set). Sharing these
-        turns the fork deep-copy into a copy-on-write snapshot of just
-        the mutable world; the ``divergent`` block of
-        ``bench_bakeoff.py`` records what one fork costs on a roster
-        that forks and re-merges every few ticks.
-        """
-        shared: List[object] = [
-            exp.spec,
-            exp.pattern,
-            exp.config,
-            exp._cpu_llc,
-            exp._frequency,
-            exp._memory,
-            exp._network,
-        ]
-        for pod_spec in exp.spec.servpods:
-            shared.append(pod_spec)
-            for component in pod_spec.components:
-                shared.append(component)
-                shared.append(component.sensitivity)
-        for machine in exp.deployment.cluster:
-            shared.append(machine.spec)
-            shared.append(machine.power_model)
-        if exp.config.faults is not None:
-            shared.append(exp.config.faults)
-            shared.extend(exp.config.faults.faults)
-        shared.extend(exp.be_specs)
-        shared.extend(exp.controllers.values())
-        shared.extend(run.metrics for run in exp._runs.values())
-        return shared
-
-    def _fork(self, branch: _BakeoffBranch, group: List[int]) -> _BakeoffBranch:
-        """Clone ``branch``'s world for a diverging member partition.
-
-        The deep copy is seeded with a memo mapping every shared
-        scenario object to itself (:meth:`_scenario_shared_state`,
-        collected once per kernel: every branch shares the root's
-        objects), so only the mutable world state is duplicated; job
-        and allocation records copy flat through their own
-        ``__deepcopy__``. Kernels hang off branches, not experiments,
-        so no SoA arrays are copied either — the fork's fresh
-        :class:`BatchedColocationKernel` rebuilds them lazily.
-        """
-        self.stats.forks += 1
-        clone = copy.deepcopy(branch.exp, dict(self._shared_memo))
-        return _BakeoffBranch(
-            clone,
-            BatchedColocationKernel(clone),
-            group,
-            set(branch.memo),
-        )
-
-    def _apply(
-        self,
-        branch: _BakeoffBranch,
-        actions: "Dict[str, BeAction]",
-        usages,
-    ) -> None:
-        """Phase 4 actuation in exact scalar order, memoised per branch."""
-        exp = branch.exp
-        machines = branch.kernel._machines
-        for pod in self._pods:
-            machine = machines[pod]
-            run = exp._runs[pod]
-            action = actions[pod]
-            key = _memo_key(pod, action, machine)
-            if key not in branch.memo:
-                v0, mv0 = machine.version, machine.mem_version
-                exp._cpu_llc.apply(action, machine, run.pool)
-                exp._memory.apply(action, machine, run.pool)
-                if (
-                    action is not BeAction.STOP_BE
-                    and machine.version == v0
-                    and machine.mem_version == mv0
-                ):
-                    branch.memo.add(key)
-            exp._frequency.apply(
-                machine,
-                usages[pod].busy_cores,
-                branch.kernel.be_counters(pod)[1],
-            )
-
-    # -- re-merge detection ---------------------------------------------
-
-    def _merge_groups(self) -> List[List[_BakeoffBranch]]:
-        """Live branches grouped by equal :func:`_world_digest`.
-
-        Two stages: every branch gets the cheap scalar
-        :func:`_world_key`, and only branches whose keys collide pay for
-        the detailed part (:func:`_world_detail`). The key is a
-        projection of the digest, so equal digests imply equal keys:
-        grouping by ``(key, detail-or-None)`` is exactly the grouping
-        by full digest. Groups and their members keep first-seen branch
-        order.
-        """
-        keys = [_world_key(branch.exp) for branch in self._branches]
-        counts: Dict[Tuple, int] = {}
-        for key in keys:
-            counts[key] = counts.get(key, 0) + 1
-        groups: Dict[Tuple, List[_BakeoffBranch]] = {}
-        for branch, key in zip(self._branches, keys):
-            detail = _world_detail(branch.exp) if counts[key] > 1 else None
-            groups.setdefault((key, detail), []).append(branch)
-        return list(groups.values())
-
-    def _try_merge(self) -> None:
-        """Collapse branches whose forward-relevant state re-converged."""
-        groups = self._merge_groups()
-        if len(groups) == len(self._branches):
-            return
-        # Each group's first branch survives; groups iterate in
-        # first-seen order, which keeps the branches' own order.
-        survivors = [group[0] for group in groups]
-        for group in groups:
-            keep = group[0]
-            k_kills = keep.exp.deployment.cluster.total_be_kills
-            k_susp = sum(
-                m.counters.be_suspensions for m in keep.exp.deployment.cluster
-            )
-            for other in group[1:]:
-                o_kills = other.exp.deployment.cluster.total_be_kills
-                o_susp = sum(
-                    m.counters.be_suspensions
-                    for m in other.exp.deployment.cluster
-                )
-                for mi in other.members:
-                    member = self._members[mi]
-                    member.kill_offset += o_kills - k_kills
-                    member.susp_offset += o_susp - k_susp
-                keep.members.extend(other.members)
-                self.stats.merges += 1
-            keep.members.sort()
-        self._branches = survivors
-
-    # -- results --------------------------------------------------------
-
-    def _member_result(
-        self,
-        member: _BakeoffMember,
-        branch: _BakeoffBranch,
-        lc_load_mean: float,
-        n_ticks: int,
-    ) -> "ColocationResult":
-        from repro.experiments.colocation import ColocationResult
-
-        exp = branch.exp
-        machines = dict(member.metrics)
-        for pod in self._pods:
-            member.metrics[pod].completed_be_throughput = (
-                exp._runs[pod].pool.total_normalized_work
-                / exp.config.duration_s
-            )
-        first = next(iter(machines.values()))
-        return ColocationResult(
-            service=exp.spec.name,
-            duration_s=exp.config.duration_s,
-            lc_load_mean=lc_load_mean,
-            machines=machines,
-            be_kills=exp.deployment.cluster.total_be_kills
-            + member.kill_offset,
-            be_suspensions=sum(
-                m.counters.be_suspensions for m in exp.deployment.cluster
-            )
-            + member.susp_offset,
-            sla_violations=first.sla_violations,
-            worst_tail_ms=max(m.worst_tail_ms for m in machines.values()),
-            events_fired=n_ticks,
-        )
+    shared: List[object] = [
+        exp.spec,
+        exp.pattern,
+        exp.config,
+        exp._cpu_llc,
+        exp._frequency,
+        exp._memory,
+        exp._network,
+    ]
+    for pod_spec in exp.spec.servpods:
+        shared.append(pod_spec)
+        for component in pod_spec.components:
+            shared.append(component)
+            shared.append(component.sensitivity)
+    for machine in exp.deployment.cluster:
+        shared.append(machine.spec)
+        shared.append(machine.power_model)
+    if exp.config.faults is not None:
+        shared.append(exp.config.faults)
+        shared.extend(exp.config.faults.faults)
+    shared.extend(exp.be_specs)
+    shared.extend(exp.controllers.values())
+    shared.extend(run.metrics for run in exp._runs.values())
+    return shared
 
 
 def _world_key(exp: "ColocationExperiment") -> Tuple:
@@ -2692,7 +2165,7 @@ def _world_key(exp: "ColocationExperiment") -> Tuple:
 
     Live-job count, ``total_normalized_work`` bits, spec-cycle position,
     DVFS state, NIC caps, fault-held cores/ways and free cores/ways —
-    O(pods), no walk over jobs or RNG states. Branches with different
+    O(pods), no walk over jobs or RNG states. Worlds with different
     keys can never share a digest, so only key collisions need the
     detail.
 
@@ -2768,7 +2241,7 @@ def _world_detail(exp: "ColocationExperiment") -> Tuple:
 def _world_digest(exp: "ColocationExperiment") -> Tuple:
     """Forward-relevant world state of one experiment, id-free.
 
-    Two branches with equal digests evolve identically from here on, so
+    Two slots with equal digests evolve identically from here on, so
     they may share one world. The digest deliberately **excludes** the
     monotonic counters that merging virtualises — kill/suspension/launch
     counters, the pool's job-id counter, ``Machine.version`` — and
@@ -2780,8 +2253,8 @@ def _world_digest(exp: "ColocationExperiment") -> Tuple:
 
     It is the pair ``(_world_key(exp), _world_detail(exp))``: the cheap
     per-pod scalar key first, then the job/RNG detail. The merge step
-    (:meth:`BakeoffKernel._merge_groups`) computes the detail only for
-    branches whose keys collide; because the key is part of the digest,
+    (:meth:`FleetColocationKernel._merge_groups`) computes the detail
+    only for slots whose keys collide; because the key is part of the digest,
     that yields exactly the partition by full digest.
     """
     return (_world_key(exp), _world_detail(exp))

@@ -1,13 +1,16 @@
 """Tests for the single-pass controller bake-off.
 
-The load-bearing contract: every member of a
-:class:`~repro.sim.kernel.BakeoffKernel` pass — result fingerprint AND
-final RNG stream states — is bit-identical to running that member alone
-through a fresh :class:`ColocationExperiment`, in-process, in fork- and
-spawn-started children, and under fault schedules. Divergence forking
-is exercised at its edges (never diverge, diverge at the first tick,
-re-converge mid-run), and the cell cache is pinned to treat the
-controller member as a key coordinate while wall-clock knobs stay out.
+The load-bearing contract: every member of a bake-off pass (slots of
+one :class:`~repro.sim.kernel.FleetColocationKernel`, aliased per
+scenario) — result fingerprint AND final RNG stream states — is
+bit-identical to running that member alone through a fresh
+:class:`ColocationExperiment` on the scalar engine, in-process, in
+fork- and spawn-started children, and under fault schedules. The
+oracle is always the engine-driven scalar loop, never the kernel the
+bake-off itself runs on. Divergence forking is exercised at its edges
+(never diverge, diverge at the first tick, re-converge mid-run) and on
+both tick paths, and the cell cache is pinned to treat the controller
+member as a key coordinate while wall-clock knobs stay out.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from repro.cache.keys import CODE_VERSION_SALT
 from repro.cluster.machine import BE_DOMAIN, LC_DOMAIN
 from repro.core.actions import BeAction
 from repro.core.controller import ColocationController
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.bakeoff import (
     BakeoffConfig,
     BakeoffMember,
@@ -47,7 +50,13 @@ from repro.experiments.colocation import ColocationConfig, ColocationExperiment
 from repro.faults.spec import FaultSchedule
 from repro.loadgen.patterns import ConstantLoad, DiurnalLoad
 from repro.parallel.grid import colocation_fingerprint
-from repro.sim.kernel import BakeoffKernel, _world_digest
+import repro.sim.kernel as kernel_mod
+from repro.sim.kernel import (
+    KERNEL_ENV_VAR,
+    FleetColocationKernel,
+    _scenario_shared_state,
+    _world_digest,
+)
 from repro.sim.rng import RandomStreams
 from repro.workloads.catalog import redis_service
 
@@ -81,68 +90,86 @@ def scripted(script, default):
     }
 
 
-def run_independent(service, controllers_fn, pattern, seed, config):
-    exp = ColocationExperiment(
+def build(service, controllers, pattern, seed, config, kernel=None):
+    return ColocationExperiment(
         service,
-        controllers_fn(service),
+        controllers,
         [evaluation_be_jobs()[0]],
         pattern,
         streams=RandomStreams(seed),
         config=config,
+        kernel=kernel,
+    )
+
+
+def run_independent(service, controllers_fn, pattern, seed, config):
+    """The identity oracle: one member alone on the scalar engine."""
+    exp = build(
+        service, controllers_fn(service), pattern, seed, config, kernel="scalar"
     )
     return colocation_fingerprint(exp.run()), rng_states(exp.streams)
 
 
 def run_shared(service, members, pattern, seed, config):
-    """One bake-off pass; returns (kernel, results)."""
-    first = next(iter(members.values()))
-    root = ColocationExperiment(
-        service,
-        first(service),
-        [evaluation_be_jobs()[0]],
-        pattern,
-        streams=RandomStreams(seed),
-        config=config,
-    )
-    kernel = BakeoffKernel(root, {n: fn(service) for n, fn in members.items()})
-    return kernel, kernel.run()
+    """One bake-off pass: every member a slot aliased to the first.
+
+    Returns ``(kernel, results by member name)``; member ``k``'s final
+    streams are ``kernel.member_world(k).streams``.
+    """
+    experiments = [
+        build(service, fn(service), pattern, seed, config)
+        for fn in members.values()
+    ]
+    kernel = FleetColocationKernel(experiments, aliases=[0] * len(experiments))
+    return kernel, dict(zip(members, kernel.run()))
+
+
+def n_ticks(kernel):
+    return len(kernel._tick_times())
 
 
 def assert_members_identical(service, members, pattern, seed, config):
     kernel, results = run_shared(service, members, pattern, seed, config)
-    for name, fn in members.items():
+    for k, (name, fn) in enumerate(members.items()):
         fingerprint, states = run_independent(
             service, fn, pattern, seed, config
         )
         assert colocation_fingerprint(results[name]) == fingerprint, name
-        assert rng_states(kernel.member_streams(name)) == states, name
+        assert rng_states(kernel.member_world(k).streams) == states, name
     return kernel
 
 
 def check_merge_key(monkeypatch):
-    """Pin every ``_try_merge`` to the full-digest partition.
+    """Pin every merge grouping to the full-digest partition.
 
     The two-stage grouping (scalar key, detail only on collisions) must
-    give the same groups, holding the same branches in the same order,
-    as grouping every live branch by its full ``_world_digest``.
-    Returns a dict counting the attempts checked.
+    give the same groups, holding the same slots in the same order, as
+    grouping every live slot of the scenario by its full
+    ``_world_digest``. Returns a dict counting the attempts checked.
     """
     seen = {"attempts": 0, "merging": 0}
-    original = BakeoffKernel._try_merge
+    original = FleetColocationKernel._merge_groups
 
-    def checked(self):
+    def checked(self, slots):
         by_digest = {}
-        for branch in self._branches:
-            by_digest.setdefault(_world_digest(branch.exp), []).append(branch)
-        expected = [[id(b) for b in group] for group in by_digest.values()]
-        got = [[id(b) for b in group] for group in self._merge_groups()]
+        for i in slots:
+            by_digest.setdefault(_world_digest(self._exps[i]), []).append(i)
+        expected = list(by_digest.values())
+        got = original(self, slots)
         assert got == expected
         seen["attempts"] += 1
-        seen["merging"] += len(expected) < len(self._branches)
-        return original(self)
+        seen["merging"] += len(expected) < len(slots)
+        return got
 
-    monkeypatch.setattr(BakeoffKernel, "_try_merge", checked)
+    monkeypatch.setattr(FleetColocationKernel, "_merge_groups", checked)
     return seen
+
+
+@pytest.fixture
+def scalar_oracle(monkeypatch):
+    """Reference runs (``run_member_reference``) on the scalar engine;
+    the bake-off pass itself always runs on the fleet kernel."""
+    monkeypatch.setenv(KERNEL_ENV_VAR, "scalar")
 
 
 class TestBakeoffKernelIdentity:
@@ -162,7 +189,7 @@ class TestBakeoffKernelIdentity:
             ColocationConfig(duration_s=60.0),
         )
         # The pass must actually share physics, not run 3x independently.
-        assert kernel.stats.branch_ticks < kernel.stats.ticks * 3
+        assert kernel.slot_ticks < n_ticks(kernel) * 3
 
     def test_identity_under_faults(self):
         service = redis_service()
@@ -189,10 +216,10 @@ class TestBakeoffKernelIdentity:
             3,
             ColocationConfig(duration_s=60.0),
         )
-        assert kernel.stats.forks == 0
-        assert kernel.stats.merges == 0
-        assert kernel.stats.branch_ticks == kernel.stats.ticks
-        assert len(kernel._branches) == 1
+        assert kernel.forks == 0
+        assert kernel.merges == 0
+        assert kernel.slot_ticks == n_ticks(kernel)
+        assert len(kernel._live) == 1
 
     def test_diverge_at_tick_zero_degenerates_to_independent(self):
         # Members disagreeing from the very first tick (and STOP is
@@ -209,10 +236,10 @@ class TestBakeoffKernelIdentity:
             5,
             ColocationConfig(duration_s=60.0),
         )
-        assert kernel.stats.forks == 1
-        assert len(kernel._branches) == 2
-        # Both branches tick every tick after the first-tick fork.
-        assert kernel.stats.branch_ticks == 2 * kernel.stats.ticks - 1
+        assert kernel.forks == 1
+        assert len(kernel._live) == 2
+        # Both slots tick every tick after the first-tick fork.
+        assert kernel.slot_ticks == 2 * n_ticks(kernel) - 1
 
     def test_reconverge_mid_run_merges_back(self):
         # "ab" allows one launch then stops (killing the job claws its
@@ -232,9 +259,9 @@ class TestBakeoffKernelIdentity:
             5,
             ColocationConfig(duration_s=60.0),
         )
-        assert kernel.stats.forks >= 1
-        assert kernel.stats.merges >= 1
-        assert len(kernel._branches) == 1
+        assert kernel.forks >= 1
+        assert kernel.merges >= 1
+        assert len(kernel._live) == 1
 
     def test_high_divergence_roster_under_faults(self, monkeypatch):
         # The worst case for copy-on-write forking: five members whose
@@ -264,46 +291,211 @@ class TestBakeoffKernelIdentity:
             5,
             ColocationConfig(duration_s=60.0, faults=faults),
         )
-        assert kernel.stats.forks >= 3
+        assert kernel.forks >= 3
         assert merge_checks["attempts"] > 0
         assert merge_checks["merging"] > 0
 
     def test_rejects_empty_roster_and_missing_pods(self):
         service = redis_service()
-        exp = ColocationExperiment(
-            service,
-            heracles_controllers(service),
-            [evaluation_be_jobs()[0]],
-            ConstantLoad(0.4),
-            streams=RandomStreams(0),
-            config=ColocationConfig(duration_s=30.0),
-        )
+        pattern = ConstantLoad(0.4)
+        config = ColocationConfig(duration_s=30.0)
         with pytest.raises(ConfigurationError):
-            BakeoffKernel(exp, {})
+            FleetColocationKernel([])
         partial = heracles_controllers(service)
         partial.popitem()
+        with pytest.raises(ExperimentError):
+            build(service, partial, pattern, 0, config)
+        # A member can only ride a world it would have built itself.
+        head = build(service, heracles_controllers(service), pattern, 0, config)
+        for other in (
+            build(service, heracles_controllers(service), pattern, 1, config),
+            build(
+                service, heracles_controllers(service), ConstantLoad(0.4), 0, config
+            ),
+        ):
+            with pytest.raises(ConfigurationError):
+                FleetColocationKernel([head, other], aliases=[0, 0])
         with pytest.raises(ConfigurationError):
-            BakeoffKernel(exp, {"partial": partial})
+            FleetColocationKernel([head, head], aliases=[1, 1])
 
     def test_rejects_action_filter(self):
         service = redis_service()
-        exp = ColocationExperiment(
-            service,
-            heracles_controllers(service),
-            [evaluation_be_jobs()[0]],
-            ConstantLoad(0.4),
-            streams=RandomStreams(0),
-            config=ColocationConfig(duration_s=30.0),
-        )
+        pattern = ConstantLoad(0.4)
+        config = ColocationConfig(duration_s=30.0)
+        exp = build(service, heracles_controllers(service), pattern, 0, config)
         exp.action_filter = lambda pod, action: action
+        twin = build(service, heracles_controllers(service), pattern, 0, config)
         with pytest.raises(ConfigurationError):
-            BakeoffKernel(exp, {"a": heracles_controllers(service)})
+            FleetColocationKernel([exp, twin], aliases=[0, 0])
+
+
+class TestTickPaths:
+    """The same forking, merging roster on the small and vec tick paths."""
+
+    @pytest.mark.parametrize("limit", [0, 64])
+    def test_forking_roster_matches_scalar_on_both_paths(self, limit, monkeypatch):
+        monkeypatch.setattr(kernel_mod, "_SMALL_FLEET_MACHINES", limit)
+        merge_checks = check_merge_key(monkeypatch)
+        service = redis_service()
+        faults = FaultSchedule.generate(11, 60.0, faults_per_minute=6.0)
+        kernel = assert_members_identical(
+            service,
+            {
+                "grower": scripted({}, BeAction.ALLOW_BE_GROWTH),
+                "stopper": scripted({}, BeAction.STOP_BE),
+                "flipper": scripted(
+                    {0: BeAction.ALLOW_BE_GROWTH, 1: BeAction.STOP_BE},
+                    BeAction.STOP_BE,
+                ),
+                "late": scripted(
+                    {3: BeAction.STOP_BE}, BeAction.ALLOW_BE_GROWTH
+                ),
+                "heracles": heracles_controllers,
+            },
+            DiurnalLoad(base=0.5, amplitude=0.25, period_s=60.0),
+            5,
+            ColocationConfig(duration_s=60.0, faults=faults),
+        )
+        assert kernel._small == (limit > 0)
+        assert kernel.forks >= 3 and kernel.merges >= 1
+        assert merge_checks["merging"] > 0
+
+
+def grown_pair(limit, monkeypatch):
+    """Two growers riding one slot (``_SMALL_FLEET_MACHINES`` set to
+    ``limit``), ticked until their BE jobs run."""
+    monkeypatch.setattr(kernel_mod, "_SMALL_FLEET_MACHINES", limit)
+    service = redis_service()
+    grower = scripted({}, BeAction.ALLOW_BE_GROWTH)
+    config = ColocationConfig(duration_s=30.0)
+    pattern = ConstantLoad(0.3)
+    experiments = [
+        build(service, grower(service), pattern, 5, config) for _ in range(2)
+    ]
+    kernel = FleetColocationKernel(experiments, aliases=[0, 0])
+    for t in kernel._tick_times()[:5]:
+        kernel.tick(t, kernel._period_s, last=False)
+    assert kernel._live == [0]
+    return kernel
+
+
+class TestForkCopiesKernelState:
+    """A fork happens mid-tick, so the new slot must carry the row state
+    only the kernel holds, not just a copy of the world."""
+
+    @pytest.mark.parametrize("limit", [0, 64])
+    def test_fork_copies_kernel_row_state(self, limit, monkeypatch):
+        kernel = grown_pair(limit, monkeypatch)
+        src = kernel._inst_machines[0]
+        # Values no dormant row holds: a stepped-down request, this
+        # tick's LC load and traffic, a proven no-op.
+        for m in src:
+            machine = kernel._m_mach[m]
+            kernel._freq[m] = kernel._f_max_l[m] - kernel._f_step_l[m]
+            kernel._lc_busy[m] += 1.25
+            kernel._last_net[m] += 0.5
+            kernel._memo[m].add(
+                (
+                    BeAction.DISALLOW_BE_GROWTH,
+                    machine.version,
+                    machine.mem_version,
+                    kernel._fkey[m],
+                )
+            )
+        dst = kernel._fork(0, [1])
+        assert kernel._ride == [0, dst] and kernel._riders[dst] == [1]
+        columns = (
+            kernel._freq,
+            kernel._lc_busy,
+            kernel._last_net,
+            kernel._fault_m,
+            kernel._fcap_l,
+            kernel._lc_r3_l,
+            kernel._link_nic_l,
+            kernel._fkey,
+            kernel._memo,
+        )
+        for ms, md in zip(src, kernel._inst_machines[dst]):
+            for column in columns:
+                assert column[md] == column[ms]
+        assert _world_digest(kernel._exps[dst]) == _world_digest(kernel._exps[0])
+
+
+class TestMergeKeyWriteBack:
+    """Live slots that differ only in state the kernel holds between
+    writes back (SoA BE progress, the requested BE frequency) must not
+    merge: the merge key reads worlds only after a write-back."""
+
+    @staticmethod
+    def _split(limit, monkeypatch):
+        """Two growers split into two live slots with identical worlds;
+        returns (kernel, a job row of the new slot)."""
+        kernel = grown_pair(limit, monkeypatch)
+        dst = kernel._fork(0, [1])
+        assert kernel._live == [0, dst]
+        row = next(m for m in kernel._inst_machines[dst] if kernel._njobs_l[m])
+        return kernel, row
+
+    def test_merge_adopts_only_no_ops_of_the_current_state(self, monkeypatch):
+        kernel, _ = self._split(64, monkeypatch)
+        dst = kernel._live[1]
+        for mk, mo in zip(kernel._inst_machines[0], kernel._inst_machines[dst]):
+            machine = kernel._m_mach[mo]
+            fkey = kernel._fkey[mo]
+            kernel._memo[mo] = {
+                (BeAction.DISALLOW_BE_GROWTH, machine.version, machine.mem_version, fkey),
+                # Proven in an older state the survivor never shared.
+                (BeAction.ALLOW_BE_GROWTH, machine.version - 1, machine.mem_version, fkey),
+            }
+            kernel._memo[mk] = set()
+        kernel._merge_converged()
+        assert kernel._live == [0]
+        for mk in kernel._inst_machines[0]:
+            machine = kernel._m_mach[mk]
+            assert kernel._memo[mk] == {
+                (
+                    BeAction.DISALLOW_BE_GROWTH,
+                    machine.version,
+                    machine.mem_version,
+                    kernel._fkey[mk],
+                )
+            }
+
+    @pytest.mark.parametrize("limit", [0, 64])
+    def test_identical_slots_merge(self, limit, monkeypatch):
+        kernel, _ = self._split(limit, monkeypatch)
+        kernel._merge_converged()
+        assert kernel._live == [0] and kernel.merges == 1
+        assert kernel._riders[0] == [0, 1]
+
+    @pytest.mark.parametrize("limit", [0, 64])
+    def test_progress_only_difference_blocks_merge(self, limit, monkeypatch):
+        kernel, row = self._split(limit, monkeypatch)
+        if kernel._small:
+            kernel._nw_py[row][0] += 0.5
+        else:
+            kernel._nw[row, 0] += 0.5
+        kernel._merge_converged()
+        assert len(kernel._live) == 2 and kernel.merges == 0
+
+    @pytest.mark.parametrize("limit", [0, 64])
+    def test_requested_frequency_only_difference_blocks_merge(
+        self, limit, monkeypatch
+    ):
+        kernel, row = self._split(limit, monkeypatch)
+        freq = int(kernel._freq[row])
+        step = kernel._f_step_l[row]
+        kernel._freq[row] = freq - step if freq > kernel._f_min_l[row] else freq + step
+        kernel._merge_converged()
+        assert len(kernel._live) == 2 and kernel.merges == 0
 
 
 class TestForkAndMerge:
     """What a fork copies, what it shares, and what a merge compares."""
 
     def _forked(self):
+        # Two Heracles twins never part, so one slot of three stays
+        # dormant for the fork below.
         service = redis_service()
         faults = FaultSchedule.generate(7, 30.0, faults_per_minute=6.0)
         kernel, _ = run_shared(
@@ -311,13 +503,16 @@ class TestForkAndMerge:
             {
                 "grower": scripted({}, BeAction.ALLOW_BE_GROWTH),
                 "heracles": heracles_controllers,
+                "twin": heracles_controllers,
             },
             ConstantLoad(0.3),
             5,
             ColocationConfig(duration_s=30.0, faults=faults),
         )
-        parent = kernel._branches[0]
-        return kernel, parent, kernel._fork(parent, list(parent.members))
+        src = kernel._ride[2]
+        dst = kernel._fork(src, [2])
+        assert kernel._ride[2] == dst != src
+        return kernel._exps[src], kernel._exps[dst]
 
     @staticmethod
     def _records(exp):
@@ -331,19 +526,19 @@ class TestForkAndMerge:
         return jobs, allocations
 
     def test_fork_is_isolated_from_its_parent(self):
-        kernel, parent, fork = self._forked()
-        before = _world_digest(parent.exp)
-        assert _world_digest(fork.exp) == before
+        parent, fork = self._forked()
+        before = _world_digest(parent)
+        assert _world_digest(fork) == before
 
         # Declared-shared scenario objects are the very same objects.
-        shared = kernel._scenario_shared_state(parent.exp)
-        forked = kernel._scenario_shared_state(fork.exp)
+        shared = _scenario_shared_state(parent)
+        forked = _scenario_shared_state(fork)
         assert len(shared) == len(forked)
         for ours, theirs in zip(shared, forked):
             assert ours is theirs
         # Job records and allocations are all distinct objects.
-        jobs, allocations = self._records(parent.exp)
-        fork_jobs, fork_allocations = self._records(fork.exp)
+        jobs, allocations = self._records(parent)
+        fork_jobs, fork_allocations = self._records(fork)
         assert jobs and allocations
         assert len(fork_jobs) == len(jobs)
         assert len(fork_allocations) == len(allocations)
@@ -353,7 +548,7 @@ class TestForkAndMerge:
         }
 
         # Mutate every kind of world state the fork owns.
-        exp = fork.exp
+        exp = fork
         for pod, run in exp._runs.items():
             machine = exp.deployment.servpod(pod).machine
             for job in run.pool.running():
@@ -370,11 +565,11 @@ class TestForkAndMerge:
             machine.dvfs.set_cap(BE_DOMAIN, machine.dvfs.min_mhz)
             machine.offline_cores(1)
         for name, stream in exp.streams._streams.items():
-            assert stream is not parent.exp.streams._streams[name]
+            assert stream is not parent.streams._streams[name]
             stream.random(3)
 
-        assert _world_digest(fork.exp) != before
-        assert _world_digest(parent.exp) == before
+        assert _world_digest(fork) != before
+        assert _world_digest(parent) == before
 
     def test_digest_sees_requested_frequency_under_a_cap(self):
         # Under a DVFS cap two worlds can run at the same effective BE
@@ -443,7 +638,7 @@ class TestBakeoffExperiment:
             predictive_member(),
         ]
 
-    def test_cells_match_reference_bitwise(self):
+    def test_cells_match_reference_bitwise(self, scalar_oracle):
         config = BakeoffConfig(duration_s=60.0)
         scenarios = self._grid()
         members = self._members()
@@ -455,7 +650,27 @@ class TestBakeoffExperiment:
             assert cell == reference
         assert result.passes == len(scenarios)
 
-    def test_probe_modes_agree(self):
+    def test_mixed_healthy_and_faulted_scenarios_in_one_pass(
+        self, scalar_oracle
+    ):
+        config = BakeoffConfig(duration_s=60.0)
+        scenarios = self._grid() + self._grid(
+            loads=(0.45,), seed=4, faults_per_minute=6.0
+        )
+        assert [s.faults is not None for s in scenarios] == [False, False, True]
+        members = self._members()
+        result = run_bakeoff(scenarios, members, config, cache=None)
+        assert result.passes == len(scenarios)
+        # The digest folds the final RNG states, so equal digests pin
+        # both the results and the streams to the scalar engine.
+        expected = [
+            run_member_reference(scenario, member, config)
+            for scenario in scenarios
+            for member in members
+        ]
+        assert result.cells == expected
+
+    def test_probe_modes_agree(self, scalar_oracle):
         assert bakeoff_identity_probe("bakeoff") == bakeoff_identity_probe(
             "reference"
         )
@@ -506,7 +721,7 @@ class TestBakeoffExperiment:
 
 
 class TestBakeoffIdentityAcrossProcesses:
-    def test_fork_subprocess_identity(self):
+    def test_fork_subprocess_identity(self, scalar_oracle):
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("platform has no fork start method")
         ctx = multiprocessing.get_context("fork")
@@ -515,7 +730,7 @@ class TestBakeoffIdentityAcrossProcesses:
         assert child == bakeoff_identity_probe("reference")
 
     @pytest.mark.slow
-    def test_spawn_subprocess_identity(self):
+    def test_spawn_subprocess_identity(self, scalar_oracle):
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(1) as pool:
             child = pool.apply(
@@ -524,6 +739,62 @@ class TestBakeoffIdentityAcrossProcesses:
         assert child == bakeoff_identity_probe(
             "reference", with_faults=True
         )
+
+
+class TestBoundaryValidation:
+    """Clocks that cannot tick and fault rates that cannot be drawn are
+    rejected where they enter: the configs, the scenario grid, the CLI."""
+
+    @pytest.mark.parametrize("bad", [0.0, -5.0, float("nan"), float("inf")])
+    def test_configs_reject_unusable_clocks(self, bad):
+        for make in (
+            lambda: BakeoffConfig(duration_s=bad),
+            lambda: BakeoffConfig(control_period_s=bad),
+            lambda: ColocationConfig(duration_s=bad),
+            lambda: ColocationConfig(control_period_s=bad),
+        ):
+            with pytest.raises(ConfigurationError):
+                make()
+
+    @pytest.mark.parametrize(
+        "bad", [-3.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_grid_rejects_bad_fault_rate(self, bad):
+        with pytest.raises(ConfigurationError):
+            bakeoff_scenario_grid(
+                loads=(0.4,), duration_s=30.0, faults_per_minute=bad
+            )
+
+    @pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf")])
+    def test_grid_rejects_bad_duration(self, bad):
+        with pytest.raises(ConfigurationError):
+            bakeoff_scenario_grid(loads=(0.4,), duration_s=bad)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--duration", "nan"],
+            ["--duration", "inf"],
+            ["--duration", "-1"],
+            ["--faults-per-minute", "-3"],
+            ["--faults-per-minute", "nan"],
+        ],
+    )
+    def test_cli_exits_with_a_clean_error(self, extra, capsys):
+        from repro.cli import main
+
+        argv = [
+            "bakeoff",
+            "--members", "heracles",
+            "--loads", "0.3",
+            "--be-jobs", "stream-llc",
+            "--duration", "20",
+            "--no-cache",
+        ]
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Bake-off" not in captured.out
 
 
 @pytest.fixture
