@@ -49,6 +49,7 @@ from repro.metrics.percentile import percentile
 from repro.sim.engine import Engine
 from repro.sim.kernel import (
     FleetColocationKernel,
+    _kill_counts,
     percentile_linear,
     resolve_kernel,
 )
@@ -421,16 +422,14 @@ class ColocationExperiment:
         # Every machine sees the same e2e tail, so count one machine's
         # windows for service-level violations.
         first = next(iter(machines.values()))
+        kills, suspensions = _kill_counts(world)
         return ColocationResult(
             service=self.spec.name,
             duration_s=self.config.duration_s,
             lc_load_mean=lc_load_mean,
             machines=machines,
-            be_kills=world.deployment.cluster.total_be_kills + kill_offset,
-            be_suspensions=sum(
-                m.counters.be_suspensions for m in world.deployment.cluster
-            )
-            + susp_offset,
+            be_kills=kills + kill_offset,
+            be_suspensions=suspensions + susp_offset,
             sla_violations=first.sla_violations,
             worst_tail_ms=max(m.worst_tail_ms for m in machines.values()),
             events_fired=events_fired,

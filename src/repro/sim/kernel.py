@@ -731,19 +731,23 @@ class FleetColocationKernel:
         self._wins: List[Tuple[List[bool], List[float]]] = []
 
         # -- small-fleet python fast path -----------------------------------
-        # Up to ``_SMALL_FLEET_MACHINES`` rows the fixed dispatch cost of
-        # each whole-array numpy op outweighs the elementwise work, so
-        # small fleets, bake-offs and single batched runs run the same
-        # arithmetic as per-machine python floats: elementwise
-        # float64 ops equal python-float ops bit for bit, so both paths
-        # satisfy the same identity pin. Row state (job rows, totals,
-        # counters) is always rebuilt into the python twins below; the
-        # small path ticks on them, the vec path copies dirty rows into
-        # its SoA columns once per tick and then owns progress there.
-        # ``_freq`` (requested BE MHz), ``_lc_busy`` and ``_last_net``
-        # (this tick's LC busy cores and traffic) are python lists on
-        # the small path and arrays on the vec path.
-        self._small = M <= _SMALL_FLEET_MACHINES
+        # Up to ``_SMALL_FLEET_MACHINES`` rows that start live (dormant
+        # bake-off slots cost the python tick nothing), the fixed
+        # dispatch cost of each whole-array numpy op outweighs the
+        # elementwise work, so small fleets, bake-offs and single
+        # batched runs run the same arithmetic as per-machine python
+        # floats: elementwise float64 ops equal python-float ops bit for
+        # bit, so both paths satisfy the same identity pin. Row state
+        # (job rows, totals, counters) is always rebuilt into the python
+        # twins below; the small path ticks on them, the vec path copies
+        # dirty rows into its SoA columns once per tick and then owns
+        # progress there. ``_freq`` (requested BE MHz), ``_lc_busy`` and
+        # ``_last_net`` (this tick's LC busy cores and traffic) are
+        # python lists on the small path and arrays on the vec path.
+        self._small = (
+            sum(len(self._inst_machines[h]) for h in self._heads)
+            <= _SMALL_FLEET_MACHINES
+        )
         self._freq = list(f_req) if self._small else np.asarray(f_req, dtype=np.int64)
         self._lc_busy = None
         self._last_net = None
@@ -1296,31 +1300,17 @@ class FleetColocationKernel:
         for i in list(self._live):
             riders = self._riders[i]
             load, tail = w_load[i], tails[i]
-            if len(riders) > 1:
+            if len(riders) == 1:
+                actions = self._decide(
+                    riders[0], i, load, tail, t, last, snapshot_of, acts
+                )
+            else:
                 votes = [
                     self._decide(c, i, load, tail, t, last, snapshot_of, acts)
                     for c in riders
                 ]
-                self._apply(i, self._diverge(i, votes, moved), moved)
-                continue
-            # One rider (every fleet slot): decide and apply machine by
-            # machine, the per-tick hot loop of fleets and single runs.
-            c = riders[0]
-            filt = self._homes[c].action_filter
-            exp = self._exps[i]
-            for mh, m in zip(self._inst_machines[c], self._inst_machines[i]):
-                run = self._m_home[mh]
-                action = run.controller.decide(load, tail, t=t)
-                if filt is not None:
-                    action = filt(self._m_pod[mh], action)
-                run.last_action = action
-                acts[mh] = action.value
-                if last:
-                    run.last_snapshot = snapshot_of(m)
-                machine = self._m_mach[m]
-                key = (action, machine.version, machine.mem_version, self._fkey[m])
-                if key not in self._memo[m]:
-                    self._apply_row(exp, m, action, key, moved)
+                actions = self._diverge(i, votes, moved)
+            self._apply(i, actions, moved)
         if moved and not self._small:
             # Phase 5 reads post-apply core counts this tick.
             self._upload_counts(np.asarray(moved, dtype=np.intp), moved)
@@ -1392,45 +1382,40 @@ class FleetColocationKernel:
         return votes[groups[0][0]]
 
     def _apply(self, i: int, actions: List[BeAction], moved: List[int]) -> None:
-        """Slot ``i``'s memoized subcontroller applies, one per pod."""
+        """Slot ``i``'s subcontroller applies, one per pod. A pod whose
+        no-op memo key hits is skipped; a key whose apply changed
+        nothing is recorded."""
         exp = self._exps[i]
         for m, action in zip(self._inst_machines[i], actions):
             machine = self._m_mach[m]
             key = (action, machine.version, machine.mem_version, self._fkey[m])
-            if key not in self._memo[m]:
-                self._apply_row(exp, m, action, key, moved)
-
-    def _apply_row(
-        self, exp, m: int, action: BeAction, key: Tuple, moved: List[int]
-    ) -> None:
-        """Row ``m``'s subcontroller apply on world ``exp``, whose no-op
-        memo key ``key`` missed; records the key if nothing changed."""
-        machine = self._m_mach[m]
-        stop = action is BeAction.STOP_BE
-        if stop:
-            # Killing floors the work, so the progress lands first.
-            self._flush_rows([m])
-        v0 = machine.version
-        mv0 = machine.mem_version
-        pool = self._m_pool[m]
-        exp._cpu_llc.apply(action, machine, pool)
-        exp._memory.apply(action, machine, pool)
-        if stop:
-            # STOP reset the BE DVFS domain's requested frequency;
-            # mirror it and never memoize (the key cannot witness
-            # this side effect).
-            self._freq[m] = self._f_max_l[m]
-        if machine.version != v0:
-            self._dirty.add(m)
-            if not stop:
-                self._unflushed.add(m)
-            self._cnt_inst_l[m] = machine.be_instance_count
-            self._cnt_cores_l[m] = machine.be_total_cores
-            self._cnt_ways_l[m] = machine.be_total_llc_ways
-            self._counts = None
-            moved.append(m)
-        elif machine.mem_version == mv0 and not stop:
-            self._memo[m].add(key)
+            if key in self._memo[m]:
+                continue
+            stop = action is BeAction.STOP_BE
+            if stop:
+                # Killing floors the work, so the progress lands first.
+                self._flush_rows([m])
+            v0 = machine.version
+            mv0 = machine.mem_version
+            pool = self._m_pool[m]
+            exp._cpu_llc.apply(action, machine, pool)
+            exp._memory.apply(action, machine, pool)
+            if stop:
+                # STOP reset the BE DVFS domain's requested frequency;
+                # mirror it and never memoize (the key cannot witness
+                # this side effect).
+                self._freq[m] = self._f_max_l[m]
+            if machine.version != v0:
+                self._dirty.add(m)
+                if not stop:
+                    self._unflushed.add(m)
+                self._cnt_inst_l[m] = machine.be_instance_count
+                self._cnt_cores_l[m] = machine.be_total_cores
+                self._cnt_ways_l[m] = machine.be_total_llc_ways
+                self._counts = None
+                moved.append(m)
+            elif machine.mem_version == mv0 and not stop:
+                self._memo[m].add(key)
 
     # -- forks and merges ------------------------------------------------------
 

@@ -361,6 +361,29 @@ class TestTickPaths:
         assert merge_checks["merging"] > 0
 
 
+class TestTickPathChoice:
+    """The small/vec choice counts the rows that start live: dormant
+    slots cost the python tick nothing."""
+
+    def test_dormant_rows_do_not_count(self, monkeypatch):
+        monkeypatch.setattr(kernel_mod, "_SMALL_FLEET_MACHINES", 2)
+        service = redis_service()
+        grower = scripted({}, BeAction.ALLOW_BE_GROWTH)
+        config = ColocationConfig(duration_s=30.0)
+        pattern = ConstantLoad(0.3)
+
+        def kernel(seeds, aliases):
+            experiments = [
+                build(service, grower(service), pattern, s, config) for s in seeds
+            ]
+            return FleetColocationKernel(experiments, aliases=aliases)
+
+        # Six rows, two live: one scenario, three members.
+        assert kernel([5, 5, 5], [0, 0, 0])._small
+        # Eight rows, four live: a second scenario.
+        assert not kernel([5, 5, 5, 6], [0, 0, 0, 3])._small
+
+
 def grown_pair(limit, monkeypatch):
     """Two growers riding one slot (``_SMALL_FLEET_MACHINES`` set to
     ``limit``), ticked until their BE jobs run."""
