@@ -9,7 +9,8 @@ Three sections, all on the same machinery as the rest of the repo:
   fingerprints *and* final RNG stream states per instance). The two
   are timed in interleaved scalar/fleet pairs and the gate reads the
   median per-pair ratio, so a shared host's speed drift hits both
-  sides of a ratio alike; every pair is recorded. A
+  sides of a ratio alike; every pair is recorded, with the share of
+  the fleet side spent in per-instance result digests. A
   ``default_config`` probe records the smaller speedup at the default
   per-instance knobs for transparency — the gate shape uses
   ``max_be_instances=32`` and ``sample_cap=50``, where the scalar
@@ -38,6 +39,7 @@ import statistics
 import time
 from typing import Dict, List, Optional, Tuple
 
+import repro.experiments.fleet as fleet_module
 from bench_env import environment
 from repro.experiments.fleet import (
     FleetConfig,
@@ -99,6 +101,29 @@ def _constant_fleet(
     return FleetExperiment(specs, config)
 
 
+class _DigestTimer:
+    """Sums the time the fleet spends in ``fleet.instance_digest``."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+
+    def __enter__(self) -> "_DigestTimer":
+        self._original = original = fleet_module.instance_digest
+
+        def timed(*args):
+            t0 = time.perf_counter()
+            try:
+                return original(*args)
+            finally:
+                self.seconds += time.perf_counter() - t0
+
+        fleet_module.instance_digest = timed
+        return self
+
+    def __exit__(self, *exc) -> None:
+        fleet_module.instance_digest = self._original
+
+
 def _reference_scale(
     max_be_instances: int,
     sample_cap: int,
@@ -122,15 +147,18 @@ def _reference_scale(
     )
     fleet = _constant_fleet(n_instances, "heracles", 0.55, duration_s, config)
     timings: List[Tuple[float, float]] = []
+    digest_shares: List[float] = []
     identical = True
     for _ in range(max(1, pairs)):
         t0 = time.perf_counter()
         scalar = fleet.run_reference()
         scalar_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        batched = fleet.run()
-        fleet_s = time.perf_counter() - t0
+        with _DigestTimer() as digests:
+            t0 = time.perf_counter()
+            batched = fleet.run()
+            fleet_s = time.perf_counter() - t0
         timings.append((scalar_s, fleet_s))
+        digest_shares.append(100.0 * digests.seconds / fleet_s)
         identical = identical and scalar.digest == batched.digest
     scalar_s = statistics.median(s for s, _ in timings)
     fleet_s = statistics.median(f for _, f in timings)
@@ -148,14 +176,16 @@ def _reference_scale(
                 "scalar_s": round(s, 4),
                 "fleet_s": round(f, 4),
                 "speedup": round(s / f, 2),
+                "fleet_digest_pct": round(share, 2),
             }
-            for s, f in timings
+            for (s, f), share in zip(timings, digest_shares)
         ],
         "scalar_s": round(scalar_s, 4),
         "fleet_s": round(fleet_s, 4),
         "events_per_sec_scalar": round(events / scalar_s, 1),
         "events_per_sec_fleet": round(events / fleet_s, 1),
         "speedup": round(speedup, 2),
+        "fleet_digest_pct": round(statistics.median(digest_shares), 2),
         "identical": identical,
     }
 

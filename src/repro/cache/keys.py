@@ -73,7 +73,15 @@ from repro.errors import CacheKeyError
 #: STOP_BE killed, so cells ending on such a kill now report the scalar
 #: engine's BE throughput; :6 entries may hold the inflated figure.
 #: ColocationConfig also lost its ``tail_estimator`` field.
-CODE_VERSION_SALT = "rhythm-repro-cache:7"
+#: :8 — ``MachineMetrics`` keeps its per-tick series as float64/int64
+#: column blocks instead of ``TickSample`` lists, so cached
+#: ``ColocationResult``s pickle a different schema, and the cached
+#: fleet and bake-off summaries carry digests in the binary
+#: :func:`~repro.experiments.colocation.result_digest` format. The
+#: simulated values are unchanged; :7 entries must miss because their
+#: schema and digests are the old ones. ``tests/golden_digests.json``
+#: records digests made under this salt (see ``tests/test_golden_digests.py``).
+CODE_VERSION_SALT = "rhythm-repro-cache:8"
 
 _PRIMITIVE_TAGS = {
     type(None): b"N",

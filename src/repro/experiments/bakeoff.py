@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -49,6 +48,7 @@ from repro.experiments.colocation import (
     ColocationExperiment,
     ColocationResult,
     check_clock,
+    result_digest,
 )
 from repro.experiments.fleet import PodPolicy
 from repro.faults.spec import FaultSchedule
@@ -329,75 +329,10 @@ class BakeoffCellSummary:
     be_kills: int
     be_suspensions: int
     events_fired: int
-    #: sha256 over (result fingerprint, final RNG states) — the
-    #: bit-identity coordinate the bake-off identity tests pin against
-    #: independent per-member runs.
+    #: :func:`~repro.experiments.colocation.result_digest` of the cell —
+    #: the bit-identity coordinate the bake-off identity tests pin
+    #: against independent per-member runs.
     digest: str
-
-
-def bakeoff_member_digest(
-    streams: RandomStreams, result: ColocationResult
-) -> str:
-    """sha256 over (result fingerprint, final RNG stream states).
-
-    Pins the same values as ``repr``-ing the full
-    :func:`~repro.parallel.grid.colocation_fingerprint` blob — floats
-    enter as raw IEEE-754 bytes, so a single changed bit anywhere in
-    the sample series changes the digest — but streams the per-tick
-    sample columns through one ``struct.pack`` per machine instead of
-    materialising a ~100 KB repr string (this digest runs once per
-    member per bake-off cell; it is on the benchmark's hot path).
-    """
-    h = hashlib.sha256()
-    head = (
-        result.service,
-        result.duration_s,
-        result.lc_load_mean,
-        result.be_kills,
-        result.be_suspensions,
-        result.sla_violations,
-        result.worst_tail_ms,
-        result.events_fired,
-    )
-    h.update(repr(head).encode("utf-8"))
-    for pod in sorted(result.machines):
-        metrics = result.machines[pod]
-        meta = (
-            pod,
-            metrics.machine_name,
-            metrics.completed_be_throughput,
-            metrics.avg_emu,
-            metrics.avg_cpu_utilisation,
-            metrics.avg_membw_utilisation,
-        )
-        h.update(repr(meta).encode("utf-8"))
-        tails = (
-            tuple(metrics.tail.window_tails) if metrics.tail is not None else ()
-        )
-        h.update(struct.pack(f"<q{len(tails)}d", len(tails), *tails))
-        samples = metrics.samples
-        columns = [
-            value
-            for s in samples
-            for value in (
-                s.t,
-                s.load,
-                s.slack,
-                s.tail_ms,
-                s.cpu_utilisation,
-                s.membw_utilisation,
-                float(s.be_instances),
-                float(s.be_cores),
-                float(s.be_llc_ways),
-                s.be_rate,
-            )
-        ]
-        h.update(struct.pack(f"<{len(columns)}d", *columns))
-        h.update("\x1f".join(s.action for s in samples).encode("utf-8"))
-    for name in sorted(streams._streams):
-        h.update(name.encode("utf-8"))
-        h.update(repr(streams._streams[name].bit_generator.state).encode("utf-8"))
-    return h.hexdigest()
 
 
 def _summarise(
@@ -420,7 +355,7 @@ def _summarise(
         be_kills=result.be_kills,
         be_suspensions=result.be_suspensions,
         events_fired=result.events_fired,
-        digest=bakeoff_member_digest(streams, result),
+        digest=result_digest(streams, result),
     )
 
 

@@ -18,7 +18,9 @@ periods. Each period it:
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Mapping, Optional, Sequence
 
@@ -166,6 +168,63 @@ class ColocationResult:
             return self.machines[servpod]
         except KeyError:
             raise ExperimentError(f"no machine for Servpod {servpod!r}") from None
+
+
+def result_digest(streams: RandomStreams, result: ColocationResult) -> str:
+    """SHA-256 over one run's result and its final RNG stream states.
+
+    The bit-identity coordinate of fleet instances, storm zones and
+    bake-off cells. It hashes, in order (DESIGN §10 has the format):
+
+    - ``repr`` of the result head (service, duration, mean load, kill
+      and suspension totals, violations, worst tail, events);
+    - per machine, in Servpod order: ``repr`` of its metadata (pod,
+      machine name, completed BE throughput, EMU, CPU and memory
+      bandwidth utilisation); its window tails as a little-endian int64
+      count then float64 bytes; its tick count, then its float64 and
+      int64 column blocks as ``ndarray.tobytes()``; its actions joined
+      by U+001F;
+    - per RNG stream, in name order: the name, then ``repr`` of its
+      bit-generator state.
+
+    Floats enter as raw IEEE-754 bytes, so one changed bit anywhere in
+    a series changes the digest, and no per-tick python object is built.
+    """
+    h = hashlib.sha256()
+    head = (
+        result.service,
+        result.duration_s,
+        result.lc_load_mean,
+        result.be_kills,
+        result.be_suspensions,
+        result.sla_violations,
+        result.worst_tail_ms,
+        result.events_fired,
+    )
+    h.update(repr(head).encode("utf-8"))
+    for pod in sorted(result.machines):
+        metrics = result.machines[pod]
+        meta = (
+            pod,
+            metrics.machine_name,
+            metrics.completed_be_throughput,
+            metrics.avg_emu,
+            metrics.avg_cpu_utilisation,
+            metrics.avg_membw_utilisation,
+        )
+        h.update(repr(meta).encode("utf-8"))
+        tails = metrics.tail.window_tails if metrics.tail is not None else ()
+        h.update(struct.pack("<q", len(tails)))
+        h.update(np.asarray(tails, dtype="<f8").tobytes())
+        floats, counts = metrics.columns()
+        h.update(struct.pack("<q", floats.shape[1]))
+        h.update(floats.astype("<f8", copy=False).tobytes())
+        h.update(counts.astype("<i8", copy=False).tobytes())
+        h.update("\x1f".join(metrics.actions).encode("utf-8"))
+    for name in sorted(streams._streams):
+        h.update(name.encode("utf-8"))
+        h.update(repr(streams._streams[name].bit_generator.state).encode("utf-8"))
+    return h.hexdigest()
 
 
 class ColocationExperiment:

@@ -57,6 +57,7 @@ from repro.experiments.colocation import (
     ColocationConfig,
     ColocationExperiment,
     ColocationResult,
+    result_digest,
 )
 from repro.faults.spec import FaultSchedule
 from repro.loadgen.patterns import DiurnalLoad, FlashCrowdLoad, LoadPattern
@@ -412,16 +413,8 @@ def _build_experiment(
 
 
 def instance_digest(experiment: ColocationExperiment, result: ColocationResult) -> str:
-    """sha256 over (result fingerprint, final RNG stream states)."""
-    from repro.parallel.grid import colocation_fingerprint
-
-    streams = experiment.streams
-    rng_states = tuple(
-        (name, repr(streams._streams[name].bit_generator.state))
-        for name in sorted(streams._streams)
-    )
-    blob = repr((colocation_fingerprint(result), rng_states))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """One instance's :func:`~repro.experiments.colocation.result_digest`."""
+    return result_digest(experiment.streams, result)
 
 
 def _summarise(

@@ -1,18 +1,39 @@
 """Per-machine runtime metric collection.
 
 :class:`MachineMetrics` is the bookkeeping object the experiment harness
-attaches to every (machine, Servpod) pair. It records one
-:class:`TickSample` per control interval — everything Figure 17 plots —
+attaches to every (machine, Servpod) pair. It keeps one entry per
+control interval of every series Figure 17 plots, stored as columns
+(:data:`FLOAT_COLUMNS`, :data:`COUNT_COLUMNS` and the action names),
 and exposes the averages the evaluation figures report.
+:class:`TickSample` rows are built from the columns only when a caller
+asks for them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, field, fields
+from typing import Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.metrics.emu import EmuAccumulator, UtilisationAccumulator
 from repro.metrics.percentile import WindowedTailTracker
+
+#: The float64 per-tick series, in the row order of
+#: :meth:`MachineMetrics.columns`' float block.
+FLOAT_COLUMNS: Tuple[str, ...] = (
+    "t",
+    "load",
+    "slack",
+    "tail_ms",
+    "cpu_utilisation",
+    "membw_utilisation",
+    "be_rate",
+)
+#: The integer (int64) per-tick series, in the row order of the count block.
+COUNT_COLUMNS: Tuple[str, ...] = ("be_instances", "be_cores", "be_llc_ways")
+
+_TAIL = FLOAT_COLUMNS.index("tail_ms")
 
 
 @dataclass(frozen=True)
@@ -32,6 +53,14 @@ class TickSample:
     action: str
 
 
+def _empty_floats() -> np.ndarray:
+    return np.empty((len(FLOAT_COLUMNS), 0))
+
+
+def _empty_counts() -> np.ndarray:
+    return np.empty((len(COUNT_COLUMNS), 0), dtype=np.int64)
+
+
 @dataclass
 class MachineMetrics:
     """Accumulated metrics for one machine over one experiment run."""
@@ -41,10 +70,25 @@ class MachineMetrics:
     total_cores: float
     sla_ms: float
     tail_pct: float = 99.0
-    samples: List[TickSample] = field(default_factory=list)
     emu: EmuAccumulator = field(default_factory=EmuAccumulator)
     utilisation: Optional[UtilisationAccumulator] = None
     tail: Optional[WindowedTailTracker] = None
+    #: When set (by the experiment harness at teardown), BE throughput in
+    #: terms of *successfully finished* work only — kills lose the
+    #: in-flight unit, matching the paper's EMU definition.
+    completed_be_throughput: Optional[float] = None
+    # The per-tick columns: ``(len(FLOAT_COLUMNS), ticks)`` float64 and
+    # ``(len(COUNT_COLUMNS), ticks)`` int64 blocks plus one action name
+    # per tick. ``record_tick`` appends rows to ``_pending``; reading the
+    # columns folds them into the blocks.
+    _floats: np.ndarray = field(
+        default_factory=_empty_floats, init=False, repr=False, compare=False
+    )
+    _counts: np.ndarray = field(
+        default_factory=_empty_counts, init=False, repr=False, compare=False
+    )
+    _actions: List[str] = field(default_factory=list, init=False, repr=False)
+    _pending: List[Tuple] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.utilisation is None:
@@ -71,26 +115,66 @@ class MachineMetrics:
         self.emu.observe(dt, load, be_rate)
         assert self.utilisation is not None
         self.utilisation.observe(dt, busy_cores, membw_fraction)
-        self.samples.append(
-            TickSample(
-                t=t,
-                load=load,
-                slack=slack,
-                tail_ms=tail_ms,
-                cpu_utilisation=min(1.0, busy_cores / self.total_cores),
-                membw_utilisation=membw_fraction,
-                be_instances=be_instances,
-                be_cores=be_cores,
-                be_llc_ways=be_llc_ways,
-                be_rate=be_rate,
-                action=action,
+        self._pending.append(
+            (
+                t,
+                load,
+                slack,
+                tail_ms,
+                min(1.0, busy_cores / self.total_cores),
+                membw_fraction,
+                be_rate,
+                be_instances,
+                be_cores,
+                be_llc_ways,
             )
         )
+        self._actions.append(action)
 
-    #: When set (by the experiment harness at teardown), BE throughput in
-    #: terms of *successfully finished* work only — kills lose the
-    #: in-flight unit, matching the paper's EMU definition.
-    completed_be_throughput: Optional[float] = None
+    def set_columns(
+        self, floats: np.ndarray, counts: np.ndarray, actions: Sequence[str]
+    ) -> None:
+        """Install a whole run's columns at once (the fleet kernel's
+        finalize); the metrics must not have recorded a tick yet."""
+        assert not self._actions, "columns already recorded"
+        assert floats.shape == (len(FLOAT_COLUMNS), len(actions))
+        assert counts.shape == (len(COUNT_COLUMNS), len(actions))
+        self._floats = floats
+        self._counts = counts
+        self._actions = list(actions)
+
+    def columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(floats, counts)`` blocks, one row per column of
+        :data:`FLOAT_COLUMNS` / :data:`COUNT_COLUMNS`, one entry per
+        tick. Treat them as read-only."""
+        if self._pending:
+            n_f = len(FLOAT_COLUMNS)
+            rows = self._pending
+            self._pending = []
+            floats = np.array([row[:n_f] for row in rows], dtype=np.float64)
+            counts = np.array([row[n_f:] for row in rows], dtype=np.int64)
+            self._floats = np.concatenate((self._floats, floats.T), axis=1)
+            self._counts = np.concatenate((self._counts, counts.T), axis=1)
+        return self._floats, self._counts
+
+    @property
+    def actions(self) -> Tuple[str, ...]:
+        """The action taken at each tick."""
+        return tuple(self._actions)
+
+    def tick_rows(self) -> Iterator[Tuple]:
+        """One tuple of python scalars per tick, in :class:`TickSample`
+        field order."""
+        floats, counts = self.columns()
+        series = dict(zip(FLOAT_COLUMNS, floats.tolist()))
+        series.update(zip(COUNT_COLUMNS, counts.tolist()))
+        series["action"] = self._actions
+        return zip(*(series[f.name] for f in fields(TickSample)))
+
+    @property
+    def samples(self) -> List[TickSample]:
+        """The per-tick rows, built from the columns on each call."""
+        return [TickSample(*row) for row in self.tick_rows()]
 
     # -- summaries ------------------------------------------------------------
 
@@ -124,10 +208,11 @@ class MachineMetrics:
         assert self.tail is not None
         worst = self.tail.worst_tail
         if worst is None:
-            worst = max((s.tail_ms for s in self.samples), default=0.0)
+            tails = self.columns()[0][_TAIL]
+            worst = float(tails.max()) if tails.size else 0.0
         return worst
 
     @property
     def sla_violations(self) -> int:
         """Control intervals whose tail exceeded the SLA."""
-        return sum(1 for s in self.samples if s.tail_ms > self.sla_ms)
+        return int(np.count_nonzero(self.columns()[0][_TAIL] > self.sla_ms))

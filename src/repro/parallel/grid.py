@@ -405,22 +405,7 @@ def colocation_fingerprint(result: ColocationResult) -> Tuple:
                 metrics.avg_cpu_utilisation,
                 metrics.avg_membw_utilisation,
                 metrics.tail.window_tails if metrics.tail is not None else (),
-                tuple(
-                    (
-                        s.t,
-                        s.load,
-                        s.slack,
-                        s.tail_ms,
-                        s.cpu_utilisation,
-                        s.membw_utilisation,
-                        s.be_instances,
-                        s.be_cores,
-                        s.be_llc_ways,
-                        s.be_rate,
-                        s.action,
-                    )
-                    for s in metrics.samples
-                ),
+                tuple(metrics.tick_rows()),
             )
         )
     return (

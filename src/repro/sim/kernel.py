@@ -76,7 +76,7 @@ from repro.cluster.machine import BE_DOMAIN, LC_DOMAIN, Machine
 from repro.core.actions import BeAction
 from repro.errors import ConfigurationError
 from repro.interference.sensitivity import PRESSURE_KINDS
-from repro.metrics.collector import TickSample
+from repro.metrics.collector import COUNT_COLUMNS, FLOAT_COLUMNS
 from repro.workloads.latency import LatencyModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -451,7 +451,7 @@ class FleetColocationKernel:
     control; the python passes skip them through a live-row list that
     only forks and merges rebuild. Each tick's metric columns are kept
     per slot row with the row map members rode by then (``None`` for a
-    fleet); at the end every member's samples, window tails and metric
+    fleet); at the end every member's columns, window tails and metric
     integrals are read through those maps, in tick order.
 
     Fault injection is per-machine state, not a second tick path. Each
@@ -502,9 +502,10 @@ class FleetColocationKernel:
     - per-window tails group instances by ``(n_samples, percentile)``
       and reduce with one ``np.percentile(stack, pct, axis=1)`` call,
       bitwise equal per row to the scalar per-instance call;
-    - metric columns (one ``(machines,)`` array per tick) only
-      materialise into ``TickSample`` objects, metric integrals and
-      window-tail replays once, at the end of the run.
+    - metric columns (one ``(machines,)`` array per tick) become each
+      member's :class:`~repro.metrics.collector.MachineMetrics` columns,
+      metric integrals and window-tail replays once, at the end of the
+      run, with one gather per column.
 
     All experiments must share ``duration_s`` and ``control_period_s``
     (one lockstep clock). ``on_tick(t, tails)`` — ``tails`` indexed
@@ -713,7 +714,6 @@ class FleetColocationKernel:
         self._cnt_inst = np.zeros(M, dtype=np.int64)
         self._cnt_cores = np.zeros(M, dtype=np.int64)
         self._cnt_ways = np.zeros(M, dtype=np.int64)
-        self._njobs = np.zeros(M, dtype=np.int64)
         self._dirty = set(range(M))
         #: Dirty rows whose progress is still only in the row state; it
         #: is written back right before the rebuild reads it.
@@ -724,8 +724,8 @@ class FleetColocationKernel:
         self._elapsed = 0.0
         self._cols: List[Tuple] = []
         #: The BE counter columns as of the last change (instances,
-        #: cores, ways, running jobs); ticks share it until a rebuild
-        #: or an apply moves a counter.
+        #: cores, ways); ticks share it until a rebuild or an apply
+        #: moves a counter.
         self._counts: Optional[Tuple] = None
         self._acts: List[List[str]] = []
         self._wins: List[Tuple[List[bool], List[float]]] = []
@@ -1036,7 +1036,6 @@ class FleetColocationKernel:
         self._busy_be[idx] = [self._busy_be_l[m] for m in ms]
         self._md_total[idx] = [self._md_l[m] for m in ms]
         self._nd_total[idx] = [self._nd_l[m] for m in ms]
-        self._njobs[idx] = ks
         self._upload_counts(idx, ms)
 
     def _upload_counts(self, idx: np.ndarray, ms: List[int]) -> None:
@@ -1689,7 +1688,6 @@ class FleetColocationKernel:
                 list(self._cnt_inst_l),
                 list(self._cnt_cores_l),
                 list(self._cnt_ways_l),
-                list(self._njobs_l),
             )
         self._cols.append(
             (
@@ -1831,7 +1829,7 @@ class FleetColocationKernel:
         self._rs += dt * self._valid
 
         # Deferred metrics: keep the columns (with the row map members
-        # rode by this tick), integrate and materialise at end of run.
+        # rode by this tick); integrate and gather them at end of run.
         # Counter columns are as of *before* this tick's applies, like
         # the scalar record_tick.
         self._elapsed += dt
@@ -1840,7 +1838,6 @@ class FleetColocationKernel:
                 self._cnt_inst.copy(),
                 self._cnt_cores.copy(),
                 self._cnt_ways.copy(),
-                self._njobs.copy(),
             )
         self._cols.append(
             (
@@ -1945,19 +1942,14 @@ class FleetColocationKernel:
     def _finalize(self) -> None:
         """Write the live slots back and fold every member's metrics.
 
-        Each tick's columns are per slot row; member row ``m`` reads row
-        ``rowmap[m]`` of the tick (itself in a fleet). The metric
-        integrals fold in tick order (the scalar accumulation, operand
-        for operand), the columns materialise into ``TickSample``s —
-        one per (row, action) and tick, shared by the members that rode
-        that row and chose that action (samples are frozen) — and the
-        window tails replay into each member's tail tracker.
+        Each tick's columns are per slot row (loads and tails per slot),
+        with the row map members rode by then (``None`` in a fleet):
+        :meth:`_finalize_columns` turns them into every member's
+        columns and metric integrals, and the window tails replay into
+        each member's tail tracker.
         """
         self._write_back(self._live_rows)
-        if self._small:
-            self._finalize_small()
-        else:
-            self._finalize_vec()
+        self._finalize_columns()
         wins = self._wins
         for c, rows in enumerate(self._inst_machines):
             slots = [c if ride is None else ride[c] for _, _, ride in wins]
@@ -1967,9 +1959,92 @@ class FleetColocationKernel:
             for m in rows:
                 self._m_home[m].metrics.tail.record_window_tails(window_tails)
 
-    def _set_integrals(self, lc_l, be_l, cpu_l, mb_l) -> None:
+    def _finalize_columns(self) -> None:
+        """Gather every member machine's per-tick columns and integrals.
+
+        The per-tick columns stack into ``(ticks, rows)`` blocks (python
+        lists on the small path, arrays on the vec path: float64 either
+        way), and one gather per column reads each member machine's
+        series: a plain stack in a fleet, a ``take_along_axis`` through
+        the per-tick row maps in a bake-off. The derived series (slack,
+        CPU utilisation) are the scalar ``record_tick`` expressions,
+        elementwise. Each member's float and count columns are one
+        ``(columns, ticks)`` slice of a fleet-wide ``(machines, columns,
+        ticks)`` block. The metric integrals add the same products in
+        tick order starting from 0.0, the scalar accumulation operand
+        for operand.
+        """
+        cols, self._cols = self._cols, []
+        if not cols:
+            return
+        M = self._n_machines
+        t, dt, rowmaps, w_load, tails, busy, membw, rate, ci, cc, cw = zip(*cols)
+        slot_of = self._m_i_arr
+        if all(rm is None for rm in rowmaps):
+
+            def rows(x) -> np.ndarray:
+                return np.asarray(x)
+
+            def slots(x) -> np.ndarray:
+                return np.asarray(x)[:, slot_of]
+
+        else:
+            ident = list(range(M))
+            rowmap = np.asarray(
+                [ident if rm is None else rm for rm in rowmaps], dtype=np.intp
+            )
+            slot_map = slot_of[rowmap]
+
+            def rows(x) -> np.ndarray:
+                return np.take_along_axis(np.asarray(x), rowmap, axis=1)
+
+            def slots(x) -> np.ndarray:
+                return np.take_along_axis(np.asarray(x), slot_map, axis=1)
+
+        load = slots(w_load)
+        tail = slots(tails)
+        busy_m = rows(busy)
+        membw_m = rows(membw)
+        rate_m = rows(rate)
+        sla = self._sla_arr
+        cores = self._cores_farr
+        series = {
+            "t": np.asarray(t)[:, None],
+            "load": load,
+            "slack": (sla - tail) / sla,
+            "tail_ms": tail,
+            "cpu_utilisation": np.minimum(1.0, busy_m / cores),
+            "membw_utilisation": membw_m,
+            "be_rate": rate_m,
+            "be_instances": rows(ci),
+            "be_cores": rows(cc),
+            "be_llc_ways": rows(cw),
+        }
+        n_ticks = len(t)
+        floats = np.empty((M, len(FLOAT_COLUMNS), n_ticks))
+        for c, name in enumerate(FLOAT_COLUMNS):
+            floats[:, c] = series[name].T
+        counts = np.empty((M, len(COUNT_COLUMNS), n_ticks), dtype=np.int64)
+        for c, name in enumerate(COUNT_COLUMNS):
+            counts[:, c] = series[name].T
+        actions = list(zip(*self._acts))
+        for m in range(M):
+            self._m_home[m].metrics.set_columns(floats[m], counts[m], actions[m])
+
+        dt_col = np.asarray(dt)[:, None]
+        lc_l, be_l, cpu_l, mb_l = (
+            np.add.accumulate(
+                np.concatenate((np.zeros((1, M)), x * dt_col)), axis=0
+            )[-1].tolist()
+            for x in (
+                load,
+                rate_m,
+                np.minimum(busy_m, cores),
+                np.minimum(membw_m, 1.0),
+            )
+        )
         elapsed = self._elapsed
-        for m in range(self._n_machines):
+        for m in range(M):
             metrics = self._m_home[m].metrics
             emu = metrics.emu
             emu._lc_integral = lc_l[m]
@@ -1979,111 +2054,6 @@ class FleetColocationKernel:
             util._cpu_integral = cpu_l[m]
             util._membw_integral = mb_l[m]
             util._elapsed = elapsed
-
-    def _finalize_vec(self) -> None:
-        M = self._n_machines
-        m_i = self._m_i_arr
-        home = [self._m_home[m].metrics.samples for m in range(M)]
-        lc_int = np.zeros(M)
-        be_int = np.zeros(M)
-        cpu_int = np.zeros(M)
-        mb_int = np.zeros(M)
-        cols = self._cols
-        for k, acts in enumerate(self._acts):
-            (t, dt, rm, w_load, tails, busy, membw, rate_tot, ci, cc, cw, nj) = cols[k]
-            cols[k] = None  # consumed: the samples take its place
-            load_m = np.asarray(w_load)[m_i]
-            tail_m = np.asarray(tails)[m_i]
-            pick = slice(None) if rm is None else rm
-            lc_int += load_m[pick] * dt
-            be_int += rate_tot[pick] * dt
-            cpu_int += np.minimum(busy[pick], self._cores_farr) * dt
-            mb_int += np.minimum(membw[pick], 1.0) * dt
-            slack = ((self._sla_arr - tail_m) / self._sla_arr).tolist()
-            cpu_u = np.minimum(1.0, busy / self._cores_farr).tolist()
-            ll = load_m.tolist()
-            tl = tail_m.tolist()
-            mb = membw.tolist()
-            rt = rate_tot.tolist()
-            cil = ci.tolist()
-            ccl = cc.tolist()
-            cwl = cw.tolist()
-            njl = nj.tolist()
-            made: Dict[Tuple[int, str], TickSample] = {}
-            for m in range(M):
-                r = m if rm is None else rm[m]
-                action = acts[m]
-                sample = made.get((r, action))
-                if sample is None:
-                    sample = made[r, action] = TickSample(
-                        t=t,
-                        load=ll[r],
-                        slack=slack[r],
-                        tail_ms=tl[r],
-                        cpu_utilisation=cpu_u[r],
-                        membw_utilisation=mb[r],
-                        be_instances=cil[r],
-                        be_cores=ccl[r],
-                        be_llc_ways=cwl[r],
-                        # An empty rates dict sums to the *int* 0 on the
-                        # scalar path (sum of no floats) — match it so
-                        # fingerprint reprs stay bitwise identical.
-                        be_rate=rt[r] if njl[r] else 0,
-                        action=action,
-                    )
-                home[m].append(sample)
-        self._set_integrals(
-            lc_int.tolist(), be_int.tolist(), cpu_int.tolist(), mb_int.tolist()
-        )
-
-    def _finalize_small(self) -> None:
-        """Python finalize over the small-fleet columns (same values)."""
-        M = self._n_machines
-        m_i = self._m_i
-        sla_l = self._sla_l
-        cores_l = self._cores_f_l
-        home = [self._m_home[m].metrics.samples for m in range(M)]
-        lc_int = [0.0] * M
-        be_int = [0.0] * M
-        cpu_int = [0.0] * M
-        mb_int = [0.0] * M
-        cols = self._cols
-        for k, acts in enumerate(self._acts):
-            (t, dt, rm, w_load, tails, busy, membw, rate_tot, ci, cc, cw, nj) = cols[k]
-            cols[k] = None  # consumed: the samples take its place
-            made: Dict[Tuple[int, str], TickSample] = {}
-            for m in range(M):
-                r = m if rm is None else rm[m]
-                i = m_i[r]
-                load = w_load[i]
-                busy_r = busy[r]
-                cores_f = cores_l[m]
-                lc_int[m] += load * dt
-                be_int[m] += rate_tot[r] * dt
-                cpu_int[m] += (busy_r if busy_r < cores_f else cores_f) * dt
-                mb_int[m] += membw[r] * dt
-                action = acts[m]
-                sample = made.get((r, action))
-                if sample is None:
-                    tail = tails[i]
-                    sla = sla_l[m]
-                    sample = made[r, action] = TickSample(
-                        t=t,
-                        load=load,
-                        slack=(sla - tail) / sla,
-                        tail_ms=tail,
-                        cpu_utilisation=min(1.0, busy_r / cores_f),
-                        membw_utilisation=membw[r],
-                        be_instances=ci[r],
-                        be_cores=cc[r],
-                        be_llc_ways=cw[r],
-                        # Same int-0 quirk as the vec path: the scalar
-                        # rates dict sums to the *int* 0 when empty.
-                        be_rate=rate_tot[r] if nj[r] else 0,
-                        action=action,
-                    )
-                home[m].append(sample)
-        self._set_integrals(lc_int, be_int, cpu_int, mb_int)
 
 
 def _kill_counts(exp: "ColocationExperiment") -> Tuple[int, int]:

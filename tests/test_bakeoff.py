@@ -37,7 +37,6 @@ from repro.experiments.bakeoff import (
     BakeoffMember,
     bakeoff_cell_key,
     bakeoff_identity_probe,
-    bakeoff_member_digest,
     bakeoff_scenario_grid,
     default_members,
     heracles_member,
@@ -46,7 +45,11 @@ from repro.experiments.bakeoff import (
     run_bakeoff,
     run_member_reference,
 )
-from repro.experiments.colocation import ColocationConfig, ColocationExperiment
+from repro.experiments.colocation import (
+    ColocationConfig,
+    ColocationExperiment,
+    result_digest,
+)
 from repro.faults.spec import FaultSchedule
 from repro.loadgen.patterns import ConstantLoad, DiurnalLoad
 from repro.parallel.grid import colocation_fingerprint
@@ -960,7 +963,7 @@ class TestMemberDigest:
             config=config,
         )
         result = exp.run()
-        digest = bakeoff_member_digest(exp.streams, result)
+        digest = result_digest(exp.streams, result)
         assert len(digest) == 64 and int(digest, 16) >= 0
         # Rebuilding the same run reproduces the digest exactly.
         exp2 = ColocationExperiment(
@@ -971,4 +974,4 @@ class TestMemberDigest:
             streams=RandomStreams(2),
             config=config,
         )
-        assert bakeoff_member_digest(exp2.streams, exp2.run()) == digest
+        assert result_digest(exp2.streams, exp2.run()) == digest

@@ -340,13 +340,17 @@ class TestEveryFaultKind:
 
 
 #: Digests of two governed stormed fleets (16 Redis instances, 90 s,
-#: Heracles, zone governor at threshold 0.0 over 5-tick epochs),
-#: recorded when faulted instances still ran a per-instance tick path
-#: beside the fleet kernel. The governor has no scalar reference, so
-#: these literals are what pins the tails faulted instances feed it.
+#: Heracles, zone governor at threshold 0.0 over 5-tick epochs). The
+#: results were first pinned when faulted instances still ran a
+#: per-instance tick path beside the fleet kernel; these values are
+#: those same results in the binary ``result_digest`` format, derived
+#: from the results of the last commit with the text format (its
+#: ``TickSample``s rebuilt into columns and hashed). The governor has
+#: no scalar reference, so these literals are what pins the tails
+#: faulted instances feed it.
 GOVERNED_STORM_DIGESTS = {
-    3: "0355ca469553007a69ea1dbacde56382eb66f1594c32fd22b16ad82373d4d000",
-    4: "8a6c71e1a9d0efdce5f006c59278a8e86797a684edbd1d5428b82e1310e06c4c",
+    3: "bdf247fd821b8297c45f20ab86dba906377ddf539b1d675b9c786106a259fc7f",
+    4: "2d936e130f02c0e8d821e8e20377aeee344144afa21f6dd4ed5af54b61e542a2",
 }
 
 
