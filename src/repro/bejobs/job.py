@@ -9,6 +9,7 @@ alone on the whole machine" — exactly the normalization the paper's
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
@@ -16,6 +17,7 @@ from typing import Dict, Iterable, Optional
 from repro.bejobs.spec import BeJobSpec
 from repro.cluster.machine import BE_DOMAIN, Machine
 from repro.errors import ControlError
+from repro.fold import left_sum
 
 #: Fraction of unsatisfied LLC demand that spills into extra DRAM traffic.
 LLC_SPILL_TO_MEMBW = 0.4
@@ -28,6 +30,19 @@ class BeJobState(enum.Enum):
     RUNNING = "running"
     SUSPENDED = "suspended"
     KILLED = "killed"
+
+
+class JobMoves:
+    """The flag a pool shares with the jobs it places: ``moved`` is set
+    whenever one of them enters or leaves RUNNING, so the pool rebuilds
+    its index of running jobs on the next read. It refers to nothing,
+    so pool and jobs form no reference cycle and are freed as soon as
+    their experiment is."""
+
+    __slots__ = ("moved",)
+
+    def __init__(self) -> None:
+        self.moved = True
 
 
 @dataclass
@@ -43,30 +58,47 @@ class BeJob:
     #: Wall-clock seconds spent in RUNNING state.
     running_seconds: float = 0.0
 
+    #: The placing pool's :class:`JobMoves` flag, which this job's state
+    #: transitions set (dropped at kill). A plain attribute, not a
+    #: field: it stays out of equality, ``repr`` and ``asdict``.
+    moves = None
+
     def __deepcopy__(self, memo) -> "BeJob":
         # Every field is an immutable scalar, an enum member or the
         # frozen spec, so a flat field copy is a deep copy that keeps the
         # spec shared (world forks copy every job a pool ever placed).
+        # The moves flag goes through the memo, so a copied job flags
+        # the copied pool.
         clone = object.__new__(self.__class__)
         clone.__dict__.update(self.__dict__)
+        if self.moves is not None:
+            clone.moves = copy.deepcopy(self.moves, memo)
         return clone
+
+    def _moved(self) -> None:
+        if self.moves is not None:
+            self.moves.moved = True
 
     def start(self, machine_name: str) -> None:
         """Mark the job as running on ``machine_name``."""
         if self.state == BeJobState.KILLED:
             raise ControlError(f"{self.job_id}: cannot start a killed job")
         self.machine_name = machine_name
-        self.state = BeJobState.RUNNING
+        if self.state != BeJobState.RUNNING:
+            self.state = BeJobState.RUNNING
+            self._moved()
 
     def suspend(self) -> None:
         """Pause the job (keeps memory, stops progress)."""
         if self.state == BeJobState.RUNNING:
             self.state = BeJobState.SUSPENDED
+            self._moved()
 
     def resume(self) -> None:
         """Resume a suspended job."""
         if self.state == BeJobState.SUSPENDED:
             self.state = BeJobState.RUNNING
+            self._moved()
 
     def kill(self) -> None:
         """Terminate the job; it can never run again.
@@ -78,8 +110,11 @@ class BeJob:
         """
         completed = int(self.normalized_work / self.spec.unit_seconds)
         self.normalized_work = completed * self.spec.unit_seconds
+        if self.state == BeJobState.RUNNING:
+            self._moved()
         self.state = BeJobState.KILLED
         self.machine_name = None
+        self.moves = None
 
     def advance(self, dt: float, rate: float) -> None:
         """Accumulate ``dt`` seconds of progress at normalized ``rate``."""
@@ -127,7 +162,7 @@ class BeResourceSnapshot:
     @property
     def total_rate(self) -> float:
         """Sum of normalized job rates — the machine's BE throughput."""
-        return sum(self.rates.values())
+        return left_sum(self.rates.values())
 
 
 def compute_be_rates(
@@ -180,7 +215,7 @@ def compute_be_rates(
 
     # -- share DRAM bandwidth headroom proportionally -----------------------
     membw_headroom = max(0.0, 1.0 - lc_usage.membw_fraction)
-    total_membw_demand = sum(d["membw"] for d in demands.values())
+    total_membw_demand = left_sum(d["membw"] for d in demands.values())
     membw_scale = (
         min(1.0, membw_headroom / total_membw_demand) if total_membw_demand > 0 else 1.0
     )
@@ -188,7 +223,7 @@ def compute_be_rates(
     # -- share the NIC's BE cap proportionally -------------------------------
     machine.nic.observe_lc_traffic(lc_usage.net_gbps)
     be_cap_fraction = machine.nic.be_cap_gbps / machine.spec.link_gbps
-    total_net_demand = sum(d["net"] for d in demands.values())
+    total_net_demand = left_sum(d["net"] for d in demands.values())
     net_scale = (
         min(1.0, be_cap_fraction / total_net_demand) if total_net_demand > 0 else 1.0
     )

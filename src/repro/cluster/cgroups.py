@@ -60,7 +60,8 @@ class CpuSet:
     def allocate(self, owner: str, n: int) -> FrozenSet[int]:
         """Assign ``n`` more cores to ``owner``; returns the new core IDs.
 
-        Cores are handed out lowest-ID-first for determinism.
+        Cores are handed out lowest-ID-first for determinism; a one-core
+        grant takes the minimum instead of sorting the free set.
         """
         if n < 0:
             raise AllocationError(f"cannot allocate {n} cores")
@@ -68,7 +69,10 @@ class CpuSet:
             raise AllocationError(
                 f"cpuset exhausted: {owner!r} wants {n} cores, {len(self._free)} free"
             )
-        granted = set(sorted(self._free)[:n])
+        if n == 1:
+            granted = {min(self._free)}
+        else:
+            granted = set(sorted(self._free)[:n])
         self._free -= granted
         self._owned.setdefault(owner, set()).update(granted)
         return frozenset(granted)
@@ -76,14 +80,19 @@ class CpuSet:
     def release(self, owner: str, n: int) -> int:
         """Return ``n`` cores from ``owner`` to the free pool.
 
-        Releasing more than owned raises :class:`ReleaseError`.
+        The highest IDs go first (a one-core release takes the maximum
+        instead of sorting). Releasing more than owned raises
+        :class:`ReleaseError`.
         """
         owned = self._owned.get(owner, set())
         if n < 0 or n > len(owned):
             raise ReleaseError(
                 f"{owner!r} owns {len(owned)} cores, cannot release {n}"
             )
-        victims = set(sorted(owned, reverse=True)[:n])
+        if n == 1:
+            victims = {max(owned)}
+        else:
+            victims = set(sorted(owned, reverse=True)[:n])
         owned -= victims
         self._free |= victims
         if not owned and owner in self._owned:

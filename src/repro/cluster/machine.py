@@ -13,7 +13,7 @@ or cache ways that do not exist).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cache import LastLevelCache
 from repro.cluster.cgroups import CpuSet
@@ -21,6 +21,7 @@ from repro.cluster.dvfs import DvfsGovernor, PowerModel
 from repro.cluster.network import Nic
 from repro.cluster.resources import ResourceVector
 from repro.errors import AllocationError, ConfigurationError
+from repro.fold import left_sum
 
 #: cpuset/CAT owner name used for the LC Servpod on every machine.
 LC_OWNER = "lc"
@@ -155,6 +156,12 @@ class Machine:
         #: ``can_launch_be``, so controllers that memoize whole control
         #: actions need a second counter that grow/shrink-memory bump.
         self.mem_version = 0
+        #: BE allocation changes as ``(kind, job_id)``, kind one of
+        #: ``"launch"``, ``"resize"`` (cores/LLC), ``"suspend"``,
+        #: ``"resume"`` or ``"kill"``, since the fleet kernel that owns
+        #: the machine last drained them. ``None`` while no kernel owns
+        #: it: nothing is recorded, so the record never grows unread.
+        self.be_changes: Optional[List[Tuple[str, str]]] = None
 
     # -- LC reservation -----------------------------------------------------
 
@@ -222,9 +229,9 @@ class Machine:
         return self._be_mem_total
 
     def _refresh_be_mem_total(self) -> None:
-        # Exactly the fold the property used to run on every read, so the
-        # cached value is bit-identical to the on-demand sum.
-        self._be_mem_total = sum(a.memory_gb for a in self._be.values())
+        # The left fold the property used to run on every read, so the
+        # cached value is bit-identical to the on-demand total.
+        self._be_mem_total = left_sum([a.memory_gb for a in self._be.values()])
 
     def can_launch_be(self) -> bool:
         """True if a fresh BE job (1 core, 2 GB; LLC is best-effort) fits.
@@ -262,6 +269,7 @@ class Machine:
         self._refresh_be_mem_total()
         self.counters.be_launches += 1
         self.version += 1
+        self._note("launch", job_id)
         return alloc
 
     def grow_be(self, job_id: str) -> bool:
@@ -278,6 +286,7 @@ class Machine:
         self._be_cores += 1
         self._be_ways += step
         self.version += 1
+        self._note("resize", job_id)
         return True
 
     def shrink_be(self, job_id: str) -> bool:
@@ -297,6 +306,7 @@ class Machine:
         self._be_cores -= 1
         self._be_ways -= step
         self.version += 1
+        self._note("resize", job_id)
         return True
 
     def grow_be_memory(self, job_id: str) -> bool:
@@ -324,7 +334,7 @@ class Machine:
         """
         n = len(job_ids)
         step = self.be_memory_step_gb
-        allocs = [self._be.get(job_id) for job_id in job_ids]
+        allocs = list(map(self._be.get, job_ids))
         # Each value and partial sum is at most the machine's capacity,
         # so every rounding moves the fold by at most one ulp of it.
         fold_err = (2 * len(self._be) + n + 4) * self.spec.memory_gb * 2.0**-52
@@ -357,6 +367,7 @@ class Machine:
             self.be_suspended_count += 1
             self.counters.be_suspensions += 1
             self.version += 1
+            self._note("suspend", job_id)
 
     def resume_be(self, job_id: str) -> None:
         """Resume a suspended BE job; a no-op if it is not suspended."""
@@ -365,6 +376,7 @@ class Machine:
             alloc.suspended = False
             self.be_suspended_count -= 1
             self.version += 1
+            self._note("resume", job_id)
 
     def kill_be(self, job_id: str) -> None:
         """Kill ``job_id`` and release every resource it held."""
@@ -379,6 +391,7 @@ class Machine:
         self._refresh_be_mem_total()
         self.counters.be_kills += 1
         self.version += 1
+        self._note("kill", job_id)
 
     def kill_all_be(self) -> int:
         """Kill every BE job on the machine; returns how many were killed."""
@@ -484,6 +497,11 @@ class Machine:
         )
 
     # -- internals --------------------------------------------------------
+
+    def _note(self, kind: str, job_id: str) -> None:
+        changes = self.be_changes
+        if changes is not None:
+            changes.append((kind, job_id))
 
     def _require(self, job_id: str) -> BeAllocation:
         alloc = self._be.get(job_id)

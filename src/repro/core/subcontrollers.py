@@ -16,11 +16,12 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Sequence
 
-from repro.bejobs.job import BeJob, BeJobState
+from repro.bejobs.job import BeJob, BeJobState, JobMoves
 from repro.bejobs.spec import BeJobSpec
 from repro.cluster.machine import BE_DOMAIN, Machine
 from repro.core.actions import BeAction
 from repro.errors import ControlError
+from repro.fold import left_sum
 
 
 class BeJobPool:
@@ -52,6 +53,12 @@ class BeJobPool:
         #: every per-period query walks, so its cost tracks the live set
         #: rather than the run's whole history.
         self._live: Dict[str, BeJob] = {}
+        #: The RUNNING jobs of ``_live`` in placement order, rebuilt on
+        #: the first read after ``_moves`` is set. Every job this pool
+        #: places sets that flag on its own state transitions, so the
+        #: index is right whoever moves the job.
+        self._running: List[BeJob] = []
+        self._moves = JobMoves()
         self.total_killed = 0
 
     def new_job(self) -> BeJob:
@@ -59,6 +66,7 @@ class BeJobPool:
         self._counter += 1
         spec = next(self._spec_cycle)
         job = BeJob(job_id=f"{self.machine_name}/be-{self._counter}", spec=spec)
+        job.moves = self._moves
         self._jobs[job.job_id] = job
         self._live[job.job_id] = job
         return job
@@ -68,9 +76,12 @@ class BeJobPool:
         return list(self._live.values())
 
     def running(self) -> List[BeJob]:
-        """Jobs currently in RUNNING state."""
-        running = BeJobState.RUNNING
-        return [j for j in self._live.values() if j.state is running]
+        """Jobs currently in RUNNING state, in placement order."""
+        if self._moves.moved:
+            self._moves.moved = False
+            state = BeJobState.RUNNING
+            self._running = [j for j in self._live.values() if j.state is state]
+        return list(self._running)
 
     def job(self, job_id: str) -> BeJob:
         """Look up a job by id."""
@@ -87,7 +98,7 @@ class BeJobPool:
     @property
     def total_normalized_work(self) -> float:
         """Sum of normalized work across all jobs, ever (incl. killed)."""
-        return sum(j.normalized_work for j in self._jobs.values())
+        return left_sum(j.normalized_work for j in self._jobs.values())
 
     def kill_all(self) -> int:
         """Kill every live job; returns how many died."""
@@ -203,10 +214,11 @@ class CpuLlcSubcontroller:
             return
         if machine.cpuset.free_cores < 1:
             return  # ``grow_be`` would refuse whichever job the scan picked
-        # One pass; strict ``<`` keeps the first minimum, like ``min``.
+        # One pass over the running jobs and their allocations; strict
+        # ``<`` keeps the first minimum, like ``min``.
         thinnest = None
         fewest = 0
-        alloc_of = machine.be_allocation
+        alloc_of = machine.be_jobs().get
         for job in pool.running():
             cores = alloc_of(job.job_id).cores
             if thinnest is None or cores < fewest:
@@ -245,9 +257,10 @@ class MemorySubcontroller:
         """Grow/shrink each BE job's memory one step, per the action."""
         if action == BeAction.ALLOW_BE_GROWTH:
             # A step only moves its own job's allocation, so the growth
-            # set can be chosen up front and granted in one batch.
+            # set is chosen in one pass over the running jobs and their
+            # allocations and granted in one batch.
             grow = []
-            alloc_of = machine.be_allocation
+            alloc_of = machine.be_jobs().get
             for job in pool.running():
                 alloc = alloc_of(job.job_id)
                 if alloc is not None and alloc.memory_gb < job.spec.memory_gb:

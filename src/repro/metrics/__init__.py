@@ -1,8 +1,7 @@
 """Measurement utilities: percentiles, time series, EMU and collectors.
 
 - :mod:`repro.metrics.percentile` — tail-latency estimation (windowed
-  percentiles, fixed-bin streaming histograms, reservoir sampling for
-  long streams),
+  percentiles, fixed-bin streaming histograms),
 - :mod:`repro.metrics.streaming` — single-pass Welford/Chan moment
   accumulators,
 - :mod:`repro.metrics.timeseries` — timestamped series with summaries,
@@ -14,7 +13,6 @@
 
 from repro.metrics.percentile import (
     HistogramTailTracker,
-    ReservoirSampler,
     WindowedTailTracker,
     percentile,
 )
@@ -25,7 +23,6 @@ from repro.metrics.collector import MachineMetrics, TickSample
 
 __all__ = [
     "HistogramTailTracker",
-    "ReservoirSampler",
     "WelfordAccumulator",
     "WindowedTailTracker",
     "percentile",

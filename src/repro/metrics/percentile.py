@@ -23,71 +23,6 @@ def percentile(samples: Sequence[float], pct: float) -> float:
     return float(np.percentile(np.asarray(samples, dtype=float), pct))
 
 
-class ReservoirSampler:
-    """Fixed-size uniform reservoir over an unbounded sample stream."""
-
-    def __init__(self, capacity: int = 4096, seed: int = 0) -> None:
-        if capacity <= 0:
-            raise ConfigurationError(f"capacity must be positive, got {capacity}")
-        self.capacity = int(capacity)
-        self._rng = np.random.default_rng(seed)
-        self._store: List[float] = []
-        self._seen = 0
-
-    def add(self, value: float) -> None:
-        """Offer one sample to the reservoir."""
-        self._seen += 1
-        if len(self._store) < self.capacity:
-            self._store.append(float(value))
-        else:
-            j = int(self._rng.integers(0, self._seen))
-            if j < self.capacity:
-                self._store[j] = float(value)
-
-    def extend(self, values: Iterable[float]) -> None:
-        """Offer many samples with one batched RNG draw.
-
-        The replacement indices for the whole batch come from a single
-        ``integers(..., size=n)`` call, so the per-sample Python/RNG
-        overhead of :meth:`add` is paid once per batch. The acceptance
-        probabilities match the sequential algorithm exactly (sample
-        ``i`` is kept with probability ``capacity / seen_i``); only the
-        consumed RNG stream differs from an :meth:`add` loop.
-        """
-        arr = np.asarray(
-            values if isinstance(values, np.ndarray) else list(values), dtype=float
-        )
-        n = int(arr.size)
-        if n == 0:
-            return
-        fill = min(self.capacity - len(self._store), n)
-        if fill > 0:
-            self._store.extend(float(v) for v in arr[:fill])
-            self._seen += fill
-        rest = arr[fill:]
-        if rest.size == 0:
-            return
-        # seen counts *after* each remaining sample arrives.
-        highs = self._seen + 1 + np.arange(rest.size, dtype=np.int64)
-        slots = self._rng.integers(0, highs, size=rest.size)
-        self._seen += int(rest.size)
-        for slot, value in zip(slots, rest):
-            if slot < self.capacity:
-                self._store[int(slot)] = float(value)
-
-    @property
-    def seen(self) -> int:
-        """Total samples offered."""
-        return self._seen
-
-    def percentile(self, pct: float) -> float:
-        """Percentile estimate over the retained sample."""
-        return percentile(self._store, pct)
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-
 class WindowedTailTracker:
     """Per-window tail percentile with worst-case retention.
 

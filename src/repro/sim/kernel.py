@@ -22,20 +22,8 @@ and drains whole ticks with vectorized operations:
   (machines,) arrays for LC usage, NIC caps, DVFS state, fault state
   and metrics, so a tick is a handful of whole-array numpy ops plus one
   python pass for the (stateful) per-machine controllers. Healthy and
-  faulted slots share that one tick path.
-
-Slots, dormancy and write-back
-------------------------------
-A bake-off member rides one live slot; the members of one scenario
-start on its first slot, the others *dormant* (no window, no injector,
-no sampling, no control). When riders' decisions differ in effect, the
-pre-apply world is copied into a dormant slot of the same scenario (a
-**fork**); live slots whose worlds re-converge **merge** back, the
-later one turning dormant again. The kernel holds BE progress, the
-requested BE frequency and the NIC caps between writes back, so before
-a fork copies a world and before a merge key reads one, the slot's
-state is written back (:meth:`FleetColocationKernel._write_back`, the
-same steps the end of a run takes).
+  faulted slots share that one tick path; bake-off slots fork and merge
+  (see the class docstring).
 
 Identity pinning
 ----------------
@@ -48,7 +36,7 @@ DESIGN.md) is:
    subcontrollers, fault injector are shared, not re-implemented);
 2. cache only values the scalar path recomputes deterministically
    (sensitivity vectors, usage coefficient sums, per-job demands),
-   invalidated by ``Machine.version``;
+   kept current by each machine's journal of BE changes;
 3. where floats are folded, preserve the scalar fold order exactly
    (python-float accumulation, ``cumsum``-style left-to-right chains);
 4. draw randomness through the same generators with the same call
@@ -64,6 +52,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import functools
 import heapq
 import math
 import os
@@ -71,7 +60,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bejobs.job import LLC_SPILL_TO_MEMBW, BeResourceSnapshot
+from repro.bejobs.job import LLC_SPILL_TO_MEMBW, BeJobState, BeResourceSnapshot
 from repro.cluster.machine import BE_DOMAIN, LC_DOMAIN, Machine
 from repro.core.actions import BeAction
 from repro.errors import ConfigurationError
@@ -470,7 +459,7 @@ class FleetColocationKernel:
 
     - world mutation (launch/kill/grow/shrink/suspend/resume) goes
       through the *same* subcontroller code on the shared machines and
-      pools; the SoA job mirror is invalidated by ``Machine.version``;
+      pools, which journal each BE change for the row sync;
     - subcontroller applies are memoized per machine on ``(action,
       version, mem_version, (offlined cores, lost LLC ways))``: a key
       can only enter the memo set after an execution that provably
@@ -478,19 +467,17 @@ class FleetColocationKernel:
       never memoized — its DVFS reset is a side effect the key cannot
       witness; fault-held capacity moves without a version bump, hence
       its place in the key);
-    - BE progress integrates in-place in SoA (elementwise float64 ==
-      python-float arithmetic) and is written back to the ``BeJob``
-      objects only where it is read: before a STOP apply (``kill``
-      floors the work), for all dirty rows in one batch before the
-      tick's rebuild, before a fork copies a world or a merge key reads
-      one (:meth:`_write_back`, which also syncs the requested BE
-      frequency and the NIC caps), and at finalize — never over a row
-      a STOP already flushed and dirtied, whose jobs it killed. Other
-      applies and fault transitions only rearrange allocations, which
-      the flushed values do not depend on;
-    - rows are rebuilt only when dirtied (a ``Machine.version`` bump or
-      a fault transition) into python twins, then copied into the SoA
-      columns with one gather and one scatter per column per tick;
+    - BE progress integrates in place in the row state (elementwise
+      float64 == python-float arithmetic) and is written back to the
+      ``BeJob`` objects only where it is read: before a STOP apply
+      (``kill`` floors the work; the row then drops the dead jobs),
+      before a row reset, before a fork copies a world or a merge key
+      reads one (:meth:`_write_back`, which also syncs the requested
+      BE frequency and the NIC caps), and at finalize;
+    - row sync costs what changed (:meth:`_sync_rows`): launches and
+      resizes patch cells in place, anything else resets the row, and
+      the vec path scatters only the changed cells, one gather and one
+      scatter per column per tick;
     - reductions over a machine's jobs run as padded column sweeps
       (``acc = acc + col``), exact because pads contribute ``+0.0`` to
       non-negative accumulators; the interference impact sum and the
@@ -714,17 +701,16 @@ class FleetColocationKernel:
         self._cnt_inst = np.zeros(M, dtype=np.int64)
         self._cnt_cores = np.zeros(M, dtype=np.int64)
         self._cnt_ways = np.zeros(M, dtype=np.int64)
+        #: Rows whose machines changed since the last row sync
+        #: (:meth:`_sync_rows`); every row starts dirty and unjournaled.
         self._dirty = set(range(M))
-        #: Dirty rows whose progress is still only in the row state; it
-        #: is written back right before the rebuild reads it.
-        self._unflushed: set = set()
         self._memo: List[set] = [set() for _ in range(M)]
 
         # -- deferred metric state ------------------------------------------
         self._elapsed = 0.0
         self._cols: List[Tuple] = []
         #: The BE counter columns as of the last change (instances,
-        #: cores, ways); ticks share it until a rebuild or an apply
+        #: cores, ways); ticks share it until a row reset or an apply
         #: moves a counter.
         self._counts: Optional[Tuple] = None
         self._acts: List[List[str]] = []
@@ -737,13 +723,12 @@ class FleetColocationKernel:
         # elementwise work, so small fleets, bake-offs and single
         # batched runs run the same arithmetic as per-machine python
         # floats: elementwise float64 ops equal python-float ops bit for
-        # bit, so both paths satisfy the same identity pin. Row state
-        # (job rows, totals, counters) is always rebuilt into the python
-        # twins below; the small path ticks on them, the vec path copies
-        # dirty rows into its SoA columns once per tick and then owns
-        # progress there. ``_freq`` (requested BE MHz), ``_lc_busy`` and
-        # ``_last_net`` (this tick's LC busy cores and traffic) are
-        # python lists on the small path and arrays on the vec path.
+        # bit, so both paths satisfy the same identity pin. Row state is
+        # always synced into the python twins below; the small path
+        # ticks on them, the vec path copies what changed into its SoA
+        # columns and owns progress there. ``_freq`` (requested BE MHz),
+        # ``_lc_busy`` and ``_last_net`` (this tick's LC busy cores and
+        # traffic) are python lists on the small path, arrays on vec.
         self._small = (
             sum(len(self._inst_machines[h]) for h in self._heads)
             <= _SMALL_FLEET_MACHINES
@@ -893,146 +878,212 @@ class FleetColocationKernel:
 
     # -- SoA <-> world synchronisation --------------------------------------
 
-    def _rebuild_row(self, m: int) -> None:
-        """Reload machine ``m``'s python row state from the world objects.
+    def _sync_rows(self) -> None:
+        """Bring the dirty rows up to their machines' BE allocations:
+        patch each row whose journal allows it (:meth:`_patch_row`),
+        reset the others (:meth:`_reset_row`) after writing their BE
+        progress back; the vec path then uploads what changed."""
+        changed: List[Tuple[int, int, int]] = []
+        resets: List[int] = []
+        for m in sorted(self._dirty):
+            patch = self._patch_row(m)
+            if patch is None:
+                resets.append(m)
+            changed.append(patch or (m, 0, 0))
+        self._dirty.clear()
+        self._flush_rows(resets)
+        for m in resets:
+            self._reset_row(m)
+        if not self._small:
+            self._upload_rows(changed)
 
-        Same math and python fold order as the scalar
-        :func:`~repro.bejobs.job.compute_be_rates`. Both tick paths read
-        the python twins written here; the vec path then copies every
-        rebuilt row into its SoA columns in one batch
-        (:meth:`_upload_rows`).
+    def _patch_row(self, m: int) -> Optional[Tuple[int, int, int]]:
+        """Apply machine ``m``'s journal (``be_changes``) to its row in
+        place, if it holds only launches and resizes; returns ``(m,
+        first changed cell, first new cell)``, or ``None`` when the row
+        must reset (another change, or no journal: construction and
+        fault transitions drop it).
+
+        Resized cells swap their row id and the totals refold; launched
+        jobs, the newest running (last in ``pool.running()`` order),
+        append cells and continue the fold. Surviving cells keep their
+        BE progress in the row state, so a patched row is not flushed.
         """
+        changes = self._m_mach[m].be_changes
+        if changes is None:
+            return None
+        ids = self._row_ids[m]
+        launched: List = []
+        resized: List[int] = []
+        for kind, job_id in changes:
+            if kind == "launch":
+                job = self._m_pool[m].job(job_id)
+                if job.state is not BeJobState.RUNNING:
+                    return None
+                launched.append(job)
+            elif kind != "resize":
+                return None
+            elif job_id in ids:
+                resized.append(ids.index(job_id))
+        changes.clear()
+        k = len(ids)
+        alloc_of = self._m_mach[m].be_allocation
+        for j in resized:
+            job = self._row_jobs[m][j]
+            self._rids[m][j] = self._row_id(m, job.spec, alloc_of(job.job_id))
+        self._add_cells(m, launched)
+        self._fold(m, 0 if resized else k)
+        return (m, min(resized, default=k), k)
+
+    def _reset_row(self, m: int) -> None:
+        """Reload row ``m`` from the world objects: clear it, re-add every
+        running job, and start journaling its machine's changes."""
         machine = self._m_mach[m]
-        total_cores = self._cores_i[m]
-        n_ways = machine.llc.n_ways
-        alloc_of = machine.be_allocation
-        cache = self._row_cache
-        row_py = self._row_py
-        running: List = []
-        rids: List[int] = []
-        total_membw_demand = 0.0
-        total_net_demand = 0.0
-        busy_cores = 0.0
-        llc_demand_total = 0.0
-        llc_occupied_total = 0.0
-        for job in self._m_pool[m].running():
-            alloc = alloc_of(job.job_id)
-            if alloc is None or alloc.suspended:
-                continue
-            spec = job.spec
-            # Row values depend only on (spec, cores, llc ways, machine
-            # geometry) — all in the key — so one computation serves every
-            # job of the same shape fleet-wide. The spec object rides along
-            # in the row to pin its id() for the cache's lifetime.
-            key = (id(spec), alloc.cores, alloc.llc_ways, total_cores, n_ways)
-            rid = cache.get(key)
-            if rid is None:
-                cores = alloc.cores
-                llc_granted = alloc.llc_ways / n_ways
-                llc_demand = spec.demand_fraction("llc", cores, total_cores)
-                membw_demand = spec.demand_fraction("membw", cores, total_cores)
-                membw_demand += LLC_SPILL_TO_MEMBW * max(
-                    0.0, llc_demand - llc_granted
-                )
-                llc_usage = spec.usage("llc")
-                membw_usage = spec.usage("membw")
-                net_usage = spec.usage("net")
-                rid = len(row_py)
-                row_py.append(
-                    (
-                        cores / total_cores,
-                        min(1.0, spec.saturation_cores / total_cores),
-                        llc_granted / llc_usage if llc_usage > 0 else np.inf,
-                        min(1.0, membw_demand),
-                        membw_usage > 0,
-                        membw_usage if membw_usage > 0 else 1.0,
-                        spec.demand_fraction("net", cores, total_cores),
-                        net_usage > 0,
-                        net_usage if net_usage > 0 else 1.0,
-                        llc_demand,
-                        llc_granted,
-                        cores,
-                        spec,
-                    )
-                )
-                cache[key] = rid
-            row = row_py[rid]
-            running.append(job)
-            rids.append(rid)
-            total_membw_demand += row[3]
-            total_net_demand += row[6]
-            busy_cores += row[11]
-            llc_demand_total += row[9]
-            llc_occupied_total += row[10]
-        k = len(running)
-        if k > self._jmax:  # pragma: no cover - pool caps instances
-            raise ConfigurationError(
-                f"machine {machine.spec.name!r} has {k} running BE "
-                f"jobs, fleet rows hold {self._jmax}"
-            )
-        self._rids[m] = rids
-        self._nw_py[m] = [job.normalized_work for job in running]
-        self._rs_py[m] = [job.running_seconds for job in running]
-        self._md_l[m] = total_membw_demand
-        self._nd_l[m] = total_net_demand
+        machine.be_changes = []
+        self._rids[m] = []
+        self._row_jobs[m] = []
+        self._row_ids[m] = []
+        self._nw_py[m] = []
+        self._rs_py[m] = []
         self._cnt_inst_l[m] = machine.be_instance_count
         self._cnt_cores_l[m] = machine.be_total_cores
         self._cnt_ways_l[m] = machine.be_total_llc_ways
-        self._njobs_l[m] = k
         self._counts = None
-        self._row_jobs[m] = running
-        self._row_ids[m] = [job.job_id for job in running]
-        self._busy_be_l[m] = busy_cores
-        self._llc_dem_l[m] = min(1.0, llc_demand_total)
-        self._llc_occ_l[m] = min(1.0, llc_occupied_total)
-        # CPU and LLC pressure are pure functions of row state, so they
-        # only move when the row does; the tick loop reads the cache.
+        self._add_cells(m, self._m_pool[m].running())
+        self._fold(m, 0)
+
+    def _row_id(self, m: int, spec, alloc) -> int:
+        """The row id of a ``spec`` job holding ``alloc`` on machine ``m``.
+
+        Same math as the scalar :func:`~repro.bejobs.job.compute_be_rates`.
+        The values depend only on the key, so one row serves every job
+        of that shape fleet-wide; it carries the spec to pin its id().
+        """
+        total_cores = self._cores_i[m]
+        n_ways = self._m_mach[m].llc.n_ways
+        key = (id(spec), alloc.cores, alloc.llc_ways, total_cores, n_ways)
+        rid = self._row_cache.get(key)
+        if rid is None:
+            cores = alloc.cores
+            llc_granted = alloc.llc_ways / n_ways
+            llc_demand = spec.demand_fraction("llc", cores, total_cores)
+            membw_demand = spec.demand_fraction("membw", cores, total_cores)
+            membw_demand += LLC_SPILL_TO_MEMBW * max(0.0, llc_demand - llc_granted)
+            llc_usage = spec.usage("llc")
+            membw_usage = spec.usage("membw")
+            net_usage = spec.usage("net")
+            rid = len(self._row_py)
+            self._row_py.append(
+                (
+                    cores / total_cores,
+                    min(1.0, spec.saturation_cores / total_cores),
+                    llc_granted / llc_usage if llc_usage > 0 else np.inf,
+                    min(1.0, membw_demand),
+                    membw_usage > 0,
+                    membw_usage if membw_usage > 0 else 1.0,
+                    spec.demand_fraction("net", cores, total_cores),
+                    net_usage > 0,
+                    net_usage if net_usage > 0 else 1.0,
+                    llc_demand,
+                    llc_granted,
+                    cores,
+                    spec,
+                )
+            )
+            self._row_cache[key] = rid
+        return rid
+
+    def _add_cells(self, m: int, jobs: Sequence) -> None:
+        """Append the cells of ``jobs`` that run on a live allocation to
+        row ``m``, in order."""
+        alloc_of = self._m_mach[m].be_allocation
+        for job in jobs:
+            alloc = alloc_of(job.job_id)
+            if alloc is None or alloc.suspended:
+                continue
+            self._rids[m].append(self._row_id(m, job.spec, alloc))
+            self._row_jobs[m].append(job)
+            self._row_ids[m].append(job.job_id)
+            self._nw_py[m].append(job.normalized_work)
+            self._rs_py[m].append(job.running_seconds)
+        k = self._njobs_l[m] = len(self._rids[m])
+        if k > self._jmax:  # pragma: no cover - pool caps instances
+            raise ConfigurationError(
+                f"machine {self._m_mach[m].spec.name!r} has {k} running BE "
+                f"jobs, fleet rows hold {self._jmax}"
+            )
+
+    def _fold(self, m: int, start: int) -> None:
+        """Left-fold row ``m``'s five totals over its cells from ``start``
+        on, continuing the fold of the cells before it (from 0.0 when
+        ``start`` is 0), then re-derive the row's CPU and LLC pressure,
+        which the tick loop reads. The LLC totals stay unclamped so the
+        fold can continue exactly; readers clamp them at 1."""
+        if start:
+            md, nd, busy = self._md_l[m], self._nd_l[m], self._busy_be_l[m]
+            llc_dem, llc_occ = self._llc_dem_l[m], self._llc_occ_l[m]
+        else:
+            md = nd = busy = llc_dem = llc_occ = 0.0
+        row_py = self._row_py
+        for rid in self._rids[m][start:]:
+            row = row_py[rid]
+            md += row[3]
+            nd += row[6]
+            busy += row[11]
+            llc_dem += row[9]
+            llc_occ += row[10]
+        self._md_l[m], self._nd_l[m], self._busy_be_l[m] = md, nd, busy
+        self._llc_dem_l[m], self._llc_occ_l[m] = llc_dem, llc_occ
         iso = self._iso[m]
-        self._p_cpu_l[m] = iso.cpu_pressure(min(1.0, busy_cores / total_cores))
-        self._p_llc_l[m] = iso.llc_pressure(
-            self._llc_occ_l[m], self._llc_dem_l[m]
-        )
+        self._p_cpu_l[m] = iso.cpu_pressure(min(1.0, busy / self._cores_i[m]))
+        self._p_llc_l[m] = iso.llc_pressure(min(1.0, llc_occ), min(1.0, llc_dem))
 
-    def _upload_rows(self, ms: List[int]) -> None:
-        """Copy rows ``ms``' python twins into the SoA columns.
+    def _upload_rows(self, rows: List[Tuple[int, int, int]]) -> None:
+        """Copy what changed of ``rows``' python twins into the SoA.
 
-        Job rows are gathered from ``_row_table`` by row id, then each
-        padded column takes one reset and one scatter, whatever the
-        number of rows. Pads carry the identity elements of every
-        downstream op (0 for sums and rates, 1 for divisors, ``inf`` for
-        min-reductions); python floats land in float64 cells exactly,
-        and the table's 1.0/0.0 masks cast to the same bools.
+        For each ``(m, lo, fresh)``, row ``m``'s cells from ``lo`` on
+        take their job rows (gathered from ``_row_table`` by row id),
+        cells from ``fresh`` on also their BE progress, and the row its
+        totals and counters; a row with ``fresh == 0`` is padded first,
+        with the identity elements of every downstream op (0 for sums
+        and rates, 1 for divisors, ``inf`` for min-reductions). One
+        scatter per column; python floats and the table's 1.0/0.0 masks
+        land exactly.
         """
         if len(self._row_py) > len(self._row_table):
             self._row_table = np.asarray(
                 [row[:9] for row in self._row_py], dtype=np.float64
             )
-        idx = np.asarray(ms, dtype=np.intp)
-        ks = np.asarray([self._njobs_l[m] for m in ms], dtype=np.intp)
+        cleared = [m for m, _lo, fresh in rows if fresh == 0]
+        if cleared:
+            idx = np.asarray(cleared, dtype=np.intp)
+            for arr, pad in self._soa_cols + ((self._nw, 0.0), (self._rs, 0.0)):
+                arr[idx] = pad
+            self._valid[idx] = 0.0
+        cells: List[List[int]] = [[], [], [], []]
         rids: List[int] = []
         nw: List[float] = []
         rs: List[float] = []
-        for m in ms:
-            rids.extend(self._rids[m])
-            nw.extend(self._nw_py[m])
-            rs.extend(self._rs_py[m])
-        for arr, pad in self._soa_cols:
-            arr[idx] = pad
-        self._nw[idx] = 0.0
-        self._rs[idx] = 0.0
-        self._valid[idx] = 0.0
+        for m, lo, fresh in rows:
+            k = self._njobs_l[m]
+            cells[0] += [m] * (k - lo)
+            cells[1] += range(lo, k)
+            rids += self._rids[m][lo:]
+            cells[2] += [m] * (k - fresh)
+            cells[3] += range(fresh, k)
+            nw += self._nw_py[m][fresh:]
+            rs += self._rs_py[m][fresh:]
+        cm, cj, pm, pj = (np.asarray(c, dtype=np.intp) for c in cells)
         if rids:
-            starts = np.cumsum(ks) - ks
-            cells = (
-                np.repeat(idx, ks),
-                np.arange(len(rids)) - np.repeat(starts, ks),
-            )
             block = self._row_table[rids]
             for c, (arr, _pad) in enumerate(self._soa_cols):
-                arr[cells] = block[:, c]
-            self._nw[cells] = nw
-            self._rs[cells] = rs
-            self._valid[cells] = 1.0
+                arr[cm, cj] = block[:, c]
+        if nw:
+            self._nw[pm, pj] = nw
+            self._rs[pm, pj] = rs
+            self._valid[pm, pj] = 1.0
+        ms = [m for m, _lo, _fresh in rows]
+        idx = np.asarray(ms, dtype=np.intp)
         self._busy_be[idx] = [self._busy_be_l[m] for m in ms]
         self._md_total[idx] = [self._md_l[m] for m in ms]
         self._nd_total[idx] = [self._nd_l[m] for m in ms]
@@ -1076,12 +1127,8 @@ class FleetColocationKernel:
     def _write_back(self, rows: Sequence[int]) -> None:
         """Make ``rows``' world objects current: BE progress, requested
         BE frequency and NIC caps, everything the SoA holds between
-        writes. Rows a STOP dirtied this tick are not flushed again:
-        their jobs were flushed before the kill, which floors the work
-        a second flush would write back."""
-        dirty = self._dirty
-        unflushed = self._unflushed
-        self._flush_rows([m for m in rows if m not in dirty or m in unflushed])
+        writes."""
+        self._flush_rows(rows)
         self._sync_hardware(rows)
 
     # -- fault state ----------------------------------------------------------
@@ -1089,16 +1136,12 @@ class FleetColocationKernel:
     def _refresh_faults(self, i: int) -> None:
         """Re-read slot ``i``'s fault-touched machine state.
 
-        Runs at construction and on every tick where the slot's
-        injector reported transitions, right after ``advance`` — the
-        same point in the tick where the scalar loop's next reads see
-        the new state. Everything cached here is constant between
-        transitions: the injector's pressure terms (its active set only
-        changes in ``advance``), the caps and link scale it recomputes
-        there, and the fault-held cores and ways. Rows are reloaded
-        because ``offline_cores`` may have shrunk BE jobs. A clean row
-        becomes dirty and unflushed, so its progress is written back
-        before the rebuild; an already dirty row keeps its flush state.
+        Runs at construction and right after every ``advance`` that
+        reported transitions, where the scalar loop's next reads see
+        the new state; everything cached here (pressure terms, caps,
+        link scale, fault-held cores and ways) is constant between
+        transitions. ``offline_cores`` may have shrunk BE jobs, so each
+        machine's journal is dropped: its row resets at the next sync.
         """
         injector = self._inj[i]
         for m in self._inst_machines[i]:
@@ -1123,9 +1166,8 @@ class FleetColocationKernel:
             self._link_nic[m] = link
             self._link_nic_l[m] = link
             self._fkey[m] = (machine.offlined_cores, machine.lost_llc_ways)
-            if m not in self._dirty:
-                self._dirty.add(m)
-                self._unflushed.add(m)
+            self._dirty.add(m)
+            machine.be_changes = None
 
     def _slowdown(
         self,
@@ -1219,15 +1261,7 @@ class FleetColocationKernel:
             w_real[i] = window.realized_load
             w_n[i] = window.n_samples
         if self._dirty:
-            if self._unflushed:
-                self._flush_rows(sorted(self._unflushed))
-                self._unflushed.clear()
-            dirty = sorted(self._dirty)
-            for m in dirty:
-                self._rebuild_row(m)
-            if not self._small:
-                self._upload_rows(dirty)
-            self._dirty.clear()
+            self._sync_rows()
         return w_load, w_real, w_n
 
     def _sample_tails(
@@ -1315,6 +1349,32 @@ class FleetColocationKernel:
             self._upload_counts(np.asarray(moved, dtype=np.intp), moved)
         self._acts.append(acts)
 
+    def _keep_columns(
+        self, t, dt, w_load, tails, closed, metrics: Tuple, counts: Tuple, copier
+    ) -> None:
+        """Keep this tick's metric columns per slot row (loads and tails
+        per slot), with the row map members rode by this tick; they are
+        integrated and gathered at the end of the run. ``metrics`` are
+        busy cores, BE bandwidth and BE rate per row; the BE counters
+        are as of *before* this tick's applies, like the scalar
+        ``record_tick``, copied (``copier``) only when one moved."""
+        if self._counts is None:
+            self._counts = tuple(map(copier, counts))
+        self._cols.append((t, dt, self._rowmap, w_load, tails) + metrics + self._counts)
+        self._wins.append((closed, tails, self._ride_map))
+
+    def _snapshot(self, membw_l, net_l, rates, m: int) -> BeResourceSnapshot:
+        """Row ``m``'s ``last_snapshot``: this tick's BE bandwidth shares
+        (per row) and rates (per row and cell), as python floats."""
+        return BeResourceSnapshot(
+            busy_cores=self._busy_be_l[m],
+            membw_fraction=membw_l[m],
+            llc_demand_fraction=min(1.0, self._llc_dem_l[m]),
+            llc_occupied_fraction=min(1.0, self._llc_occ_l[m]),
+            net_fraction=net_l[m],
+            rates=dict(zip(self._row_ids[m], map(float, rates[m]))),
+        )
+
     def _decide(
         self,
         c: int,
@@ -1392,8 +1452,11 @@ class FleetColocationKernel:
                 continue
             stop = action is BeAction.STOP_BE
             if stop:
-                # Killing floors the work, so the progress lands first.
+                # Killing floors the work, so the progress lands first;
+                # the row lets go of the jobs, so no later flush writes
+                # over the floored work.
                 self._flush_rows([m])
+                self._row_jobs[m] = []
             v0 = machine.version
             mv0 = machine.mem_version
             pool = self._m_pool[m]
@@ -1406,8 +1469,6 @@ class FleetColocationKernel:
                 self._freq[m] = self._f_max_l[m]
             if machine.version != v0:
                 self._dirty.add(m)
-                if not stop:
-                    self._unflushed.add(m)
                 self._cnt_inst_l[m] = machine.be_instance_count
                 self._cnt_cores_l[m] = machine.be_total_cores
                 self._cnt_ways_l[m] = machine.be_total_llc_ways
@@ -1455,16 +1516,15 @@ class FleetColocationKernel:
         )
         for ms, md in zip(rows_s, rows_d):
             self._dirty.discard(md)
-            self._unflushed.discard(md)
             pod = self._m_pod[md]
             self._m_pool[md] = clone._runs[pod].pool
             self._m_mach[md] = clone.deployment.servpod(pod).machine
             for column in per_row:
                 column[md] = column[ms]
             self._memo[md] = set(self._memo[ms])
-            self._rebuild_row(md)
+            self._reset_row(md)
         if not self._small:
-            self._upload_rows(rows_d)
+            self._upload_rows([(md, 0, 0) for md in rows_d])
         moving = set(riders)
         self._riders[src] = [c for c in self._riders[src] if c not in moving]
         self._riders[dst] = list(riders)
@@ -1525,7 +1585,7 @@ class FleetColocationKernel:
                         self._inst_machines[keep], self._inst_machines[other]
                     ):
                         self._dirty.discard(mo)
-                        self._unflushed.discard(mo)
+                        self._m_mach[mo].be_changes = None
                         self._adopt_memo(mk, mo)
                     self.merges += 1
                     merged = True
@@ -1679,44 +1739,13 @@ class FleetColocationKernel:
         # Phase 2: latency sampling (shared with the vectorized path).
         closed, tails = self._sample_tails(w_real, w_n, slow_l, infl_l)
 
-        # Deferred metrics: python columns per slot row (loads and tails
-        # per slot), with the row map members rode by this tick;
-        # counters as of before the applies, like the scalar
-        # record_tick.
-        if self._counts is None:
-            self._counts = (
-                list(self._cnt_inst_l),
-                list(self._cnt_cores_l),
-                list(self._cnt_ways_l),
-            )
-        self._cols.append(
-            (
-                t,
-                dt,
-                self._rowmap,
-                w_load,
-                tails,
-                busy_tot_l,
-                membw_tot_l,
-                rate_tot_l,
-            )
-            + self._counts
-        )
-        self._wins.append((closed, tails, self._ride_map))
-
-        def snapshot_of(m: int) -> BeResourceSnapshot:
-            ids = self._row_ids[m]
-            return BeResourceSnapshot(
-                busy_cores=self._busy_be_l[m],
-                membw_fraction=membw_l[m],
-                llc_demand_fraction=self._llc_dem_l[m],
-                llc_occupied_fraction=self._llc_occ_l[m],
-                net_fraction=net_l[m],
-                rates=dict(zip(ids, rate_rows[m][: len(ids)])),
-            )
+        counts = (self._cnt_inst_l, self._cnt_cores_l, self._cnt_ways_l)
+        metrics = (busy_tot_l, membw_tot_l, rate_tot_l)
+        self._keep_columns(t, dt, w_load, tails, closed, metrics, counts, list)
 
         self._lc_busy = lc_busy_l
         self._last_net = lc_net_l
+        snapshot_of = functools.partial(self._snapshot, membw_l, net_l, rate_rows)
         self._control(t, last, w_load, tails, snapshot_of)
 
         # Phase 5: frequency subcontroller per machine (post-apply BE
@@ -1808,7 +1837,6 @@ class FleetColocationKernel:
         membw_l = snap_membw.tolist()
         net_l = snap_net.tolist()
         real_l = real_m.tolist()
-        busy_l = self._busy_be_l
         slow_l: List[float] = [1.0] * M
         infl_l: List[float] = [1.0] * M
         p_cpu_l = self._p_cpu_l
@@ -1828,45 +1856,15 @@ class FleetColocationKernel:
         self._nw += dt * rate
         self._rs += dt * self._valid
 
-        # Deferred metrics: keep the columns (with the row map members
-        # rode by this tick); integrate and gather them at end of run.
-        # Counter columns are as of *before* this tick's applies, like
-        # the scalar record_tick.
         self._elapsed += dt
-        if self._counts is None:
-            self._counts = (
-                self._cnt_inst.copy(),
-                self._cnt_cores.copy(),
-                self._cnt_ways.copy(),
-            )
-        self._cols.append(
-            (
-                t,
-                dt,
-                self._rowmap,
-                w_load,
-                tails,
-                lc_busy + self._busy_be,
-                np.minimum(1.0, lc_membw + snap_membw),
-                rate_total,
-            )
-            + self._counts
-        )
-        self._wins.append((closed, tails, self._ride_map))
-
-        def snapshot_of(m: int) -> BeResourceSnapshot:
-            ids = self._row_ids[m]
-            return BeResourceSnapshot(
-                busy_cores=busy_l[m],
-                membw_fraction=membw_l[m],
-                llc_demand_fraction=self._llc_dem_l[m],
-                llc_occupied_fraction=self._llc_occ_l[m],
-                net_fraction=net_l[m],
-                rates=dict(zip(ids, rate[m, : len(ids)].tolist())),
-            )
+        counts = (self._cnt_inst, self._cnt_cores, self._cnt_ways)
+        busy = lc_busy + self._busy_be
+        metrics = (busy, np.minimum(1.0, lc_membw + snap_membw), rate_total)
+        self._keep_columns(t, dt, w_load, tails, closed, metrics, counts, np.copy)
 
         self._lc_busy = lc_busy
         self._last_net = lc_net
+        snapshot_of = functools.partial(self._snapshot, membw_l, net_l, rate)
         self._control(t, last, w_load, tails, snapshot_of)
 
         # Phase 5: frequency subcontroller, whole fleet at once. Uses
@@ -1946,9 +1944,11 @@ class FleetColocationKernel:
         with the row map members rode by then (``None`` in a fleet):
         :meth:`_finalize_columns` turns them into every member's
         columns and metric integrals, and the window tails replay into
-        each member's tail tracker.
+        each member's tail tracker. The machines stop journaling.
         """
         self._write_back(self._live_rows)
+        for machine in self._m_mach:
+            machine.be_changes = None
         self._finalize_columns()
         wins = self._wins
         for c, rows in enumerate(self._inst_machines):

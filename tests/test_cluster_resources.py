@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.cluster.cache import LastLevelCache
@@ -94,6 +96,30 @@ class TestCpuSet:
     def test_zero_core_machine_rejected(self):
         with pytest.raises(AllocationError):
             CpuSet(0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_core_grants_match_the_sorted_form(self, seed):
+        """One-core allocate/release pick the core ids the sorted n-core
+        form picks, on random fragmented sets."""
+        rng = random.Random(seed)
+        cpus = CpuSet(40)
+        owners = ["lc", "a", "b", "c"]
+        for _ in range(400):
+            owner = rng.choice(owners)
+            owned = cpus.owned_by(owner)
+            if cpus.free_cores and (not owned or rng.random() < 0.5):
+                want = set(sorted(cpus._free)[:1])
+                n = rng.randint(1, min(3, cpus.free_cores))
+                granted = cpus.allocate(owner, n)
+                if n == 1:
+                    assert granted == want
+            elif owned:
+                want = set(sorted(owned, reverse=True)[:1])
+                n = rng.randint(1, min(3, len(owned)))
+                cpus.release(owner, n)
+                if n == 1:
+                    assert owned - cpus.owned_by(owner) == want
+        assert cpus.free_cores + sum(cpus.count(o) for o in owners) == 40
 
 
 class TestLastLevelCache:

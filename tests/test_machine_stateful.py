@@ -41,6 +41,7 @@ from repro.core.subcontrollers import (
     MemorySubcontroller,
 )
 from repro.errors import AllocationError
+from repro.fold import left_sum
 
 
 class MachineLifecycle(RuleBasedStateMachine):
@@ -177,7 +178,7 @@ def _small_machine() -> Machine:
 
 
 def _bits(x):
-    """Exact identity of a fold (an empty ``sum`` is the *int* 0)."""
+    """Exact identity of a fold, its type included."""
     return type(x), float(x).hex()
 
 
@@ -187,7 +188,7 @@ def _assert_totals_fold(machine: Machine) -> None:
     assert machine.be_total_cores == sum(a.cores for a in allocs)
     assert machine.be_total_llc_ways == sum(a.llc_ways for a in allocs)
     assert float(machine.be_total_memory_gb).hex() == float(
-        sum(a.memory_gb for a in allocs)
+        left_sum(a.memory_gb for a in allocs)
     ).hex()
     assert (
         machine.lc_cores + machine.be_total_cores + machine.offlined_cores
@@ -417,6 +418,54 @@ def test_scan_skips_match_full_scans(seed):
         if rng.random() < 0.1:
             machine.offline_cores(rng.randrange(1, 4))
     assert skipped["resume"] and skipped["grow"]
+
+
+def test_running_index_follows_every_transition_and_copy():
+    """``running()`` tracks jobs moved directly, not only through the
+    subcontrollers, and a deep copy's jobs report to the copied pool."""
+    pool = BeJobPool([HUNGRY], "m", max_instances=4)
+    jobs = [pool.new_job() for _ in range(3)]
+    for job in jobs:
+        job.start("m")
+    assert pool.running() == jobs
+    twin = copy.deepcopy(pool)
+    assert all(job.moves is twin._moves for job in twin.jobs())
+    jobs[1].suspend()
+    assert pool.running() == [jobs[0], jobs[2]]
+    assert [job.job_id for job in twin.running()] == [j.job_id for j in jobs]
+    twin.job(jobs[0].job_id).suspend()
+    assert len(twin.running()) == 2 and pool.running() == [jobs[0], jobs[2]]
+    jobs[1].resume()
+    assert pool.running() == jobs
+    jobs[2].kill()
+    assert pool.running() == jobs[:2] and jobs[2].moves is None
+    assert pool.running() == _old_running(pool)
+
+
+def test_machine_journals_be_changes_only_while_attached():
+    machine = _small_machine()
+    machine.launch_be("a")
+    machine.grow_be("a")
+    assert machine.be_changes is None
+    machine.be_changes = []
+    machine.launch_be("b")
+    machine.grow_be("b")
+    machine.shrink_be("b")
+    machine.grow_be_memory("b")
+    machine.suspend_be("a")
+    machine.suspend_be("a")
+    machine.resume_be("a")
+    machine.offline_cores(machine.cpuset.free_cores + 1)
+    machine.kill_be("b")
+    assert machine.be_changes == [
+        ("launch", "b"),
+        ("resize", "b"),
+        ("resize", "b"),
+        ("suspend", "a"),
+        ("resume", "a"),
+        ("resize", "a"),
+        ("kill", "b"),
+    ]
 
 
 @pytest.mark.parametrize("free", [0, 1, 2])

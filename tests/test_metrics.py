@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.metrics.collector import MachineMetrics
 from repro.metrics.emu import EmuAccumulator, UtilisationAccumulator
-from repro.metrics.percentile import ReservoirSampler, WindowedTailTracker, percentile
+from repro.metrics.percentile import WindowedTailTracker, percentile
 from repro.metrics.timeseries import TimeSeries
 
 
@@ -24,27 +24,6 @@ class TestPercentile:
     def test_bounds(self):
         with pytest.raises(ConfigurationError):
             percentile([1.0], 101.0)
-
-
-class TestReservoir:
-    def test_keeps_everything_under_capacity(self):
-        r = ReservoirSampler(capacity=100)
-        r.extend(range(50))
-        assert len(r) == 50
-        assert r.seen == 50
-
-    def test_caps_at_capacity(self):
-        r = ReservoirSampler(capacity=100)
-        r.extend(range(1000))
-        assert len(r) == 100
-        assert r.seen == 1000
-
-    def test_percentile_estimate_reasonable(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(100, 10, 20000)
-        r = ReservoirSampler(capacity=4096, seed=2)
-        r.extend(data)
-        assert r.percentile(50.0) == pytest.approx(100.0, abs=1.5)
 
 
 class TestWindowedTail:

@@ -22,7 +22,6 @@ from repro.experiments.colocation import ColocationConfig
 from repro.experiments.runner import clear_rhythm_cache, get_rhythm
 from repro.metrics.percentile import (
     HistogramTailTracker,
-    ReservoirSampler,
     WindowedTailTracker,
     percentile,
 )
@@ -302,36 +301,6 @@ class TestWelford:
 
 
 class TestHotPathSatellites:
-    def test_reservoir_extend_single_rng_call(self):
-        class CountingRng:
-            def __init__(self):
-                self.calls = 0
-                self._rng = np.random.default_rng(0)
-
-            def integers(self, *args, **kwargs):
-                self.calls += 1
-                return self._rng.integers(*args, **kwargs)
-
-        sampler = ReservoirSampler(capacity=10, seed=0)
-        sampler._rng = CountingRng()
-        sampler.extend(range(1000))
-        assert sampler._rng.calls == 1
-        assert sampler.seen == 1000
-        assert len(sampler) == 10
-
-    def test_reservoir_extend_fill_phase_is_exact(self):
-        sampler = ReservoirSampler(capacity=100, seed=1)
-        sampler.extend(float(i) for i in range(50))
-        assert sampler.seen == 50
-        assert sampler.percentile(50.0) == pytest.approx(24.5)
-
-    def test_reservoir_extend_remains_uniformish(self):
-        # After many samples the retained set should span the stream,
-        # not cluster at the head (a classic off-by-one failure).
-        sampler = ReservoirSampler(capacity=200, seed=2)
-        sampler.extend(float(i) for i in range(20_000))
-        assert sampler.percentile(50.0) == pytest.approx(10_000, rel=0.25)
-
     def test_window_tails_returns_tuple(self):
         tracker = WindowedTailTracker()
         tracker.add_samples([1.0, 2.0, 3.0])
