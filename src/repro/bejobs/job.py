@@ -9,7 +9,6 @@ alone on the whole machine" — exactly the normalization the paper's
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
@@ -32,19 +31,6 @@ class BeJobState(enum.Enum):
     KILLED = "killed"
 
 
-class JobMoves:
-    """The flag a pool shares with the jobs it places: ``moved`` is set
-    whenever one of them enters or leaves RUNNING, so the pool rebuilds
-    its index of running jobs on the next read. It refers to nothing,
-    so pool and jobs form no reference cycle and are freed as soon as
-    their experiment is."""
-
-    __slots__ = ("moved",)
-
-    def __init__(self) -> None:
-        self.moved = True
-
-
 @dataclass
 class BeJob:
     """One BE job instance placed on (at most) one machine."""
@@ -58,47 +44,30 @@ class BeJob:
     #: Wall-clock seconds spent in RUNNING state.
     running_seconds: float = 0.0
 
-    #: The placing pool's :class:`JobMoves` flag, which this job's state
-    #: transitions set (dropped at kill). A plain attribute, not a
-    #: field: it stays out of equality, ``repr`` and ``asdict``.
-    moves = None
-
     def __deepcopy__(self, memo) -> "BeJob":
         # Every field is an immutable scalar, an enum member or the
         # frozen spec, so a flat field copy is a deep copy that keeps the
         # spec shared (world forks copy every job a pool ever placed).
-        # The moves flag goes through the memo, so a copied job flags
-        # the copied pool.
         clone = object.__new__(self.__class__)
         clone.__dict__.update(self.__dict__)
-        if self.moves is not None:
-            clone.moves = copy.deepcopy(self.moves, memo)
         return clone
-
-    def _moved(self) -> None:
-        if self.moves is not None:
-            self.moves.moved = True
 
     def start(self, machine_name: str) -> None:
         """Mark the job as running on ``machine_name``."""
         if self.state == BeJobState.KILLED:
             raise ControlError(f"{self.job_id}: cannot start a killed job")
         self.machine_name = machine_name
-        if self.state != BeJobState.RUNNING:
-            self.state = BeJobState.RUNNING
-            self._moved()
+        self.state = BeJobState.RUNNING
 
     def suspend(self) -> None:
         """Pause the job (keeps memory, stops progress)."""
         if self.state == BeJobState.RUNNING:
             self.state = BeJobState.SUSPENDED
-            self._moved()
 
     def resume(self) -> None:
         """Resume a suspended job."""
         if self.state == BeJobState.SUSPENDED:
             self.state = BeJobState.RUNNING
-            self._moved()
 
     def kill(self) -> None:
         """Terminate the job; it can never run again.
@@ -110,11 +79,8 @@ class BeJob:
         """
         completed = int(self.normalized_work / self.spec.unit_seconds)
         self.normalized_work = completed * self.spec.unit_seconds
-        if self.state == BeJobState.RUNNING:
-            self._moved()
         self.state = BeJobState.KILLED
         self.machine_name = None
-        self.moves = None
 
     def advance(self, dt: float, rate: float) -> None:
         """Accumulate ``dt`` seconds of progress at normalized ``rate``."""

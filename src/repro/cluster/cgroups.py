@@ -8,6 +8,7 @@ LLC, DRAM bandwidth, power — is modeled elsewhere).
 
 from __future__ import annotations
 
+import heapq
 from typing import Dict, FrozenSet, Set
 
 from repro.errors import AllocationError, ReleaseError
@@ -60,8 +61,8 @@ class CpuSet:
     def allocate(self, owner: str, n: int) -> FrozenSet[int]:
         """Assign ``n`` more cores to ``owner``; returns the new core IDs.
 
-        Cores are handed out lowest-ID-first for determinism; a one-core
-        grant takes the minimum instead of sorting the free set.
+        Cores are handed out lowest-ID-first for determinism
+        (``heapq.nsmallest`` finds them without sorting the free set).
         """
         if n < 0:
             raise AllocationError(f"cannot allocate {n} cores")
@@ -69,10 +70,7 @@ class CpuSet:
             raise AllocationError(
                 f"cpuset exhausted: {owner!r} wants {n} cores, {len(self._free)} free"
             )
-        if n == 1:
-            granted = {min(self._free)}
-        else:
-            granted = set(sorted(self._free)[:n])
+        granted = set(heapq.nsmallest(n, self._free))
         self._free -= granted
         self._owned.setdefault(owner, set()).update(granted)
         return frozenset(granted)
@@ -80,8 +78,7 @@ class CpuSet:
     def release(self, owner: str, n: int) -> int:
         """Return ``n`` cores from ``owner`` to the free pool.
 
-        The highest IDs go first (a one-core release takes the maximum
-        instead of sorting). Releasing more than owned raises
+        The highest IDs go first. Releasing more than owned raises
         :class:`ReleaseError`.
         """
         owned = self._owned.get(owner, set())
@@ -89,10 +86,7 @@ class CpuSet:
             raise ReleaseError(
                 f"{owner!r} owns {len(owned)} cores, cannot release {n}"
             )
-        if n == 1:
-            victims = {max(owned)}
-        else:
-            victims = set(sorted(owned, reverse=True)[:n])
+        victims = set(heapq.nlargest(n, owned))
         owned -= victims
         self._free |= victims
         if not owned and owner in self._owned:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Sequence
 
-from repro.bejobs.job import BeJob, BeJobState, JobMoves
+from repro.bejobs.job import BeJob, BeJobState
 from repro.bejobs.spec import BeJobSpec
 from repro.cluster.machine import BE_DOMAIN, Machine
 from repro.core.actions import BeAction
@@ -53,12 +53,6 @@ class BeJobPool:
         #: every per-period query walks, so its cost tracks the live set
         #: rather than the run's whole history.
         self._live: Dict[str, BeJob] = {}
-        #: The RUNNING jobs of ``_live`` in placement order, rebuilt on
-        #: the first read after ``_moves`` is set. Every job this pool
-        #: places sets that flag on its own state transitions, so the
-        #: index is right whoever moves the job.
-        self._running: List[BeJob] = []
-        self._moves = JobMoves()
         self.total_killed = 0
 
     def new_job(self) -> BeJob:
@@ -66,7 +60,6 @@ class BeJobPool:
         self._counter += 1
         spec = next(self._spec_cycle)
         job = BeJob(job_id=f"{self.machine_name}/be-{self._counter}", spec=spec)
-        job.moves = self._moves
         self._jobs[job.job_id] = job
         self._live[job.job_id] = job
         return job
@@ -77,11 +70,8 @@ class BeJobPool:
 
     def running(self) -> List[BeJob]:
         """Jobs currently in RUNNING state, in placement order."""
-        if self._moves.moved:
-            self._moves.moved = False
-            state = BeJobState.RUNNING
-            self._running = [j for j in self._live.values() if j.state is state]
-        return list(self._running)
+        running = BeJobState.RUNNING
+        return [j for j in self._live.values() if j.state is running]
 
     def job(self, job_id: str) -> BeJob:
         """Look up a job by id."""

@@ -98,9 +98,9 @@ class TestCpuSet:
             CpuSet(0)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_one_core_grants_match_the_sorted_form(self, seed):
-        """One-core allocate/release pick the core ids the sorted n-core
-        form picks, on random fragmented sets."""
+    def test_grants_match_the_sorted_form(self, seed):
+        """allocate/release pick the core ids that sorting the free or
+        owned set would pick, on random fragmented sets."""
         rng = random.Random(seed)
         cpus = CpuSet(40)
         owners = ["lc", "a", "b", "c"]
@@ -108,19 +108,15 @@ class TestCpuSet:
             owner = rng.choice(owners)
             owned = cpus.owned_by(owner)
             if cpus.free_cores and (not owned or rng.random() < 0.5):
-                want = set(sorted(cpus._free)[:1])
                 n = rng.randint(1, min(3, cpus.free_cores))
-                granted = cpus.allocate(owner, n)
-                if n == 1:
-                    assert granted == want
+                want = set(sorted(cpus._free)[:n])
+                assert cpus.allocate(owner, n) == want
             elif owned:
-                want = set(sorted(owned, reverse=True)[:1])
                 n = rng.randint(1, min(3, len(owned)))
+                want = set(sorted(owned, reverse=True)[:n])
                 cpus.release(owner, n)
-                if n == 1:
-                    assert owned - cpus.owned_by(owner) == want
+                assert owned - cpus.owned_by(owner) == want
         assert cpus.free_cores + sum(cpus.count(o) for o in owners) == 40
-
 
 class TestLastLevelCache:
     def test_defaults_match_paper_hardware(self):

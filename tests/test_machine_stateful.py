@@ -420,28 +420,6 @@ def test_scan_skips_match_full_scans(seed):
     assert skipped["resume"] and skipped["grow"]
 
 
-def test_running_index_follows_every_transition_and_copy():
-    """``running()`` tracks jobs moved directly, not only through the
-    subcontrollers, and a deep copy's jobs report to the copied pool."""
-    pool = BeJobPool([HUNGRY], "m", max_instances=4)
-    jobs = [pool.new_job() for _ in range(3)]
-    for job in jobs:
-        job.start("m")
-    assert pool.running() == jobs
-    twin = copy.deepcopy(pool)
-    assert all(job.moves is twin._moves for job in twin.jobs())
-    jobs[1].suspend()
-    assert pool.running() == [jobs[0], jobs[2]]
-    assert [job.job_id for job in twin.running()] == [j.job_id for j in jobs]
-    twin.job(jobs[0].job_id).suspend()
-    assert len(twin.running()) == 2 and pool.running() == [jobs[0], jobs[2]]
-    jobs[1].resume()
-    assert pool.running() == jobs
-    jobs[2].kill()
-    assert pool.running() == jobs[:2] and jobs[2].moves is None
-    assert pool.running() == _old_running(pool)
-
-
 def test_machine_journals_be_changes_only_while_attached():
     machine = _small_machine()
     machine.launch_be("a")
