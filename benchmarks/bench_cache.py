@@ -32,11 +32,10 @@ from typing import Dict, List, Optional
 
 from bench_env import environment
 from repro.bejobs.catalog import evaluation_be_jobs
-from repro.cache import CacheStore
+from repro.cache import CacheOutcomes, CacheStore
 from repro.experiments.colocation import ColocationConfig
 from repro.experiments.runner import clear_rhythm_cache
 from repro.parallel.grid import (
-    GridCacheStats,
     GridCell,
     comparison_fingerprint,
     run_comparison_grid,
@@ -75,7 +74,7 @@ def run_benchmark(
         cells = build_cells(seed)
 
         clear_rhythm_cache()
-        cold_stats = GridCacheStats()
+        cold_stats = CacheOutcomes()
         t0 = time.perf_counter()
         cold = run_comparison_grid(
             cells, config=config, workers=1, cache=store, cache_stats=cold_stats
@@ -86,7 +85,7 @@ def run_benchmark(
         # reload everything — the profiling artifact included — from
         # disk, i.e. the cross-process warm behaviour in one process.
         clear_rhythm_cache()
-        warm_stats = GridCacheStats()
+        warm_stats = CacheOutcomes()
         t0 = time.perf_counter()
         warm = run_comparison_grid(
             cells, config=config, workers=1, cache=store, cache_stats=warm_stats

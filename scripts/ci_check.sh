@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The repo's CI gate: tier-1 tests plus the perf smoke gate.
+# The repo's CI gate: the tier-1 test suite, plus opt-in benchmark gates.
 #
 # Usage (from the repo root):
 #
@@ -7,25 +7,13 @@
 #
 # Runs, in order:
 #   1. the tier-1 test suite (PYTHONPATH=src pytest -x -q; slow-marked
-#      chaos/spawn tests are excluded by pyproject addopts), then
-#   2. the perf + chaos smoke gate (parallel-grid bit-identity,
-#      profiling identity + cold/warm profiling round trip, the
-#      cold/warm grid cache round trip, and the chaos smoke: a crash
-#      storm that must leave results bit-identical with retry counters
-#      matching the injected crashes, plus a tiny cluster fault storm,
-#      the scalar-vs-batched kernel identity smoke, the fleet
-#      smoke: a mixed fleet bit-identical to the sequential scalar
-#      reference and invariant to the shard count, and the fleet cache
-#      smoke: a warm fleet re-run must execute zero simulations and
-#      reproduce the cold run's FleetResult.digest, and the bake-off
-#      smoke: a shared-physics multi-controller pass bit-identical to
-#      independent reference runs, healthy, faulted and on a divergent
-#      faulted roster that must fork and re-merge at least once, with a
-#      warm cache re-run executing zero shared passes, and the storm smoke:
-#      a correlated fault storm bit-identical to the scalar reference
-#      with a warm re-run executing zero simulations)
-#      from scripts/bench_smoke.py, then
-#   3. (opt-in, RHYTHM_BENCH_GATE=1) the full kernel benchmark with a 5x
+#      chaos/spawn tests are excluded by pyproject addopts). It pins
+#      every identity and cache round trip the gate checks: pool vs
+#      serial grids and profiling, warm grid/profile/fleet/storm/bake-off
+#      caches, crash-storm retries, scalar vs batched kernels, fleet and
+#      storm vs the scalar reference, and bake-off forks and merges;
+#      then
+#   2. (opt-in, RHYTHM_BENCH_GATE=1) the full kernel benchmark with a 5x
 #      aggregate-speedup gate (benchmarks/bench_kernel.py --gate 5.0),
 #      the fleet benchmark with its 10x colocation-path gate
 #      (benchmarks/bench_fleet.py --gate 10.0), the bake-off
@@ -44,10 +32,6 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
-
-echo
-echo "== perf smoke gate =="
-python scripts/bench_smoke.py --skip-tests
 
 if [[ "${RHYTHM_BENCH_GATE:-0}" == "1" ]]; then
   echo

@@ -18,6 +18,7 @@ from repro.cache.store import (
     CACHE_DIR_ENV_VAR,
     CACHE_MAX_BYTES_ENV_VAR,
     CACHE_TOGGLE_ENV_VAR,
+    CacheOutcomes,
     CacheStats,
     CacheStore,
     cache_enabled,
@@ -30,6 +31,7 @@ __all__ = [
     "CACHE_MAX_BYTES_ENV_VAR",
     "CACHE_TOGGLE_ENV_VAR",
     "CODE_VERSION_SALT",
+    "CacheOutcomes",
     "CacheStats",
     "CacheStore",
     "cache_enabled",

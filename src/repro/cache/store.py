@@ -97,6 +97,38 @@ class CacheStats:
     errors: int
 
 
+@dataclass
+class CacheOutcomes:
+    """How one cached run's units of work fared against the store.
+
+    A unit is whatever the caller caches whole: a grid cell, a fleet
+    zone, a bake-off (scenario, member) cell. ``hits`` were served from
+    the store without simulating, ``misses`` were simulated and stored,
+    ``skipped`` were simulated but not cached (no store, or an
+    uncacheable key).
+    """
+
+    hits: int = 0
+    misses: int = 0
+    skipped: int = 0
+
+    @property
+    def total(self) -> int:
+        """Every unit the run covered."""
+        return self.hits + self.misses + self.skipped
+
+    @property
+    def simulated(self) -> int:
+        """Units that actually ran (everything but hits)."""
+        return self.misses + self.skipped
+
+    def merge(self, other: "CacheOutcomes") -> None:
+        """Accumulate another run's counts into this one."""
+        self.hits += other.hits
+        self.misses += other.misses
+        self.skipped += other.skipped
+
+
 class CacheStore:
     """Content-addressed pickle store with atomic writes and LRU eviction."""
 

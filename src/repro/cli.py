@@ -31,13 +31,13 @@ from dataclasses import asdict
 from typing import List, Optional
 
 from repro.bejobs.catalog import BE_CATALOG, be_job_spec
+from repro.cache import CacheOutcomes
 from repro.errors import ReproError
 from repro.experiments.colocation import ColocationConfig
 from repro.experiments.report import render_table
 from repro.experiments.runner import compare_systems, get_rhythm
 from repro.loadgen.clarknet import clarknet_production_load
-from repro.workloads.catalog import LC_CATALOG, lc_service_spec
-from repro.workloads.microservices import snms_service
+from repro.workloads.catalog import LC_CATALOG, lc_service_spec, service_spec
 from repro.workloads.spec import ServiceSpec
 
 
@@ -55,10 +55,12 @@ def _apply_kernel(args: argparse.Namespace) -> None:
         os.environ[KERNEL_ENV_VAR] = resolve_kernel(kernel)
 
 
-def _service(name: str) -> ServiceSpec:
-    if name == "SNMS":
-        return snms_service()
-    return lc_service_spec(name)
+def _print_cache(stats: CacheOutcomes, unit: str) -> None:
+    """The cache summary line every cached command prints."""
+    print(
+        f"cache: {stats.hits} hits, {stats.misses} misses, "
+        f"{stats.skipped} uncached of {stats.total} {unit}"
+    )
 
 
 def _profiling_mode(service: ServiceSpec) -> str:
@@ -70,7 +72,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     """List the catalogued LC services and BE jobs."""
     lc_rows = []
     for name in list(LC_CATALOG) + ["SNMS"]:
-        spec = _service(name)
+        spec = service_spec(name)
         lc_rows.append([
             spec.name, spec.domain, ",".join(spec.servpod_names),
             f"{spec.max_load_qps:g} QPS", f"{spec.sla_ms:g} ms",
@@ -90,7 +92,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Profile a service and print its derived thresholds."""
-    spec = _service(args.service)
+    spec = service_spec(args.service)
     rhythm = get_rhythm(
         spec,
         seed=args.seed,
@@ -119,7 +121,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Compare Rhythm and Heracles on one (service, BE, load) cell."""
-    spec = _service(args.service)
+    spec = service_spec(args.service)
     be = be_job_spec(args.be_job)
     cmp = compare_systems(
         spec, be, args.load, seed=args.seed,
@@ -143,40 +145,57 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
-    """Run a seeded fault storm under Rhythm and Heracles, same storm."""
-    from repro.experiments.faultstorm import run_fault_storm
+    """Run a seeded fault storm under Rhythm and Heracles, same storm.
 
-    _apply_kernel(args)
-    spec = _service(args.service)
-    be = be_job_spec(args.be_job)
-    storm = run_fault_storm(
-        spec,
-        be,
-        load=args.load,
-        duration_s=args.duration,
-        seed=args.seed,
-        storm_seed=args.storm_seed,
-        faults_per_minute=args.faults_per_minute,
-        probe_slacklimits=args.probe,
+    A two-member bake-off over one faulted scenario: the storm targets
+    the service's Servpods (machines are named after them), ``--seed``
+    drives the workload and ``--storm-seed`` the schedule, so the
+    control policy is the only difference between the two cells.
+    """
+    from repro.experiments.bakeoff import (
+        BakeoffConfig,
+        BakeoffScenario,
+        heracles_member,
+        rhythm_member,
+        run_bakeoff,
     )
-    kind_rows = [
-        [kind, count]
-        for kind, count in sorted(storm.schedule.counts_by_kind().items())
+    from repro.faults.spec import FaultSchedule
+    from repro.loadgen.patterns import ConstantLoad
+
+    spec = service_spec(args.service)
+    be = be_job_spec(args.be_job)
+    config = BakeoffConfig(duration_s=args.duration)
+    schedule = FaultSchedule.generate(
+        args.storm_seed,
+        args.duration,
+        targets=tuple(spec.servpod_names),
+        faults_per_minute=args.faults_per_minute,
+    )
+    scenario = BakeoffScenario(
+        service=args.service,
+        be_jobs=(be.name,),
+        pattern=ConstantLoad(args.load),
+        seed=args.seed,
+        faults=schedule,
+    )
+    members = [
+        rhythm_member(args.service, seed=args.seed, probe_slacklimits=args.probe),
+        heracles_member(args.service),
     ]
+    rhythm, heracles = run_bakeoff([scenario], members, config, cache=None).cells
     print(render_table(
         ["fault kind", "windows"],
-        kind_rows,
+        [[kind, count] for kind, count in sorted(schedule.counts_by_kind().items())],
         title=(
             f"fault storm: seed {args.storm_seed}, "
-            f"{storm.faults_injected} faults over {args.duration:g}s"
+            f"{len(schedule)} faults over {args.duration:g}s"
         ),
     ))
     rows = []
-    for name, result in (("Rhythm", storm.rhythm), ("Heracles", storm.heracles)):
+    for name, cell in (("Rhythm", rhythm), ("Heracles", heracles)):
         rows.append([
-            name, result.sla_violations, round(result.worst_tail_ms, 3),
-            result.be_kills, round(result.be_throughput, 3),
-            round(result.emu, 3),
+            name, cell.sla_violations, round(cell.worst_tail_ms, 3),
+            cell.be_kills, round(cell.be_throughput, 3), round(cell.emu, 3),
         ])
     print(render_table(
         ["System", "violations", "worst tail ms", "kills", "BE tput", "EMU"],
@@ -184,15 +203,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         title=f"{spec.name} + {be.name} @ {args.load:.0%} load under the storm",
     ))
     print(
-        f"violation gap (Heracles − Rhythm): {storm.violation_gap:+d}, "
-        f"EMU gap (Rhythm − Heracles): {storm.emu_gap:+.3f}"
+        f"violation gap (Heracles − Rhythm): "
+        f"{heracles.sla_violations - rhythm.sla_violations:+d}, "
+        f"EMU gap (Rhythm − Heracles): {rhythm.emu - heracles.emu:+.3f}"
     )
     if args.json:
         payload = {
-            "service": storm.service,
-            "be_job": storm.be_job,
-            "load": storm.load,
-            "duration_s": storm.duration_s,
+            "service": spec.name,
+            "be_job": be.name,
+            "load": args.load,
+            "duration_s": args.duration,
             "storm_seed": args.storm_seed,
             "schedule": [
                 {
@@ -202,17 +222,17 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                     "duration_s": f.duration_s,
                     "magnitude": f.magnitude,
                 }
-                for f in storm.schedule
+                for f in schedule
             ],
             "systems": {
-                name: {
-                    "sla_violations": result.sla_violations,
-                    "worst_tail_ms": result.worst_tail_ms,
-                    "be_kills": result.be_kills,
-                    "be_throughput": result.be_throughput,
-                    "emu": result.emu,
+                cell.member: {
+                    "sla_violations": cell.sla_violations,
+                    "worst_tail_ms": cell.worst_tail_ms,
+                    "be_kills": cell.be_kills,
+                    "be_throughput": cell.be_throughput,
+                    "emu": cell.emu,
                 }
-                for name, result in storm.summary_rows()
+                for cell in (rhythm, heracles)
             },
         }
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -223,7 +243,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 def cmd_production(args: argparse.Namespace) -> int:
     """Run a production (ClarkNet) day under both systems."""
-    spec = _service(args.service)
+    spec = service_spec(args.service)
     be = be_job_spec(args.be_job)
     pattern = clarknet_production_load(duration_s=args.duration, days=1)
     cmp = compare_systems(
@@ -256,7 +276,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.tracing.emitter import EmitterConfig, default_endpoints
     from repro.workloads.service import Service
 
-    spec = _service(args.service)
+    spec = service_spec(args.service)
     svc = Service(spec, RandomStreams(args.seed))
     records = svc.build_request_records(args.load, args.requests)
     endpoints = default_endpoints(spec.servpod_names)
@@ -291,7 +311,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         run_service_grid,
     )
     from repro.experiments.figures.figure15 import run_figure15, worst_safety_cell
-    from repro.parallel.grid import GridCacheStats, resolve_workers
+    from repro.parallel.grid import resolve_workers
     from repro.parallel.pool import resolve_profile_workers
 
     _apply_kernel(args)
@@ -305,7 +325,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     loads = tuple(args.loads) if args.loads else (0.05, 0.25, 0.45, 0.65, 0.85)
     config = ColocationConfig(duration_s=args.duration)
     cache = default_store() if args.cache else None
-    cache_stats = GridCacheStats() if cache is not None else None
+    cache_stats = CacheOutcomes() if cache is not None else None
 
     if args.kind == "servpod":
         servpods = [
@@ -360,10 +380,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         print(f"worst safety cell: {worst.service}+{worst.be_job} "
               f"at {worst.worst_p99_over_sla:.2f}x SLA")
     if cache_stats is not None:
-        print(
-            f"cache: {cache_stats.hits} hits, {cache_stats.misses} misses, "
-            f"{cache_stats.skipped} uncached of {cache_stats.total} cells"
-        )
+        _print_cache(cache_stats, "cells")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump([asdict(r) for r in rows], fh, indent=2)
@@ -376,15 +393,10 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     import time
 
     from repro.cache import default_store
-    from repro.experiments.fleet import (
-        _DEFAULT_SERVICES,
-        FleetCacheStats,
-        FleetConfig,
-        alibaba_fleet,
-    )
+    from repro.experiments.fleet import _DEFAULT_SERVICES, FleetConfig, alibaba_fleet
 
     cache = default_store() if args.cache else None
-    cache_stats = FleetCacheStats() if cache is not None else None
+    cache_stats = CacheOutcomes() if cache is not None else None
     config = FleetConfig(
         duration_s=args.duration,
         shards=args.shards,
@@ -434,11 +446,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             "wall_seconds": elapsed,
         }
         if result.cache is not None:
-            reports[policy]["cache"] = {
-                "hits": result.cache.hits,
-                "misses": result.cache.misses,
-                "skipped": result.cache.skipped,
-            }
+            reports[policy]["cache"] = asdict(result.cache)
     print(render_table(
         ["Policy", "Machines", "BE tput", "EMU", "SLA viols", "viol rate", "wall"],
         rows,
@@ -446,10 +454,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
               f"{args.shards} shard(s), seed {args.seed}",
     ))
     if cache_stats is not None:
-        print(
-            f"cache: {cache_stats.hits} hits, {cache_stats.misses} misses, "
-            f"{cache_stats.skipped} uncached of {cache_stats.total} zones"
-        )
+        _print_cache(cache_stats, "zones")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(reports, fh, indent=2)
@@ -517,19 +522,11 @@ def cmd_storm(args: argparse.Namespace) -> int:
               f"{len(storm.affected_zones())}/{n_zones} zone(s), "
               f"{elapsed:.1f}s wall",
     ))
-    cache_stats = None
-    for _policy, result in report.results + report.baselines:
-        if result.cache is not None:
-            if cache_stats is None:
-                from repro.experiments.fleet import FleetCacheStats
-
-                cache_stats = FleetCacheStats()
+    if cache is not None:
+        cache_stats = CacheOutcomes()
+        for _policy, result in report.results + report.baselines:
             cache_stats.merge(result.cache)
-    if cache_stats is not None:
-        print(
-            f"cache: {cache_stats.hits} hits, {cache_stats.misses} misses, "
-            f"{cache_stats.skipped} uncached of {cache_stats.total} zones"
-        )
+        _print_cache(cache_stats, "zones")
     if args.json:
         payload = {
             "storm_seed": args.storm_seed,
@@ -729,10 +726,7 @@ def cmd_bakeoff(args: argparse.Namespace) -> int:
         f"{elapsed:.1f}s wall"
     )
     if result.cache is not None:
-        print(
-            f"cache: {result.cache.hits} hits, {result.cache.misses} misses, "
-            f"{result.cache.skipped} uncached of {result.cache.total} cells"
-        )
+        _print_cache(result.cache, "cells")
     if args.json:
         payload = {
             "service": args.service,
@@ -748,11 +742,7 @@ def cmd_bakeoff(args: argparse.Namespace) -> int:
             "cells": [asdict(cell) for cell in result.cells],
         }
         if result.cache is not None:
-            payload["cache"] = {
-                "hits": result.cache.hits,
-                "misses": result.cache.misses,
-                "skipped": result.cache.skipped,
-            }
+            payload["cache"] = asdict(result.cache)
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
         print(f"wrote bake-off report to {args.json}")
@@ -821,9 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: fast analytic limits)",
     )
     p.add_argument("--json", default=None, help="also dump the report to this file")
-    p.add_argument("--kernel", choices=["scalar", "batched"], default=None,
-                   help="simulation kernel (default: RHYTHM_KERNEL or batched; "
-                        "results are bit-identical either way)")
     p.set_defaults(fn=cmd_chaos)
 
     p = sub.add_parser("production", help="replay a ClarkNet production day")

@@ -39,7 +39,7 @@ from repro.baselines.interference import (
     interference_controllers,
 )
 from repro.baselines.predictive import PredictivePolicy, predictive_controllers
-from repro.cache import CacheStore, stable_hash
+from repro.cache import CacheOutcomes, CacheStore, stable_hash
 from repro.core.controller import ColocationController
 from repro.core.top_controller import CONTROL_PERIOD_S
 from repro.errors import CacheKeyError, ConfigurationError, ExperimentError
@@ -56,7 +56,7 @@ from repro.loadgen.patterns import DiurnalLoad, LoadPattern
 from repro.parallel.profile import resolve_store
 from repro.sim.kernel import FleetColocationKernel
 from repro.sim.rng import RandomStreams
-from repro.workloads.catalog import lc_service_spec
+from repro.workloads.catalog import service_spec
 from repro.workloads.spec import ServiceSpec
 
 
@@ -123,20 +123,26 @@ class BakeoffMember:
 
 
 def rhythm_member(
-    service_name: str, seed: int = 0, name: str = "rhythm"
+    service_name: str,
+    seed: int = 0,
+    name: str = "rhythm",
+    probe_slacklimits: bool = False,
 ) -> BakeoffMember:
     """Rhythm's profiled per-pod thresholds as a bake-off member.
 
     Runs the (cached) profiling pipeline once, in the caller, and ships
     the distilled policies — the fleet convention, so the member's key
     captures the actual thresholds, not the profiling recipe.
+    Slacklimits are the analytic fixed point unless
+    ``probe_slacklimits`` asks for Algorithm 1's SLA probe.
     """
     from repro.experiments.fleet import rhythm_fleet_policies
 
+    policies = rhythm_fleet_policies(
+        service_name, seed=seed, probe_slacklimits=probe_slacklimits
+    )
     return BakeoffMember(
-        name=name,
-        kind="policies",
-        policies=tuple(sorted(rhythm_fleet_policies(service_name, seed=seed).items())),
+        name=name, kind="policies", policies=tuple(sorted(policies.items()))
     )
 
 
@@ -186,7 +192,7 @@ def default_members(service_name: str, seed: int = 0) -> List[BakeoffMember]:
 class BakeoffScenario:
     """One seeded co-location scenario every member runs through."""
 
-    #: LC service catalog key.
+    #: Service name, resolved by :func:`~repro.workloads.catalog.service_spec`.
     service: str
     #: BE job catalog names co-located on the machines.
     be_jobs: Tuple[str, ...]
@@ -362,24 +368,6 @@ def _summarise(
 # -- results --------------------------------------------------------------
 
 
-@dataclass
-class BakeoffCacheStats:
-    """Cache outcome counts, one unit per (scenario, member) cell."""
-
-    hits: int = 0
-    misses: int = 0
-    skipped: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.hits + self.misses + self.skipped
-
-    @property
-    def simulated(self) -> int:
-        """Cells that actually ran a member (everything but hits)."""
-        return self.misses + self.skipped
-
-
 @dataclass(frozen=True)
 class LeagueRow:
     """One member's aggregate line across every scenario."""
@@ -402,7 +390,7 @@ class BakeoffResult:
     members: List[str]
     cells: List[BakeoffCellSummary]
     #: Cell-level cache accounting, or None when the run was uncached.
-    cache: Optional[BakeoffCacheStats] = None
+    cache: Optional[CacheOutcomes] = None
     #: Scenarios simulated (0 on a fully warm run).
     passes: int = 0
     #: Divergence forks / re-merges across the pass.
@@ -493,7 +481,7 @@ def run_member_reference(
 ) -> BakeoffCellSummary:
     """One member alone through a fresh experiment — the identity oracle."""
     config = config or BakeoffConfig()
-    service = lc_service_spec(scenario.service)
+    service = service_spec(scenario.service)
     experiment = _build_root(
         scenario, member, service, config.colocation_config(scenario)
     )
@@ -527,7 +515,7 @@ def run_bakeoff(
         raise ConfigurationError(f"duplicate member names in {names}")
     config = config or BakeoffConfig()
     store = resolve_store(cache)
-    stats = BakeoffCacheStats() if store is not None else None
+    stats = CacheOutcomes() if store is not None else None
     result = BakeoffResult(
         duration_s=config.duration_s, members=names, cells=[], cache=stats
     )
@@ -539,7 +527,7 @@ def run_bakeoff(
     experiments: List[ColocationExperiment] = []
     aliases: List[int] = []
     for s, scenario in enumerate(scenarios):
-        service = lc_service_spec(scenario.service)
+        service = service_spec(scenario.service)
         run_config = config.colocation_config(scenario)
         head = len(experiments)
         for member in members:
@@ -571,7 +559,7 @@ def run_bakeoff(
             summary = _summarise(
                 scenario,
                 member.name,
-                lc_service_spec(scenario.service),
+                service_spec(scenario.service),
                 kernel.member_world(c).streams,
                 run_results[c],
             )

@@ -33,8 +33,9 @@ results (the zone's instance specs and the result-affecting
 are deliberately NOT coordinates. A warm re-run of an unchanged fleet
 therefore executes zero simulations under any sharding, and editing
 one zone (a spec tweak, an added instance) re-simulates only the
-zones whose keys changed. :class:`FleetCacheStats` on the returned
-:class:`FleetResult` reports the hit/miss/skipped split.
+zones whose keys changed. :class:`~repro.cache.store.CacheOutcomes` on
+the returned :class:`FleetResult` reports the hit/miss/skipped split
+per zone.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.cache import CacheStore, stable_hash
+from repro.cache import CacheOutcomes, CacheStore, stable_hash
 from repro.core.actions import BeAction
 from repro.core.top_controller import (
     CONTROL_PERIOD_S,
@@ -72,7 +73,7 @@ from repro.parallel.pool import (
 from repro.parallel.profile import resolve_store
 from repro.sim.kernel import FleetColocationKernel
 from repro.sim.rng import RandomStreams
-from repro.workloads.catalog import lc_service_spec
+from repro.workloads.catalog import lc_service_spec, service_spec
 
 
 # -- policy and fleet specification --------------------------------------
@@ -235,38 +236,6 @@ class ZoneEpochRecord:
 
 
 @dataclass
-class FleetCacheStats:
-    """Cache outcome counts of one :meth:`FleetExperiment.run`.
-
-    The unit is a *zone* (the shard-count-invariant slice of the
-    fleet): ``hits`` zones were served from the store without
-    simulating, ``misses`` were simulated and stored, ``skipped`` were
-    simulated but not cached (no store, or an uncacheable spec such as
-    a load pattern wrapping a bare callable).
-    """
-
-    hits: int = 0
-    misses: int = 0
-    skipped: int = 0
-
-    @property
-    def total(self) -> int:
-        """Total zones the run covered."""
-        return self.hits + self.misses + self.skipped
-
-    @property
-    def simulated(self) -> int:
-        """Zones that actually ran the kernel (everything but hits)."""
-        return self.misses + self.skipped
-
-    def merge(self, other: "FleetCacheStats") -> None:
-        """Accumulate another run's counts into this one."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.skipped += other.skipped
-
-
-@dataclass
 class FleetResult:
     """Outcome of one fleet run."""
 
@@ -274,7 +243,7 @@ class FleetResult:
     instances: List[FleetInstanceSummary]
     zone_records: List[ZoneEpochRecord] = field(default_factory=list)
     #: Zone-level cache accounting, or None when the run was uncached.
-    cache: Optional[FleetCacheStats] = None
+    cache: Optional[CacheOutcomes] = None
 
     @property
     def n_instances(self) -> int:
@@ -712,7 +681,7 @@ class FleetExperiment:
         simulations and reproduces the cold digest bit-identically.
         """
         store = resolve_store(cache)
-        stats = FleetCacheStats() if store is not None else None
+        stats = CacheOutcomes() if store is not None else None
         summaries: List[FleetInstanceSummary] = []
         zone_records: List[ZoneEpochRecord] = []
         pending: List[Tuple[int, int, int, Optional[str]]] = []
@@ -872,7 +841,7 @@ def heracles_fleet_policies(service_name: str) -> Dict[str, PodPolicy]:
     from repro.baselines.heracles import HeraclesPolicy
 
     policy = HeraclesPolicy()
-    service = lc_service_spec(service_name)
+    service = service_spec(service_name)
     return {
         pod: PodPolicy(
             loadlimit=policy.loadlimit,
@@ -883,17 +852,22 @@ def heracles_fleet_policies(service_name: str) -> Dict[str, PodPolicy]:
     }
 
 
-def rhythm_fleet_policies(service_name: str, seed: int = 0) -> Dict[str, PodPolicy]:
+def rhythm_fleet_policies(
+    service_name: str, seed: int = 0, probe_slacklimits: bool = False
+) -> Dict[str, PodPolicy]:
     """Rhythm's profiled per-pod policies (cached profiling pipeline).
 
     Runs in the parent only; workers receive the distilled
-    :class:`PodPolicy` values. ``probe_slacklimits=False`` keeps the
-    (cached) profiling pass cheap at fleet scale.
+    :class:`PodPolicy` values. The analytic slacklimits (the default)
+    keep the (cached) profiling pass cheap at fleet scale;
+    ``probe_slacklimits=True`` runs Algorithm 1's SLA probe instead.
     """
     from repro.experiments.runner import build_rhythm_controllers
 
     controllers = build_rhythm_controllers(
-        lc_service_spec(service_name), seed=seed, probe_slacklimits=False
+        service_spec(service_name),
+        seed=seed,
+        probe_slacklimits=probe_slacklimits,
     )
     return policies_from_controllers(controllers)
 

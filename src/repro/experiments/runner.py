@@ -129,7 +129,7 @@ def run_cell(
     """Run one (service, BE, load pattern) cell under one controller set.
 
     ``kernel`` selects the simulation kernel for this cell (default:
-    the ``RHYTHM_KERNEL`` environment variable, else scalar). Results
+    the ``RHYTHM_KERNEL`` environment variable, else batched). Results
     are bit-identical across kernels, so cached cells are shared.
     """
     experiment = ColocationExperiment(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
@@ -131,9 +132,9 @@ class FaultSchedule:
         """
         if duration_s <= 0:
             raise FaultError(f"storm duration must be > 0, got {duration_s}")
-        if faults_per_minute < 0:
+        if not (math.isfinite(faults_per_minute) and faults_per_minute >= 0):
             raise FaultError(
-                f"faults_per_minute must be >= 0, got {faults_per_minute}"
+                f"faults_per_minute must be finite and >= 0, got {faults_per_minute}"
             )
         if not targets:
             raise FaultError("need at least one fault target")

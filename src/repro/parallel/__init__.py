@@ -13,7 +13,6 @@
 
 from repro.parallel.artifact import RhythmArtifact, artifact_for
 from repro.parallel.grid import (
-    GridCacheStats,
     GridCell,
     cell_cache_key,
     colocation_fingerprint,
@@ -54,7 +53,6 @@ __all__ = [
     "WORKERS_ENV_VAR",
     "BroadcastRef",
     "Envelope",
-    "GridCacheStats",
     "GridCell",
     "ProfileStats",
     "RhythmArtifact",

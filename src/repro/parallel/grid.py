@@ -31,7 +31,7 @@ grid becomes content-addressed — profiling artifacts and finished cell
 results are memoized on disk keyed by a stable hash of the fully
 resolved cell config (see :mod:`repro.cache.keys`), so a warm re-run of
 an unchanged grid executes zero simulations. Hit/miss/skip counts are
-reported through :class:`GridCacheStats`.
+reported through :class:`~repro.cache.store.CacheOutcomes`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from repro.baselines.heracles import HeraclesPolicy, heracles_controllers
 from repro.bejobs.spec import BeJobSpec
 from repro.cache.keys import stable_hash
-from repro.cache.store import CacheStore
+from repro.cache.store import CacheOutcomes, CacheStore
 from repro.errors import CacheKeyError, ExperimentError
 from repro.experiments.colocation import ColocationConfig, ColocationResult
 from repro.experiments.runner import ComparisonResult, run_cell
@@ -68,7 +68,6 @@ from repro.workloads.spec import ServiceSpec
 
 __all__ = [
     "WORKERS_ENV_VAR",
-    "GridCacheStats",
     "GridCell",
     "artifact_cache_key",
     "cell_cache_key",
@@ -179,29 +178,10 @@ def _execute_cell(
 # -- content-addressed caching -------------------------------------------
 
 
-@dataclass
-class GridCacheStats:
-    """Cache outcome counts of one ``run_comparison_grid`` invocation.
-
-    ``hits`` cells were served from the store without simulating,
-    ``misses`` were computed and stored, ``skipped`` were computed but
-    not cached (no store, or an uncacheable cell config).
-    """
-
-    hits: int = 0
-    misses: int = 0
-    skipped: int = 0
-
-    @property
-    def total(self) -> int:
-        """Total cells the invocation covered."""
-        return self.hits + self.misses + self.skipped
-
-    def merge(self, other: "GridCacheStats") -> None:
-        """Accumulate another invocation's counts into this one."""
-        self.hits += other.hits
-        self.misses += other.misses
-        self.skipped += other.skipped
+#: The grid's old name for :class:`~repro.cache.store.CacheOutcomes`
+#: (one unit per cell). Only ``repobench/workloads.py`` still imports
+#: it; the next change to that benchmark drops this alias.
+GridCacheStats = CacheOutcomes
 
 
 def cell_cache_key(task: _CellTask) -> str:
@@ -272,7 +252,7 @@ def run_comparison_grid(
     probe_slacklimits: bool = True,
     artifacts: Optional[Mapping[str, RhythmArtifact]] = None,
     cache: Union[None, bool, CacheStore] = None,
-    cache_stats: Optional[GridCacheStats] = None,
+    cache_stats: Optional[CacheOutcomes] = None,
     profile_workers: Optional[int] = None,
     profile_stats: Optional[ProfileStats] = None,
 ) -> List[ComparisonResult]:
@@ -294,8 +274,8 @@ def run_comparison_grid(
     is looked up by its content address before any simulation runs: hits
     are returned as-is (bit-identical to a cold run — the stored object
     *is* the cold result), misses are computed and stored. Pass a
-    :class:`GridCacheStats` as ``cache_stats`` to receive the
-    hit/miss/skip counts of this invocation (and a
+    :class:`~repro.cache.store.CacheOutcomes` as ``cache_stats`` to
+    receive the hit/miss/skip counts of this invocation (and a
     :class:`~repro.parallel.profile.ProfileStats` as ``profile_stats``
     for the profiling-phase counts).
     """
@@ -303,7 +283,7 @@ def run_comparison_grid(
     if not cells:
         return []
     store = _resolve_store(cache)
-    stats = cache_stats if cache_stats is not None else GridCacheStats()
+    stats = cache_stats if cache_stats is not None else CacheOutcomes()
     if artifacts is None:
         artifacts = profile_services(
             cells,

@@ -452,6 +452,21 @@ def lc_service_spec(name: str) -> ServiceSpec:
     return builder()
 
 
+@functools.lru_cache(maxsize=None)
+def service_spec(name: str) -> ServiceSpec:
+    """Any runnable service by name: the five catalogued ones, or SNMS.
+
+    The single resolver for callers that accept SNMS as well (the CLI,
+    the bake-off and its member builders); built once per process, like
+    :func:`lc_service_spec`.
+    """
+    if name == "SNMS":
+        from repro.workloads.microservices import snms_service
+
+        return snms_service()
+    return lc_service_spec(name)
+
+
 def evaluation_lc_services() -> List[ServiceSpec]:
     """The five LC services used in the §5 evaluation grids, in paper order."""
     return [lc_service_spec(name) for name in LC_CATALOG]

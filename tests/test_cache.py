@@ -29,6 +29,7 @@ import pytest
 
 from repro.bejobs.catalog import evaluation_be_jobs
 from repro.cache import (
+    CacheOutcomes,
     CacheStore,
     cache_enabled,
     default_store,
@@ -41,7 +42,6 @@ from repro.experiments.colocation import ColocationConfig
 from repro.experiments.runner import clear_rhythm_cache
 from repro.loadgen.patterns import CallableLoad, ConstantLoad, StepLoad
 from repro.parallel import (
-    GridCacheStats,
     GridCell,
     artifact_for,
     comparison_fingerprint,
@@ -371,7 +371,7 @@ class TestIncrementalGrid:
         service, artifact = tiny_artifact
         cells = self._cells(service)
         artifacts = {service.name: artifact}
-        cold_stats = GridCacheStats()
+        cold_stats = CacheOutcomes()
         cold = run_comparison_grid(
             cells,
             config=FAST,
@@ -387,7 +387,7 @@ class TestIncrementalGrid:
             raise AssertionError("warm run must not simulate any cell")
 
         monkeypatch.setattr(grid_module, "_execute_task", _boom)
-        warm_stats = GridCacheStats()
+        warm_stats = CacheOutcomes()
         warm = run_comparison_grid(
             cells,
             config=FAST,
@@ -409,7 +409,7 @@ class TestIncrementalGrid:
         run_comparison_grid(
             cells[:2], config=FAST, workers=1, artifacts=artifacts, cache=store
         )
-        stats = GridCacheStats()
+        stats = CacheOutcomes()
         run_comparison_grid(
             cells,
             config=FAST,
@@ -423,7 +423,7 @@ class TestIncrementalGrid:
     def test_no_store_skips_all(self, tiny_artifact):
         service, artifact = tiny_artifact
         cells = self._cells(service)[:1]
-        stats = GridCacheStats()
+        stats = CacheOutcomes()
         run_comparison_grid(
             cells,
             config=FAST,
@@ -437,7 +437,7 @@ class TestIncrementalGrid:
     def test_rhythm_cache_off_bypasses(self, tiny_artifact, monkeypatch):
         service, artifact = tiny_artifact
         monkeypatch.setenv("RHYTHM_CACHE", "off")
-        stats = GridCacheStats()
+        stats = CacheOutcomes()
         run_comparison_grid(
             self._cells(service)[:1],
             config=FAST,
@@ -459,7 +459,7 @@ class TestIncrementalGrid:
                 pattern=CallableLoad(lambda t: 0.4),
             )
         ]
-        stats = GridCacheStats()
+        stats = CacheOutcomes()
         results = run_comparison_grid(
             cells,
             config=FAST,
@@ -490,7 +490,7 @@ class TestIncrementalGrid:
             )
         )
         store._path(key).write_bytes(b"garbage")
-        stats = GridCacheStats()
+        stats = CacheOutcomes()
         results = run_comparison_grid(
             cells,
             config=FAST,

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.baselines.heracles import heracles_controllers
+from repro.bejobs.catalog import be_job_spec
 from repro.cli import build_parser, main
+from repro.experiments.colocation import ColocationConfig
+from repro.experiments.runner import build_rhythm_controllers, run_cell
+from repro.faults.spec import FaultSchedule
+from repro.loadgen.patterns import ConstantLoad
+from repro.workloads.catalog import lc_service_spec
 
 
 class TestParser:
@@ -50,6 +59,40 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "kernel events" in out
         assert "master" in out
+
+
+class TestChaosCli:
+    def test_systems_match_scalar_solo_runs(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("RHYTHM_CACHE_DIR", str(tmp_path / "cache"))
+        report = tmp_path / "storm.json"
+        argv = ["chaos", "Redis", "stream-dram", "--duration", "20",
+                "--json", str(report)]
+        assert main(argv) == 0
+        assert "violation gap" in capsys.readouterr().out
+        payload = json.loads(report.read_text())
+        service = lc_service_spec("Redis")
+        schedule = FaultSchedule.generate(
+            1, 20.0, targets=tuple(service.servpod_names), faults_per_minute=3.0
+        )
+        assert len(payload["schedule"]) == len(schedule)
+        config = ColocationConfig(duration_s=20.0, faults=schedule)
+        controllers = {
+            "rhythm": build_rhythm_controllers(service, probe_slacklimits=False),
+            "heracles": heracles_controllers(service),
+        }
+        assert list(payload["systems"]) == list(controllers)
+        for name, members in controllers.items():
+            result = run_cell(
+                service, members, be_job_spec("stream-dram"), ConstantLoad(0.5),
+                config=config, kernel="scalar",
+            )
+            assert payload["systems"][name] == {
+                "sla_violations": result.sla_violations,
+                "worst_tail_ms": result.worst_tail_ms,
+                "be_kills": result.be_kills,
+                "be_throughput": result.be_throughput,
+                "emu": result.emu,
+            }
 
 
 class TestFleetCli:

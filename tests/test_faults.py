@@ -6,7 +6,8 @@ Covers the issue's criteria:
 - cluster injectors apply and cleanly revert through the machines'
   existing mechanisms, observable only via the controllers' normal knobs,
 - fault-storm co-location runs are deterministic and the storm driver
-  compares Rhythm vs Heracles under an identical storm,
+  (a two-member bake-off) compares Rhythm vs Heracles under an
+  identical storm,
 - **differential identity**: grid and profiling results under
   executor-only fault schedules are bit-identical to a fault-free inline
   run (fork and spawn contexts),
@@ -25,7 +26,14 @@ from repro.cluster.machine import BE_DOMAIN, LC_DOMAIN
 from repro.core.servpod import deploy_service
 from repro.errors import FaultError, TracingError
 from repro.experiments.colocation import ColocationConfig
-from repro.experiments.faultstorm import run_fault_storm
+from repro.experiments.bakeoff import (
+    BakeoffConfig,
+    BakeoffScenario,
+    heracles_member,
+    rhythm_member,
+    run_bakeoff,
+    run_member_reference,
+)
 from repro.experiments.runner import (
     build_rhythm_controllers,
     clear_rhythm_cache,
@@ -59,10 +67,12 @@ from repro.parallel.pool import (
     run_envelopes,
 )
 from repro.parallel.profile import clear_profile_memo, profile_service_parallel
+from repro.sim.kernel import KERNEL_ENV_VAR
 from repro.sim.rng import RandomStreams
 from repro.tracing.causality import CausalityMatcher
 from repro.tracing.emitter import EmitterConfig, TraceEmitter, default_endpoints
 from repro.tracing.sojourn import SojournExtractor
+from repro.workloads.catalog import lc_service_spec
 from repro.workloads.service import Service
 from conftest import make_tiny_service
 
@@ -142,6 +152,8 @@ class TestFaultSchedule:
             {"duration_s": 100.0, "min_magnitude": 0.8, "max_magnitude": 0.5},
             {"duration_s": 100.0, "min_duration_s": 0.0},
             {"duration_s": 100.0, "min_duration_s": 50.0, "max_duration_s": 10.0},
+            {"duration_s": 100.0, "faults_per_minute": float("nan")},
+            {"duration_s": 100.0, "faults_per_minute": float("inf")},
         ],
     )
     def test_generate_rejects_bad_ranges(self, kwargs):
@@ -345,24 +357,39 @@ class TestFaultStormColocation:
         )
         assert colocation_fingerprint(healthy) != colocation_fingerprint(stormy)
 
-    def test_driver_end_to_end(self, service):
-        storm = run_fault_storm(
-            service,
-            evaluation_be_jobs()[0],
-            load=0.5,
-            duration_s=FAST.duration_s,
+    def test_driver_end_to_end(self, monkeypatch):
+        # The chaos driver: Rhythm and Heracles as a two-member bake-off
+        # over one Servpod-targeted storm, each cell equal to that member
+        # run alone on the scalar engine.
+        monkeypatch.setenv(KERNEL_ENV_VAR, "scalar")
+        redis = lc_service_spec("Redis")
+        schedule = FaultSchedule.generate(
+            1, FAST.duration_s, targets=tuple(redis.servpod_names),
             faults_per_minute=9.0,
-            config=FAST,
         )
-        assert storm.faults_injected == 3
-        assert {f.target for f in storm.schedule} <= set(service.servpod_names)
-        assert storm.rhythm.duration_s == FAST.duration_s
-        assert storm.heracles.duration_s == FAST.duration_s
-        assert storm.violation_gap == (
-            storm.heracles.sla_violations - storm.rhythm.sla_violations
+        scenario = BakeoffScenario(
+            service="Redis",
+            be_jobs=(evaluation_be_jobs()[0].name,),
+            pattern=ConstantLoad(0.5),
+            faults=schedule,
         )
-        systems = dict(storm.summary_rows())
-        assert set(systems) == {"rhythm", "heracles"}
+        members = [rhythm_member("Redis"), heracles_member("Redis")]
+        config = BakeoffConfig(
+            duration_s=FAST.duration_s,
+            sample_cap=FAST.sample_cap,
+            min_samples=FAST.min_samples,
+        )
+        result = run_bakeoff([scenario], members, config, cache=None)
+        assert len(schedule) == 3
+        assert {f.target for f in schedule} <= set(redis.servpod_names)
+        rhythm, heracles = result.cells
+        assert (rhythm.member, heracles.member) == ("rhythm", "heracles")
+        league = {row.member: row.sla_violations for row in result.league()}
+        assert league["heracles"] - league["rhythm"] == (
+            heracles.sla_violations - rhythm.sla_violations
+        )
+        for member, cell in zip(members, result.cells):
+            assert cell == run_member_reference(scenario, member, config)
 
 
 # -- the execution layer ---------------------------------------------------

@@ -20,10 +20,9 @@ import dataclasses
 
 import pytest
 
-from repro.cache import CacheStore
+from repro.cache import CacheOutcomes, CacheStore
 from repro.errors import CacheKeyError
 from repro.experiments.fleet import (
-    FleetCacheStats,
     FleetConfig,
     FleetExperiment,
     FleetInstanceSpec,
@@ -261,10 +260,10 @@ class TestFleetCaching:
 
 class TestFleetCacheStats:
     def test_totals_and_merge(self):
-        stats = FleetCacheStats(hits=2, misses=1, skipped=1)
+        stats = CacheOutcomes(hits=2, misses=1, skipped=1)
         assert stats.total == 4
         assert stats.simulated == 2
-        other = FleetCacheStats(hits=1)
+        other = CacheOutcomes(hits=1)
         other.merge(stats)
         assert other.hits == 3 and other.total == 5
 
