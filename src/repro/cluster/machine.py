@@ -13,7 +13,7 @@ or cache ways that do not exist).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple, ValuesView
 
 from repro.cluster.cache import LastLevelCache
 from repro.cluster.cgroups import CpuSet
@@ -75,6 +75,8 @@ class BeAllocation:
     llc_ways: int = 0
     memory_gb: float = 0.0
     suspended: bool = False
+    #: The memory the job wants; running jobs grow ``memory_gb`` toward it.
+    working_set_gb: float = 0.0
 
     def __deepcopy__(self, memo) -> "BeAllocation":
         # Every field is an immutable scalar, so a flat field copy is a
@@ -83,14 +85,6 @@ class BeAllocation:
         clone = object.__new__(self.__class__)
         clone.__dict__.update(self.__dict__)
         return clone
-
-    def as_vector(self, mb_per_way: float) -> ResourceVector:
-        """This allocation as a :class:`ResourceVector`."""
-        return ResourceVector(
-            cores=float(self.cores),
-            llc_mb=self.llc_ways * mb_per_way,
-            memory_gb=self.memory_gb,
-        )
 
 
 @dataclass
@@ -199,19 +193,19 @@ class Machine:
         """The allocation record for ``job_id``, or ``None``."""
         return self._be.get(job_id)
 
-    def be_jobs(self) -> Dict[str, BeAllocation]:
-        """A snapshot of all BE allocations keyed by job id."""
-        return dict(self._be)
-
     @property
     def be_instance_count(self) -> int:
         """Number of BE jobs currently placed (running or suspended)."""
         return len(self._be)
 
+    def be_allocations(self) -> ValuesView[BeAllocation]:
+        """The live allocation records in placement order (a view)."""
+        return self._be.values()
+
     @property
     def be_running_count(self) -> int:
         """Number of BE jobs currently running (not suspended)."""
-        return sum(1 for a in self._be.values() if not a.suspended)
+        return len(self._be) - self.be_suspended_count
 
     @property
     def be_total_cores(self) -> int:
@@ -247,8 +241,8 @@ class Machine:
             and self.free_memory_gb >= self.be_initial_memory_gb
         )
 
-    def launch_be(self, job_id: str) -> BeAllocation:
-        """Place a new BE job with its initial allocation."""
+    def launch_be(self, job_id: str, working_set_gb: float = 0.0) -> BeAllocation:
+        """Place a new BE job, wanting ``working_set_gb`` of memory."""
         if job_id in self._be:
             raise ConfigurationError(f"BE job {job_id!r} already on {self.spec.name}")
         if not self.can_launch_be():
@@ -262,11 +256,14 @@ class Machine:
             cores=self.be_initial_cores,
             llc_ways=step,
             memory_gb=self.be_initial_memory_gb,
+            working_set_gb=working_set_gb,
         )
         self._be[job_id] = alloc
         self._be_cores += alloc.cores
         self._be_ways += step
-        self._refresh_be_mem_total()
+        # The new record folds in last: left_sum(v + [x]) is
+        # left_sum(v) + x, so the cached fold extends without a refold.
+        self._be_mem_total += alloc.memory_gb
         self.counters.be_launches += 1
         self.version += 1
         self._note("launch", job_id)
@@ -319,35 +316,40 @@ class Machine:
         self.mem_version += 1
         return True
 
-    def grow_be_memory_many(self, job_ids: Sequence[str]) -> int:
-        """:meth:`grow_be_memory` for each of ``job_ids`` in order.
+    def grow_all_be_memory(self) -> int:
+        """:meth:`grow_be_memory` for every running job below its working
+        set, in placement order; returns how many steps were granted.
 
-        Returns how many steps were granted. The result — allocations,
-        the bits of the cached memory fold, :attr:`mem_version` — equals
-        the per-job loop's. When free memory covers ``n + 1`` steps with
-        a margin wider than any float fold error, every one of the
-        loop's ``free_memory_gb`` checks passes (each step lowers free
-        memory by one step, give or take that error), so the steps are
-        applied together and the fold runs once: the loop's final fold
-        is the same left fold over the same final values. Otherwise the
-        per-job loop runs, refusing steps exactly where it would.
+        The result — allocations, the bits of the cached memory fold,
+        :attr:`mem_version` — equals the per-job loop's. When free memory
+        covers ``len(_be) + 1`` steps with a margin wider than any float
+        fold error, every one of the loop's ``free_memory_gb`` checks
+        passes (each step lowers free memory by one step, give or take
+        that error), so one pass over the table grants the steps and
+        refolds the total: the loop's final fold is the same left fold
+        over the same final values. Otherwise the per-job loop runs,
+        refusing steps exactly where it would.
         """
-        n = len(job_ids)
         step = self.be_memory_step_gb
-        allocs = list(map(self._be.get, job_ids))
+        allocs = self._be.values()
+        n = len(allocs)
         # Each value and partial sum is at most the machine's capacity,
         # so every rounding moves the fold by at most one ulp of it.
-        fold_err = (2 * len(self._be) + n + 4) * self.spec.memory_gb * 2.0**-52
-        if (
-            any(alloc is None for alloc in allocs)
-            or self.free_memory_gb - (n + 1) * step <= fold_err
-        ):
-            return sum(self.grow_be_memory(job_id) for job_id in job_ids)
+        fold_err = (3 * n + 4) * self.spec.memory_gb * 2.0**-52
+        if self.free_memory_gb - (n + 1) * step <= fold_err:
+            grow = [a.job_id for a in allocs if not a.suspended
+                    and a.memory_gb < a.working_set_gb]
+            return sum(map(self.grow_be_memory, grow))
+        granted = 0
+        total = 0.0
         for alloc in allocs:
-            alloc.memory_gb += step
-        self._refresh_be_mem_total()
-        self.mem_version += n
-        return n
+            if not alloc.suspended and alloc.memory_gb < alloc.working_set_gb:
+                alloc.memory_gb += step
+                granted += 1
+            total += alloc.memory_gb
+        self._be_mem_total = total
+        self.mem_version += granted
+        return granted
 
     def shrink_be_memory(self, job_id: str) -> bool:
         """Take one 100 MB memory step back (not below the initial 2 GB)."""

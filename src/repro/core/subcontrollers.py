@@ -199,21 +199,18 @@ class CpuLlcSubcontroller:
         when the instance cap or machine is full — widen the thinnest job."""
         if pool.active_count < pool.max_instances and machine.can_launch_be():
             job = pool.new_job()
-            machine.launch_be(job.job_id)
+            machine.launch_be(job.job_id, job.spec.memory_gb)
             job.start(machine.spec.name)
             return
         if machine.cpuset.free_cores < 1:
             return  # ``grow_be`` would refuse whichever job the scan picked
-        # One pass over the running jobs and their allocations; strict
+        # The running jobs are the unsuspended allocations, in placement
+        # order, so one pass over the table finds the thinnest; strict
         # ``<`` keeps the first minimum, like ``min``.
         thinnest = None
-        fewest = 0
-        alloc_of = machine.be_jobs().get
-        for job in pool.running():
-            cores = alloc_of(job.job_id).cores
-            if thinnest is None or cores < fewest:
-                thinnest = job
-                fewest = cores
+        for alloc in machine.be_allocations():
+            if not alloc.suspended and (thinnest is None or alloc.cores < thinnest.cores):
+                thinnest = alloc
         if thinnest is not None:
             machine.grow_be(thinnest.job_id)
 
@@ -246,17 +243,9 @@ class MemorySubcontroller:
     def apply(self, action: BeAction, machine: Machine, pool: BeJobPool) -> None:
         """Grow/shrink each BE job's memory one step, per the action."""
         if action == BeAction.ALLOW_BE_GROWTH:
-            # A step only moves its own job's allocation, so the growth
-            # set is chosen in one pass over the running jobs and their
-            # allocations and granted in one batch.
-            grow = []
-            alloc_of = machine.be_jobs().get
-            for job in pool.running():
-                alloc = alloc_of(job.job_id)
-                if alloc is not None and alloc.memory_gb < job.spec.memory_gb:
-                    grow.append(job.job_id)
-            if grow:
-                machine.grow_be_memory_many(grow)
+            # Each allocation carries its job's working set, and the
+            # running jobs are exactly the unsuspended allocations.
+            machine.grow_all_be_memory()
         elif action == BeAction.CUT_BE:
             for job in pool.running():
                 if machine.be_allocation(job.job_id) is not None:

@@ -464,6 +464,9 @@ def service_spec(name: str) -> ServiceSpec:
         from repro.workloads.microservices import snms_service
 
         return snms_service()
+    if name not in LC_CATALOG:
+        known = sorted([*LC_CATALOG, "SNMS"])
+        raise ConfigurationError(f"unknown LC service {name!r}; known: {known}")
     return lc_service_spec(name)
 
 

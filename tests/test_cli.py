@@ -94,6 +94,12 @@ class TestChaosCli:
                 "emu": result.emu,
             }
 
+    def test_unknown_service_error_lists_snms(self, capsys):
+        assert main(["chaos", "Nope", "x"]) == 2
+        err = capsys.readouterr().err
+        assert "error: unknown LC service 'Nope'" in err
+        assert "'SNMS'" in err and "'Redis'" in err
+
 
 class TestFleetCli:
     def test_fleet_defaults(self):

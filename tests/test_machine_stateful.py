@@ -8,10 +8,10 @@ memory accounting never goes negative.
 
 Seeded random op sequences (fault-held cores and ways included) also pin
 the machine's maintained totals (the suspended count among them) to
-from-scratch folds, batched memory growth to the per-job loop it
-replaces, the BE pool's live-job view to a state filter over every job
-ever placed, and the CPU/LLC subcontroller's skipped resume and grow
-scans to the full scans they replace.
+from-scratch folds, the one-pass memory growth step to the per-job loop
+it replaces, the BE pool's live-job view to a state filter over every
+job ever placed, and the subcontrollers' allocation-table walks and
+skipped scans to the pool-side full scans they replace.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ class MachineLifecycle(RuleBasedStateMachine):
         if not hasattr(self, "machine"):
             return
         assert self.machine.free_memory_gb >= -1e-9
-        for alloc in self.machine.be_jobs().values():
+        for alloc in self.machine.be_allocations():
             assert alloc.memory_gb >= self.machine.be_initial_memory_gb - 1e-9
 
     @invariant()
@@ -154,7 +154,7 @@ class MachineLifecycle(RuleBasedStateMachine):
     def allocation_records_match_live_set(self):
         if not hasattr(self, "machine"):
             return
-        assert set(self.machine.be_jobs()) == set(self.live)
+        assert {a.job_id for a in self.machine.be_allocations()} == set(self.live)
 
 
 MachineLifecycle.TestCase.settings = settings(
@@ -183,7 +183,7 @@ def _bits(x):
 
 
 def _assert_totals_fold(machine: Machine) -> None:
-    allocs = list(machine.be_jobs().values())
+    allocs = list(machine.be_allocations())
     assert machine.be_suspended_count == sum(a.suspended for a in machine._be.values())
     assert machine.be_total_cores == sum(a.cores for a in allocs)
     assert machine.be_total_llc_ways == sum(a.llc_ways for a in allocs)
@@ -202,20 +202,39 @@ def _assert_totals_fold(machine: Machine) -> None:
 
 def _memory_state(machine: Machine):
     return (
-        [(j, a.memory_gb.hex()) for j, a in machine.be_jobs().items()],
+        [(a.job_id, a.memory_gb.hex()) for a in machine.be_allocations()],
         _bits(machine.be_total_memory_gb),
         machine.mem_version,
         machine.version,
     )
 
 
-def _check_grow_many(machine: Machine, job_ids, paths) -> None:
-    """``grow_be_memory_many`` on ``machine`` == the loop on a copy."""
+def _check_grow_all(machine: Machine, paths, skips=None) -> None:
+    """``grow_all_be_memory`` on ``machine`` == the loop on a copy.
+
+    The loop steps every running job below its working set, one
+    :meth:`~Machine.grow_be_memory` call each. ``paths`` collects
+    whether free memory left room for the one-pass fast path; ``skips``
+    collects which kinds of job the step had to pass over.
+    """
     twin = copy.deepcopy(machine)
     step = machine.be_memory_step_gb
-    paths.add(machine.free_memory_gb > (len(job_ids) + 1) * step)
-    looped = sum(twin.grow_be_memory(j) for j in job_ids)
-    assert machine.grow_be_memory_many(job_ids) == looped
+    paths.add(machine.free_memory_gb > (machine.be_instance_count + 1) * step)
+    grow = []
+    for alloc in twin.be_allocations():
+        if alloc.suspended:
+            kind = "suspended"
+        elif alloc.memory_gb >= alloc.working_set_gb:
+            kind = "sated"
+        else:
+            grow.append(alloc.job_id)
+            continue
+        if skips is not None:
+            skips.add(kind)
+    if skips is not None and not grow:
+        skips.add("empty")
+    looped = sum(twin.grow_be_memory(j) for j in grow)
+    assert machine.grow_all_be_memory() == looped
     assert _memory_state(machine) == _memory_state(twin)
 
 
@@ -227,13 +246,16 @@ def test_random_ops_keep_totals_and_batched_memory_exact(seed):
     offlined = 0
     lost = 0
     paths: set = set()
+    skips: set = set()
     for step in range(400):
         op = rng.randrange(12)
         job = rng.choice(live) if live else None
         if op == 0:
             job_id = f"j{step}"
+            # Working sets at, just above and well above the 2 GB start.
+            working_set = rng.choice([0.0, 2.0, 2.3, 6.0])
             if machine.can_launch_be():
-                machine.launch_be(job_id)
+                machine.launch_be(job_id, working_set)
                 live.append(job_id)
             else:
                 with pytest.raises(AllocationError):
@@ -270,31 +292,37 @@ def test_random_ops_keep_totals_and_batched_memory_exact(seed):
                 machine.grow_be_memory(job)
             else:
                 machine.shrink_be_memory(job)
-        elif op == 11 and live:
-            ids = rng.sample(live, rng.randrange(1, len(live) + 1))
-            if rng.random() < 0.2:
-                ids.append(ids[0])  # a repeated id gets two steps
-            _check_grow_many(machine, ids, paths)
+        elif op == 11:
+            _check_grow_all(machine, paths, skips)
         _assert_totals_fold(machine)
     assert True in paths
+    # Suspended and sated jobs were passed over, and some steps had
+    # nothing to grow at all.
+    assert skips == {"suspended", "sated", "empty"}
 
 
-def test_grow_many_near_full_refuses_exactly_where_the_loop_does():
+def test_grow_all_near_full_refuses_exactly_where_the_loop_does():
     machine = _small_machine()
     ids = []
     while machine.can_launch_be():
         ids.append(f"j{len(ids)}")
-        machine.launch_be(ids[-1])
-    # 16 GB of BE memory, eight 2 GB jobs: full. Free three steps.
-    for job_id in ids[:3]:
-        machine.shrink_be_memory(job_id) or machine.grow_be_memory(job_id)
+        machine.launch_be(ids[-1], HUNGRY.memory_gb)
+    # 16 GB of BE memory, eight 2 GB jobs: full. Kill one to free 20
+    # steps; of the seven left, one is suspended and one already has
+    # its working set, so five grow per call.
     machine.kill_be(ids.pop())
+    machine.suspend_be(ids[0])
+    machine.be_allocation(ids[1]).working_set_gb = machine.be_initial_memory_gb
     paths: set = set()
+    skips: set = set()
     while machine.free_memory_gb >= machine.be_memory_step_gb:
-        _check_grow_many(machine, ids, paths)
-    _check_grow_many(machine, ids, paths)
-    # Both the one-fold batch and the near-full per-job fallback ran.
+        _check_grow_all(machine, paths, skips)
+    _check_grow_all(machine, paths, skips)
+    # Both the one-pass fast path and the near-full per-job fallback ran.
     assert paths == {True, False}
+    assert skips == {"suspended", "sated"}
+    assert machine.be_allocation(ids[0]).memory_gb == machine.be_initial_memory_gb
+    assert machine.be_allocation(ids[1]).memory_gb == machine.be_initial_memory_gb
     _assert_totals_fold(machine)
 
 
@@ -332,7 +360,8 @@ def test_pool_live_view_matches_state_filter(seed):
 
 class _FullScanCpuLlc(CpuLlcSubcontroller):
     """The CPU/LLC subcontroller with the resume and grow scans it ran
-    before they learned to skip: the reference the skips must equal."""
+    before they learned to skip and to walk the allocation table: the
+    reference the skips and the table walk must equal."""
 
     @staticmethod
     def _resume_some(machine: Machine, pool: BeJobPool, count: int) -> None:
@@ -349,7 +378,7 @@ class _FullScanCpuLlc(CpuLlcSubcontroller):
     def _grow(machine: Machine, pool: BeJobPool) -> None:
         if pool.active_count < pool.max_instances and machine.can_launch_be():
             job = pool.new_job()
-            machine.launch_be(job.job_id)
+            machine.launch_be(job.job_id, job.spec.memory_gb)
             job.start(machine.spec.name)
             return
         thinnest = None
@@ -361,6 +390,20 @@ class _FullScanCpuLlc(CpuLlcSubcontroller):
                 fewest = cores
         if thinnest is not None:
             machine.grow_be(thinnest.job_id)
+
+
+class _FullScanMemory(MemorySubcontroller):
+    """The memory subcontroller as a scan of the pool's running jobs
+    against their specs, one :meth:`~Machine.grow_be_memory` each."""
+
+    def apply(self, action: BeAction, machine: Machine, pool: BeJobPool) -> None:
+        if action == BeAction.ALLOW_BE_GROWTH:
+            for job in pool.running():
+                alloc = machine.be_allocation(job.job_id)
+                if alloc is not None and alloc.memory_gb < job.spec.memory_gb:
+                    machine.grow_be_memory(job.job_id)
+        else:
+            super().apply(action, machine, pool)
 
 
 def _world(machine: Machine, pool: BeJobPool):
@@ -388,13 +431,19 @@ def _world(machine: Machine, pool: BeJobPool):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_scan_skips_match_full_scans(seed):
     """The pool run above, each period also applied to a deep copy of the
-    world through the full-scan reference: the worlds must stay equal."""
+    world through the full-scan references: the worlds must stay equal.
+
+    The table walks rest on two invariants, checked every period: the
+    pool's running jobs are the machine's unsuspended allocations in
+    placement order, and the launch-extended memory fold equals a
+    from-scratch fold."""
     rng = random.Random(seed)
     machine = _small_machine()
     pool = BeJobPool([HUNGRY, STREAM_DRAM], "m", max_instances=6)
     cpu_llc = CpuLlcSubcontroller()
     reference = _FullScanCpuLlc()
     memory = MemorySubcontroller()
+    reference_memory = _FullScanMemory()
     actions = list(BeAction)
     weights = [1 if a == BeAction.STOP_BE else 6 for a in actions]
     resumers = (BeAction.DISALLOW_BE_GROWTH, BeAction.ALLOW_BE_GROWTH)
@@ -411,12 +460,16 @@ def test_scan_skips_match_full_scans(seed):
             skipped["grow"] += 1
         twin_machine, twin_pool = copy.deepcopy((machine, pool))
         reference.apply(action, twin_machine, twin_pool)
-        memory.apply(action, twin_machine, twin_pool)
+        reference_memory.apply(action, twin_machine, twin_pool)
         cpu_llc.apply(action, machine, pool)
         memory.apply(action, machine, pool)
         assert _world(machine, pool) == _world(twin_machine, twin_pool)
         if rng.random() < 0.1:
             machine.offline_cores(rng.randrange(1, 4))
+        assert [j.job_id for j in pool.running()] == [
+            a.job_id for a in machine.be_allocations() if not a.suspended
+        ]
+        _assert_totals_fold(machine)
     assert skipped["resume"] and skipped["grow"]
 
 

@@ -65,9 +65,9 @@ class TestMemorySubcontrollerInLoop:
         experiment = run(tiny_service, STREAM_DRAM)  # wants 4 GB/job
         experiment.run()
         machine = experiment.deployment.servpod("back").machine
-        allocations = machine.be_jobs()
+        allocations = list(machine.be_allocations())
         assert allocations, "no BE jobs placed"
-        assert any(a.memory_gb > 2.0 for a in allocations.values())
+        assert any(a.memory_gb > 2.0 for a in allocations)
 
 
 class TestNetworkSubcontrollerInLoop:
