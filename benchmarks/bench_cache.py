@@ -34,12 +34,12 @@ from bench_env import environment
 from repro.bejobs.catalog import evaluation_be_jobs
 from repro.cache import CacheOutcomes, CacheStore
 from repro.experiments.colocation import ColocationConfig
-from repro.experiments.runner import clear_rhythm_cache
 from repro.parallel.grid import (
     GridCell,
     comparison_fingerprint,
     run_comparison_grid,
 )
+from repro.parallel.profile import clear_profile_memo
 from repro.workloads.catalog import LC_CATALOG
 
 #: The reduced grid: 1 service x 3 BE jobs x 2 loads.
@@ -73,7 +73,7 @@ def run_benchmark(
         store = CacheStore(cache_dir)
         cells = build_cells(seed)
 
-        clear_rhythm_cache()
+        clear_profile_memo()
         cold_stats = CacheOutcomes()
         t0 = time.perf_counter()
         cold = run_comparison_grid(
@@ -81,10 +81,10 @@ def run_benchmark(
         )
         cold_s = time.perf_counter() - t0
 
-        # Clearing the in-process pipeline cache forces the warm run to
+        # Clearing the in-process artifact memo forces the warm run to
         # reload everything — the profiling artifact included — from
         # disk, i.e. the cross-process warm behaviour in one process.
-        clear_rhythm_cache()
+        clear_profile_memo()
         warm_stats = CacheOutcomes()
         t0 = time.perf_counter()
         warm = run_comparison_grid(

@@ -7,7 +7,7 @@ from repro.experiments.figures.figure16 import (
     run_figure16,
 )
 from repro.experiments.report import render_table
-from repro.experiments.runner import get_rhythm
+from repro.parallel.profile import profile_service_parallel
 from repro.workloads.microservices import snms_service
 
 from conftest import run_once
@@ -36,8 +36,9 @@ def test_figure16_microservices(benchmark):
 
     # SNMS profiles via its built-in jaeger tracer, and its contributions
     # order as the paper reports: userservice > mediaservice > frontend.
-    rhythm = get_rhythm(snms_service(), profiling_mode="jaeger")
-    normalized = rhythm.contributions().normalized()
+    normalized = profile_service_parallel(
+        snms_service(), workers=1
+    ).contribution_map()
     assert (
         normalized["userservice"]
         > normalized["mediaservice"]

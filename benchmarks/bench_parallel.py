@@ -30,9 +30,9 @@ from repro.experiments.colocation import ColocationConfig
 from repro.parallel.grid import (
     GridCell,
     comparison_fingerprint,
-    profile_services,
     run_comparison_grid,
 )
+from repro.parallel.profile import profile_services_parallel
 from repro.workloads.catalog import LC_CATALOG
 
 #: The reduced Figure 9-11 grid: 2 services x 3 BE jobs x 3 loads, at
@@ -66,7 +66,7 @@ def run_benchmark(
 
     # Profile once, up front: both timed runs ship the same artifacts.
     t0 = time.perf_counter()
-    artifacts = profile_services(cells)
+    artifacts = profile_services_parallel(cells)
     profiling_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -54,8 +54,7 @@ def _profile_all(
     clear_profile_memo()
     return [
         profile_service_parallel(
-            LC_CATALOG[name](), seed=0, profiling_mode="direct",
-            probe_slacklimits=True, workers=workers, cache=cache, stats=stats,
+            LC_CATALOG[name](), seed=0, probe_slacklimits=True, workers=workers, cache=cache, stats=stats,
         )
         for name in BENCH_SERVICES
     ]

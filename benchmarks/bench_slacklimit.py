@@ -3,24 +3,24 @@
 from __future__ import annotations
 
 from repro.experiments.report import render_table
-from repro.experiments.runner import clear_rhythm_cache, get_rhythm
+from repro.parallel.profile import clear_profile_memo, profile_service_parallel
 from repro.workloads.catalog import ecommerce_service, redis_service
 
 from conftest import run_once
 
 
 def _derive():
-    clear_rhythm_cache()
-    ecom = get_rhythm(ecommerce_service())
-    redis = get_rhythm(redis_service())
+    clear_profile_memo()
+    ecom = profile_service_parallel(ecommerce_service(), workers=1)
+    redis = profile_service_parallel(redis_service(), workers=1)
     return ecom, redis
 
 
 def test_slacklimit_algorithm1(benchmark):
     ecom, redis = run_once(benchmark, _derive)
 
-    ecom_limits = ecom.slacklimits()
-    redis_limits = redis.slacklimits()
+    ecom_limits = ecom.slacklimit_map()
+    redis_limits = redis.slacklimit_map()
     paper = {"haproxy": 0.032, "tomcat": 0.078, "amoeba": 0.04, "mysql": 0.347}
     print()
     print(render_table(

@@ -25,8 +25,8 @@ from repro.experiments.figures.figure9_11 import (
 )
 from repro.experiments.figures.figure12_14 import ServiceCell, run_service_grid
 from repro.experiments.figures.figure15 import ProductionCell, run_figure15
-from repro.experiments.runner import clear_rhythm_cache
 from repro.parallel.grid import resolve_workers
+from repro.parallel.profile import clear_profile_memo
 
 #: Loads used by the constant-load grids (the paper's x-axis).
 GRID_LOADS = (0.05, 0.25, 0.45, 0.65, 0.85)
@@ -77,5 +77,5 @@ def run_once(benchmark, fn, *args, **kwargs):
 
 @pytest.fixture(scope="session", autouse=True)
 def _fresh_pipeline_cache():
-    clear_rhythm_cache()
+    clear_profile_memo()
     yield

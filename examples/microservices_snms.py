@@ -20,8 +20,9 @@ from __future__ import annotations
 from repro import ColocationConfig, compare_systems, snms_service
 from repro.baselines.static import LcSoloPolicy
 from repro.bejobs.catalog import LSTM
-from repro.experiments.runner import get_rhythm, run_cell
+from repro.experiments.runner import run_cell
 from repro.loadgen.patterns import ConstantLoad
+from repro.parallel.profile import profile_service_parallel
 
 
 def main() -> None:
@@ -33,18 +34,18 @@ def main() -> None:
         print(f"  {pod.name:13s} ({len(pod.components):2d} microservices: {names}{suffix})")
     print()
 
-    # Profiling goes through the built-in jaeger tracer, not the
-    # kernel-event tracer.
-    rhythm = get_rhythm(service, profiling_mode="jaeger")
-    contributions = rhythm.contributions().normalized()
+    # SNMS is profiled through its built-in jaeger tracer, not the
+    # kernel-event tracer (see workloads.catalog.service_profiling_mode).
+    artifact = profile_service_parallel(service, workers=1)
+    contributions = artifact.contribution_map()
     print("Normalized contributions (paper: user 0.565 > media 0.295 > frontend 0.14):")
     for pod, value in sorted(contributions.items(), key=lambda kv: -kv[1]):
         print(f"  {pod:13s} {value:.3f}")
     print()
     print("Thresholds:")
     for pod in service.servpod_names:
-        print(f"  {pod:13s} loadlimit={rhythm.loadlimits()[pod]:.2f} "
-              f"slacklimit={rhythm.slacklimits()[pod]:.3f}")
+        print(f"  {pod:13s} loadlimit={artifact.loadlimit_map()[pod]:.2f} "
+              f"slacklimit={artifact.slacklimit_map()[pod]:.3f}")
     print()
 
     config = ColocationConfig(duration_s=80.0)
@@ -54,9 +55,7 @@ def main() -> None:
             service, LcSoloPolicy().controllers(service), LSTM,
             ConstantLoad(load), config=config,
         )
-        cmp = compare_systems(
-            service, LSTM, load, config=config, profiling_mode="jaeger"
-        )
+        cmp = compare_systems(service, LSTM, load, config=config)
         print(f"{load:5.2f} {solo.emu:9.3f} {cmp.heracles.emu:14.3f} "
               f"{cmp.rhythm.emu:12.3f}")
     print()

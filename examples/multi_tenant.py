@@ -16,8 +16,8 @@ from __future__ import annotations
 from repro.bejobs.catalog import WORDCOUNT
 from repro.experiments.colocation import ColocationConfig
 from repro.experiments.multilc import MultiLcExperiment, pair_servpods
-from repro.experiments.runner import get_rhythm
 from repro.loadgen.clarknet import clarknet_production_load
+from repro.parallel.profile import profile_service_parallel
 from repro.sim.rng import RandomStreams
 from repro.workloads.catalog import ecommerce_service, redis_service
 
@@ -36,8 +36,8 @@ def main() -> None:
     print()
 
     controllers = {
-        ecom.name: get_rhythm(ecom).controllers(),
-        redis.name: get_rhythm(redis).controllers(),
+        ecom.name: profile_service_parallel(ecom, workers=1).controllers(),
+        redis.name: profile_service_parallel(redis, workers=1).controllers(),
     }
     duration = 400.0
     experiment = MultiLcExperiment(

@@ -22,7 +22,7 @@ from repro import (
     lc_service_spec,
 )
 from repro.bejobs.catalog import STREAM_DRAM
-from repro.experiments.runner import get_rhythm
+from repro.parallel.profile import profile_service_parallel
 
 
 def main() -> None:
@@ -33,13 +33,15 @@ def main() -> None:
     print(f"  SLA      : p{service.tail_percentile:g} <= {service.sla_ms:g} ms")
     print()
 
-    # Stages 1-3: profile once, derive per-Servpod thresholds. get_rhythm
-    # caches the pipeline and runs Algorithm 1 against a production-load
-    # SLA probe with mixed BE jobs (the paper's methodology).
-    rhythm = get_rhythm(service)
-    contributions = rhythm.contributions().normalized()
-    loadlimits = rhythm.loadlimits()
-    slacklimits = rhythm.slacklimits()
+    # Stages 1-3: profile once, derive per-Servpod thresholds. The
+    # profiled artifact is memoized per process (compare_systems below
+    # reuses it) and its slacklimits come from Algorithm 1 run against a
+    # production-load SLA probe with mixed BE jobs (the paper's
+    # methodology).
+    artifact = profile_service_parallel(service, workers=1)
+    contributions = artifact.contribution_map()
+    loadlimits = artifact.loadlimit_map()
+    slacklimits = artifact.slacklimit_map()
 
     print("Derived per-Servpod thresholds (the paper's core artifact):")
     print(f"  {'Servpod':10s} {'contribution':>13s} {'loadlimit':>10s} {'slacklimit':>11s}")

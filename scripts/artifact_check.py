@@ -40,11 +40,12 @@ def main() -> int:
     from repro.experiments.figures.figure2 import increase_matrix, run_figure2
     from repro.experiments.figures.figure15 import run_figure15
     from repro.experiments.figures.figure18 import run_figure18
-    from repro.experiments.runner import clear_rhythm_cache, compare_systems, get_rhythm
+    from repro.experiments.runner import compare_systems
+    from repro.parallel.profile import clear_profile_memo, profile_service_parallel
     from repro.workloads.catalog import ecommerce_service, redis_service
     from repro.workloads.microservices import snms_service
 
-    clear_rhythm_cache()
+    clear_profile_memo()
     ecom = ecommerce_service()
     state = {}
 
@@ -58,15 +59,15 @@ def main() -> int:
         return ratio > 20
 
     def claim_loadlimits() -> bool:
-        rhythm = get_rhythm(ecom)
-        state["rhythm"] = rhythm
-        limits = rhythm.loadlimits()
+        artifact = profile_service_parallel(ecom, workers=1)
+        state["artifact"] = artifact
+        limits = artifact.loadlimit_map()
         print(f"       MySQL {limits['mysql']:.2f} (paper 0.76), "
               f"Tomcat {limits['tomcat']:.2f} (paper 0.87)")
         return abs(limits["mysql"] - 0.76) <= 0.05 and abs(limits["tomcat"] - 0.87) <= 0.05
 
     def claim_slacklimit_order() -> bool:
-        limits = state["rhythm"].slacklimits()
+        limits = state["artifact"].slacklimit_map()
         print(f"       mysql {limits['mysql']:.3f} > tomcat {limits['tomcat']:.3f} "
               f"> haproxy {limits['haproxy']:.3f}")
         return limits["mysql"] > limits["tomcat"] > limits["haproxy"]
@@ -103,8 +104,7 @@ def main() -> int:
         return ok_derived and ok_detuned
 
     def claim_snms() -> bool:
-        rhythm = get_rhythm(snms_service(), profiling_mode="jaeger")
-        n = rhythm.contributions().normalized()
+        n = profile_service_parallel(snms_service(), workers=1).contribution_map()
         print(f"       user {n['userservice']:.2f} > media {n['mediaservice']:.2f} "
               f"> frontend {n['frontend']:.2f}")
         return n["userservice"] > n["mediaservice"] > n["frontend"]

@@ -30,7 +30,7 @@ from repro.experiments.runner import compare_systems
 from repro.loadgen.clarknet import clarknet_production_load
 from repro.loadgen.patterns import ConstantLoad
 from repro.sim.rng import RandomStreams
-from repro.workloads.catalog import LC_CATALOG, evaluation_lc_services, lc_service_spec
+from repro.workloads.catalog import LC_CATALOG, lc_service_spec
 from repro.workloads.microservices import snms_service
 
 __version__ = "1.0.0"
@@ -53,7 +53,6 @@ __all__ = [
     "lc_service_spec",
     "be_job_spec",
     "snms_service",
-    "evaluation_lc_services",
     "evaluation_be_jobs",
     "__version__",
 ]

@@ -38,7 +38,6 @@ from repro.experiments.report import render_table
 from repro.experiments.runner import compare_systems, get_rhythm
 from repro.loadgen.clarknet import clarknet_production_load
 from repro.workloads.catalog import LC_CATALOG, lc_service_spec, service_spec
-from repro.workloads.spec import ServiceSpec
 
 
 def _apply_kernel(args: argparse.Namespace) -> None:
@@ -61,11 +60,6 @@ def _print_cache(stats: CacheOutcomes, unit: str) -> None:
         f"cache: {stats.hits} hits, {stats.misses} misses, "
         f"{stats.skipped} uncached of {stats.total} {unit}"
     )
-
-
-def _profiling_mode(service: ServiceSpec) -> str:
-    # SNMS ships its own tracer (jaeger), per the paper.
-    return "jaeger" if service.name == "SNMS" else "direct"
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -93,12 +87,7 @@ def cmd_list(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     """Profile a service and print its derived thresholds."""
     spec = service_spec(args.service)
-    rhythm = get_rhythm(
-        spec,
-        seed=args.seed,
-        profiling_mode=_profiling_mode(spec),
-        probe_slacklimits=not args.no_probe,
-    )
+    rhythm = get_rhythm(spec, seed=args.seed, probe_slacklimits=not args.no_probe)
     contributions = rhythm.contributions()
     normalized = contributions.normalized()
     loadlimits = rhythm.loadlimits()
@@ -126,7 +115,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cmp = compare_systems(
         spec, be, args.load, seed=args.seed,
         config=ColocationConfig(duration_s=args.duration),
-        profiling_mode=_profiling_mode(spec),
     )
     rows = []
     for name, result in (("Rhythm", cmp.rhythm), ("Heracles", cmp.heracles)):
@@ -250,7 +238,6 @@ def cmd_production(args: argparse.Namespace) -> int:
         spec, be, load=0.5, seed=args.seed,
         config=ColocationConfig(duration_s=args.duration),
         pattern=pattern,
-        profiling_mode=_profiling_mode(spec),
     )
     rows = []
     for name, result in (("Rhythm", cmp.rhythm), ("Heracles", cmp.heracles)):

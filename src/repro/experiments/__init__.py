@@ -17,7 +17,6 @@ from repro.experiments.colocation import (
 )
 from repro.experiments.runner import (
     ComparisonResult,
-    build_rhythm_controllers,
     compare_systems,
     run_cell,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "ColocationResult",
     "make_sla_probe",
     "ComparisonResult",
-    "build_rhythm_controllers",
     "compare_systems",
     "run_cell",
 ]

@@ -33,6 +33,7 @@ from repro.experiments.runner import get_rhythm, run_cell
 from repro.interference.isolation import IsolationConfig
 from repro.loadgen.clarknet import clarknet_production_load
 from repro.loadgen.patterns import LoadPattern
+from repro.parallel.profile import profile_service_parallel
 from repro.sim.rng import RandomStreams
 from repro.workloads.catalog import ecommerce_service
 from repro.workloads.spec import ServiceSpec
@@ -73,9 +74,9 @@ def uniform_rhythm_controllers(
     machine hosts the worst component, which is exactly the paper's
     "Law of the Minimum" framing (§2).
     """
-    rhythm = get_rhythm(service, seed=seed)
-    min_loadlimit = min(rhythm.loadlimits().values())
-    max_slacklimit = max(rhythm.slacklimits().values())
+    artifact = profile_service_parallel(service, seed=seed, workers=1)
+    min_loadlimit = min(artifact.loadlimit_map().values())
+    max_slacklimit = max(artifact.slacklimit_map().values())
     thresholds = ControllerThresholds(
         loadlimit=min_loadlimit, slacklimit=max_slacklimit
     )
@@ -96,9 +97,9 @@ def run_distinguishability_ablation(
     spec = service or ecommerce_service()
     pattern = pattern or clarknet_production_load(duration_s=duration_s, days=1)
     config = ColocationConfig(duration_s=duration_s)
+    artifact = profile_service_parallel(spec, seed=seed, workers=1)
     rhythm_result = run_cell(
-        spec, get_rhythm(spec, seed=seed).controllers(), be_spec, pattern,
-        seed=seed, config=config,
+        spec, artifact.controllers(), be_spec, pattern, seed=seed, config=config,
     )
     uniform_result = run_cell(
         spec, uniform_rhythm_controllers(spec, seed), be_spec, pattern,
@@ -213,7 +214,7 @@ def run_isolation_ablation(
     from repro.loadgen.patterns import ConstantLoad
 
     spec = service or ecommerce_service()
-    controllers = get_rhythm(spec, seed=seed).controllers
+    controllers = profile_service_parallel(spec, seed=seed, workers=1).controllers
     configs = [
         ("full isolation", IsolationConfig()),
         ("no CAT", IsolationConfig(cat=False)),
@@ -265,11 +266,12 @@ def run_cut_escalation_ablation(
     """Run the same production day with CutBE escalation on and off."""
     spec = service or ecommerce_service()
     pattern = clarknet_production_load(duration_s=duration_s, days=1)
+    artifact = profile_service_parallel(spec, seed=seed, workers=1)
     outcomes = {}
     for escalate in (True, False):
         experiment = ColocationExperiment(
             spec,
-            get_rhythm(spec, seed=seed).controllers(),
+            artifact.controllers(),
             [be_spec],
             pattern,
             streams=RandomStreams(seed),

@@ -130,7 +130,7 @@ def rhythm_member(
 ) -> BakeoffMember:
     """Rhythm's profiled per-pod thresholds as a bake-off member.
 
-    Runs the (cached) profiling pipeline once, in the caller, and ships
+    Profiles once (memoized, inline) in the caller, and ships
     the distilled policies — the fleet convention, so the member's key
     captures the actual thresholds, not the profiling recipe.
     Slacklimits are the analytic fixed point unless

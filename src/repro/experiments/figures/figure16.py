@@ -76,7 +76,6 @@ def run_figure16(
                 load=min(1.0, load),
                 seed=seed,
                 config=config,
-                profiling_mode="jaeger",
             )
             rows.append(
                 MicroserviceCell(

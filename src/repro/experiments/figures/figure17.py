@@ -20,10 +20,10 @@ from typing import Dict, List, Optional, Sequence
 from repro.bejobs.catalog import WORDCOUNT
 from repro.bejobs.spec import BeJobSpec
 from repro.experiments.colocation import ColocationConfig, ColocationExperiment
-from repro.experiments.runner import build_rhythm_controllers, get_rhythm
 from repro.loadgen.clarknet import clarknet_production_load
 from repro.loadgen.patterns import LoadPattern
 from repro.metrics.collector import TickSample
+from repro.parallel.profile import profile_service_parallel
 from repro.sim.rng import RandomStreams
 from repro.workloads.catalog import ecommerce_service
 from repro.workloads.spec import ServiceSpec
@@ -57,11 +57,10 @@ def run_figure17(
     spec = service or ecommerce_service()
     pattern = pattern or clarknet_production_load(duration_s=duration_s, seed=seed + 1, days=1)
     config = config or ColocationConfig(duration_s=duration_s)
-    controllers = build_rhythm_controllers(spec, seed=seed)
-    rhythm = get_rhythm(spec, seed=seed)
+    artifact = profile_service_parallel(spec, seed=seed, workers=1)
     experiment = ColocationExperiment(
         spec,
-        controllers,
+        artifact.controllers(),
         [be_spec],
         pattern,
         streams=RandomStreams(seed),
@@ -69,8 +68,8 @@ def run_figure17(
     )
     result = experiment.run()
     data = TimelineData(service=spec.name, servpods=list(servpods))
-    loadlimits = rhythm.loadlimits()
-    slacklimits = rhythm.slacklimits()
+    loadlimits = artifact.loadlimit_map()
+    slacklimits = artifact.slacklimit_map()
     for pod in servpods:
         data.loadlimit[pod] = loadlimits[pod]
         data.slacklimit[pod] = slacklimits[pod]

@@ -58,11 +58,11 @@ def run_figure18(
     spec = service or ecommerce_service()
     pattern = pattern or clarknet_production_load(duration_s=duration_s, seed=seed + 1, days=1)
     config = config or ColocationConfig(duration_s=duration_s)
-    from repro.experiments.runner import get_rhythm
+    from repro.parallel.profile import profile_service_parallel
 
-    rhythm = get_rhythm(spec, seed=seed)
-    base_loadlimits = rhythm.loadlimits()
-    base_slacklimits = rhythm.slacklimits()
+    artifact = profile_service_parallel(spec, seed=seed, workers=1)
+    base_loadlimits = artifact.loadlimit_map()
+    base_slacklimits = artifact.slacklimit_map()
 
     rows: List[ThresholdSweepRow] = []
     for varied in ("slacklimit", "loadlimit"):

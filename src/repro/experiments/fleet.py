@@ -855,21 +855,22 @@ def heracles_fleet_policies(service_name: str) -> Dict[str, PodPolicy]:
 def rhythm_fleet_policies(
     service_name: str, seed: int = 0, probe_slacklimits: bool = False
 ) -> Dict[str, PodPolicy]:
-    """Rhythm's profiled per-pod policies (cached profiling pipeline).
+    """Rhythm's profiled per-pod policies (memoized profiling artifact).
 
-    Runs in the parent only; workers receive the distilled
-    :class:`PodPolicy` values. The analytic slacklimits (the default)
-    keep the (cached) profiling pass cheap at fleet scale;
+    Runs in the parent only, profiling inline; workers receive the
+    distilled :class:`PodPolicy` values. The analytic slacklimits (the
+    default) keep the profiling pass cheap at fleet scale;
     ``probe_slacklimits=True`` runs Algorithm 1's SLA probe instead.
     """
-    from repro.experiments.runner import build_rhythm_controllers
+    from repro.parallel.profile import profile_service_parallel
 
-    controllers = build_rhythm_controllers(
+    artifact = profile_service_parallel(
         service_spec(service_name),
         seed=seed,
         probe_slacklimits=probe_slacklimits,
+        workers=1,
     )
-    return policies_from_controllers(controllers)
+    return policies_from_controllers(artifact.controllers())
 
 
 def alibaba_fleet(

@@ -2,15 +2,18 @@
 
 The evaluation grids (Figures 9–14) run the same (LC service, BE job,
 load) cell once under each system and report relative improvements. This
-module provides the cell runner and a per-service cache of Rhythm's
-profiling artifacts so a 5×6×5 grid profiles each service once, exactly
-as the paper's "profile once" design intends.
+module provides the cell runner, the comparison every grid cell runs, and
+the serial reference profiling pipeline. Callers that need Rhythm's
+thresholds take the profiled artifact from
+:func:`repro.parallel.profile.profile_service_parallel`, whose memo
+profiles each service once per process, exactly as the paper's "profile
+once" design intends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Mapping, Optional, Tuple
 
 from repro.baselines.heracles import HeraclesPolicy, heracles_controllers
 from repro.bejobs.spec import BeJobSpec
@@ -24,11 +27,11 @@ from repro.experiments.colocation import (
 )
 from repro.loadgen.patterns import ConstantLoad, LoadPattern
 from repro.sim.rng import RandomStreams
+from repro.workloads.catalog import service_profiling_mode
 from repro.workloads.spec import ServiceSpec
 
-#: Cache of Rhythm pipelines keyed by
-#: (service name, seed, profiling mode, probe_slacklimits).
-_RHYTHM_CACHE: Dict[Tuple[str, int, str, bool], Rhythm] = {}
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.parallel.artifact import RhythmArtifact
 
 
 def sla_probe_for(
@@ -69,52 +72,49 @@ def sla_probe_for(
 def get_rhythm(
     service: ServiceSpec,
     seed: int = 0,
-    profiling_mode: str = "direct",
     config: Optional[RhythmConfig] = None,
     probe_slacklimits: bool = True,
     probe_duration_s: float = 600.0,
 ) -> Rhythm:
-    """A cached, already-profiled Rhythm pipeline for ``service``.
+    """A freshly profiled Rhythm pipeline for ``service`` (uncached).
 
-    With ``probe_slacklimits`` (the default, matching the paper's
+    The serial reference for the profiled artifact: the parallel
+    pipeline must reproduce its thresholds bit for bit (see
+    :func:`repro.parallel.artifact.artifact_for`). The profiling mode
+    comes from :func:`~repro.workloads.catalog.service_profiling_mode`;
+    ``config`` supplies the rest of the recipe. With
+    ``probe_slacklimits`` (the default, matching the paper's
     methodology) Algorithm 1 runs against a production-load SLA probe
     with mixed BE jobs; otherwise the analytic violation-free fixed
     point is used.
     """
-    key = (service.name, seed, profiling_mode, probe_slacklimits)
-    rhythm = _RHYTHM_CACHE.get(key)
-    if rhythm is None:
-        cfg = config or RhythmConfig(profiling_mode=profiling_mode)
-        rhythm = Rhythm(service, RandomStreams(seed), cfg)
-        rhythm.profile()
-        if probe_slacklimits:
-            rhythm.slacklimits(
-                sla_probe_for(
-                    service,
-                    rhythm.loadlimits(),
-                    seed=seed,
-                    probe_duration_s=probe_duration_s,
-                )
+    cfg = replace(
+        config or RhythmConfig(), profiling_mode=service_profiling_mode(service)
+    )
+    rhythm = Rhythm(service, RandomStreams(seed), cfg)
+    rhythm.profile()
+    if probe_slacklimits:
+        rhythm.slacklimits(
+            sla_probe_for(
+                service,
+                rhythm.loadlimits(),
+                seed=seed,
+                probe_duration_s=probe_duration_s,
             )
-        _RHYTHM_CACHE[key] = rhythm
+        )
     return rhythm
 
 
 def clear_rhythm_cache() -> None:
-    """Drop all cached pipelines (tests use this for isolation)."""
-    _RHYTHM_CACHE.clear()
+    """Drop the in-process artifact memo.
 
+    The old name of :func:`repro.parallel.profile.clear_profile_memo`.
+    Only ``repobench/workloads.py`` still imports it; the next change to
+    that benchmark drops this alias.
+    """
+    from repro.parallel.profile import clear_profile_memo
 
-def build_rhythm_controllers(
-    service: ServiceSpec,
-    seed: int = 0,
-    profiling_mode: str = "direct",
-    probe_slacklimits: bool = True,
-) -> Dict[str, TopController]:
-    """Profile (cached) and construct Rhythm's per-Servpod controllers."""
-    return get_rhythm(
-        service, seed, profiling_mode, probe_slacklimits=probe_slacklimits
-    ).controllers()
+    clear_profile_memo()
 
 
 def run_cell(
@@ -244,28 +244,28 @@ class ComparisonResult:
         )
 
 
-def compare_systems(
+def compare_with_artifact(
     service: ServiceSpec,
+    artifact: "RhythmArtifact",
     be_spec: BeJobSpec,
     load: float,
     seed: int = 0,
     config: Optional[ColocationConfig] = None,
     pattern: Optional[LoadPattern] = None,
     heracles_policy: HeraclesPolicy = HeraclesPolicy(),
-    profiling_mode: str = "direct",
 ) -> ComparisonResult:
-    """Run one cell under Rhythm and Heracles with matched seeds."""
+    """Run one cell under Rhythm (thresholds from ``artifact``) and
+    Heracles with matched seeds.
+
+    ``pattern`` defaults to ``ConstantLoad(load)``. Every comparison,
+    serial or from a grid worker, runs through here.
+    """
     if pattern is None:
         if not (0.0 <= load <= 1.0):
             raise ExperimentError(f"load must be in [0,1], got {load!r}")
         pattern = ConstantLoad(load)
     rhythm_result = run_cell(
-        service,
-        build_rhythm_controllers(service, seed, profiling_mode),
-        be_spec,
-        pattern,
-        seed=seed,
-        config=config,
+        service, artifact.controllers(), be_spec, pattern, seed=seed, config=config
     )
     heracles_result = run_cell(
         service,
@@ -281,4 +281,22 @@ def compare_systems(
         load=load,
         rhythm=rhythm_result,
         heracles=heracles_result,
+    )
+
+
+def compare_systems(
+    service: ServiceSpec,
+    be_spec: BeJobSpec,
+    load: float,
+    seed: int = 0,
+    config: Optional[ColocationConfig] = None,
+    pattern: Optional[LoadPattern] = None,
+    heracles_policy: HeraclesPolicy = HeraclesPolicy(),
+) -> ComparisonResult:
+    """Profile ``service`` (memoized, inline) and compare one cell."""
+    from repro.parallel.profile import profile_service_parallel
+
+    artifact = profile_service_parallel(service, seed=seed, workers=1)
+    return compare_with_artifact(
+        service, artifact, be_spec, load, seed, config, pattern, heracles_policy
     )

@@ -518,7 +518,6 @@ def run_drift(
                 loads=loads,
                 requests_per_load=requests_per_load,
                 tail_samples=tail_samples,
-                profiling_mode="direct",
             ),
             stats=stats,
         )

@@ -96,7 +96,7 @@ class ExecutorFaultPlan:
 
         Because the decision is content-addressed, the parent can compute
         exactly which tasks will be sabotaged before submitting anything
-        — the CI chaos gate uses this to assert the pool's retry
+        — ``tests/test_faults.py`` uses this to assert the pool's retry
         counters match the injected faults.
         """
         counts = {"crash": 0, "kill": 0, "hang": 0}

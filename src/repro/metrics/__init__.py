@@ -1,10 +1,9 @@
-"""Measurement utilities: percentiles, time series, EMU and collectors.
+"""Measurement utilities: percentiles, moments, EMU and collectors.
 
 - :mod:`repro.metrics.percentile` — tail-latency estimation (windowed
   percentiles, fixed-bin streaming histograms),
 - :mod:`repro.metrics.streaming` — single-pass Welford/Chan moment
   accumulators,
-- :mod:`repro.metrics.timeseries` — timestamped series with summaries,
 - :mod:`repro.metrics.emu` — the paper's EMU (effective machine
   utilisation) metric and resource-utilisation accumulators,
 - :mod:`repro.metrics.collector` — per-machine runtime metric collection
@@ -17,7 +16,6 @@ from repro.metrics.percentile import (
     percentile,
 )
 from repro.metrics.streaming import WelfordAccumulator
-from repro.metrics.timeseries import TimeSeries
 from repro.metrics.emu import EmuAccumulator, UtilisationAccumulator
 from repro.metrics.collector import MachineMetrics, TickSample
 
@@ -26,7 +24,6 @@ __all__ = [
     "WelfordAccumulator",
     "WindowedTailTracker",
     "percentile",
-    "TimeSeries",
     "EmuAccumulator",
     "UtilisationAccumulator",
     "MachineMetrics",

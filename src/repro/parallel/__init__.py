@@ -18,7 +18,6 @@ from repro.parallel.grid import (
     colocation_fingerprint,
     comparison_fingerprint,
     derive_cell_seed,
-    profile_services,
     run_comparison_grid,
 )
 from repro.parallel.pool import (
@@ -68,7 +67,6 @@ __all__ = [
     "load_point_cache_key",
     "pool_constructions",
     "profile_service_parallel",
-    "profile_services",
     "profile_services_parallel",
     "reset_pool_state_for_tests",
     "resolve_profile_workers",

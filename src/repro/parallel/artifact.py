@@ -1,14 +1,16 @@
 """Frozen, picklable Rhythm profiling artifacts.
 
-The in-process ``_RHYTHM_CACHE`` in :mod:`repro.experiments.runner` holds
-live :class:`~repro.core.rhythm.Rhythm` pipelines — profiler, traces,
-RNG registries and all — which makes them expensive to ship to worker
-processes. A :class:`RhythmArtifact` is the distillation the paper's
-"profile once" design actually needs at runtime: the per-Servpod
-loadlimits, slacklimits and contribution scores plus enough metadata to
-rebuild the per-machine top controllers anywhere. The parent process
-profiles each service once, extracts the artifact, and the grid engine
-ships only artifacts across the pool boundary.
+A live :class:`~repro.core.rhythm.Rhythm` pipeline holds its profiler,
+traces and RNG registries, which makes it expensive to keep or ship. A
+:class:`RhythmArtifact` is the distillation the paper's "profile once"
+design actually needs at runtime: the per-Servpod loadlimits,
+slacklimits and contribution scores plus enough metadata to rebuild the
+per-machine top controllers anywhere.
+:func:`repro.parallel.profile.profile_service_parallel` builds one per
+service for every caller that needs thresholds; the grid engine ships
+only artifacts across the pool boundary. :func:`artifact_for` freezes
+the serial reference pipeline into the same form, so the two can be
+compared with ``==``.
 """
 
 from __future__ import annotations
@@ -105,7 +107,6 @@ class RhythmArtifact:
         cls,
         rhythm: "Rhythm",
         seed: int = 0,
-        profiling_mode: str = "direct",
         probe_slacklimits: bool = True,
     ) -> "RhythmArtifact":
         """Distill a profiled :class:`Rhythm` pipeline into an artifact.
@@ -122,7 +123,7 @@ class RhythmArtifact:
             slacklimits=tuple(sorted(rhythm.slacklimits().items())),
             contributions=tuple(sorted(normalized.items())),
             seed=seed,
-            profiling_mode=profiling_mode,
+            profiling_mode=rhythm.config.profiling_mode,
             probe_slacklimits=probe_slacklimits,
         )
 
@@ -130,29 +131,21 @@ class RhythmArtifact:
 def artifact_for(
     service: ServiceSpec,
     seed: int = 0,
-    profiling_mode: str = "direct",
     probe_slacklimits: bool = True,
     config: Optional["RhythmConfig"] = None,
 ) -> RhythmArtifact:
-    """Profile ``service`` (via the parent-process cache) and freeze it.
+    """Profile ``service`` through the serial reference pipeline and
+    freeze it.
 
-    Delegates to :func:`repro.experiments.runner.get_rhythm`, so repeated
-    calls for the same key reuse the cached pipeline — the expensive SLA
-    probe runs at most once per (service, seed, mode, probe) in the
-    parent, never in a worker.
+    Runs :func:`repro.experiments.runner.get_rhythm` afresh on every
+    call; the parallel pipeline must return an equal artifact for the
+    same arguments (asserted in ``tests/test_profile_parallel.py``).
     """
     from repro.experiments.runner import get_rhythm
 
     rhythm = get_rhythm(
-        service,
-        seed=seed,
-        profiling_mode=profiling_mode,
-        config=config,
-        probe_slacklimits=probe_slacklimits,
+        service, seed=seed, config=config, probe_slacklimits=probe_slacklimits
     )
     return RhythmArtifact.from_rhythm(
-        rhythm,
-        seed=seed,
-        profiling_mode=profiling_mode,
-        probe_slacklimits=probe_slacklimits,
+        rhythm, seed=seed, probe_slacklimits=probe_slacklimits
     )

@@ -7,13 +7,17 @@ and once under Heracles. Cells are mutually independent by construction
 so the grid is embarrassingly parallel — *provided* the profiling
 artifacts can cross a process boundary. The flow is:
 
-1. the parent profiles every distinct service once (reusing the
-   in-process Rhythm cache) and freezes a picklable
-   :class:`~repro.parallel.artifact.RhythmArtifact` per service,
+1. the parent profiles every distinct service once, through
+   :func:`~repro.parallel.profile.profile_services_parallel` (its sweep
+   and Algorithm-1 walks fan out through the same pool), into a
+   picklable :class:`~repro.parallel.artifact.RhythmArtifact` per
+   service,
 2. cells fan out to a process pool as :class:`GridCell` tasks carrying
    only specs, artifacts and seeds,
-3. each worker rebuilds the controllers from the artifact and runs the
-   cell exactly as the serial path would.
+3. each worker runs the cell through
+   :func:`~repro.experiments.runner.compare_with_artifact`, the same
+   routine the serial :func:`~repro.experiments.runner.compare_systems`
+   runs.
 
 Determinism: a cell's simulation consumes only its own
 ``RandomStreams(cell.seed)``, so results are bit-identical no matter
@@ -38,15 +42,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.baselines.heracles import HeraclesPolicy, heracles_controllers
+from repro.baselines.heracles import HeraclesPolicy
 from repro.bejobs.spec import BeJobSpec
 from repro.cache.keys import stable_hash
 from repro.cache.store import CacheOutcomes, CacheStore
 from repro.errors import CacheKeyError, ExperimentError
 from repro.experiments.colocation import ColocationConfig, ColocationResult
-from repro.experiments.runner import ComparisonResult, run_cell
+from repro.experiments.runner import ComparisonResult, compare_with_artifact
 from repro.loadgen.patterns import ConstantLoad, LoadPattern
 from repro.parallel.artifact import RhythmArtifact
 from repro.parallel.pool import (
@@ -74,7 +78,6 @@ __all__ = [
     "colocation_fingerprint",
     "comparison_fingerprint",
     "derive_cell_seed",
-    "profile_services",
     "resolve_workers",
     "run_comparison_grid",
 ]
@@ -120,36 +123,17 @@ class _CellTask:
 
 
 def _execute_task(task: _CellTask) -> ComparisonResult:
-    """Run one cell under both systems (worker side, also used inline).
-
-    Mirrors :func:`repro.experiments.runner.compare_systems` exactly,
-    except Rhythm's controllers come from the shipped artifact instead of
-    the in-process profiling cache.
-    """
+    """Run one cell under both systems (worker side, also used inline)."""
     cell = task.cell
-    pattern = cell.pattern if cell.pattern is not None else ConstantLoad(cell.load)
-    rhythm_result = run_cell(
+    return compare_with_artifact(
         cell.service,
-        task.artifact.controllers(),
+        task.artifact,
         cell.be_spec,
-        pattern,
+        cell.load,
         seed=cell.seed,
         config=task.config,
-    )
-    heracles_result = run_cell(
-        cell.service,
-        heracles_controllers(cell.service, task.heracles_policy),
-        cell.be_spec,
-        pattern,
-        seed=cell.seed,
-        config=task.config,
-    )
-    return ComparisonResult(
-        service=cell.service.name,
-        be_job=cell.be_spec.name,
-        load=cell.load,
-        rhythm=rhythm_result,
-        heracles=heracles_result,
+        pattern=cell.pattern,
+        heracles_policy=task.heracles_policy,
     )
 
 
@@ -212,43 +196,11 @@ def cell_cache_key(task: _CellTask) -> str:
     )
 
 
-def profile_services(
-    cells: Sequence[GridCell],
-    seed_by_service: Optional[Mapping[str, int]] = None,
-    profiling_mode: str = "direct",
-    probe_slacklimits: bool = True,
-    cache: Union[None, bool, CacheStore] = None,
-    workers: Optional[int] = None,
-    stats: Optional[ProfileStats] = None,
-) -> Dict[str, RhythmArtifact]:
-    """Profile every distinct service of ``cells``, fanned out.
-
-    ``seed_by_service`` overrides the profiling seed per service; by
-    default each service profiles at the seed of its first cell, which is
-    what the serial ``compare_systems`` path does. The sweep and
-    Algorithm-1 walks run through the shared worker pool (``workers``
-    resolves via :func:`~repro.parallel.pool.resolve_profile_workers`);
-    with a ``cache``, artifacts and their sub-profiles are memoized on
-    disk, so a warm process skips every sweep simulation (pass a
-    :class:`~repro.parallel.profile.ProfileStats` to see the counts).
-    """
-    return profile_services_parallel(
-        cells,
-        seed_by_service=seed_by_service,
-        profiling_mode=profiling_mode,
-        probe_slacklimits=probe_slacklimits,
-        cache=cache,
-        workers=workers,
-        stats=stats,
-    )
-
-
 def run_comparison_grid(
     cells: Sequence[GridCell],
     config: Optional[ColocationConfig] = None,
     workers: Optional[int] = None,
     heracles_policy: HeraclesPolicy = HeraclesPolicy(),
-    profiling_mode: str = "direct",
     probe_slacklimits: bool = True,
     artifacts: Optional[Mapping[str, RhythmArtifact]] = None,
     cache: Union[None, bool, CacheStore] = None,
@@ -285,9 +237,8 @@ def run_comparison_grid(
     store = _resolve_store(cache)
     stats = cache_stats if cache_stats is not None else CacheOutcomes()
     if artifacts is None:
-        artifacts = profile_services(
+        artifacts = profile_services_parallel(
             cells,
-            profiling_mode=profiling_mode,
             probe_slacklimits=probe_slacklimits,
             cache=store,
             workers=profile_workers,

@@ -187,7 +187,7 @@ class PoolStats:
     ran in the parent instead. Under a crash-only
     :class:`~repro.faults.executor.ExecutorFaultPlan` the invariant
     ``task_failures == retries == plan-predicted crashes`` holds exactly
-    (the CI chaos gate asserts it).
+    (``tests/test_faults.py`` ``TestChaosHardenedPool`` asserts it).
     """
 
     #: Envelope attempts handed to the executor.
@@ -252,11 +252,6 @@ def set_executor_fault_plan(plan: Any) -> None:
     """
     global _FAULT_PLAN
     _FAULT_PLAN = plan
-
-
-def executor_fault_plan() -> Any:
-    """The currently installed sabotage plan (None when chaos is off)."""
-    return _FAULT_PLAN
 
 
 # -- broadcast registry ---------------------------------------------------

@@ -1,10 +1,18 @@
-"""The parallel profiling pipeline.
+"""The profiling pipeline: the one route from a service to its thresholds.
 
-``profile_services`` used to be a serial parent-side loop: for each
-distinct service, run the full solo-run load sweep (50 load points) and
-then Algorithm 1's SLA probe walks, all in one process. Both stages are
-embarrassingly parallel once their randomness is derived from task
-coordinates instead of consumption order:
+Every caller that needs Rhythm's loadlimits, slacklimits or controllers
+takes the :class:`~repro.parallel.artifact.RhythmArtifact` that
+:func:`profile_service_parallel` builds; the serial
+:class:`~repro.core.rhythm.Rhythm` pipeline
+(:func:`repro.experiments.runner.get_rhythm`) stays as its reference.
+The service picks its own profiling mode
+(:func:`~repro.workloads.catalog.service_profiling_mode`), so a service
+gets the same thresholds from every command.
+
+Profiling runs the full solo-run load sweep (50 load points) and then
+Algorithm 1's SLA probe walks. Both stages are embarrassingly parallel
+once their randomness is derived from task coordinates instead of
+consumption order:
 
 - a **sweep task** profiles one ``(service, load)`` point via
   :func:`repro.core.profiler.profile_load_point`, whose streams come
@@ -20,8 +28,8 @@ Tasks fan out through the persistent pool of :mod:`repro.parallel.pool`
 — the same pool the grid engine uses, so a cold figure run pays pool
 startup exactly once — with the :class:`~repro.workloads.spec.ServiceSpec`
 broadcast once instead of pickled per task. Results are bit-identical to
-the serial :meth:`repro.core.rhythm.Rhythm` pipeline by construction
-(asserted in ``tests/test_parallel.py``).
+the serial :class:`repro.core.rhythm.Rhythm` pipeline by construction
+(asserted in ``tests/test_profile_parallel.py``).
 
 Sub-profile results are content-addressed in the
 :class:`~repro.cache.store.CacheStore` at load-point granularity: each
@@ -57,6 +65,7 @@ from repro.parallel.pool import (
     resolve_ref,
     run_envelopes,
 )
+from repro.workloads.catalog import service_profiling_mode
 from repro.workloads.spec import ServiceSpec
 
 #: Per-request trace noise of the profiling emitter — the
@@ -95,10 +104,10 @@ class ProfileStats:
         self.artifact_cache_hits += other.artifact_cache_hits
 
 
-#: In-process artifact memo, the parallel analogue of the runner's
-#: ``_RHYTHM_CACHE``: repeated grid invocations in one process profile
-#: each (service, seed, mode, probe, profile signature) at most once
-#: even without a store.
+#: In-process artifact memo: one process profiles each (service spec,
+#: seed, probe, profile signature) at most once, even without a store.
+#: Keyed on the spec itself (frozen, hashed by content), so two specs
+#: that share a name but differ in any field never share an artifact.
 _ARTIFACT_MEMO: Dict[Tuple, RhythmArtifact] = {}
 
 
@@ -125,7 +134,7 @@ def resolve_store(cache: Union[None, bool, CacheStore]) -> Optional[CacheStore]:
 
 
 def _profile_signature(cfg: RhythmConfig, probe_duration_s: float) -> Tuple:
-    """The result-affecting profile inputs beyond (service, seed, mode).
+    """The result-affecting profile inputs beyond (service, seed, probe).
 
     A whole-artifact entry is only valid for the exact sweep grid and
     sample budget that produced it; the drift scenarios re-profile the
@@ -294,7 +303,6 @@ def _slack_task(
 def profile_service_parallel(
     service: ServiceSpec,
     seed: int = 0,
-    profiling_mode: str = "direct",
     probe_slacklimits: bool = True,
     probe_duration_s: float = 600.0,
     workers: Optional[int] = None,
@@ -310,16 +318,20 @@ def profile_service_parallel(
     candidates probe with the same streams, and the same clamp is
     applied. ``workers`` resolves through
     :func:`~repro.parallel.pool.resolve_profile_workers`; 1 runs inline.
+    The profiling mode comes from
+    :func:`~repro.workloads.catalog.service_profiling_mode` alone;
+    ``config`` supplies the sweep grid, sample budget and slacklimit
+    floor.
 
     With a ``cache``, three granularities are consulted, coarsest first:
     the whole artifact, each load point, each Servpod's slacklimit walk.
     A warm re-run executes zero simulations (see ``stats``).
     """
-    cfg = config or RhythmConfig(profiling_mode=profiling_mode)
-    mode = cfg.profiling_mode
+    cfg = config or RhythmConfig()
+    mode = service_profiling_mode(service)
     stats = stats if stats is not None else ProfileStats()
     signature = _profile_signature(cfg, probe_duration_s)
-    memo_key = (service.name, seed, mode, probe_slacklimits, signature)
+    memo_key = (service, seed, probe_slacklimits, signature)
     memo_hit = _ARTIFACT_MEMO.get(memo_key)
     if memo_hit is not None:
         stats.artifact_cache_hits += 1
@@ -505,7 +517,6 @@ def _derive_slacklimits(
 def profile_services_parallel(
     cells: Sequence,
     seed_by_service: Optional[Mapping[str, int]] = None,
-    profiling_mode: str = "direct",
     probe_slacklimits: bool = True,
     cache: Union[None, bool, CacheStore] = None,
     workers: Optional[int] = None,
@@ -513,11 +524,13 @@ def profile_services_parallel(
 ) -> Dict[str, RhythmArtifact]:
     """Profile every distinct service of a cell list, fanned out.
 
-    The parallel drop-in for the grid engine's ``profile_services``:
-    same seed resolution (each service profiles at the seed of its first
-    cell unless ``seed_by_service`` overrides it), same artifact
-    contract, but the sweep and the Algorithm-1 walks run through the
-    shared worker pool and the cache works at sub-profile granularity.
+    Each service profiles at the seed of its first cell unless
+    ``seed_by_service`` overrides it. The sweep and the Algorithm-1
+    walks run through the shared worker pool (``workers`` resolves via
+    :func:`~repro.parallel.pool.resolve_profile_workers`); with a
+    ``cache``, artifacts and their sub-profiles are memoized on disk, so
+    a warm process skips every sweep simulation (pass a
+    :class:`ProfileStats` to see the counts).
     """
     artifacts: Dict[str, RhythmArtifact] = {}
     for cell in cells:
@@ -532,7 +545,6 @@ def profile_services_parallel(
         artifacts[name] = profile_service_parallel(
             cell.service,
             seed=seed,
-            profiling_mode=profiling_mode,
             probe_slacklimits=probe_slacklimits,
             workers=workers,
             cache=cache,

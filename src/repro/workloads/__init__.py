@@ -40,7 +40,6 @@ from repro.workloads.catalog import (
     elasticsearch_service,
     elgg_service,
     lc_service_spec,
-    evaluation_lc_services,
 )
 from repro.workloads.microservices import snms_service
 
@@ -66,5 +65,4 @@ __all__ = [
     "elgg_service",
     "snms_service",
     "lc_service_spec",
-    "evaluation_lc_services",
 ]

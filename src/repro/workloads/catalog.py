@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import replace
-from typing import Callable, Dict, List
-
-import numpy as np
+from typing import Callable, Dict
 
 from repro.errors import ConfigurationError
 from repro.interference.sensitivity import SensitivityVector
@@ -470,11 +468,12 @@ def service_spec(name: str) -> ServiceSpec:
     return lc_service_spec(name)
 
 
-def evaluation_lc_services() -> List[ServiceSpec]:
-    """The five LC services used in the §5 evaluation grids, in paper order."""
-    return [lc_service_spec(name) for name in LC_CATALOG]
+def service_profiling_mode(service: ServiceSpec) -> str:
+    """How Rhythm's offline profiler observes ``service``'s requests.
 
-
-def np_seed_probe() -> np.ndarray:  # pragma: no cover - debugging helper
-    """Tiny helper exposing the calibration RNG for reproducibility checks."""
-    return RandomStreams(_CALIBRATION_SEED).stream("probe").random(3)
+    SNMS ships its own jaeger tracing (§2 of the paper), so its profile
+    comes from jaeger spans; every other service is profiled directly.
+    The service's thresholds follow from its profile, so every command
+    that profiles a service asks here and gets the same answer.
+    """
+    return "jaeger" if service.name == "SNMS" else "direct"

@@ -39,17 +39,15 @@ from repro.cache import (
 from repro.cache.store import ENVELOPE_FORMAT, resolve_max_bytes
 from repro.errors import CacheError, CacheKeyError
 from repro.experiments.colocation import ColocationConfig
-from repro.experiments.runner import clear_rhythm_cache
 from repro.loadgen.patterns import CallableLoad, ConstantLoad, StepLoad
 from repro.parallel import (
     GridCell,
     artifact_for,
     comparison_fingerprint,
-    profile_services,
     run_comparison_grid,
 )
 from repro.parallel.grid import _CellTask, cell_cache_key
-from repro.parallel.profile import clear_profile_memo
+from repro.parallel.profile import clear_profile_memo, profile_services_parallel
 from repro.workloads.latency import LatencyModel
 from conftest import make_tiny_service
 
@@ -58,11 +56,9 @@ import repro.parallel.profile as profile_module
 
 
 @pytest.fixture(scope="module", autouse=True)
-def _fresh_rhythm_cache():
-    clear_rhythm_cache()
+def _fresh_profile_memo():
     clear_profile_memo()
     yield
-    clear_rhythm_cache()
     clear_profile_memo()
 
 
@@ -506,32 +502,28 @@ class TestArtifactCaching:
     def test_warm_profile_skips_probe(self, store, monkeypatch):
         service = make_tiny_service("cached-svc")
         cells = [GridCell(service, evaluation_be_jobs()[0], 0.3, seed=0)]
-        clear_rhythm_cache()
         clear_profile_memo()
-        first = profile_services(cells, probe_slacklimits=False, cache=store)
+        first = profile_services_parallel(cells, probe_slacklimits=False, cache=store)
 
         def _boom(*args, **kwargs):
             raise AssertionError("warm profile must come from the store")
 
         monkeypatch.setattr(profile_module, "run_envelopes", _boom)
-        clear_rhythm_cache()
         clear_profile_memo()
-        second = profile_services(cells, probe_slacklimits=False, cache=store)
+        second = profile_services_parallel(cells, probe_slacklimits=False, cache=store)
         assert second == first
 
     def test_profiling_knobs_change_the_key(self, store):
         service = make_tiny_service("keyed-svc")
         cells = [GridCell(service, evaluation_be_jobs()[0], 0.3, seed=0)]
-        clear_rhythm_cache()
         clear_profile_memo()
-        profile_services(cells, probe_slacklimits=False, cache=store)
+        profile_services_parallel(cells, probe_slacklimits=False, cache=store)
         entries = store.stats().entries
         # Sub-profile granularity: one artifact plus one entry per sweep
         # load point.
         assert entries > 1
-        clear_rhythm_cache()
         clear_profile_memo()
-        profile_services(
+        profile_services_parallel(
             cells,
             probe_slacklimits=False,
             cache=store,

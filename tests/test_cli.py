@@ -10,10 +10,17 @@ from repro.baselines.heracles import heracles_controllers
 from repro.bejobs.catalog import be_job_spec
 from repro.cli import build_parser, main
 from repro.experiments.colocation import ColocationConfig
-from repro.experiments.runner import build_rhythm_controllers, run_cell
+from repro.experiments.bakeoff import rhythm_member
+from repro.experiments.fleet import rhythm_fleet_policies
+from repro.experiments.runner import run_cell
 from repro.faults.spec import FaultSchedule
 from repro.loadgen.patterns import ConstantLoad
-from repro.workloads.catalog import lc_service_spec
+from repro.parallel.profile import profile_service_parallel
+from repro.workloads.catalog import (
+    lc_service_spec,
+    service_profiling_mode,
+    service_spec,
+)
 
 
 class TestParser:
@@ -46,6 +53,25 @@ class TestCommands:
         assert "master" in out and "slave" in out
         assert "loadlimit" in out
 
+    def test_profile_snms_matches_fleet_and_bakeoff_thresholds(self, capsys):
+        # SNMS is profiled from its jaeger spans by every command, so the
+        # table `profile` prints is what the fleet and bake-off run.
+        assert service_profiling_mode(service_spec("SNMS")) == "jaeger"
+        assert service_profiling_mode(lc_service_spec("Redis")) == "direct"
+        assert main(["profile", "SNMS", "--no-probe"]) == 0
+        table = {}
+        for line in capsys.readouterr().out.splitlines():
+            cells = [c.strip() for c in line.split("|")]
+            if len(cells) == 7 and cells[0] != "Servpod":
+                table[cells[0]] = (float(cells[5]), float(cells[6]))
+        policies = rhythm_fleet_policies("SNMS")
+        assert set(table) == set(policies) == set(service_spec("SNMS").servpod_names)
+        for pod, policy in policies.items():
+            assert table[pod] == (
+                round(policy.loadlimit, 2), round(policy.slacklimit, 3)
+            )
+        assert rhythm_member("SNMS").policies == tuple(sorted(policies.items()))
+
     def test_profile_unknown_service_fails_cleanly(self, capsys):
         assert main(["profile", "Netflix", "--no-probe"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -77,7 +103,9 @@ class TestChaosCli:
         assert len(payload["schedule"]) == len(schedule)
         config = ColocationConfig(duration_s=20.0, faults=schedule)
         controllers = {
-            "rhythm": build_rhythm_controllers(service, probe_slacklimits=False),
+            "rhythm": profile_service_parallel(
+                service, probe_slacklimits=False, workers=1
+            ).controllers(),
             "heracles": heracles_controllers(service),
         }
         assert list(payload["systems"]) == list(controllers)

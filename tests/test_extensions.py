@@ -151,15 +151,15 @@ class TestMultiLcExperiment:
 
 class TestUniformRhythmAblation:
     def test_uniform_twin_uses_worst_case_thresholds(self):
-        from repro.experiments.runner import clear_rhythm_cache, get_rhythm
+        from repro.parallel.profile import clear_profile_memo, profile_service_parallel
         from repro.workloads.catalog import ecommerce_service
 
-        clear_rhythm_cache()
+        clear_profile_memo()
         spec = ecommerce_service()
-        rhythm = get_rhythm(spec)
+        artifact = profile_service_parallel(spec, workers=1)
         uniform = uniform_rhythm_controllers(spec)
-        min_load = min(rhythm.loadlimits().values())
-        max_slack = max(rhythm.slacklimits().values())
+        min_load = min(artifact.loadlimit_map().values())
+        max_slack = max(artifact.slacklimit_map().values())
         for ctrl in uniform.values():
             assert ctrl.thresholds.loadlimit == min_load
             assert ctrl.thresholds.slacklimit == max_slack

@@ -34,11 +34,7 @@ from repro.experiments.bakeoff import (
     run_bakeoff,
     run_member_reference,
 )
-from repro.experiments.runner import (
-    build_rhythm_controllers,
-    clear_rhythm_cache,
-    run_cell,
-)
+from repro.experiments.runner import run_cell
 from repro.faults import (
     ClusterFaultInjector,
     ExecutorFaultPlan,
@@ -81,10 +77,8 @@ FAST = ColocationConfig(duration_s=20.0, sample_cap=150, min_samples=50)
 
 @pytest.fixture(scope="module", autouse=True)
 def _fresh_state():
-    clear_rhythm_cache()
     clear_profile_memo()
     yield
-    clear_rhythm_cache()
     clear_profile_memo()
 
 
@@ -335,7 +329,9 @@ class TestFaultStormColocation:
         from dataclasses import replace as dc_replace
 
         config = dc_replace(FAST, faults=schedule)
-        controllers = build_rhythm_controllers(service, probe_slacklimits=False)
+        controllers = profile_service_parallel(
+            service, probe_slacklimits=False, workers=1
+        ).controllers()
         be = evaluation_be_jobs()[0]
         one = run_cell(service, controllers, be, ConstantLoad(0.5), config=config)
         two = run_cell(service, controllers, be, ConstantLoad(0.5), config=config)
@@ -348,7 +344,9 @@ class TestFaultStormColocation:
         )
         from dataclasses import replace as dc_replace
 
-        controllers = build_rhythm_controllers(service, probe_slacklimits=False)
+        controllers = profile_service_parallel(
+            service, probe_slacklimits=False, workers=1
+        ).controllers()
         be = evaluation_be_jobs()[0]
         healthy = run_cell(service, controllers, be, ConstantLoad(0.5), config=FAST)
         stormy = run_cell(

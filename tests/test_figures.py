@@ -25,7 +25,7 @@ from repro.experiments.figures.figure16 import run_figure16
 from repro.experiments.figures.figure17 import run_figure17
 from repro.experiments.figures.figure18 import normalized_throughput, run_figure18
 from repro.experiments.figures.table1 import table1_rows
-from repro.experiments.runner import clear_rhythm_cache
+from repro.parallel.profile import clear_profile_memo
 from repro.workloads.catalog import redis_service
 
 FAST = ColocationConfig(duration_s=30.0, sample_cap=150, min_samples=50)
@@ -33,9 +33,9 @@ FAST = ColocationConfig(duration_s=30.0, sample_cap=150, min_samples=50)
 
 @pytest.fixture(scope="module", autouse=True)
 def _fresh_cache():
-    clear_rhythm_cache()
+    clear_profile_memo()
     yield
-    clear_rhythm_cache()
+    clear_profile_memo()
 
 
 def test_figure2_structure():

@@ -10,13 +10,9 @@ import pytest
 
 from repro.bejobs.catalog import STREAM_DRAM, WORDCOUNT
 from repro.experiments.colocation import ColocationConfig
-from repro.experiments.runner import (
-    build_rhythm_controllers,
-    clear_rhythm_cache,
-    compare_systems,
-    get_rhythm,
-)
+from repro.experiments.runner import compare_systems
 from repro.loadgen.clarknet import clarknet_production_load
+from repro.parallel.profile import clear_profile_memo, profile_service_parallel
 from repro.workloads.catalog import ecommerce_service, redis_service
 from repro.workloads.microservices import snms_service
 
@@ -30,43 +26,46 @@ def ecom():
 
 @pytest.fixture(scope="module", autouse=True)
 def _fresh_cache():
-    clear_rhythm_cache()
+    clear_profile_memo()
     yield
-    clear_rhythm_cache()
+    clear_profile_memo()
+
+
+def _artifact(service, probe_slacklimits=True):
+    return profile_service_parallel(
+        service, probe_slacklimits=probe_slacklimits, workers=1
+    )
 
 
 class TestDerivedThresholds:
     def test_loadlimits_match_paper_targets(self, ecom):
         """Figure 8: MySQL ~0.76, Tomcat ~0.87."""
-        rhythm = get_rhythm(ecom, probe_slacklimits=False)
-        limits = rhythm.loadlimits()
+        limits = _artifact(ecom, probe_slacklimits=False).loadlimit_map()
         assert limits["mysql"] == pytest.approx(0.76, abs=0.05)
         assert limits["tomcat"] == pytest.approx(0.87, abs=0.05)
         assert limits["mysql"] < limits["tomcat"]
 
     def test_redis_slave_loadlimit(self):
         """Paper §5.2.1: Slave loadlimit ~0.91."""
-        rhythm = get_rhythm(redis_service(), probe_slacklimits=False)
-        assert rhythm.loadlimits()["slave"] == pytest.approx(0.91, abs=0.05)
+        artifact = _artifact(redis_service(), probe_slacklimits=False)
+        assert artifact.loadlimit_map()["slave"] == pytest.approx(0.91, abs=0.05)
 
     def test_mysql_contributes_most(self, ecom):
-        rhythm = get_rhythm(ecom, probe_slacklimits=False)
-        normalized = rhythm.contributions().normalized()
+        normalized = _artifact(ecom, probe_slacklimits=False).contribution_map()
         assert normalized["mysql"] == max(normalized.values())
         assert normalized["mysql"] > normalized["tomcat"] > normalized["haproxy"]
 
     def test_slacklimit_ordering(self, ecom):
         """MySQL (highest contribution) gets the most conservative gate."""
-        rhythm = get_rhythm(ecom)
-        limits = rhythm.slacklimits()
+        limits = _artifact(ecom).slacklimit_map()
         assert limits["mysql"] > limits["tomcat"]
         assert limits["tomcat"] > limits["haproxy"]
 
     def test_snms_contribution_ordering(self):
         """Paper §5.3.2: userservice > mediaservice > frontend."""
-        rhythm = get_rhythm(snms_service(), profiling_mode="jaeger",
-                            probe_slacklimits=False)
-        normalized = rhythm.contributions().normalized()
+        normalized = _artifact(
+            snms_service(), probe_slacklimits=False
+        ).contribution_map()
         assert (
             normalized["userservice"]
             > normalized["mediaservice"]
@@ -99,7 +98,7 @@ class TestProductionSafety:
     def test_rhythm_guards_sla_under_production_load(self, ecom):
         """Figure 15d: no violations, worst tail below the SLA."""
         pattern = clarknet_production_load(duration_s=300.0, days=1)
-        controllers = build_rhythm_controllers(ecom)
+        controllers = _artifact(ecom).controllers()
         from repro.experiments.runner import run_cell
 
         result = run_cell(

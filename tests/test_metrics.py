@@ -1,4 +1,4 @@
-"""Tests for percentiles, time series, EMU and the metric collector."""
+"""Tests for percentiles, EMU and the metric collector."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.errors import ConfigurationError
 from repro.metrics.collector import MachineMetrics
 from repro.metrics.emu import EmuAccumulator, UtilisationAccumulator
 from repro.metrics.percentile import WindowedTailTracker, percentile
-from repro.metrics.timeseries import TimeSeries
 
 
 class TestPercentile:
@@ -47,34 +46,6 @@ class TestWindowedTail:
             t.add_samples(values)
             t.roll_window()
         assert t.violation_count(sla=3.0) == 1
-
-
-class TestTimeSeries:
-    def test_append_and_summaries(self):
-        s = TimeSeries("x")
-        for t, v in [(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)]:
-            s.append(t, v)
-        assert len(s) == 3
-        assert s.mean() == pytest.approx(3.0)
-        assert s.max() == 5.0
-        assert s.last() == 5.0
-
-    def test_time_weighted_mean(self):
-        s = TimeSeries()
-        s.append(0.0, 10.0)  # held for 1s
-        s.append(1.0, 0.0)   # held for 9s
-        s.append(10.0, 99.0)  # terminal stamp
-        assert s.time_weighted_mean() == pytest.approx(1.0)
-
-    def test_backwards_time_rejected(self):
-        s = TimeSeries()
-        s.append(1.0, 0.0)
-        with pytest.raises(ConfigurationError):
-            s.append(0.5, 0.0)
-
-    def test_empty_summaries_raise(self):
-        with pytest.raises(ConfigurationError):
-            TimeSeries().mean()
 
 
 class TestEmu:

@@ -19,7 +19,7 @@ import pytest
 from repro.bejobs.catalog import evaluation_be_jobs
 from repro.errors import ConfigurationError, ExperimentError, ProfilingError
 from repro.experiments.colocation import ColocationConfig
-from repro.experiments.runner import clear_rhythm_cache, get_rhythm
+from repro.experiments.runner import get_rhythm
 from repro.metrics.percentile import (
     HistogramTailTracker,
     WindowedTailTracker,
@@ -32,20 +32,17 @@ from repro.parallel import (
     artifact_for,
     comparison_fingerprint,
     derive_cell_seed,
-    profile_services,
     resolve_workers,
     run_comparison_grid,
 )
-from repro.parallel.profile import clear_profile_memo
+from repro.parallel.profile import clear_profile_memo, profile_services_parallel
 from conftest import make_tiny_service
 
 
 @pytest.fixture(scope="module", autouse=True)
 def _fresh_cache():
-    clear_rhythm_cache()
     clear_profile_memo()
     yield
-    clear_rhythm_cache()
     clear_profile_memo()
 
 
@@ -136,7 +133,7 @@ class TestParallelGridDeterminism:
     def test_profiles_once_in_parent(self, tiny_artifact):
         service, _ = tiny_artifact
         cells = self._cells(service)
-        artifacts = profile_services(cells, probe_slacklimits=False)
+        artifacts = profile_services_parallel(cells, probe_slacklimits=False)
         assert set(artifacts) == {service.name}
 
     def test_empty_grid(self):

@@ -23,7 +23,7 @@ from repro.cache.keys import stable_hash
 from repro.cache.store import CacheStore
 from repro.errors import ExperimentError, ProfilingError
 from repro.experiments.colocation import ColocationConfig
-from repro.experiments.runner import clear_rhythm_cache
+from repro.experiments.runner import get_rhythm
 from repro.core.rhythm import RhythmConfig
 from repro.parallel import (
     GridCell,
@@ -49,10 +49,8 @@ FAST = ColocationConfig(duration_s=20.0, sample_cap=150, min_samples=50)
 
 @pytest.fixture(autouse=True)
 def _fresh_profiling_state():
-    clear_rhythm_cache()
     clear_profile_memo()
     yield
-    clear_rhythm_cache()
     clear_profile_memo()
 
 
@@ -97,6 +95,19 @@ class TestProfilingIdentity:
             service, seed=0, probe_slacklimits=False, workers=2
         )
         assert parallel == serial
+
+    def test_memo_keys_on_the_spec_not_its_name(self):
+        # Two specs that share a name but not an SLA must not share an
+        # artifact (or, on the serial route, a pipeline).
+        original, edited = make_tiny_service(), make_tiny_service(sla_ms=120.0)
+        for spec in (original, edited):
+            artifact = profile_service_parallel(
+                spec, probe_slacklimits=False, workers=1
+            )
+            assert artifact.sla_ms == spec.sla_ms
+            rhythm = get_rhythm(spec, probe_slacklimits=False)
+            assert rhythm.spec.sla_ms == spec.sla_ms
+        assert artifact == artifact_for(edited, probe_slacklimits=False)
 
     def test_validation_mirrors_serial_profiler(self, service):
         with pytest.raises(ProfilingError):
