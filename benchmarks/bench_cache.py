@@ -15,6 +15,11 @@ object *is* the cold result), and a warm re-run of an unchanged grid is
 expected to be ≥5× faster than the cold run — on any hardware, since it
 replaces simulation with deserialisation.
 
+A second probe times writes into a large store: a fresh
+:class:`~repro.cache.store.CacheStore` opened on a directory already
+holding 2,000 entries makes 100 puts, and the report gives the mean
+milliseconds per put (the store's one directory scan included).
+
 Run standalone (``PYTHONPATH=src python benchmarks/bench_cache.py
 [--out BENCH_cache.json]``) or via
 ``pytest benchmarks/bench_cache.py --benchmark-only``.
@@ -32,7 +37,7 @@ from typing import Dict, List, Optional
 
 from bench_env import environment
 from repro.bejobs.catalog import evaluation_be_jobs
-from repro.cache import CacheOutcomes, CacheStore
+from repro.cache import CacheOutcomes, CacheStore, stable_hash
 from repro.experiments.colocation import ColocationConfig
 from repro.parallel.grid import (
     GridCell,
@@ -52,6 +57,11 @@ DEFAULT_REPORT = "BENCH_cache.json"
 #: Acceptance floor for the warm-over-cold speedup.
 MIN_SPEEDUP = 5.0
 
+#: Put probe: entries already in the store, timed puts, payload bytes.
+PROBE_ENTRIES = 2000
+PROBE_PUTS = 100
+PROBE_PAYLOAD_BYTES = 1500
+
 
 def build_cells(seed: int = 0) -> List[GridCell]:
     """The benchmark's cell list (deterministic order)."""
@@ -61,6 +71,30 @@ def build_cells(seed: int = 0) -> List[GridCell]:
         for be in evaluation_be_jobs()[:BENCH_BE_JOBS]
         for load in BENCH_LOADS
     ]
+
+
+def time_puts_into_filled_store() -> Dict[str, object]:
+    """Mean ms per put for a new store opened on a pre-filled directory."""
+    cache_dir = tempfile.mkdtemp(prefix="rhythm-bench-puts-")
+    payload = b"x" * PROBE_PAYLOAD_BYTES
+    try:
+        filler = CacheStore(cache_dir)
+        for i in range(PROBE_ENTRIES):
+            filler.put(stable_hash(("fill", i)), payload)
+        store = CacheStore(cache_dir)
+        keys = [stable_hash(("probe", i)) for i in range(PROBE_PUTS)]
+        t0 = time.perf_counter()
+        for key in keys:
+            store.put(key, payload)
+        elapsed = time.perf_counter() - t0
+    finally:
+        shutil.rmtree(cache_dir, ignore_errors=True)
+    return {
+        "prefilled_entries": PROBE_ENTRIES,
+        "puts": PROBE_PUTS,
+        "payload_bytes": PROBE_PAYLOAD_BYTES,
+        "ms_per_put": round(1000.0 * elapsed / PROBE_PUTS, 3),
+    }
 
 
 def run_benchmark(
@@ -126,6 +160,7 @@ def run_benchmark(
         }
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
+    report["put_into_filled_store"] = time_puts_into_filled_store()
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
@@ -165,7 +200,8 @@ def main() -> int:
         f"\n{report['grid']['simulations']} simulations | "
         f"cold {report['cold_s']}s | warm {report['warm_s']}s | "
         f"speedup {report['speedup']}x | bit-identical | "
-        f"report -> {args.out}"
+        f"{report['put_into_filled_store']['ms_per_put']} ms/put into "
+        f"{PROBE_ENTRIES} entries | report -> {args.out}"
     )
     return 0
 

@@ -16,7 +16,14 @@ paranoid:
   only ever cost a recompute, never crash a run;
 - **LRU size cap** — reads refresh an entry's mtime; when the store
   grows past ``max_bytes`` (``RHYTHM_CACHE_MAX_BYTES``), the
-  least-recently-used entries are evicted first.
+  least-recently-used entries are evicted first. A store keeps a
+  running byte total: its first put scans the directory once, every
+  later put adds the bytes it wrote, and the directory is scanned
+  again (and entries evicted) only when that total passes the cap.
+  The total may overcount (a replaced key counts twice, a deleted
+  corrupt entry is not subtracted) but never undercounts this store's
+  own writes, so eviction happens at the same puts a scan per put
+  would trigger. Other processes' writes are seen at the next scan.
 
 ``RHYTHM_CACHE=off`` (or ``0``/``false``/``no``) disables the default
 store entirely — :func:`default_store` returns ``None`` and every caller
@@ -148,6 +155,9 @@ class CacheStore:
         self.stores = 0
         self.evictions = 0
         self.errors = 0
+        #: Running byte total of the store; ``None`` until the first
+        #: put counts the directory.
+        self._total: Optional[int] = None
 
     # -- paths -----------------------------------------------------------
 
@@ -216,6 +226,7 @@ class CacheStore:
             try:
                 with os.fdopen(fd, "wb") as fh:
                     pickle.dump(envelope, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                    size = fh.tell()
                 os.replace(tmp_name, path)
             except BaseException:
                 try:
@@ -227,7 +238,12 @@ class CacheStore:
             self.errors += 1
             return False
         self.stores += 1
-        self._evict_lru()
+        if self._total is None:
+            self._evict_lru()
+        else:
+            self._total += size
+            if self._total > self.max_bytes:
+                self._evict_lru()
         return True
 
     def contains(self, key: str) -> bool:
@@ -237,7 +253,11 @@ class CacheStore:
     # -- maintenance -----------------------------------------------------
 
     def _evict_lru(self) -> int:
-        """Evict least-recently-used entries until under ``max_bytes``."""
+        """Evict least-recently-used entries until under ``max_bytes``.
+
+        Scans the whole directory, so it also resets the running total
+        to the true size of what is left.
+        """
         sized: List[Tuple[float, int, Path]] = []
         total = 0
         for path in self._entries():
@@ -248,6 +268,7 @@ class CacheStore:
             sized.append((stat.st_mtime, stat.st_size, path))
             total += stat.st_size
         if total <= self.max_bytes:
+            self._total = total
             return 0
         evicted = 0
         for _, size, path in sorted(sized):
@@ -259,11 +280,13 @@ class CacheStore:
                 continue
             total -= size
             evicted += 1
+        self._total = total
         self.evictions += evicted
         return evicted
 
     def clear(self) -> int:
         """Delete every entry; returns the number of files removed."""
+        self._total = None
         removed = 0
         for path in self._entries():
             try:

@@ -252,10 +252,7 @@ class BatchedServiceSampler:
             # same value stream, same generator state after.
             total = rng.lognormal(mean=mean, sigma=sigma, size=n)
         else:
-            draws = rng.lognormal(mean=mean, sigma=sigma, size=(mean.shape[0], n))
-            total = draws[0]
-            for row in draws[1:]:
-                total = total + row
+            total = LatencyModel.draw_servpod_ms(mean, sigma, n, rng)
         if not children:
             return total
         if combine is None:

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
-
-import networkx as nx
+from typing import Dict, Iterable, KeysView, List, Optional, Tuple
 
 from repro.errors import TracingError
 from repro.tracing.causality import CausalityMatcher, MatchedSegment
@@ -28,11 +26,47 @@ from repro.tracing.events import ContextId, EventType, SysEvent
 CLIENT_NODE = "client"
 
 
+class PathGraph:
+    """A small directed graph with insertion-ordered nodes and edges.
+
+    Covers what the tracer needs of a networkx ``DiGraph``: ``add_edge``
+    adds missing endpoints source first and merges edge attributes,
+    ``nodes`` and ``edges`` iterate in networkx's order (nodes as
+    added; edges grouped by source, targets as added), and
+    ``graph[u][v]`` is the attribute dict of edge ``u -> v``.
+    """
+
+    def __init__(self) -> None:
+        self._succ: Dict[str, Dict[str, Dict[str, float]]] = {}
+
+    def add_node(self, node: str) -> None:
+        self._succ.setdefault(node, {})
+
+    def add_edge(self, u: str, v: str, **attrs: float) -> None:
+        self.add_node(u)
+        self.add_node(v)
+        self._succ[u].setdefault(v, {}).update(attrs)
+
+    def has_edge(self, u: str, v: str) -> bool:
+        return v in self._succ.get(u, ())
+
+    @property
+    def nodes(self) -> KeysView[str]:
+        return self._succ.keys()
+
+    @property
+    def edges(self) -> List[Tuple[str, str]]:
+        return [(u, v) for u, succ in self._succ.items() for v in succ]
+
+    def __getitem__(self, node: str) -> Dict[str, Dict[str, float]]:
+        return self._succ[node]
+
+
 @dataclass
 class RequestPath:
     """One reconstructed request: its CPG and per-Servpod sojourns."""
 
-    graph: nx.DiGraph
+    graph: PathGraph
     #: Per-Servpod total sojourn time (ms), summed over revisits.
     sojourns: Dict[str, float] = field(default_factory=dict)
     #: Client-observed end-to-end latency (ms).
@@ -93,7 +127,7 @@ class CausalPathGraph:
             pair = self._pair_for_send(out_calls[send.context], send)
             if pair is None:
                 continue
-            graph = nx.DiGraph()
+            graph = PathGraph()
             graph.add_node(CLIENT_NODE)
             sojourns: Dict[str, float] = {}
             self._walk(pair, CLIENT_NODE, graph, sojourns, out_calls, segs_by_ctx)
@@ -101,12 +135,14 @@ class CausalPathGraph:
             paths.append(RequestPath(graph=graph, sojourns=sojourns, e2e_ms=e2e))
         return paths
 
-    def aggregate_graph(self, events: Iterable[SysEvent]) -> nx.DiGraph:
+    def aggregate_graph(self, events: Iterable[SysEvent]) -> PathGraph:
         """The service topology: union of all reconstructed request CPGs."""
-        graph = nx.DiGraph()
+        graph = PathGraph()
         for path in self.reconstruct_requests(events):
-            graph.add_nodes_from(path.graph.nodes)
-            graph.add_edges_from(path.graph.edges)
+            for node in path.graph.nodes:
+                graph.add_node(node)
+            for u, v in path.graph.edges:
+                graph.add_edge(u, v)
         return graph
 
     # -- internals ----------------------------------------------------
@@ -115,7 +151,7 @@ class CausalPathGraph:
         self,
         pair,
         caller_node: str,
-        graph: nx.DiGraph,
+        graph: PathGraph,
         sojourns: Dict[str, float],
         out_calls: Dict[ContextId, List],
         segs_by_ctx: Dict[ContextId, List[MatchedSegment]],

@@ -123,9 +123,19 @@ class LatencyModel:
         if n < 0:
             raise ConfigurationError(f"cannot sample {n} sojourns")
         means, sigmas = cls.component_params(pod, load, slowdown, sigma_inflation)
-        draws = rng.lognormal(
-            mean=means, sigma=sigmas, size=(len(pod.components), n)
-        )
+        return cls.draw_servpod_ms(means, sigmas, n, rng)
+
+    @staticmethod
+    def draw_servpod_ms(
+        means: np.ndarray, sigmas: np.ndarray, n: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Draw ``n`` Servpod sojourns from a :meth:`component_params` block.
+
+        Callers that visit one Servpod many times under a fixed load and
+        state build the block once and draw through here, consuming the
+        RNG exactly as :meth:`sample_servpod_ms` would.
+        """
+        draws = rng.lognormal(mean=means, sigma=sigmas, size=(means.shape[0], n))
         # Sequential row sum preserves the scalar path's addition order.
         total = draws[0]
         for row in draws[1:]:

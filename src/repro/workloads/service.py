@@ -202,25 +202,26 @@ class Service:
         state = state or ServiceState.solo()
         rng = self.streams.stream(f"service:{self.spec.name}:records")
         counts = self._type_counts(n, rng)
+        # Load and state are fixed for the call: one parameter block per
+        # Servpod, built at its first visit.
+        params: Dict[str, tuple] = {}
+
+        def sojourn_of(pod_name: str) -> float:
+            block = params.get(pod_name)
+            if block is None:
+                block = params[pod_name] = LatencyModel.component_params(
+                    self.spec.servpod(pod_name),
+                    load,
+                    slowdown=state.slowdown(pod_name),
+                    sigma_inflation=state.sigma_inflation(pod_name),
+                )
+            return float(LatencyModel.draw_servpod_ms(*block, 1, rng)[0])
+
         records: List[RequestRecord] = []
         t = t_start
         for rtype, count in counts:
             for _ in range(count):
                 self._request_counter += 1
-
-                def sojourn_of(pod_name: str) -> float:
-                    pod = self.spec.servpod(pod_name)
-                    return float(
-                        LatencyModel.sample_servpod_ms(
-                            pod,
-                            load,
-                            1,
-                            rng,
-                            slowdown=state.slowdown(pod_name),
-                            sigma_inflation=state.sigma_inflation(pod_name),
-                        )[0]
-                    )
-
                 records.append(
                     build_execution(
                         rtype.root,

@@ -7,7 +7,8 @@ Covers the issue's acceptance criteria:
   config, artifact, code-version salt),
 - corrupted / foreign / truncated entries are dropped and recomputed,
   never crash a run,
-- LRU eviction keeps the store under its size cap,
+- LRU eviction keeps the store under its size cap, and the running
+  byte total evicts at the same puts as a scan per put would,
 - ``RHYTHM_CACHE=off`` bypasses the default store entirely,
 - a warm ``run_comparison_grid`` re-run executes zero simulations and
   returns bit-identical results,
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -167,9 +169,30 @@ class TestStableHash:
         assert len(digests) == 1
 
 
+class _ScanEveryPut(CacheStore):
+    """The store without a running total: every put scans the directory."""
+
+    def put(self, key, payload):
+        self._total = None
+        return super().put(key, payload)
+
+
 class TestCacheStore:
     def _key(self, token: str) -> str:
         return stable_hash(token)
+
+    @staticmethod
+    def _count_scans(store, monkeypatch) -> list:
+        """A one-item list counting ``store._entries`` calls."""
+        calls = [0]
+        entries = store._entries
+
+        def counted():
+            calls[0] += 1
+            return entries()
+
+        monkeypatch.setattr(store, "_entries", counted)
+        return calls
 
     def test_roundtrip(self, store):
         key = self._key("a")
@@ -178,6 +201,9 @@ class TestCacheStore:
         assert store.get(key) == {"value": [1.5, "x"]}
         assert store.contains(key)
         assert store.hits == 1 and store.misses == 1 and store.stores == 1
+        # A replaced key is counted again: the total may only overcount.
+        assert store.put(key, {"value": [2.5]})
+        assert store._total >= store.stats().total_bytes
 
     def test_malformed_key_rejected(self, store):
         with pytest.raises(CacheError):
@@ -192,8 +218,11 @@ class TestCacheStore:
         assert store.get(key) is None
         assert store.errors == 1
         assert not store.contains(key)  # bad file deleted
+        # The deleted entry is not subtracted: the total may only overcount.
+        assert store._total >= store.stats().total_bytes
         # The slot is usable again.
         assert store.put(key, 456) and store.get(key) == 456
+        assert store._total >= store.stats().total_bytes
 
     def test_foreign_envelope_format_is_a_miss(self, store):
         key = self._key("foreign")
@@ -219,22 +248,94 @@ class TestCacheStore:
         assert store.errors == 1
         assert store.stats().entries == 0
 
-    def test_lru_eviction(self, tmp_path):
+    def test_lru_eviction(self, tmp_path, monkeypatch):
         probe = CacheStore(tmp_path / "probe")
         probe.put(self._key("probe"), "x" * 1000)
         entry_bytes = probe.stats().total_bytes
-        store = CacheStore(tmp_path / "lru", max_bytes=int(2.5 * entry_bytes))
         keys = [self._key(f"k{i}") for i in range(3)]
-        store.put(keys[0], "x" * 1000)
-        store.put(keys[1], "x" * 1000)
-        # Make keys[0] stale and keys[1] fresh, then overflow the cap.
-        os.utime(store._path(keys[0]), times=(1.0, 1.0))
-        os.utime(store._path(keys[1]), times=(2.0, 2.0))
-        store.put(keys[2], "x" * 1000)
-        assert store.evictions == 1
-        assert not store.contains(keys[0])  # the LRU entry went first
-        assert store.contains(keys[1]) and store.contains(keys[2])
-        assert store.stats().total_bytes <= store.max_bytes
+        for reopen in (False, True):
+            store = CacheStore(
+                tmp_path / f"lru-{reopen}", max_bytes=int(2.5 * entry_bytes)
+            )
+            store.put(keys[0], "x" * 1000)
+            store.put(keys[1], "x" * 1000)
+            if reopen:
+                # A new store on the pre-filled directory counts it at
+                # its first put.
+                store = CacheStore(store.directory, max_bytes=store.max_bytes)
+            # Make keys[0] stale and keys[1] fresh, then overflow the cap.
+            os.utime(store._path(keys[0]), times=(1.0, 1.0))
+            os.utime(store._path(keys[1]), times=(2.0, 2.0))
+            scans = self._count_scans(store, monkeypatch)
+            store.put(keys[2], "x" * 1000)
+            assert scans[0] == 1
+            assert store._total == store.stats().total_bytes
+            assert store.evictions == 1
+            assert not store.contains(keys[0])  # the LRU entry went first
+            assert store.contains(keys[1]) and store.contains(keys[2])
+            assert store.stats().total_bytes <= store.max_bytes
+
+    def test_puts_under_the_cap_scan_once(self, store, monkeypatch):
+        scans = self._count_scans(store, monkeypatch)
+        for token in range(20):
+            assert store.put(self._key(f"n{token}"), token)
+        assert scans[0] == 1
+        assert store._total == store.stats().total_bytes
+
+    def test_running_total_evicts_like_a_scan_per_put(self, tmp_path, monkeypatch):
+        """Same evictions at the same puts as the store that scans every put.
+
+        Both stores start from copies of one pre-filled directory and see
+        the same puts (replaced keys included), reads and corrupt entries;
+        every mtime is set explicitly so the LRU order is the same in both.
+        """
+        rng = np.random.default_rng(7)
+        seed_dir = tmp_path / "seed"
+        filler = CacheStore(seed_dir)
+        for i in range(6):
+            key = self._key(f"pre{i}")
+            filler.put(key, "x" * int(rng.integers(200, 2000)))
+            os.utime(filler._path(key), times=(float(i), float(i)))
+        shutil.copytree(seed_dir, tmp_path / "running")  # copy2 keeps mtimes
+        shutil.copytree(seed_dir, tmp_path / "twin")
+        running = CacheStore(tmp_path / "running", max_bytes=12_000)
+        twin = _ScanEveryPut(tmp_path / "twin", max_bytes=12_000)
+        scans = self._count_scans(running, monkeypatch)
+
+        def survivors(store):
+            return sorted(p.name for p in store.directory.glob("??/*.pkl"))
+
+        pool = [self._key(f"k{i}") for i in range(12)]
+        clock = 100.0
+        put_scans = 0
+        for step in range(80):
+            key = pool[int(rng.integers(len(pool)))]
+            if step % 7 == 3 and running.contains(key):
+                # The same read (or corrupt entry) in both stores.
+                corrupt = step % 14 == 3
+                for store in (running, twin):
+                    if corrupt:
+                        store._path(key).write_bytes(b"junk")
+                    assert (store.get(key) is None) == corrupt
+                    if not corrupt:
+                        os.utime(store._path(key), times=(clock, clock))
+                clock += 1.0
+                assert running._total >= running.stats().total_bytes
+            payload = "y" * int(rng.integers(200, 3000))
+            before = scans[0]
+            for store in (running, twin):
+                assert store.put(key, payload)
+                os.utime(store._path(key), times=(clock, clock))
+            clock += 1.0
+            assert running.evictions == twin.evictions, f"step {step}"
+            assert survivors(running) == survivors(twin), f"step {step}"
+            assert scans[0] - before <= 1
+            if scans[0] > before:
+                put_scans += 1
+                assert running._total == running.stats().total_bytes
+            assert running._total >= running.stats().total_bytes
+        assert twin.evictions > 10 and twin.errors > 0
+        assert put_scans < twin.stores
 
     def test_clear_and_stats(self, store):
         for token in ("a", "b", "c"):
@@ -242,6 +343,10 @@ class TestCacheStore:
         assert store.stats().entries == 3
         assert store.clear() == 3
         assert store.stats().entries == 0 and store.stats().total_bytes == 0
+        # The next put counts the emptied directory afresh.
+        assert store._total is None
+        store.put(self._key("d"), "d")
+        assert store._total == store.stats().total_bytes
 
     def test_invalid_max_bytes_rejected(self, tmp_path):
         with pytest.raises(CacheError):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.sim.rng import RandomStreams
 from repro.tracing.causality import CausalityMatcher
-from repro.tracing.cpg import CLIENT_NODE, CausalPathGraph
+from repro.tracing.cpg import CLIENT_NODE, CausalPathGraph, PathGraph
 from repro.tracing.emitter import (
     CLIENT_PROGRAM,
     EmitterConfig,
@@ -219,6 +219,25 @@ class TestCpg:
         for path in paths:
             assert sorted(path.servpods()) == ["back", "front"]
             assert path.e2e_ms > 0
+
+    def test_request_edges_carry_timestamps(self, traced):
+        _, _, endpoints, events = traced
+        cpg = CausalPathGraph(CausalityMatcher(endpoints))
+        graph = cpg.reconstruct_requests(events)[0].graph
+        assert list(graph.nodes) == [CLIENT_NODE, "front", "back"]
+        assert graph.edges == [(CLIENT_NODE, "front"), ("front", "back")]
+        for u, v in graph.edges:
+            assert graph[u][v]["t_send"] < graph[u][v]["t_recv"]
+
+    def test_path_graph_orders_like_networkx(self):
+        graph = PathGraph()
+        graph.add_edge("a", "b", t_send=1.0)
+        graph.add_edge("c", "a")
+        graph.add_edge("a", "c")
+        graph.add_edge("a", "b", t_recv=2.0)
+        assert list(graph.nodes) == ["a", "b", "c"]
+        assert graph.edges == [("a", "b"), ("a", "c"), ("c", "a")]
+        assert graph["a"]["b"] == {"t_send": 1.0, "t_recv": 2.0}
 
 
 class TestJaeger:
