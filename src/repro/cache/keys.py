@@ -15,8 +15,9 @@ graph into SHA-256:
 - numpy arrays contribute dtype, shape and raw bytes.
 
 Anything without a canonical encoding (a bare function, an open file)
-raises :class:`~repro.errors.CacheKeyError`; the grid engine treats such
-cells as uncacheable and recomputes them rather than guessing.
+raises :class:`~repro.errors.CacheKeyError`; every cached unit looks
+itself up through :func:`~repro.cache.store.cache_lookup`, which treats
+such a unit as uncacheable and recomputes it rather than guessing.
 
 The :data:`CODE_VERSION_SALT` is mixed into every key. Bump it whenever
 a change alters what simulations produce for the *same* config (new RNG

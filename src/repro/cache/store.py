@@ -37,9 +37,9 @@ import pickle
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple, Union
 
-from repro.errors import CacheError
+from repro.errors import CacheError, CacheKeyError
 
 #: Environment variable naming the cache directory.
 CACHE_DIR_ENV_VAR = "RHYTHM_CACHE_DIR"
@@ -108,11 +108,12 @@ class CacheStats:
 class CacheOutcomes:
     """How one cached run's units of work fared against the store.
 
-    A unit is whatever the caller caches whole: a grid cell, a fleet
-    zone, a bake-off (scenario, member) cell. ``hits`` were served from
-    the store without simulating, ``misses`` were simulated and stored,
-    ``skipped`` were simulated but not cached (no store, or an
-    uncacheable key).
+    A unit is whatever the caller caches whole: a grid cell, a profile
+    load point or slacklimit walk, a fleet zone, a bake-off (scenario,
+    member) cell. ``hits`` were served from the store without
+    simulating, ``misses`` were simulated and stored, ``skipped`` were
+    simulated but not cached (no store, or an uncacheable key). Only
+    :func:`cache_lookup` counts into it.
     """
 
     hits: int = 0
@@ -134,6 +135,37 @@ class CacheOutcomes:
         self.hits += other.hits
         self.misses += other.misses
         self.skipped += other.skipped
+
+
+def cache_lookup(
+    store: Optional[CacheStore],
+    make_key: Callable[[], str],
+    accept: Callable[[Any], bool],
+    outcomes: CacheOutcomes,
+) -> Tuple[Optional[str], Any]:
+    """Look one unit of work up in ``store``: ``(key, hit)``.
+
+    The single cache policy every cached unit goes through. No store, or
+    a ``make_key`` that raises :class:`~repro.errors.CacheKeyError`,
+    skips the unit: ``(None, None)``. Otherwise the stored entry is a
+    hit only if ``accept`` takes it; a missing, corrupt or wrong-shaped
+    entry is a miss, ``(key, None)``, which the caller recomputes and
+    puts back under ``key``. The outcome is counted into ``outcomes``.
+    """
+    if store is None:
+        outcomes.skipped += 1
+        return None, None
+    try:
+        key = make_key()
+    except CacheKeyError:
+        outcomes.skipped += 1
+        return None, None
+    entry = store.get(key)
+    if entry is not None and accept(entry):
+        outcomes.hits += 1
+        return key, entry
+    outcomes.misses += 1
+    return key, None
 
 
 class CacheStore:
@@ -326,3 +358,17 @@ def default_store() -> Optional[CacheStore]:
     if not cache_enabled():
         return None
     return CacheStore()
+
+
+def resolve_store(cache: Union[None, bool, CacheStore]) -> Optional[CacheStore]:
+    """Normalize a ``cache`` argument to a store (or no caching).
+
+    ``None``/``False`` disable caching; ``True`` uses the
+    environment-default store (which ``RHYTHM_CACHE=off`` may veto);
+    a :class:`CacheStore` is used as given.
+    """
+    if isinstance(cache, CacheStore):
+        return cache
+    if cache:
+        return default_store()
+    return None

@@ -39,10 +39,16 @@ from repro.baselines.interference import (
     interference_controllers,
 )
 from repro.baselines.predictive import PredictivePolicy, predictive_controllers
-from repro.cache import CacheOutcomes, CacheStore, stable_hash
+from repro.cache import (
+    CacheOutcomes,
+    CacheStore,
+    cache_lookup,
+    resolve_store,
+    stable_hash,
+)
 from repro.core.controller import ColocationController
 from repro.core.top_controller import CONTROL_PERIOD_S
-from repro.errors import CacheKeyError, ConfigurationError, ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.colocation import (
     ColocationConfig,
     ColocationExperiment,
@@ -53,7 +59,6 @@ from repro.experiments.colocation import (
 from repro.experiments.fleet import PodPolicy
 from repro.faults.spec import FaultSchedule
 from repro.loadgen.patterns import DiurnalLoad, LoadPattern
-from repro.parallel.profile import resolve_store
 from repro.sim.kernel import FleetColocationKernel
 from repro.sim.rng import RandomStreams
 from repro.workloads.catalog import service_spec
@@ -515,9 +520,12 @@ def run_bakeoff(
         raise ConfigurationError(f"duplicate member names in {names}")
     config = config or BakeoffConfig()
     store = resolve_store(cache)
-    stats = CacheOutcomes() if store is not None else None
+    stats = CacheOutcomes()
     result = BakeoffResult(
-        duration_s=config.duration_s, members=names, cells=[], cache=stats
+        duration_s=config.duration_s,
+        members=names,
+        cells=[],
+        cache=stats if store is not None else None,
     )
     by_cell: Dict[Tuple[int, str], BakeoffCellSummary] = {}
     keys: Dict[Tuple[int, str], Optional[str]] = {}
@@ -531,17 +539,14 @@ def run_bakeoff(
         run_config = config.colocation_config(scenario)
         head = len(experiments)
         for member in members:
-            key = None
-            if store is not None:
-                try:
-                    key = bakeoff_cell_key(scenario, member, config)
-                except CacheKeyError:
-                    key = None
-            keys[s, member.name] = key
-            cached = store.get(key) if store is not None and key else None
-            if isinstance(cached, BakeoffCellSummary):
+            keys[s, member.name], cached = cache_lookup(
+                store,
+                lambda: bakeoff_cell_key(scenario, member, config),
+                lambda entry: isinstance(entry, BakeoffCellSummary),
+                stats,
+            )
+            if cached is not None:
                 by_cell[s, member.name] = replace(cached, scenario=scenario.label)
-                stats.hits += 1
             else:
                 pending.append((s, member))
                 aliases.append(head)
@@ -565,57 +570,10 @@ def run_bakeoff(
             )
             by_cell[s, member.name] = summary
             key = keys[s, member.name]
-            if stats is not None:
-                if key is None:
-                    stats.skipped += 1
-                else:
-                    stats.misses += 1
-            if store is not None and key is not None:
+            if key is not None:
                 # Label-free entry: the label is not a key coordinate,
                 # so it must not be baked in either.
                 store.put(key, replace(summary, scenario=""))
     for s in range(len(scenarios)):
         result.cells.extend(by_cell[s, name] for name in names)
     return result
-
-
-def bakeoff_identity_probe(
-    mode: str = "bakeoff",
-    duration_s: float = 60.0,
-    seed: int = 3,
-    with_faults: bool = False,
-) -> str:
-    """Digest of a small three-member bake-off under ``mode``.
-
-    Importable by reference (spawn-safe), so identity tests can run it
-    in fork- and spawn-started children and compare against the
-    parent's independent-runs digest. ``mode`` is ``"bakeoff"`` (one
-    shared kernel pass) or ``"reference"`` (every member alone);
-    equal digests mean bit-identity. The roster skips Rhythm — its
-    profiling pipeline would dominate a cold spawn child — which loses
-    no coverage: members are interchangeable behind the interface.
-    """
-    if mode not in ("bakeoff", "reference"):
-        raise ExperimentError(
-            f"mode must be 'bakeoff' or 'reference', got {mode!r}"
-        )
-    scenarios = bakeoff_scenario_grid(
-        loads=(0.35, 0.55),
-        duration_s=duration_s,
-        seed=seed,
-        faults_per_minute=4.0 if with_faults else 0.0,
-    )
-    members = [
-        heracles_member("Redis"),
-        interference_member(),
-        predictive_member(),
-    ]
-    config = BakeoffConfig(duration_s=duration_s)
-    if mode == "bakeoff":
-        return run_bakeoff(scenarios, members, config, cache=None).digest
-    h = hashlib.sha256()
-    for scenario in scenarios:
-        for member in members:
-            cell = run_member_reference(scenario, member, config)
-            h.update(cell.digest.encode("ascii"))
-    return h.hexdigest()

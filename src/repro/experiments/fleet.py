@@ -46,14 +46,20 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.cache import CacheOutcomes, CacheStore, stable_hash
+from repro.cache import (
+    CacheOutcomes,
+    CacheStore,
+    cache_lookup,
+    resolve_store,
+    stable_hash,
+)
 from repro.core.actions import BeAction
 from repro.core.top_controller import (
     CONTROL_PERIOD_S,
     ControllerThresholds,
     TopController,
 )
-from repro.errors import CacheKeyError, ConfigurationError, ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.colocation import (
     ColocationConfig,
     ColocationExperiment,
@@ -70,7 +76,6 @@ from repro.parallel.pool import (
     run_envelopes,
     shard_task_key,
 )
-from repro.parallel.profile import resolve_store
 from repro.sim.kernel import FleetColocationKernel
 from repro.sim.rng import RandomStreams
 from repro.workloads.catalog import lc_service_spec, service_spec
@@ -604,44 +609,6 @@ class FleetExperiment:
             plan.append((zid, start, min(n, start + cfg.zone_size) - start))
         return plan
 
-    def _zone_key(self, start: int, count: int) -> Optional[str]:
-        """One zone's cache key, or None when its specs are unhashable."""
-        try:
-            return zone_cache_key(
-                self.instances[start : start + count], self.config
-            )
-        except CacheKeyError:
-            return None
-
-    def _load_zone(
-        self, store: CacheStore, key: str, zid: int, start: int, count: int
-    ) -> Optional[Tuple[List[FleetInstanceSummary], List[ZoneEpochRecord]]]:
-        """Fetch one zone from the store, rebased to its current slot.
-
-        Entries hold summaries with zone-*local* indices and epoch
-        records with the zone id stripped, so the same entry serves the
-        zone wherever it currently sits in the fleet. Rebasing cannot
-        perturb digests: :func:`instance_digest` folds only the result
-        fingerprint and RNG states, never the global index.
-        """
-        cached = store.get(key)
-        if (
-            not isinstance(cached, tuple)
-            or len(cached) != 2
-            or len(cached[0]) != count
-        ):
-            return None
-        summaries = [
-            replace(s, index=start + j) for j, s in enumerate(cached[0])
-        ]
-        records = [
-            ZoneEpochRecord(
-                zone=zid, epoch=e, t=t, violation_fraction=f, clamped=c
-            )
-            for e, t, f, c in cached[1]
-        ]
-        return summaries, records
-
     def _pending_shard_plan(
         self, pending: Sequence[Tuple[int, int, int, Optional[str]]]
     ) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
@@ -681,23 +648,40 @@ class FleetExperiment:
         simulations and reproduces the cold digest bit-identically.
         """
         store = resolve_store(cache)
-        stats = CacheOutcomes() if store is not None else None
+        stats = CacheOutcomes()
         summaries: List[FleetInstanceSummary] = []
         zone_records: List[ZoneEpochRecord] = []
         pending: List[Tuple[int, int, int, Optional[str]]] = []
         for zid, start, count in self.zone_plan():
-            key = self._zone_key(start, count) if store is not None else None
-            hit = (
-                self._load_zone(store, key, zid, start, count)
-                if store is not None and key is not None
-                else None
+            key, hit = cache_lookup(
+                store,
+                lambda: zone_cache_key(
+                    self.instances[start : start + count], self.config
+                ),
+                lambda entry: (
+                    isinstance(entry, tuple)
+                    and len(entry) == 2
+                    and len(entry[0]) == count
+                ),
+                stats,
             )
-            if hit is not None:
-                summaries.extend(hit[0])
-                zone_records.extend(hit[1])
-                stats.hits += 1
-            else:
+            if hit is None:
                 pending.append((zid, start, count, key))
+                continue
+            # Entries hold summaries with zone-*local* indices and epoch
+            # records with the zone id stripped, so the same entry serves
+            # the zone wherever it currently sits in the fleet. Rebasing
+            # cannot perturb digests: :func:`instance_digest` folds only
+            # the result fingerprint and RNG states, never the index.
+            summaries.extend(
+                replace(s, index=start + j) for j, s in enumerate(hit[0])
+            )
+            zone_records.extend(
+                ZoneEpochRecord(
+                    zone=zid, epoch=e, t=t, violation_fraction=f, clamped=c
+                )
+                for e, t, f, c in hit[1]
+            )
         if pending:
             plan = self._pending_shard_plan(pending)
             payload = _FleetPayload(
@@ -724,12 +708,7 @@ class FleetExperiment:
                     summaries.extend(zone_summaries)
                     zone_records.extend(records)
                     key = keys[zid]
-                    if stats is not None:
-                        if key is None:
-                            stats.skipped += 1
-                        else:
-                            stats.misses += 1
-                    if store is not None and key is not None:
+                    if key is not None:
                         start = starts[zid]
                         store.put(
                             key,
@@ -755,7 +734,7 @@ class FleetExperiment:
             duration_s=self.config.duration_s,
             instances=summaries,
             zone_records=zone_records,
-            cache=stats,
+            cache=stats if store is not None else None,
         )
 
     def run_reference(self) -> FleetResult:

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.cache import CacheStore
+from repro.cache import CacheStore, resolve_store
 from repro.core.rhythm import RhythmConfig
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.fleet import (
@@ -58,11 +58,7 @@ from repro.faults.topology import (
     merge_schedules,
 )
 from repro.loadgen.patterns import ConstantLoad
-from repro.parallel.profile import (
-    ProfileStats,
-    profile_service_parallel,
-    resolve_store,
-)
+from repro.parallel.profile import ProfileStats, profile_service_parallel
 from repro.workloads.catalog import lc_service_spec
 
 # -- correlated storms over a fleet ---------------------------------------
@@ -188,71 +184,6 @@ def run_fleet_storm(
     if report is None:
         raise ConfigurationError("need at least one policy to run a storm")
     return report
-
-
-def storm_identity_probe(
-    mode: str = "fleet",
-    n_instances: int = 6,
-    duration_s: float = 60.0,
-    seed: int = 3,
-    storm_seed: int = 7,
-    shards: int = 1,
-) -> str:
-    """Digest of a small stormed fleet under ``mode``.
-
-    Module-level and importable by reference (spawn-safe), mirroring
-    :func:`~repro.experiments.fleet.fleet_identity_probe`: identity
-    tests run it in fork- and spawn-started children and across shard
-    counts, and equal digests mean the stormed fleet is bit-identical
-    to the sequential scalar reference.
-    """
-    if mode not in ("fleet", "reference"):
-        raise ExperimentError(
-            f"mode must be 'fleet' or 'reference', got {mode!r}"
-        )
-    config = FleetConfig(
-        duration_s=duration_s, shards=shards, workers=1, zone_size=2
-    )
-    fleet = alibaba_fleet(
-        2 * n_instances,
-        policy="heracles",
-        duration_s=duration_s,
-        seed=seed,
-        config=config,
-    )
-    topology = FleetTopology.generate(
-        storm_seed, n_instances=len(fleet.instances), zone_size=2
-    )
-    storm = CorrelatedFaultSchedule.generate(
-        storm_seed, topology, duration_s, events_per_minute=2.0
-    )
-    stormed = storm_fleet(fleet, storm)
-    result = stormed.run() if mode == "fleet" else stormed.run_reference()
-    return result.digest
-
-
-def storm_schedule_probe(
-    seed: int = 0,
-    n_instances: int = 32,
-    zone_size: int = 4,
-    duration_s: float = 300.0,
-    events_per_minute: float = 1.0,
-) -> str:
-    """Canonical repr of a generated storm and its full expansion.
-
-    Importable by reference so the property tests can assert the
-    expansion is a pure function of ``(seed, topology)`` across fork-
-    and spawn-started processes: equal strings mean byte-identical
-    topology, events, and per-instance fault streams.
-    """
-    topology = FleetTopology.generate(
-        seed, n_instances=n_instances, zone_size=zone_size
-    )
-    storm = CorrelatedFaultSchedule.generate(
-        seed, topology, duration_s, events_per_minute=events_per_minute
-    )
-    expansion = sorted(storm.per_instance_schedules().items())
-    return repr((topology, storm.events, expansion))
 
 
 # -- rolling-release canary ------------------------------------------------
@@ -525,9 +456,9 @@ def run_drift(
             DriftEpochReport(
                 epoch=epoch,
                 loads=loads,
-                sweep_points=stats.sweep_points,
+                sweep_points=stats.sweep.total,
                 sweep_executed=stats.sweep_executed,
-                sweep_cache_hits=stats.sweep_cache_hits,
+                sweep_cache_hits=stats.sweep.hits,
                 artifact_cache_hits=stats.artifact_cache_hits,
                 loadlimits=tuple(artifact.loadlimits),
             )

@@ -47,8 +47,13 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 from repro.baselines.heracles import HeraclesPolicy
 from repro.bejobs.spec import BeJobSpec
 from repro.cache.keys import stable_hash
-from repro.cache.store import CacheOutcomes, CacheStore
-from repro.errors import CacheKeyError, ExperimentError
+from repro.cache.store import (
+    CacheOutcomes,
+    CacheStore,
+    cache_lookup,
+    resolve_store,
+)
+from repro.errors import ExperimentError
 from repro.experiments.colocation import ColocationConfig, ColocationResult
 from repro.experiments.runner import ComparisonResult, compare_with_artifact
 from repro.loadgen.patterns import ConstantLoad, LoadPattern
@@ -66,7 +71,6 @@ from repro.parallel.profile import (
     ProfileStats,
     artifact_cache_key,
     profile_services_parallel,
-    resolve_store as _resolve_store,
 )
 from repro.workloads.spec import ServiceSpec
 
@@ -234,7 +238,7 @@ def run_comparison_grid(
     cells = list(cells)
     if not cells:
         return []
-    store = _resolve_store(cache)
+    store = resolve_store(cache)
     stats = cache_stats if cache_stats is not None else CacheOutcomes()
     if artifacts is None:
         artifacts = profile_services_parallel(
@@ -262,22 +266,13 @@ def run_comparison_grid(
     keys: List[Optional[str]] = [None] * len(tasks)
     pending: List[int] = []
     for i, task in enumerate(tasks):
-        if store is None:
-            stats.skipped += 1
-            pending.append(i)
-            continue
-        try:
-            keys[i] = cell_cache_key(task)
-        except CacheKeyError:
-            stats.skipped += 1
-            pending.append(i)
-            continue
-        hit = store.get(keys[i])
-        if isinstance(hit, ComparisonResult):
-            stats.hits += 1
-            results[i] = hit
-        else:
-            stats.misses += 1
+        keys[i], results[i] = cache_lookup(
+            store,
+            lambda: cell_cache_key(task),
+            lambda entry: isinstance(entry, ComparisonResult),
+            stats,
+        )
+        if results[i] is None:
             pending.append(i)
 
     # Execution pass: only the unresolved cells run (inline or pooled).
@@ -309,7 +304,7 @@ def run_comparison_grid(
             )
         for i, result in zip(pending, computed):
             results[i] = result
-            if store is not None and keys[i] is not None:
+            if keys[i] is not None:
                 store.put(keys[i], result)
     assert all(r is not None for r in results)
     return results  # type: ignore[return-value]

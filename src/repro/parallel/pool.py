@@ -38,7 +38,7 @@ front instead of crashing inside ``ProcessPoolExecutor``.
 
 **Chaos hardening.** Real worker processes crash, wedge and get OOM-
 killed; :func:`run_envelopes` survives all three. Every envelope is
-submitted individually with a per-task deadline
+submitted individually under a deadline shared by its submission round
 (:func:`resolve_task_timeout`, ``RHYTHM_TASK_TIMEOUT_S``); a failed or
 expired attempt is retried up to ``max_retries`` times with the
 payloads attached inline, and a task that exhausts its retries falls
@@ -578,7 +578,6 @@ def _force_pool_rebuild() -> None:
 def run_envelopes(
     envelopes: Sequence[Envelope],
     workers: int,
-    chunksize: Optional[int] = None,
     timeout: Optional[float] = None,
     max_retries: int = 2,
 ) -> List[Any]:
@@ -597,11 +596,10 @@ def run_envelopes(
     task runs in the parent (``inline_fallbacks``), where a genuine bug
     raises its real traceback. Retried attempts carry ``attempt > 0``,
     which disarms any installed fault plan, so chaos runs converge.
-
-    ``chunksize`` is accepted for backward compatibility and ignored
-    (per-task submission replaced batched ``pool.map``).
+    Every attempt submitted in one round shares the round's deadline,
+    so when it expires every attempt of that round still in flight is
+    counted in ``timeouts``, however long the submits took.
     """
-    del chunksize  # retained in the signature for old call sites
     envelopes = list(envelopes)
     if not envelopes:
         return []
@@ -668,6 +666,7 @@ def run_envelopes(
         pool = get_pool(n_workers)
 
     while pending or in_flight:
+        deadline: Optional[float] = None
         while pending:
             i = pending[0]
             try:
@@ -679,7 +678,9 @@ def run_envelopes(
             stats.submitted += 1
             in_flight[fut] = i
             if limit is not None:
-                deadlines[fut] = time.monotonic() + limit
+                if deadline is None:
+                    deadline = time.monotonic() + limit
+                deadlines[fut] = deadline
         if not in_flight:
             continue
         wait_timeout = None

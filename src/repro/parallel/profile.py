@@ -42,11 +42,16 @@ load point's entry valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.cache.keys import stable_hash
-from repro.cache.store import CacheStore, default_store
+from repro.cache.store import (
+    CacheOutcomes,
+    CacheStore,
+    cache_lookup,
+    resolve_store,
+)
 from repro.core.contribution import ContributionAnalyzer, ContributionResult
 from repro.core.loadlimit import loadlimit_table
 from repro.core.profiler import LoadPointProfile, ProfilingResult, profile_load_point
@@ -55,7 +60,7 @@ from repro.core.slacklimit import (
     find_slacklimit_for_pod,
     violation_free_fixed_point,
 )
-from repro.errors import CacheKeyError, ProfilingError
+from repro.errors import ProfilingError
 from repro.parallel.artifact import RhythmArtifact
 from repro.parallel.pool import (
     BroadcastRef,
@@ -78,29 +83,32 @@ _NOISE_PER_REQUEST = 2.0
 class ProfileStats:
     """Work accounting of one profiling invocation.
 
-    ``*_executed`` counts tasks that actually simulated; a warm cache
-    re-run reports 0 for both (asserted in ``tests/test_parallel.py``).
+    ``sweep`` (one unit per load point) and ``slack`` (one unit per
+    Servpod's Algorithm-1 walk) are the stages' cache outcomes: a unit
+    is covered (``total``), served from the store (``hits``) or
+    executed (``simulated``). A warm cache re-run executes neither
+    (asserted in ``tests/test_parallel.py``).
     """
 
-    #: Load points the sweep covered / simulated / served from cache.
-    sweep_points: int = 0
-    sweep_executed: int = 0
-    sweep_cache_hits: int = 0
-    #: Per-Servpod Algorithm-1 walks covered / executed / cached.
-    slack_walks: int = 0
-    slack_executed: int = 0
-    slack_cache_hits: int = 0
+    sweep: CacheOutcomes = field(default_factory=CacheOutcomes)
+    slack: CacheOutcomes = field(default_factory=CacheOutcomes)
     #: Whole services served from the artifact-level fast path.
     artifact_cache_hits: int = 0
 
+    @property
+    def sweep_executed(self) -> int:
+        """Load points that simulated."""
+        return self.sweep.simulated
+
+    @property
+    def slack_executed(self) -> int:
+        """Algorithm-1 walks that simulated."""
+        return self.slack.simulated
+
     def merge(self, other: "ProfileStats") -> None:
         """Accumulate another invocation's counts into this one."""
-        self.sweep_points += other.sweep_points
-        self.sweep_executed += other.sweep_executed
-        self.sweep_cache_hits += other.sweep_cache_hits
-        self.slack_walks += other.slack_walks
-        self.slack_executed += other.slack_executed
-        self.slack_cache_hits += other.slack_cache_hits
+        self.sweep.merge(other.sweep)
+        self.slack.merge(other.slack)
         self.artifact_cache_hits += other.artifact_cache_hits
 
 
@@ -114,20 +122,6 @@ _ARTIFACT_MEMO: Dict[Tuple, RhythmArtifact] = {}
 def clear_profile_memo() -> None:
     """Drop the in-process artifact memo (tests use this for isolation)."""
     _ARTIFACT_MEMO.clear()
-
-
-def resolve_store(cache: Union[None, bool, CacheStore]) -> Optional[CacheStore]:
-    """Normalize a ``cache`` argument to a store (or no caching).
-
-    ``None``/``False`` disable caching; ``True`` uses the
-    environment-default store (which ``RHYTHM_CACHE=off`` may veto);
-    a :class:`CacheStore` is used as given.
-    """
-    if isinstance(cache, CacheStore):
-        return cache
-    if cache:
-        return default_store()
-    return None
 
 
 # -- cache keys -----------------------------------------------------------
@@ -338,20 +332,21 @@ def profile_service_parallel(
         return memo_hit
     store = resolve_store(cache)
 
-    art_key: Optional[str] = None
-    if store is not None:
-        try:
-            art_key = artifact_cache_key(
-                service, seed, mode, probe_slacklimits, signature
-            )
-        except CacheKeyError:
-            art_key = None
-        if art_key is not None:
-            hit = store.get(art_key)
-            if isinstance(hit, RhythmArtifact) and hit.service_name == service.name:
-                stats.artifact_cache_hits += 1
-                _ARTIFACT_MEMO[memo_key] = hit
-                return hit
+    art_key, hit = cache_lookup(
+        store,
+        lambda: artifact_cache_key(
+            service, seed, mode, probe_slacklimits, signature
+        ),
+        lambda entry: (
+            isinstance(entry, RhythmArtifact)
+            and entry.service_name == service.name
+        ),
+        CacheOutcomes(),
+    )
+    if hit is not None:
+        stats.artifact_cache_hits += 1
+        _ARTIFACT_MEMO[memo_key] = hit
+        return hit
 
     # Mirror ServiceProfiler's up-front validation so the parallel path
     # rejects the same configurations before any fan-out.
@@ -371,29 +366,22 @@ def profile_service_parallel(
     points: List[Optional[LoadPointProfile]] = [None] * len(loads)
     point_keys: List[Optional[str]] = [None] * len(loads)
     pending: List[int] = []
-    stats.sweep_points += len(loads)
     for i, load in enumerate(loads):
-        key: Optional[str] = None
-        if store is not None:
-            try:
-                key = load_point_cache_key(
-                    service, load, seed, cfg.requests_per_load,
-                    cfg.tail_samples, mode,
-                )
-            except CacheKeyError:
-                key = None
-        if key is not None:
-            hit = store.get(key)
-            if (
-                isinstance(hit, LoadPointProfile)
-                and hit.service == service.name
-                and hit.load == load
-            ):
-                points[i] = hit
-                stats.sweep_cache_hits += 1
-                continue
-        point_keys[i] = key
-        pending.append(i)
+        point_keys[i], points[i] = cache_lookup(
+            store,
+            lambda: load_point_cache_key(
+                service, load, seed, cfg.requests_per_load,
+                cfg.tail_samples, mode,
+            ),
+            lambda entry: (
+                isinstance(entry, LoadPointProfile)
+                and entry.service == service.name
+                and entry.load == load
+            ),
+            stats.sweep,
+        )
+        if points[i] is None:
+            pending.append(i)
     if pending:
         computed = run_envelopes(
             [
@@ -409,10 +397,9 @@ def profile_service_parallel(
             ],
             n_workers,
         )
-        stats.sweep_executed += len(pending)
         for i, point in zip(pending, computed):
             points[i] = point
-            if store is not None and point_keys[i] is not None:
+            if point_keys[i] is not None:
                 store.put(point_keys[i], point)
 
     result = ProfilingResult.from_points(service.name, points)
@@ -438,7 +425,7 @@ def profile_service_parallel(
         profiling_mode=mode,
         probe_slacklimits=probe_slacklimits,
     )
-    if store is not None and art_key is not None:
+    if art_key is not None:
         store.put(art_key, artifact)
     _ARTIFACT_MEMO[memo_key] = artifact
     return artifact
@@ -468,29 +455,22 @@ def _derive_slacklimits(
         return {pod: max(floor, min(1.0, v)) for pod, v in fixed.items()}
 
     pods = list(raw)
-    stats.slack_walks += len(pods)
     loadlimit_items = tuple(sorted(loadlimits.items()))
     contribution_items = tuple(sorted(raw.items()))
-    limits: Dict[str, Optional[float]] = {pod: None for pod in pods}
+    limits: Dict[str, Optional[float]] = {}
     slack_keys: Dict[str, Optional[str]] = {}
     pending: List[str] = []
     for pod in pods:
-        key: Optional[str] = None
-        if store is not None:
-            try:
-                key = slacklimit_cache_key(
-                    service, pod, loadlimits, raw, seed, probe_duration_s
-                )
-            except CacheKeyError:
-                key = None
-        if key is not None:
-            hit = store.get(key)
-            if isinstance(hit, float):
-                limits[pod] = hit
-                stats.slack_cache_hits += 1
-                continue
-        slack_keys[pod] = key
-        pending.append(pod)
+        slack_keys[pod], limits[pod] = cache_lookup(
+            store,
+            lambda: slacklimit_cache_key(
+                service, pod, loadlimits, raw, seed, probe_duration_s
+            ),
+            lambda entry: isinstance(entry, float),
+            stats.slack,
+        )
+        if limits[pod] is None:
+            pending.append(pod)
     if pending:
         computed = run_envelopes(
             [
@@ -506,10 +486,9 @@ def _derive_slacklimits(
             ],
             n_workers,
         )
-        stats.slack_executed += len(pending)
         for pod, value in zip(pending, computed):
             limits[pod] = value
-            if store is not None and slack_keys[pod] is not None:
+            if slack_keys[pod] is not None:
                 store.put(slack_keys[pod], float(value))
     return {pod: max(floor, min(1.0, limits[pod])) for pod in pods}
 

@@ -36,7 +36,6 @@ from repro.experiments.bakeoff import (
     BakeoffConfig,
     BakeoffMember,
     bakeoff_cell_key,
-    bakeoff_identity_probe,
     bakeoff_scenario_grid,
     default_members,
     heracles_member,
@@ -62,6 +61,7 @@ from repro.sim.kernel import (
 )
 from repro.sim.rng import RandomStreams
 from repro.workloads.catalog import redis_service
+from tests.probes import bakeoff_identity_probe
 
 
 def rng_states(streams):

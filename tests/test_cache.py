@@ -34,13 +34,16 @@ from repro.cache import (
     CacheOutcomes,
     CacheStore,
     cache_enabled,
+    cache_lookup,
     default_store,
     resolve_cache_dir,
+    resolve_store,
     stable_hash,
 )
 from repro.cache.store import ENVELOPE_FORMAT, resolve_max_bytes
 from repro.errors import CacheError, CacheKeyError
 from repro.experiments.colocation import ColocationConfig
+from repro.experiments.runner import ComparisonResult
 from repro.loadgen.patterns import CallableLoad, ConstantLoad, StepLoad
 from repro.parallel import (
     GridCell,
@@ -601,6 +604,107 @@ class TestIncrementalGrid:
             cache_stats=stats,
         )
         assert stats.misses == 1 and len(results) == 1
+
+    def test_wrong_shaped_cell_entry_recomputes(self, tiny_artifact, store):
+        service, artifact = tiny_artifact
+        cells = self._cells(service)[:1]
+        artifacts = {service.name: artifact}
+        cold = run_comparison_grid(
+            cells, config=FAST, workers=1, artifacts=artifacts, cache=store
+        )
+        from repro.baselines.heracles import HeraclesPolicy
+
+        key = cell_cache_key(
+            _CellTask(
+                cell=cells[0],
+                artifact=artifact,
+                heracles_policy=HeraclesPolicy(),
+                config=FAST,
+            )
+        )
+        # A readable entry of the wrong type under the cell's live key.
+        store.put(key, comparison_fingerprint(cold[0]))
+        stats = CacheOutcomes()
+        warm = run_comparison_grid(
+            cells,
+            config=FAST,
+            workers=1,
+            artifacts=artifacts,
+            cache=store,
+            cache_stats=stats,
+        )
+        assert stats.misses == 1 and stats.hits == 0
+        assert comparison_fingerprint(warm[0]) == comparison_fingerprint(cold[0])
+        assert isinstance(store.get(key), ComparisonResult)
+
+
+class TestCacheLookup:
+    """The one lookup every cached unit goes through."""
+
+    KEY = "ab" * 32
+
+    def _lookup(self, store, outcomes, make_key=None, accept=None):
+        return cache_lookup(
+            store,
+            make_key or (lambda: self.KEY),
+            accept or (lambda entry: isinstance(entry, int)),
+            outcomes,
+        )
+
+    def test_no_store_skips_without_keying(self):
+        outcomes = CacheOutcomes()
+
+        def _never():
+            raise AssertionError("no store: the key is never built")
+
+        assert self._lookup(None, outcomes, make_key=_never) == (None, None)
+        assert outcomes == CacheOutcomes(skipped=1)
+
+    def test_uncacheable_key_skips(self, store):
+        outcomes = CacheOutcomes()
+
+        def _unhashable():
+            raise CacheKeyError("bare callable")
+
+        assert self._lookup(store, outcomes, make_key=_unhashable) == (
+            None,
+            None,
+        )
+        assert outcomes == CacheOutcomes(skipped=1)
+        assert store.hits == store.misses == 0
+
+    def test_accepted_hit(self, store):
+        store.put(self.KEY, 7)
+        outcomes = CacheOutcomes()
+        assert self._lookup(store, outcomes) == (self.KEY, 7)
+        assert outcomes == CacheOutcomes(hits=1)
+
+    def test_absent_entry_is_a_miss(self, store):
+        outcomes = CacheOutcomes()
+        assert self._lookup(store, outcomes) == (self.KEY, None)
+        assert outcomes == CacheOutcomes(misses=1)
+
+    def test_rejected_entry_is_a_miss(self, store):
+        store.put(self.KEY, "not an int")
+        outcomes = CacheOutcomes()
+        assert self._lookup(store, outcomes) == (self.KEY, None)
+        assert outcomes == CacheOutcomes(misses=1)
+        # The entry is left for the caller's recompute to overwrite.
+        assert store.get(self.KEY) == "not an int"
+
+    def test_corrupt_entry_is_a_miss(self, store):
+        store.put(self.KEY, 7)
+        store._path(self.KEY).write_bytes(b"garbage")
+        outcomes = CacheOutcomes()
+        assert self._lookup(store, outcomes) == (self.KEY, None)
+        assert outcomes == CacheOutcomes(misses=1)
+        assert store.errors == 1
+
+    def test_resolve_store(self, store, monkeypatch):
+        assert resolve_store(store) is store
+        assert resolve_store(None) is None and resolve_store(False) is None
+        monkeypatch.setenv("RHYTHM_CACHE", "off")
+        assert resolve_store(True) is None
 
 
 class TestArtifactCaching:

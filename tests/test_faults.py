@@ -510,6 +510,33 @@ class TestChaosHardenedPool:
         assert stats.timeouts >= expected["hang"]
         assert stats.pool_rebuilds >= 1
 
+    def test_slow_submits_still_count_every_hang(self, monkeypatch):
+        # Submits that take a while must not push a hanging task's
+        # deadline past the first expiry: the round's attempts share
+        # one deadline, so every hang is counted before the retry
+        # (which runs clean) can hide it.
+        import time
+        from concurrent.futures import ProcessPoolExecutor
+
+        submit = ProcessPoolExecutor.submit
+
+        def slow_submit(self, *args, **kwargs):
+            future = submit(self, *args, **kwargs)
+            time.sleep(0.05)
+            return future
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", slow_submit)
+        envelopes = _make_envelopes(6)
+        plan = ExecutorFaultPlan(seed=3, hang_rate=0.4, hang_s=30.0)
+        expected = plan.expected_actions(
+            envelope_task_key(env) for env in envelopes
+        )
+        assert expected["hang"] > 1
+        with executor_chaos(plan):
+            chaotic = run_envelopes(envelopes, workers=2, timeout=1.0)
+        assert chaotic == [i * 3 for i in range(6)]
+        assert pool_stats().timeouts >= expected["hang"]
+
     def test_inline_fallback_after_exhausted_retries(self):
         envelopes = _make_envelopes(6)
         plan = ExecutorFaultPlan(seed=6, crash_rate=1.0)

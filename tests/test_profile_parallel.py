@@ -16,17 +16,21 @@ Covers the issue's criteria for the profiling fan-out:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bejobs.catalog import evaluation_be_jobs
 from repro.cache.keys import stable_hash
-from repro.cache.store import CacheStore
+from repro.cache.store import CacheOutcomes, CacheStore
 from repro.errors import ExperimentError, ProfilingError
 from repro.experiments.colocation import ColocationConfig
 from repro.experiments.runner import get_rhythm
+from repro.core.profiler import LoadPointProfile
 from repro.core.rhythm import RhythmConfig
 from repro.parallel import (
     GridCell,
+    RhythmArtifact,
     artifact_for,
     comparison_fingerprint,
     run_comparison_grid,
@@ -128,8 +132,8 @@ class TestWarmProfileCache:
         first = profile_service_parallel(
             service, seed=0, workers=1, cache=store, stats=cold
         )
-        assert cold.sweep_executed == cold.sweep_points > 0
-        assert cold.slack_executed == cold.slack_walks == len(
+        assert cold.sweep_executed == cold.sweep.total > 0
+        assert cold.slack_executed == cold.slack.total == len(
             service.servpod_names
         )
         clear_profile_memo()
@@ -140,7 +144,7 @@ class TestWarmProfileCache:
         assert second == first
         assert warm.artifact_cache_hits == 1
         assert warm.sweep_executed == 0 and warm.slack_executed == 0
-        assert warm.sweep_points == 0 and warm.slack_walks == 0
+        assert warm.sweep.total == 0 and warm.slack.total == 0
 
     def test_sub_profile_hits_after_artifact_eviction(self, service, store):
         cold = ProfileStats()
@@ -159,21 +163,97 @@ class TestWarmProfileCache:
         )
         assert second == first
         assert warm.sweep_executed == 0 and warm.slack_executed == 0
-        assert warm.sweep_cache_hits == cold.sweep_points
-        assert warm.slack_cache_hits == cold.slack_walks
+        assert warm.sweep.hits == cold.sweep.total
+        assert warm.slack.hits == cold.slack.total
 
     def test_stats_merge_accumulates(self):
-        a = ProfileStats(sweep_points=3, sweep_executed=2, sweep_cache_hits=1)
+        a = ProfileStats(sweep=CacheOutcomes(hits=1, misses=2))
         b = ProfileStats(
-            sweep_points=5, slack_walks=2, slack_executed=1,
-            slack_cache_hits=1, artifact_cache_hits=4,
+            sweep=CacheOutcomes(hits=2, skipped=3),
+            slack=CacheOutcomes(hits=1, misses=1),
+            artifact_cache_hits=4,
         )
         a.merge(b)
         assert a == ProfileStats(
-            sweep_points=8, sweep_executed=2, sweep_cache_hits=1,
-            slack_walks=2, slack_executed=1, slack_cache_hits=1,
+            sweep=CacheOutcomes(hits=3, misses=2, skipped=3),
+            slack=CacheOutcomes(hits=1, misses=1),
             artifact_cache_hits=4,
         )
+        # Executed is every unit but the hits.
+        assert (a.sweep_executed, a.slack_executed) == (5, 1)
+
+
+class _RecordingStore(CacheStore):
+    """Records every put, so a test can find each unit's live key."""
+
+    def __init__(self, directory):
+        super().__init__(directory)
+        self.puts = []
+
+    def put(self, key, payload):
+        self.puts.append((key, payload))
+        return super().put(key, payload)
+
+    def keys_of(self, kind):
+        return [key for key, payload in self.puts if isinstance(payload, kind)]
+
+
+class TestWrongShapedEntries:
+    """A wrong-shaped entry under a live key is a miss: the unit is
+    recomputed bit-identically and its entry overwritten."""
+
+    def _cold(self, service, tmp_path):
+        store = _RecordingStore(tmp_path / "cache")
+        cold = profile_service_parallel(service, seed=0, workers=1, cache=store)
+        return store, cold
+
+    def _warm(self, service, store):
+        clear_profile_memo()
+        stats = ProfileStats()
+        warm = profile_service_parallel(
+            service, seed=0, workers=1, cache=store, stats=stats
+        )
+        return warm, stats
+
+    def test_load_point(self, service, tmp_path):
+        store, cold = self._cold(service, tmp_path)
+        (art_key,) = store.keys_of(RhythmArtifact)
+        store._path(art_key).unlink()  # reach the sub-profile lookups
+        key, other = store.keys_of(LoadPointProfile)[:2]
+        good = store.get(key)
+        # Another load's point is the wrong entry for this key.
+        store.put(key, store.get(other))
+        warm, stats = self._warm(service, store)
+        assert warm == cold
+        assert stats.sweep_executed == 1
+        assert stats.sweep.hits == stats.sweep.total - 1
+        assert stats.slack_executed == 0
+        assert store.get(key) == good
+
+    def test_slacklimit_walk(self, service, tmp_path):
+        store, cold = self._cold(service, tmp_path)
+        (art_key,) = store.keys_of(RhythmArtifact)
+        store._path(art_key).unlink()
+        key = store.keys_of(float)[0]
+        good = store.get(key)
+        store.put(key, str(good))
+        warm, stats = self._warm(service, store)
+        assert warm == cold
+        assert stats.sweep_executed == 0
+        assert stats.slack_executed == 1
+        assert stats.slack.hits == stats.slack.total - 1
+        assert store.get(key) == good
+
+    def test_whole_artifact(self, service, tmp_path):
+        store, cold = self._cold(service, tmp_path)
+        (art_key,) = store.keys_of(RhythmArtifact)
+        store.put(art_key, replace(cold, service_name="another-service"))
+        warm, stats = self._warm(service, store)
+        assert warm == cold
+        assert stats.artifact_cache_hits == 0
+        assert stats.sweep_executed == 0 and stats.slack_executed == 0
+        assert stats.sweep.hits == stats.sweep.total > 0
+        assert store.get(art_key) == cold
 
 
 class TestSinglePoolPerColdRun:

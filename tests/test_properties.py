@@ -431,7 +431,7 @@ class TestStormExpansionPurity:
     def test_fifty_seeded_topologies_fork_identical(self):
         import multiprocessing
 
-        from repro.experiments.scenarios import storm_schedule_probe
+        from tests.probes import storm_schedule_probe
 
         parent = [storm_schedule_probe(seed) for seed in range(50)]
         assert parent == [storm_schedule_probe(seed) for seed in range(50)]
@@ -447,7 +447,7 @@ class TestStormExpansionPurity:
     def test_spawn_children_reproduce_schedules(self):
         import multiprocessing
 
-        from repro.experiments.scenarios import storm_schedule_probe
+        from tests.probes import storm_schedule_probe
 
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(2) as pool:
@@ -462,14 +462,15 @@ class TestStormExpansionPurity:
 
         script = (
             "import hashlib;"
-            "from repro.experiments.scenarios import storm_schedule_probe;"
+            "from tests.probes import storm_schedule_probe;"
             "blob = ''.join(storm_schedule_probe(s) for s in range(5));"
             "print(hashlib.sha256(blob.encode()).hexdigest())"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
+        root = Path(__file__).resolve().parent.parent
+        path = os.pathsep.join([str(root / "src"), str(root)])
         outs = []
         for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
             proc = subprocess.run(
                 [sys.executable, "-c", script],
                 capture_output=True, text=True, env=env, check=True,
@@ -484,7 +485,7 @@ class TestStormExpansionPurity:
     )
     @settings(max_examples=25, deadline=None)
     def test_probe_total_for_arbitrary_shapes(self, seed, n_instances, zone_size):
-        from repro.experiments.scenarios import storm_schedule_probe
+        from tests.probes import storm_schedule_probe
 
         first = storm_schedule_probe(
             seed, n_instances=n_instances, zone_size=zone_size

@@ -34,9 +34,9 @@ from repro.experiments.scenarios import (
     run_drift,
     run_fleet_storm,
     storm_fleet,
-    storm_identity_probe,
 )
 from repro.faults.topology import CorrelatedFaultSchedule, FleetTopology
+from tests.probes import storm_identity_probe
 
 
 @pytest.fixture
