@@ -18,9 +18,12 @@
 #      the fleet benchmark with its 10x colocation-path gate
 #      (benchmarks/bench_fleet.py --gate 10.0), the bake-off
 #      benchmark with its 2x aggregate-speedup gate
-#      (benchmarks/bench_bakeoff.py --gate 2.0), and the storm
+#      (benchmarks/bench_bakeoff.py --gate 2.0), the storm
 #      benchmark with its 10x warm-cache gate
-#      (benchmarks/bench_storm.py --gate 10.0).
+#      (benchmarks/bench_storm.py --gate 10.0), and the parallel grid
+#      benchmark, whose pool must not be slower than the inline run on
+#      a host with two or more CPUs (benchmarks/bench_parallel.py
+#      --gate 1.0; skipped on one CPU).
 #
 # Any failure aborts with a non-zero exit code.
 
@@ -46,6 +49,9 @@ if [[ "${RHYTHM_BENCH_GATE:-0}" == "1" ]]; then
   echo
   echo "== storm benchmark gate (RHYTHM_BENCH_GATE=1) =="
   python benchmarks/bench_storm.py --gate 10.0
+  echo
+  echo "== parallel grid benchmark gate (RHYTHM_BENCH_GATE=1) =="
+  python benchmarks/bench_parallel.py --gate 1.0
 fi
 
 echo

@@ -611,14 +611,16 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             cache=cache,
         )
         print(render_table(
-            ["epoch", "grid", "points", "simulated", "cached"],
+            ["epoch", "grid", "points", "simulated", "cached", "artifact"],
             [[e.epoch,
               f"{e.loads[0]:.2f}..{e.loads[-1]:.2f}",
-              e.sweep_points, e.sweep_executed, e.sweep_cache_hits]
+              e.sweep_points, e.sweep_executed, e.sweep_cache_hits,
+              e.artifact_cache_hits]
              for e in report.epochs],
             title=f"workload drift — {report.service}, "
                   f"{report.total_executed} point(s) simulated, "
-                  f"{report.total_cached} served from cache",
+                  f"{report.total_cached} served from cache, "
+                  f"{report.epochs_served_whole} epoch(s) served whole",
         ))
         payload = {
             "kind": "drift",

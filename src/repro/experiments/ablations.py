@@ -28,8 +28,12 @@ from repro.bejobs.catalog import STREAM_DRAM
 from repro.bejobs.spec import BeJobSpec
 from repro.core.contribution import pearson
 from repro.core.top_controller import ControllerThresholds, TopController
-from repro.experiments.colocation import ColocationConfig, ColocationExperiment
-from repro.experiments.runner import get_rhythm, run_cell
+from repro.experiments.colocation import (
+    ColocationConfig,
+    ColocationExperiment,
+    run_experiments,
+)
+from repro.experiments.runner import cell_experiment, get_rhythm
 from repro.interference.isolation import IsolationConfig
 from repro.loadgen.clarknet import clarknet_production_load
 from repro.loadgen.patterns import LoadPattern
@@ -98,12 +102,17 @@ def run_distinguishability_ablation(
     pattern = pattern or clarknet_production_load(duration_s=duration_s, days=1)
     config = ColocationConfig(duration_s=duration_s)
     artifact = profile_service_parallel(spec, seed=seed, workers=1)
-    rhythm_result = run_cell(
-        spec, artifact.controllers(), be_spec, pattern, seed=seed, config=config,
-    )
-    uniform_result = run_cell(
-        spec, uniform_rhythm_controllers(spec, seed), be_spec, pattern,
-        seed=seed, config=config,
+    rhythm_result, uniform_result = run_experiments(
+        [
+            cell_experiment(
+                spec, artifact.controllers(), be_spec, pattern,
+                seed=seed, config=config,
+            ),
+            cell_experiment(
+                spec, uniform_rhythm_controllers(spec, seed), be_spec, pattern,
+                seed=seed, config=config,
+            ),
+        ]
     )
     return DistinguishabilityResult(
         service=spec.name,

@@ -22,7 +22,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Mapping, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -304,15 +304,11 @@ class ColocationExperiment:
 
     def run(self) -> ColocationResult:
         """Advance the full experiment and return its result."""
+        return run_experiments([self])[0]
+
+    def _run_engine(self) -> ColocationResult:
+        """The scalar engine-driven loop: the identity oracle."""
         cfg = self.config
-        if self.kernel == "batched":
-            # Batched runs, healthy or faulted, take the fleet SoA tick
-            # path — the same phases a fleet shard uses, degenerate at
-            # one instance. Bit-identical to the engine-driven loop
-            # below (tests/test_kernel_identity.py pins it), and the
-            # tick schedule reproduces the engine's float accumulation,
-            # so events_fired matches too.
-            return FleetColocationKernel([self]).run()[0]
         engine = Engine()
         load_sum = [0.0]
         ticks = [0]
@@ -493,6 +489,37 @@ class ColocationExperiment:
             worst_tail_ms=max(m.worst_tail_ms for m in machines.values()),
             events_fired=events_fired,
         )
+
+
+def run_experiments(
+    experiments: Sequence[ColocationExperiment],
+) -> List[ColocationResult]:
+    """Run independent experiments; results in input order.
+
+    Batched-kernel experiments, healthy or faulted, tick together as one
+    fleet: a single :class:`~repro.sim.kernel.FleetColocationKernel`
+    runs them all in lockstep, so they must share one clock
+    (``duration_s`` and ``control_period_s``). The kernel is pinned
+    bit-identical to running each on the scalar engine
+    (``tests/test_kernel_identity.py``), and its tick schedule
+    reproduces the engine's float accumulation, so ``events_fired``
+    matches too. Scalar-kernel experiments run one by one through the
+    engine. "Independent" means no two experiments share a world or a
+    :class:`~repro.sim.rng.RandomStreams` registry.
+    """
+    experiments = list(experiments)
+    results: List[Optional[ColocationResult]] = [None] * len(experiments)
+    batched: List[int] = []
+    for i, exp in enumerate(experiments):
+        if exp.kernel == "batched":
+            batched.append(i)
+        else:
+            results[i] = exp._run_engine()
+    if batched:
+        fleet = FleetColocationKernel([experiments[i] for i in batched])
+        for i, result in zip(batched, fleet.run()):
+            results[i] = result
+    return results  # type: ignore[return-value]
 
 
 def make_sla_probe(

@@ -19,9 +19,10 @@ from typing import List, Optional, Sequence
 from repro.baselines.static import LcSoloPolicy
 from repro.bejobs.catalog import evaluation_be_jobs
 from repro.bejobs.spec import BeJobSpec
-from repro.experiments.colocation import ColocationConfig
-from repro.experiments.runner import compare_systems, run_cell
+from repro.experiments.colocation import ColocationConfig, run_experiments
+from repro.experiments.runner import CellComparison, cell_experiment
 from repro.loadgen.patterns import ConstantLoad
+from repro.parallel.profile import profile_service_parallel
 from repro.workloads.microservices import snms_service
 from repro.workloads.spec import ServiceSpec
 
@@ -58,40 +59,42 @@ def run_figure16(
     be_specs = list(be_specs) if be_specs is not None else evaluation_be_jobs()
     config = config or ColocationConfig(duration_s=60.0)
     solo_policy = LcSoloPolicy()
+    artifact = profile_service_parallel(spec, seed=seed, workers=1)
+    cells = [(be, load) for be in be_specs for load in loads]
+    # Every cell's solo, Rhythm and Heracles runs tick as one batch.
+    experiments = []
+    for be, load in cells:
+        rhythm, heracles = CellComparison(
+            spec, artifact, be, min(1.0, load), seed=seed, config=config
+        ).experiments()
+        solo = cell_experiment(
+            spec,
+            solo_policy.controllers(spec),
+            be,
+            ConstantLoad(min(1.0, load)),
+            seed=seed,
+            config=config,
+        )
+        experiments.extend((solo, heracles, rhythm))
+    results = run_experiments(experiments)
     rows: List[MicroserviceCell] = []
-    for be in be_specs:
-        for load in loads:
-            pattern = ConstantLoad(min(1.0, load))
-            solo = run_cell(
-                spec,
-                solo_policy.controllers(spec),
-                be,
-                pattern,
-                seed=seed,
-                config=config,
+    for k, (be, load) in enumerate(cells):
+        solo, heracles, rhythm = results[3 * k : 3 * k + 3]
+        rows.append(
+            MicroserviceCell(
+                be_job=be.name,
+                load=load,
+                emu_solo=solo.emu,
+                emu_heracles=heracles.emu,
+                emu_rhythm=rhythm.emu,
+                cpu_solo=solo.cpu_utilisation,
+                cpu_heracles=heracles.cpu_utilisation,
+                cpu_rhythm=rhythm.cpu_utilisation,
+                membw_solo=solo.membw_utilisation,
+                membw_heracles=heracles.membw_utilisation,
+                membw_rhythm=rhythm.membw_utilisation,
             )
-            cmp = compare_systems(
-                spec,
-                be,
-                load=min(1.0, load),
-                seed=seed,
-                config=config,
-            )
-            rows.append(
-                MicroserviceCell(
-                    be_job=be.name,
-                    load=load,
-                    emu_solo=solo.emu,
-                    emu_heracles=cmp.heracles.emu,
-                    emu_rhythm=cmp.rhythm.emu,
-                    cpu_solo=solo.cpu_utilisation,
-                    cpu_heracles=cmp.heracles.cpu_utilisation,
-                    cpu_rhythm=cmp.rhythm.cpu_utilisation,
-                    membw_solo=solo.membw_utilisation,
-                    membw_heracles=cmp.heracles.membw_utilisation,
-                    membw_rhythm=cmp.rhythm.membw_utilisation,
-                )
-            )
+        )
     return rows
 
 

@@ -2,9 +2,9 @@
 
 The evaluation grids (Figures 9–14) run the same (LC service, BE job,
 load) cell once under each system and report relative improvements. This
-module provides the cell runner, the comparison every grid cell runs, and
-the serial reference profiling pipeline. Callers that need Rhythm's
-thresholds take the profiled artifact from
+module provides the cell runner, the batched comparison every grid cell
+runs, and the serial reference profiling pipeline. Callers that need
+Rhythm's thresholds take the profiled artifact from
 :func:`repro.parallel.profile.profile_service_parallel`, whose memo
 profiles each service once per process, exactly as the paper's "profile
 once" design intends.
@@ -13,7 +13,7 @@ once" design intends.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 from repro.baselines.heracles import HeraclesPolicy, heracles_controllers
 from repro.bejobs.spec import BeJobSpec
@@ -24,6 +24,7 @@ from repro.experiments.colocation import (
     ColocationConfig,
     ColocationExperiment,
     ColocationResult,
+    run_experiments,
 )
 from repro.loadgen.patterns import ConstantLoad, LoadPattern
 from repro.sim.rng import RandomStreams
@@ -117,6 +118,32 @@ def clear_rhythm_cache() -> None:
     clear_profile_memo()
 
 
+def cell_experiment(
+    service: ServiceSpec,
+    controllers: Mapping[str, TopController],
+    be_spec: BeJobSpec,
+    pattern: LoadPattern,
+    seed: int = 0,
+    config: Optional[ColocationConfig] = None,
+    kernel: Optional[str] = None,
+) -> ColocationExperiment:
+    """One (service, BE, load pattern) cell under one controller set.
+
+    ``kernel`` selects the simulation kernel for this cell (default:
+    the ``RHYTHM_KERNEL`` environment variable, else batched). Results
+    are bit-identical across kernels, so cached cells are shared.
+    """
+    return ColocationExperiment(
+        service,
+        controllers,
+        [be_spec],
+        pattern,
+        streams=RandomStreams(seed),
+        config=config,
+        kernel=kernel,
+    )
+
+
 def run_cell(
     service: ServiceSpec,
     controllers: Mapping[str, TopController],
@@ -126,22 +153,10 @@ def run_cell(
     config: Optional[ColocationConfig] = None,
     kernel: Optional[str] = None,
 ) -> ColocationResult:
-    """Run one (service, BE, load pattern) cell under one controller set.
-
-    ``kernel`` selects the simulation kernel for this cell (default:
-    the ``RHYTHM_KERNEL`` environment variable, else batched). Results
-    are bit-identical across kernels, so cached cells are shared.
-    """
-    experiment = ColocationExperiment(
-        service,
-        controllers,
-        [be_spec],
-        pattern,
-        streams=RandomStreams(seed),
-        config=config,
-        kernel=kernel,
-    )
-    return experiment.run()
+    """Run one :func:`cell_experiment` on its own."""
+    return cell_experiment(
+        service, controllers, be_spec, pattern, seed, config, kernel
+    ).run()
 
 
 def kernel_identity_probe(
@@ -244,6 +259,75 @@ class ComparisonResult:
         )
 
 
+@dataclass(frozen=True)
+class CellComparison:
+    """One cell of a Rhythm-vs-Heracles comparison: what both runs need.
+
+    ``pattern`` defaults to ``ConstantLoad(load)``; Rhythm's thresholds
+    come from ``artifact``.
+    """
+
+    service: ServiceSpec
+    artifact: "RhythmArtifact"
+    be_spec: BeJobSpec
+    load: float
+    seed: int = 0
+    config: Optional[ColocationConfig] = None
+    pattern: Optional[LoadPattern] = None
+    heracles_policy: HeraclesPolicy = HeraclesPolicy()
+
+    def experiments(self) -> Tuple[ColocationExperiment, ColocationExperiment]:
+        """The cell's Rhythm and Heracles experiments, seeds matched."""
+        pattern = self.pattern
+        if pattern is None:
+            if not (0.0 <= self.load <= 1.0):
+                raise ExperimentError(f"load must be in [0,1], got {self.load!r}")
+            pattern = ConstantLoad(self.load)
+        return (
+            cell_experiment(
+                self.service,
+                self.artifact.controllers(),
+                self.be_spec,
+                pattern,
+                seed=self.seed,
+                config=self.config,
+            ),
+            cell_experiment(
+                self.service,
+                heracles_controllers(self.service, self.heracles_policy),
+                self.be_spec,
+                pattern,
+                seed=self.seed,
+                config=self.config,
+            ),
+        )
+
+
+def compare_cells(cells: Sequence[CellComparison]) -> List[ComparisonResult]:
+    """Run every cell under Rhythm and Heracles; results in input order.
+
+    All the cells' simulations, both systems, go to one
+    :func:`~repro.experiments.colocation.run_experiments` call, so on
+    the batched kernel they tick as one fleet (the cells must share one
+    clock). Each result is bit-identical to running the cell alone.
+    Every comparison, serial or from a grid worker, runs through here.
+    """
+    cells = list(cells)
+    results = run_experiments(
+        [exp for cell in cells for exp in cell.experiments()]
+    )
+    return [
+        ComparisonResult(
+            service=cell.service.name,
+            be_job=cell.be_spec.name,
+            load=cell.load,
+            rhythm=results[2 * i],
+            heracles=results[2 * i + 1],
+        )
+        for i, cell in enumerate(cells)
+    ]
+
+
 def compare_with_artifact(
     service: ServiceSpec,
     artifact: "RhythmArtifact",
@@ -255,33 +339,21 @@ def compare_with_artifact(
     heracles_policy: HeraclesPolicy = HeraclesPolicy(),
 ) -> ComparisonResult:
     """Run one cell under Rhythm (thresholds from ``artifact``) and
-    Heracles with matched seeds.
-
-    ``pattern`` defaults to ``ConstantLoad(load)``. Every comparison,
-    serial or from a grid worker, runs through here.
-    """
-    if pattern is None:
-        if not (0.0 <= load <= 1.0):
-            raise ExperimentError(f"load must be in [0,1], got {load!r}")
-        pattern = ConstantLoad(load)
-    rhythm_result = run_cell(
-        service, artifact.controllers(), be_spec, pattern, seed=seed, config=config
-    )
-    heracles_result = run_cell(
-        service,
-        heracles_controllers(service, heracles_policy),
-        be_spec,
-        pattern,
-        seed=seed,
-        config=config,
-    )
-    return ComparisonResult(
-        service=service.name,
-        be_job=be_spec.name,
-        load=load,
-        rhythm=rhythm_result,
-        heracles=heracles_result,
-    )
+    Heracles with matched seeds: the one-cell :func:`compare_cells`."""
+    return compare_cells(
+        [
+            CellComparison(
+                service,
+                artifact,
+                be_spec,
+                load,
+                seed=seed,
+                config=config,
+                pattern=pattern,
+                heracles_policy=heracles_policy,
+            )
+        ]
+    )[0]
 
 
 def compare_systems(

@@ -373,6 +373,12 @@ class DriftReport:
     def total_cached(self) -> int:
         return sum(e.sweep_cache_hits for e in self.epochs)
 
+    @property
+    def epochs_served_whole(self) -> int:
+        """Epochs whose whole artifact was a hit: their sweeps never ran,
+        so they count in neither total above."""
+        return sum(1 for e in self.epochs if e.artifact_cache_hits)
+
 
 def drift_grid(
     epoch: int,

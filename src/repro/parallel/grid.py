@@ -12,22 +12,27 @@ artifacts can cross a process boundary. The flow is:
    and Algorithm-1 walks fan out through the same pool), into a
    picklable :class:`~repro.parallel.artifact.RhythmArtifact` per
    service,
-2. cells fan out to a process pool as :class:`GridCell` tasks carrying
-   only specs, artifacts and seeds,
-3. each worker runs the cell through
-   :func:`~repro.experiments.runner.compare_with_artifact`, the same
-   routine the serial :func:`~repro.experiments.runner.compare_systems`
-   runs.
+2. the cells still to run split into ``min(workers, pending)``
+   contiguous chunks of about equal machine rows, and each chunk ships
+   to the process pool as one envelope carrying its :class:`GridCell`
+   specs and seeds plus the artifacts as broadcast refs,
+3. each worker runs its whole chunk through
+   :func:`~repro.experiments.runner.compare_cells`, the same routine
+   the serial :func:`~repro.experiments.runner.compare_systems` runs: a
+   chunk's simulations, Rhythm's and Heracles' alike, tick in lockstep
+   as one :class:`~repro.sim.kernel.FleetColocationKernel` fleet.
 
-Determinism: a cell's simulation consumes only its own
-``RandomStreams(cell.seed)``, so results are bit-identical no matter
-which worker runs the cell or in which order cells complete —
-``run_comparison_grid(cells, workers=1)`` and ``workers=N`` return
-identical results (asserted in ``tests/test_parallel.py``).
+Determinism: a simulation consumes only its own
+``RandomStreams(cell.seed)``, and the fleet kernel is pinned
+bit-identical to running its members one by one, so results do not
+depend on how cells are chunked, which worker runs a chunk, or in which
+order chunks complete — ``run_comparison_grid(cells, workers=1)`` and
+``workers=N`` return identical results (asserted in
+``tests/test_parallel.py``, which also compares both with per-cell runs).
 
 Worker count resolves from the ``RHYTHM_WORKERS`` environment variable,
-falling back to ``os.cpu_count()``. ``workers=1`` (or a single cell)
-runs inline without a pool.
+falling back to ``os.cpu_count()``. ``workers=1`` (or a single pending
+cell) runs every pending cell inline, in one batch, without a pool.
 
 Incremental re-execution: pass ``cache=True`` (the environment-default
 store) or an explicit :class:`~repro.cache.store.CacheStore` and the
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.baselines.heracles import HeraclesPolicy
@@ -55,7 +61,11 @@ from repro.cache.store import (
 )
 from repro.errors import ExperimentError
 from repro.experiments.colocation import ColocationConfig, ColocationResult
-from repro.experiments.runner import ComparisonResult, compare_with_artifact
+from repro.experiments.runner import (
+    CellComparison,
+    ComparisonResult,
+    compare_cells,
+)
 from repro.loadgen.patterns import ConstantLoad, LoadPattern
 from repro.parallel.artifact import RhythmArtifact
 from repro.parallel.pool import (
@@ -126,41 +136,70 @@ class _CellTask:
     config: Optional[ColocationConfig]
 
 
-def _execute_task(task: _CellTask) -> ComparisonResult:
-    """Run one cell under both systems (worker side, also used inline)."""
-    cell = task.cell
-    return compare_with_artifact(
-        cell.service,
-        task.artifact,
-        cell.be_spec,
-        cell.load,
-        seed=cell.seed,
-        config=task.config,
-        pattern=cell.pattern,
-        heracles_policy=task.heracles_policy,
+def _execute_task(tasks: Sequence[_CellTask]) -> List[ComparisonResult]:
+    """Run cells under both systems as one batch (inline, and per chunk
+    in a worker): every simulation of ``tasks`` ticks in one kernel."""
+    return compare_cells(
+        [
+            CellComparison(
+                task.cell.service,
+                task.artifact,
+                task.cell.be_spec,
+                task.cell.load,
+                seed=task.cell.seed,
+                config=task.config,
+                pattern=task.cell.pattern,
+                heracles_policy=task.heracles_policy,
+            )
+            for task in tasks
+        ]
     )
 
 
-def _execute_cell(
-    cell: GridCell,
-    artifact_ref: BroadcastRef,
+def _execute_chunk(
+    cells: Tuple[GridCell, ...],
+    artifact_refs: Tuple[BroadcastRef, ...],
     heracles_policy: HeraclesPolicy,
     config: Optional[ColocationConfig],
-) -> ComparisonResult:
-    """Worker-side cell execution against a broadcast artifact.
+) -> List[ComparisonResult]:
+    """Worker-side execution of one chunk of cells.
 
-    The artifact travels as a digest-addressed ref (pickled once per
-    broadcast, not once per cell); everything else in the envelope is
-    cell-specific anyway.
+    ``artifact_refs[i]`` is cell ``i``'s artifact as a digest-addressed
+    ref (pickled once per broadcast, not once per chunk); everything
+    else in the envelope is chunk-specific anyway.
     """
     return _execute_task(
-        _CellTask(
-            cell=cell,
-            artifact=resolve_ref(artifact_ref),
-            heracles_policy=heracles_policy,
-            config=config,
-        )
+        [
+            _CellTask(
+                cell=cell,
+                artifact=resolve_ref(ref),
+                heracles_policy=heracles_policy,
+                config=config,
+            )
+            for cell, ref in zip(cells, artifact_refs)
+        ]
     )
+
+
+def _chunks(tasks: Sequence[_CellTask], n: int) -> List[Sequence[_CellTask]]:
+    """``tasks`` in ``n`` non-empty contiguous chunks of about equal work.
+
+    A cell's work grows with its machine rows (one per Servpod, under
+    each system), so each cut lands where the running row count comes
+    closest to an equal share.
+    """
+    rows = list(accumulate(len(t.cell.service.servpod_names) for t in tasks))
+    cuts = [0]
+    for k in range(1, n):
+        share = rows[-1] * k / n
+        cuts.append(
+            min(
+                range(cuts[-1] + 1, len(tasks) - (n - k) + 1),
+                key=lambda end: abs(rows[end - 1] - share),
+            )
+        )
+    cuts.append(len(tasks))
+    return [tasks[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 # -- content-addressed caching -------------------------------------------
@@ -218,12 +257,14 @@ def run_comparison_grid(
     ``artifacts`` are supplied) with its sweep and Algorithm-1 walks
     fanned out through the shared worker pool; the cell phase then
     reuses that same pool — a cold figure run pays pool startup exactly
-    once. Artifacts cross the pool boundary as broadcast refs, pickled
-    once per grid instead of once per cell. With ``workers=1`` (or one
-    cell) everything runs inline in this process — the pool path
-    produces bit-identical results. ``profile_workers`` overrides the
-    profiling fan-out width (default: ``RHYTHM_PROFILE_WORKERS``, then
-    the grid's own worker resolution).
+    once. The pending cells run as one batch per worker chunk (one
+    fleet kernel each, Rhythm and Heracles runs together); artifacts
+    cross the pool boundary as broadcast refs, pickled once per grid
+    instead of once per chunk. With ``workers=1`` (or one pending cell)
+    every pending cell runs inline in this process as one batch — the
+    pool path produces bit-identical results. ``profile_workers``
+    overrides the profiling fan-out width (default:
+    ``RHYTHM_PROFILE_WORKERS``, then the grid's own worker resolution).
 
     With a ``cache`` (``True`` for the environment default, or an
     explicit :class:`~repro.cache.store.CacheStore`), each cell's result
@@ -275,33 +316,40 @@ def run_comparison_grid(
         if results[i] is None:
             pending.append(i)
 
-    # Execution pass: only the unresolved cells run (inline or pooled).
+    # Execution pass: only the unresolved cells run, as one batch inline
+    # or as one batch per worker chunk.
     pending_tasks = [tasks[i] for i in pending]
     if pending_tasks:
         n_workers = min(resolve_workers(workers), len(pending_tasks))
         if n_workers <= 1:
-            computed = [_execute_task(task) for task in pending_tasks]
+            computed = _execute_task(pending_tasks)
         else:
             artifact_refs = {
                 name: broadcast(artifact)
                 for name, artifact in artifacts.items()
             }
-            computed = run_envelopes(
-                [
+            envelopes = []
+            for chunk in _chunks(pending_tasks, n_workers):
+                refs = tuple(
+                    artifact_refs[task.cell.service.name] for task in chunk
+                )
+                envelopes.append(
                     Envelope(
-                        fn=_execute_cell,
+                        fn=_execute_chunk,
                         args=(
-                            task.cell,
-                            artifact_refs[task.cell.service.name],
-                            task.heracles_policy,
-                            task.config,
+                            tuple(task.cell for task in chunk),
+                            refs,
+                            heracles_policy,
+                            config,
                         ),
-                        refs=(artifact_refs[task.cell.service.name],),
+                        refs=tuple(dict.fromkeys(refs)),
                     )
-                    for task in pending_tasks
-                ],
-                n_workers,
-            )
+                )
+            computed = [
+                result
+                for chunk_results in run_envelopes(envelopes, n_workers)
+                for result in chunk_results
+            ]
         for i, result in zip(pending, computed):
             results[i] = result
             if keys[i] is not None:

@@ -524,6 +524,52 @@ class TestIncrementalGrid:
         )
         assert stats.hits == 2 and stats.misses == 2
 
+    def test_partial_grid_runs_missing_cells_in_one_batch(
+        self, tiny_artifact, tmp_path, monkeypatch
+    ):
+        service, artifact = tiny_artifact
+        cells = self._cells(service)
+        artifacts = {service.name: artifact}
+
+        class Recording(CacheStore):
+            def __init__(self, directory):
+                super().__init__(directory)
+                self.keys = []
+
+            def put(self, key, payload):
+                self.keys.append(key)
+                return super().put(key, payload)
+
+        cold_store = Recording(tmp_path / "cold")
+        cold = run_comparison_grid(
+            cells, config=FAST, workers=1, artifacts=artifacts, cache=cold_store
+        )
+        store = Recording(tmp_path / "partial")
+        run_comparison_grid(
+            [cells[0], cells[2]],
+            config=FAST,
+            workers=1,
+            artifacts=artifacts,
+            cache=store,
+        )
+        store.keys = []
+        batches = []
+        real = grid_module._execute_task
+
+        def spy(tasks):
+            batches.append([task.cell for task in tasks])
+            return real(tasks)
+
+        monkeypatch.setattr(grid_module, "_execute_task", spy)
+        warm = run_comparison_grid(
+            cells, config=FAST, workers=1, artifacts=artifacts, cache=store
+        )
+        assert batches == [[cells[1], cells[3]]]
+        assert store.keys == [cold_store.keys[1], cold_store.keys[3]]
+        assert [comparison_fingerprint(r) for r in warm] == [
+            comparison_fingerprint(r) for r in cold
+        ]
+
     def test_no_store_skips_all(self, tiny_artifact):
         service, artifact = tiny_artifact
         cells = self._cells(service)[:1]

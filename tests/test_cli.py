@@ -15,7 +15,7 @@ from repro.experiments.fleet import rhythm_fleet_policies
 from repro.experiments.runner import run_cell
 from repro.faults.spec import FaultSchedule
 from repro.loadgen.patterns import ConstantLoad
-from repro.parallel.profile import profile_service_parallel
+from repro.parallel.profile import clear_profile_memo, profile_service_parallel
 from repro.workloads.catalog import (
     lc_service_spec,
     service_profiling_mode,
@@ -319,6 +319,33 @@ class TestScenarioCli:
         assert len(report["epochs"]) == 2
         # The cached second epoch only simulates the newly-entered point.
         assert report["epochs"][1]["sweep_cache_hits"] > 0
+
+    def test_drift_warm_run_reports_epochs_served_whole(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("RHYTHM_CACHE_DIR", str(tmp_path / "cachedir"))
+        argv = ["scenario", "drift", "--epochs", "2"]
+        clear_profile_memo()
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert "0 epoch(s) served whole" in cold
+        clear_profile_memo()  # as in a second invocation of the CLI
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        assert (
+            "0 point(s) simulated, 0 served from cache, "
+            "2 epoch(s) served whole" in warm
+        )
+        rows = [
+            [cell.strip() for cell in line.split("|")]
+            for line in warm.splitlines()
+            if line[:1].isdigit()
+        ]
+        # epoch | grid | points | simulated | cached | artifact
+        assert [(r[0], r[2:]) for r in rows] == [
+            ("0", ["0", "0", "0", "1"]),
+            ("1", ["0", "0", "0", "1"]),
+        ]
 
     def test_capacity_runs_small(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("RHYTHM_CACHE_DIR", str(tmp_path / "cachedir"))

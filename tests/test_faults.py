@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.parallel.grid as grid_module
 from repro.bejobs.catalog import evaluation_be_jobs
 from repro.cluster.machine import BE_DOMAIN, LC_DOMAIN
 from repro.core.servpod import deploy_service
@@ -582,13 +583,29 @@ class TestDifferentialIdentity:
             for load in (0.25, 0.65)
         ]
 
-    def test_grid_identical_under_crash_storm(self, service):
+    @staticmethod
+    def _record_shipped_keys(monkeypatch):
+        """The task keys of every envelope the grid ships (one per chunk)."""
+        keys = []
+        real = grid_module.run_envelopes
+
+        def spy(envelopes, workers):
+            keys.extend(envelope_task_key(env) for env in envelopes)
+            return real(envelopes, workers)
+
+        monkeypatch.setattr(grid_module, "run_envelopes", spy)
+        return keys
+
+    def test_grid_identical_under_crash_storm(self, service, monkeypatch):
         cells = self._cells(service)
         artifacts = {service.name: artifact_for(service, probe_slacklimits=False)}
         serial = run_comparison_grid(
             cells, config=FAST, workers=1, artifacts=artifacts
         )
-        with executor_chaos(ExecutorFaultPlan(seed=0, crash_rate=0.6)):
+        shipped = self._record_shipped_keys(monkeypatch)
+        # Every first attempt crashes; the retries run clean.
+        plan = ExecutorFaultPlan(seed=0, crash_rate=1.0)
+        with executor_chaos(plan):
             chaotic = run_comparison_grid(
                 cells, config=FAST, workers=2, artifacts=artifacts
             )
@@ -596,6 +613,7 @@ class TestDifferentialIdentity:
             comparison_fingerprint(r) for r in chaotic
         ]
         assert pool_stats().task_failures > 0
+        assert pool_stats().task_failures == plan.expected_actions(shipped)["crash"]
 
     def test_profiling_identical_under_crash_storm(self, service):
         clear_profile_memo()
@@ -619,14 +637,19 @@ class TestDifferentialIdentity:
         )
         monkeypatch.setenv("RHYTHM_MP_CONTEXT", "spawn")
         reset_pool_state_for_tests()
+        shipped = self._record_shipped_keys(monkeypatch)
+        plan = ExecutorFaultPlan(seed=2, crash_rate=1.0)
         try:
-            with executor_chaos(ExecutorFaultPlan(seed=2, crash_rate=0.6)):
+            with executor_chaos(plan):
                 chaotic = run_comparison_grid(
                     cells, config=FAST, workers=2, artifacts=artifacts
                 )
             assert [comparison_fingerprint(r) for r in serial] == [
                 comparison_fingerprint(r) for r in chaotic
             ]
+            assert pool_stats().task_failures == (
+                plan.expected_actions(shipped)["crash"]
+            )
         finally:
             reset_pool_state_for_tests()
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines.heracles import heracles_controllers
+from repro.baselines.static import LcSoloPolicy
 from repro.bejobs.catalog import CPU_STRESS, STREAM_DRAM
 from repro.experiments.colocation import ColocationConfig
 from repro.experiments.figures.figure2 import increase_matrix, run_figure2
@@ -21,12 +23,15 @@ from repro.experiments.figures.figure12_14 import (
     run_service_grid,
 )
 from repro.experiments.figures.figure15 import run_figure15, worst_safety_cell
-from repro.experiments.figures.figure16 import run_figure16
+from repro.experiments.figures.figure16 import MicroserviceCell, run_figure16
 from repro.experiments.figures.figure17 import run_figure17
 from repro.experiments.figures.figure18 import normalized_throughput, run_figure18
 from repro.experiments.figures.table1 import table1_rows
-from repro.parallel.profile import clear_profile_memo
+from repro.experiments.runner import run_cell
+from repro.loadgen.patterns import ConstantLoad
+from repro.parallel.profile import clear_profile_memo, profile_service_parallel
 from repro.workloads.catalog import redis_service
+from repro.workloads.microservices import snms_service
 
 FAST = ColocationConfig(duration_s=30.0, sample_cap=150, min_samples=50)
 
@@ -110,6 +115,45 @@ def test_figure16_structure():
     row = rows[0]
     assert row.emu_solo <= row.emu_rhythm + 0.05
     assert row.cpu_solo > 0
+
+
+def test_figure16_rows_match_per_experiment_runs():
+    # run_figure16 ticks every cell's solo, Heracles and Rhythm runs as
+    # one batch; each row must be byte-identical to running them alone.
+    be_specs, loads, seed = [CPU_STRESS, STREAM_DRAM], (0.4, 1.0), 0
+    rows = run_figure16(be_specs=be_specs, loads=loads, seed=seed, config=FAST)
+    spec = snms_service()
+    artifact = profile_service_parallel(spec, seed=seed, workers=1)
+    expected = []
+    for be in be_specs:
+        for load in loads:
+            solo, rhythm, heracles = (
+                run_cell(
+                    spec, controllers, be, ConstantLoad(min(1.0, load)),
+                    seed=seed, config=FAST, kernel="scalar",
+                )
+                for controllers in (
+                    LcSoloPolicy().controllers(spec),
+                    artifact.controllers(),
+                    heracles_controllers(spec),
+                )
+            )
+            expected.append(
+                MicroserviceCell(
+                    be_job=be.name,
+                    load=load,
+                    emu_solo=solo.emu,
+                    emu_heracles=heracles.emu,
+                    emu_rhythm=rhythm.emu,
+                    cpu_solo=solo.cpu_utilisation,
+                    cpu_heracles=heracles.cpu_utilisation,
+                    cpu_rhythm=rhythm.cpu_utilisation,
+                    membw_solo=solo.membw_utilisation,
+                    membw_heracles=heracles.membw_utilisation,
+                    membw_rhythm=rhythm.membw_utilisation,
+                )
+            )
+    assert repr(rows) == repr(expected)
 
 
 def test_figure17_structure():

@@ -16,10 +16,15 @@ import pickle
 import numpy as np
 import pytest
 
+import repro.experiments.colocation as colocation_module
+import repro.parallel.grid as grid_module
+import repro.sim.kernel as kernel_module
 from repro.bejobs.catalog import evaluation_be_jobs
 from repro.errors import ConfigurationError, ExperimentError, ProfilingError
 from repro.experiments.colocation import ColocationConfig
-from repro.experiments.runner import get_rhythm
+from repro.experiments.runner import CellComparison, get_rhythm
+from repro.faults.spec import FaultSchedule
+from repro.loadgen.patterns import StepLoad
 from repro.metrics.percentile import (
     HistogramTailTracker,
     WindowedTailTracker,
@@ -30,12 +35,15 @@ from repro.parallel import (
     GridCell,
     RhythmArtifact,
     artifact_for,
+    colocation_fingerprint,
     comparison_fingerprint,
     derive_cell_seed,
     resolve_workers,
     run_comparison_grid,
 )
 from repro.parallel.profile import clear_profile_memo, profile_services_parallel
+from repro.sim.kernel import FleetColocationKernel
+from repro.workloads.catalog import ecommerce_service, redis_service
 from conftest import make_tiny_service
 
 
@@ -145,6 +153,158 @@ class TestParallelGridDeterminism:
             run_comparison_grid(
                 self._cells(service), config=FAST, workers=1, artifacts={}
             )
+
+
+#: A storm over every machine of every cell: the faulted config.
+FAULTED = ColocationConfig(
+    duration_s=20.0,
+    sample_cap=150,
+    min_samples=50,
+    faults=FaultSchedule.generate(3, 20.0, faults_per_minute=9.0),
+)
+
+
+@pytest.fixture(scope="module")
+def mixed_grid():
+    """Five cells over Redis and the four-Servpod E-commerce service,
+    one of them under a non-constant load pattern."""
+    redis, shop = redis_service(), ecommerce_service()
+    dram, llc = evaluation_be_jobs()[:2]
+    cells = [
+        GridCell(redis, dram, 0.25, seed=9),
+        GridCell(shop, llc, 0.65, seed=10),
+        GridCell(
+            redis,
+            llc,
+            0.5,
+            seed=11,
+            pattern=StepLoad([(0.0, 0.3), (7.0, 0.85), (14.0, 0.5)]),
+        ),
+        GridCell(shop, dram, 0.45, seed=12),
+        GridCell(redis, dram, 0.85, seed=13),
+    ]
+    artifacts = {
+        s.name: artifact_for(s, seed=0, probe_slacklimits=False)
+        for s in (redis, shop)
+    }
+    return cells, artifacts
+
+
+def _per_experiment(cells, artifacts, config):
+    """The oracle: each cell's two simulations, each in its own kernel."""
+    fingerprints = []
+    for cell in cells:
+        rhythm, heracles = CellComparison(
+            cell.service,
+            artifacts[cell.service.name],
+            cell.be_spec,
+            cell.load,
+            seed=cell.seed,
+            config=config,
+            pattern=cell.pattern,
+        ).experiments()
+        fingerprints.append(
+            (
+                cell.service.name,
+                cell.be_spec.name,
+                cell.load,
+                colocation_fingerprint(FleetColocationKernel([rhythm]).run()[0]),
+                colocation_fingerprint(FleetColocationKernel([heracles]).run()[0]),
+            )
+        )
+    return fingerprints
+
+
+class TestBatchedGridIdentity:
+    """A grid's pending cells tick as one fleet per worker chunk; every
+    result must equal the cell's simulations run one at a time."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self, mixed_grid):
+        cells, artifacts = mixed_grid
+        return {
+            "healthy": _per_experiment(cells, artifacts, FAST),
+            "faulted": _per_experiment(cells, artifacts, FAULTED),
+        }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["healthy", "faulted"])
+    def test_matches_per_experiment_runs(self, mixed_grid, oracle, name, workers):
+        cells, artifacts = mixed_grid
+        config = FAST if name == "healthy" else FAULTED
+        results = run_comparison_grid(
+            cells, config=config, workers=workers, artifacts=artifacts
+        )
+        assert [comparison_fingerprint(r) for r in results] == oracle[name]
+
+    def test_scalar_kernel_matches_batched_oracle(
+        self, mixed_grid, oracle, monkeypatch
+    ):
+        cells, artifacts = mixed_grid
+        monkeypatch.setenv("RHYTHM_KERNEL", "scalar")
+        for name, config in (("healthy", FAST), ("faulted", FAULTED)):
+            results = run_comparison_grid(
+                cells, config=config, workers=1, artifacts=artifacts
+            )
+            assert [comparison_fingerprint(r) for r in results] == oracle[name]
+
+    def test_vec_tick_path_matches(self, mixed_grid, oracle, monkeypatch):
+        # The batch is 28 rows, under the small-path cap; force the vec
+        # tick that grids above 32 rows take.
+        cells, artifacts = mixed_grid
+        monkeypatch.setattr(kernel_module, "_SMALL_FLEET_MACHINES", 0)
+        for name, config in (("healthy", FAST), ("faulted", FAULTED)):
+            results = run_comparison_grid(
+                cells, config=config, workers=1, artifacts=artifacts
+            )
+            assert [comparison_fingerprint(r) for r in results] == oracle[name]
+
+    def test_inline_runs_every_pending_cell_in_one_batch(
+        self, mixed_grid, monkeypatch
+    ):
+        cells, artifacts = mixed_grid
+        batches = []
+        real = grid_module._execute_task
+
+        def spy(tasks):
+            batches.append([task.cell for task in tasks])
+            return real(tasks)
+
+        kernels = []
+
+        class CountingKernel(FleetColocationKernel):
+            def __init__(self, experiments, *args, **kwargs):
+                kernels.append(len(experiments))
+                super().__init__(experiments, *args, **kwargs)
+
+        monkeypatch.setattr(grid_module, "_execute_task", spy)
+        monkeypatch.setattr(colocation_module, "FleetColocationKernel", CountingKernel)
+        run_comparison_grid(cells, config=FAST, workers=1, artifacts=artifacts)
+        assert batches == [cells]
+        assert kernels == [2 * len(cells)]  # one kernel, both systems
+
+    # Machine rows per cell are 2, 4, 2, 4, 2: each cut lands nearest an
+    # equal share of the 14 rows.
+    @pytest.mark.parametrize(
+        "workers, sizes", [(2, [2, 3]), (3, [2, 1, 2]), (8, [1] * 5)]
+    )
+    def test_pool_ships_one_envelope_per_contiguous_chunk(
+        self, mixed_grid, monkeypatch, workers, sizes
+    ):
+        cells, artifacts = mixed_grid
+        shipped = []
+        real = grid_module.run_envelopes
+
+        def spy(envelopes, n_workers):
+            shipped.extend(env.args[0] for env in envelopes)
+            return real(envelopes, n_workers)
+
+        monkeypatch.setattr(grid_module, "run_envelopes", spy)
+        run_comparison_grid(
+            cells, config=FAST, workers=workers, artifacts=artifacts
+        )
+        assert [len(chunk) for chunk in shipped] == sizes
+        assert [cell for chunk in shipped for cell in chunk] == cells
 
 
 class TestCellSeeds:
