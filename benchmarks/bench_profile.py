@@ -12,8 +12,14 @@ each phase:
 
 Artifacts from every path are checked bit-identical before anything is
 reported. Run standalone (``PYTHONPATH=src python
-benchmarks/bench_profile.py [--workers 4] [--out BENCH_profile.json]``)
-or via ``pytest benchmarks/bench_profile.py --benchmark-only``.
+benchmarks/bench_profile.py [--workers 4] [--out BENCH_profile.json]
+[--gate 1.0]``) or via ``pytest benchmarks/bench_profile.py
+--benchmark-only``.
+
+``--gate X`` fails the run when the artifacts diverge, or when the host
+has at least two CPUs and the pooled speedup is below X; on one CPU the
+pool cannot speed anything up, so the speedup half of the gate is
+skipped (and says so).
 
 The ≥2.5× speedup expectation only applies on hardware with enough
 cores; single-core hosts report ``degraded: true`` (pool overhead with
@@ -61,7 +67,9 @@ def _profile_all(
 
 
 def run_benchmark(
-    workers: int = 4, out: Optional[str] = DEFAULT_REPORT
+    workers: int = 4,
+    out: Optional[str] = DEFAULT_REPORT,
+    gate: Optional[float] = None,
 ) -> Dict[str, object]:
     """Time serial/parallel/cached profiling; write and return the report."""
     t0 = time.perf_counter()
@@ -123,6 +131,11 @@ def run_benchmark(
         "warm_zero_simulations": warm_executed == 0,
         "identical_results": identical,
     }
+    if gate is not None:
+        report["gate"] = gate
+        report["gate_passed"] = identical and (
+            cpu_count < 2 or (speedup is not None and speedup >= gate)
+        )
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2)
@@ -154,8 +167,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--out", default=DEFAULT_REPORT)
+    parser.add_argument(
+        "--gate",
+        type=float,
+        default=None,
+        help="fail (exit 1) if artifacts diverge, or if the host has >= 2 "
+        "CPUs and the pooled speedup < GATE",
+    )
     args = parser.parse_args()
-    report = run_benchmark(workers=args.workers, out=args.out)
+    report = run_benchmark(workers=args.workers, out=args.out, gate=args.gate)
     print(json.dumps(report, indent=2))
     shutdown_pool()
     if not report["identical_results"]:
@@ -173,6 +193,12 @@ def main() -> int:
         f"warm cache {phases['warm_cache_s']}s, zero simulations | "
         f"report -> {args.out}"
     )
+    if args.gate is not None:
+        if report["cpu_count"] < 2:
+            print(f"gate {args.gate}x skipped: 1 CPU cannot run a pool faster")
+        elif not report["gate_passed"]:
+            print(f"FAIL: speedup {report['speedup']}x below gate {args.gate}x")
+            return 1
     return 0
 
 

@@ -21,9 +21,10 @@
 #      (benchmarks/bench_bakeoff.py --gate 2.0), the storm
 #      benchmark with its 10x warm-cache gate
 #      (benchmarks/bench_storm.py --gate 10.0), and the parallel grid
-#      benchmark, whose pool must not be slower than the inline run on
-#      a host with two or more CPUs (benchmarks/bench_parallel.py
-#      --gate 1.0; skipped on one CPU).
+#      benchmark and the profiling benchmark, whose pools must not be
+#      slower than the inline runs on a host with two or more CPUs
+#      (benchmarks/bench_parallel.py --gate 1.0,
+#      benchmarks/bench_profile.py --gate 1.0; skipped on one CPU).
 #
 # Any failure aborts with a non-zero exit code.
 
@@ -52,6 +53,9 @@ if [[ "${RHYTHM_BENCH_GATE:-0}" == "1" ]]; then
   echo
   echo "== parallel grid benchmark gate (RHYTHM_BENCH_GATE=1) =="
   python benchmarks/bench_parallel.py --gate 1.0
+  echo
+  echo "== profiling benchmark gate (RHYTHM_BENCH_GATE=1) =="
+  python benchmarks/bench_profile.py --gate 1.0
 fi
 
 echo

@@ -80,9 +80,15 @@ from repro.errors import CacheKeyError
 #: fleet and bake-off summaries carry digests in the binary
 #: :func:`~repro.experiments.colocation.result_digest` format. The
 #: simulated values are unchanged; :7 entries must miss because their
-#: schema and digests are the old ones. ``tests/golden_digests.json``
-#: records digests made under this salt (see ``tests/test_golden_digests.py``).
-CODE_VERSION_SALT = "rhythm-repro-cache:8"
+#: schema and digests are the old ones.
+#: :9 — ``MachineMetrics`` lost its ``tail`` tracker: the ``tail_ms``
+#: column is the one record of window tails, so cached
+#: ``ColocationResult``s pickle a different schema (:8 entries name the
+#: deleted ``WindowedTailTracker`` class and would read back as corrupt).
+#: Digests and simulated values are unchanged.
+#: ``tests/golden_digests.json`` records digests made under this salt
+#: (see ``tests/test_golden_digests.py``).
+CODE_VERSION_SALT = "rhythm-repro-cache:9"
 
 _PRIMITIVE_TAGS = {
     type(None): b"N",

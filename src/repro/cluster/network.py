@@ -58,11 +58,6 @@ class Nic:
         return self._lc_gbps
 
     @property
-    def lc_demand_gbps(self) -> float:
-        """The LC's raw traffic demand before any capacity bound."""
-        return self._lc_demand_gbps
-
-    @property
     def be_cap_gbps(self) -> float:
         """Current bandwidth cap applied to BE traffic in Gb/s."""
         return self._be_cap_gbps

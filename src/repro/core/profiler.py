@@ -63,10 +63,6 @@ class ProfilingResult:
     #: tail latency (ms) at each load
     tails: List[float] = field(default_factory=list)
 
-    def mean_sojourn(self, servpod: str, load_index: int) -> float:
-        """T_i^j for one Servpod and load index."""
-        return self.mean_sojourns[servpod][load_index]
-
     @classmethod
     def from_points(
         cls, service: str, points: Sequence["LoadPointProfile"]

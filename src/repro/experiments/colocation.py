@@ -180,10 +180,10 @@ def result_digest(streams: RandomStreams, result: ColocationResult) -> str:
       and suspension totals, violations, worst tail, events);
     - per machine, in Servpod order: ``repr`` of its metadata (pod,
       machine name, completed BE throughput, EMU, CPU and memory
-      bandwidth utilisation); its window tails as a little-endian int64
-      count then float64 bytes; its tick count, then its float64 and
-      int64 column blocks as ``ndarray.tobytes()``; its actions joined
-      by U+001F;
+      bandwidth utilisation); its window tails (the tail column's
+      positive entries) as a little-endian int64 count then float64
+      bytes; its tick count, then its float64 and int64 column blocks
+      as ``ndarray.tobytes()``; its actions joined by U+001F;
     - per RNG stream, in name order: the name, then ``repr`` of its
       bit-generator state.
 
@@ -213,7 +213,7 @@ def result_digest(streams: RandomStreams, result: ColocationResult) -> str:
             metrics.avg_membw_utilisation,
         )
         h.update(repr(meta).encode("utf-8"))
-        tails = metrics.tail.window_tails if metrics.tail is not None else ()
+        tails = metrics.window_tails
         h.update(struct.pack("<q", len(tails)))
         h.update(np.asarray(tails, dtype="<f8").tobytes())
         floats, counts = metrics.columns()
@@ -286,7 +286,6 @@ class ColocationExperiment:
                     servpod=pod,
                     total_cores=machine.spec.cores,
                     sla_ms=service.sla_ms,
-                    tail_pct=service.tail_percentile,
                 ),
             )
         # Kernel selection is deliberately *not* part of the config:
@@ -364,19 +363,17 @@ class ColocationExperiment:
 
         # Phase 2: observe latency under the current interference. The
         # window tail is computed once here and shared by the controllers
-        # and every machine's metrics — re-sorting the same samples per
-        # machine was the old hot path.
+        # and every machine's tail column; a window that drew no samples
+        # records 0.0 (``MachineMetrics.window_tails`` skips it).
         state = ServiceState(slowdowns=slowdowns, sigma_inflations=inflations)
         if window.n_samples > 0:
             latencies = self.service.sample_e2e(realized, window.n_samples, state)
             tail_ms = self._window_tail(latencies)
-            window_closed = True
         else:
             tail_ms = 0.0
-            window_closed = False
 
         self._advance_be(dt, snapshots)
-        self._control_phase(t, dt, load, tail_ms, window_closed, snapshots, usages)
+        self._control_phase(t, dt, load, tail_ms, snapshots, usages)
 
     # -- shared tick phases (scalar loop and the bake-off's physics pass) ----
 
@@ -412,7 +409,6 @@ class ColocationExperiment:
         dt: float,
         load: float,
         tail_ms: float,
-        window_closed: bool,
         snapshots: Mapping[str, BeResourceSnapshot],
         usages: Mapping[str, LcUsage],
     ) -> None:
@@ -428,8 +424,6 @@ class ColocationExperiment:
                 action = self.action_filter(pod, action)
             run.last_action = action
             run.last_snapshot = snapshot
-            if window_closed:
-                run.metrics.tail.record_window_tail(tail_ms)
             run.metrics.record_tick(
                 t=t,
                 dt=dt,

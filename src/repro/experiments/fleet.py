@@ -577,28 +577,6 @@ class FleetExperiment:
         self.instances: List[FleetInstanceSpec] = list(instances)
         self.config = config or FleetConfig()
 
-    def shard_plan(self) -> List[Tuple[int, int]]:
-        """(start, count) per shard; contiguous, zone-aligned, complete.
-
-        Zones are blocks of ``zone_size`` consecutive instances; shards
-        receive whole zones, spread as evenly as possible. Requesting
-        more shards than zones yields one shard per zone.
-        """
-        cfg = self.config
-        n = len(self.instances)
-        n_zones = math.ceil(n / cfg.zone_size)
-        shards = min(cfg.shards, n_zones)
-        base, extra = divmod(n_zones, shards)
-        plan: List[Tuple[int, int]] = []
-        zone_start = 0
-        for k in range(shards):
-            z = base + (1 if k < extra else 0)
-            first = zone_start * cfg.zone_size
-            last = min(n, (zone_start + z) * cfg.zone_size)
-            plan.append((first, last - first))
-            zone_start += z
-        return plan
-
     def zone_plan(self) -> List[Tuple[int, int, int]]:
         """(zone id, first instance index, count) per zone, complete."""
         cfg = self.config
@@ -614,10 +592,12 @@ class FleetExperiment:
     ) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
         """Distribute the pending zones over at most ``config.shards``.
 
-        Zones spread as evenly as the full-fleet :meth:`shard_plan`
-        does; adjacent zones inside one shard merge into a single span.
-        On a cold run with every zone pending this reproduces the
-        historical contiguous plan exactly.
+        Whole zones spread as evenly as possible (the first
+        ``len(pending) % shards`` shards take one extra zone), and
+        adjacent zones inside one shard merge into a single span, so a
+        cold run with every zone pending gets contiguous, zone-aligned
+        shards that cover the fleet. More shards than pending zones
+        yields one shard per zone.
         """
         shards = min(self.config.shards, len(pending))
         base, extra = divmod(len(pending), shards)

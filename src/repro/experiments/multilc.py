@@ -74,11 +74,6 @@ class MultiLcResult:
     machine_count: int
 
     @property
-    def total_violations(self) -> int:
-        """SLA violations summed over tenants."""
-        return sum(t.sla_violations for t in self.tenants.values())
-
-    @property
     def emu(self) -> float:
         """Aggregate EMU: mean tenant load + per-machine BE throughput."""
         lc = float(np.mean([t.lc_load_mean for t in self.tenants.values()]))

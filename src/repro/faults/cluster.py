@@ -166,11 +166,6 @@ class ClusterFaultInjector:
         """The currently applied (machine, fault) pairs."""
         return tuple(self._active)
 
-    @property
-    def applied_count(self) -> int:
-        """How many apply transitions have happened so far."""
-        return sum(1 for e in self.events if e.phase == "apply")
-
     # -- apply / revert ----------------------------------------------------
 
     def _apply(self, name: str, spec: FaultSpec, t: float) -> None:

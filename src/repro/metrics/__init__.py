@@ -1,20 +1,17 @@
 """Measurement utilities: percentiles, moments, EMU and collectors.
 
-- :mod:`repro.metrics.percentile` — tail-latency estimation (windowed
-  percentiles, fixed-bin streaming histograms),
+- :mod:`repro.metrics.percentile` — tail-latency estimation (the
+  percentile helper, fixed-bin streaming histograms),
 - :mod:`repro.metrics.streaming` — single-pass Welford/Chan moment
   accumulators,
 - :mod:`repro.metrics.emu` — the paper's EMU (effective machine
   utilisation) metric and resource-utilisation accumulators,
 - :mod:`repro.metrics.collector` — per-machine runtime metric collection
-  used by the experiment harness.
+  used by the experiment harness; its ``tail_ms`` column is the one
+  record of each control window's tail.
 """
 
-from repro.metrics.percentile import (
-    HistogramTailTracker,
-    WindowedTailTracker,
-    percentile,
-)
+from repro.metrics.percentile import HistogramTailTracker, percentile
 from repro.metrics.streaming import WelfordAccumulator
 from repro.metrics.emu import EmuAccumulator, UtilisationAccumulator
 from repro.metrics.collector import MachineMetrics, TickSample
@@ -22,7 +19,6 @@ from repro.metrics.collector import MachineMetrics, TickSample
 __all__ = [
     "HistogramTailTracker",
     "WelfordAccumulator",
-    "WindowedTailTracker",
     "percentile",
     "EmuAccumulator",
     "UtilisationAccumulator",

@@ -17,7 +17,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.metrics.emu import EmuAccumulator, UtilisationAccumulator
-from repro.metrics.percentile import WindowedTailTracker
 
 #: The float64 per-tick series, in the row order of
 #: :meth:`MachineMetrics.columns`' float block.
@@ -69,10 +68,8 @@ class MachineMetrics:
     servpod: str
     total_cores: float
     sla_ms: float
-    tail_pct: float = 99.0
     emu: EmuAccumulator = field(default_factory=EmuAccumulator)
     utilisation: Optional[UtilisationAccumulator] = None
-    tail: Optional[WindowedTailTracker] = None
     #: When set (by the experiment harness at teardown), BE throughput in
     #: terms of *successfully finished* work only — kills lose the
     #: in-flight unit, matching the paper's EMU definition.
@@ -93,8 +90,6 @@ class MachineMetrics:
     def __post_init__(self) -> None:
         if self.utilisation is None:
             self.utilisation = UtilisationAccumulator(self.total_cores)
-        if self.tail is None:
-            self.tail = WindowedTailTracker(self.tail_pct)
 
     def record_tick(
         self,
@@ -203,14 +198,21 @@ class MachineMetrics:
         return self.utilisation.membw_utilisation
 
     @property
+    def window_tails(self) -> Tuple[float, ...]:
+        """The tail of every closed window, in tick order.
+
+        A tick whose window drew no samples records a 0.0 tail, and a
+        closed window's tail is a percentile of positive latencies, so
+        the closed windows are the column's positive entries.
+        """
+        tails = self.columns()[0][_TAIL]
+        return tuple(tails[tails > 0.0].tolist())
+
+    @property
     def worst_tail_ms(self) -> float:
-        """Worst per-window tail latency (ms)."""
-        assert self.tail is not None
-        worst = self.tail.worst_tail
-        if worst is None:
-            tails = self.columns()[0][_TAIL]
-            worst = float(tails.max()) if tails.size else 0.0
-        return worst
+        """Worst per-window tail latency (ms); 0.0 before any tick."""
+        tails = self.columns()[0][_TAIL]
+        return float(tails.max()) if tails.size else 0.0
 
     @property
     def sla_violations(self) -> int:

@@ -1,7 +1,9 @@
 """Tail-latency estimation.
 
 The paper tracks the 99th percentile latency per second (SLA definition,
-§5.1) and feeds a windowed tail estimate to the runtime controller.
+§5.1) and feeds a windowed tail estimate to the runtime controller. The
+simulator records each window's tail in
+:class:`~repro.metrics.collector.MachineMetrics`' ``tail_ms`` column.
 """
 
 from __future__ import annotations
@@ -23,100 +25,12 @@ def percentile(samples: Sequence[float], pct: float) -> float:
     return float(np.percentile(np.asarray(samples, dtype=float), pct))
 
 
-class WindowedTailTracker:
-    """Per-window tail percentile with worst-case retention.
-
-    Mirrors how the paper defines SLAs: record the tail percentile per
-    window (per second in the paper) and keep the worst one.
-    """
-
-    def __init__(self, pct: float = 99.0) -> None:
-        if not (0.0 < pct < 100.0):
-            raise ConfigurationError(f"tail percentile must be in (0,100), got {pct}")
-        self.pct = float(pct)
-        self._window: List[float] = []
-        self._per_window: List[float] = []
-        self._worst: Optional[float] = None
-
-    def add_samples(self, values: Iterable[float]) -> None:
-        """Add latency samples to the current window.
-
-        Bulk path: one ``asarray`` + ``tolist`` round-trip replaces the
-        per-value ``float()`` loop for array inputs (float64 round-trips
-        exactly, so the stored samples are unchanged).
-        """
-        if not isinstance(values, (list, tuple, np.ndarray)):
-            values = list(values)
-        self._window.extend(np.asarray(values, dtype=float).tolist())
-
-    def roll_window(self) -> Optional[float]:
-        """Close the current window; returns its tail (None if empty)."""
-        if not self._window:
-            return None
-        tail = percentile(self._window, self.pct)
-        self._window.clear()
-        self.record_window_tail(tail)
-        return tail
-
-    def record_window_tail(self, tail: float) -> None:
-        """Record an externally computed window tail; O(1).
-
-        The co-location loop computes one tail per control window anyway
-        (the controller input); recording it directly avoids buffering
-        and re-sorting the same samples once per machine.
-        """
-        tail = float(tail)
-        self._per_window.append(tail)
-        if self._worst is None or tail > self._worst:
-            self._worst = tail
-
-    def record_window_tails(self, tails: Sequence[float]) -> None:
-        """Record many externally computed window tails at once.
-
-        One list-extend plus one ``max`` replaces a python call per
-        window per machine when the fleet kernel replays a whole run's
-        window closes at finalize time; the stored state is identical
-        to a :meth:`record_window_tail` loop.
-        """
-        if not tails:
-            return
-        values = [float(tail) for tail in tails]
-        self._per_window.extend(values)
-        top = max(values)
-        if self._worst is None or top > self._worst:
-            self._worst = top
-
-    @property
-    def current_tail(self) -> Optional[float]:
-        """Tail of the most recently closed window."""
-        return self._per_window[-1] if self._per_window else None
-
-    @property
-    def worst_tail(self) -> Optional[float]:
-        """Worst per-window tail seen so far."""
-        return self._worst
-
-    @property
-    def window_tails(self) -> Tuple[float, ...]:
-        """Tails of every closed window, in order (immutable snapshot).
-
-        Returned as a tuple so repeated property reads do not copy a
-        growing list on every access.
-        """
-        return tuple(self._per_window)
-
-    def violation_count(self, sla: float) -> int:
-        """Number of closed windows whose tail exceeded ``sla``."""
-        return sum(1 for tail in self._per_window if tail > sla)
-
-
 class HistogramTailTracker:
     """Per-window tail estimation on a fixed log-spaced histogram.
 
-    A drop-in alternative to :class:`WindowedTailTracker` for streaming
-    contexts: inserts are O(1) (compute a bin index arithmetically, no
-    sort, no sample retention) and closing a window is O(bins). The
-    estimate's *relative* error is bounded by the bin geometry::
+    For streaming contexts: inserts are O(1) (compute a bin index
+    arithmetically, no sort, no sample retention) and closing a window
+    is O(bins). The estimate's *relative* error is bounded by the bin geometry::
 
         bound = sqrt(hi_ms / lo_ms) ** (1 / bins) - 1
 

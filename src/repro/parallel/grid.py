@@ -378,7 +378,7 @@ def colocation_fingerprint(result: ColocationResult) -> Tuple:
                 metrics.avg_emu,
                 metrics.avg_cpu_utilisation,
                 metrics.avg_membw_utilisation,
-                metrics.tail.window_tails if metrics.tail is not None else (),
+                metrics.window_tails,
                 tuple(metrics.tick_rows()),
             )
         )

@@ -209,20 +209,6 @@ class PoolStats:
     #: Forced executor teardowns (timeout expiry or broken pool).
     pool_rebuilds: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        """A plain-dict snapshot (stable key order for reports)."""
-        return {
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "retries": self.retries,
-            "worker_crashes": self.worker_crashes,
-            "task_failures": self.task_failures,
-            "timeouts": self.timeouts,
-            "inline_fallbacks": self.inline_fallbacks,
-            "broadcast_misses": self.broadcast_misses,
-            "pool_rebuilds": self.pool_rebuilds,
-        }
-
 
 _POOL_STATS = PoolStats()
 

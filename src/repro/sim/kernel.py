@@ -487,9 +487,10 @@ class FleetColocationKernel:
       and reduce with one ``np.percentile(stack, pct, axis=1)`` call,
       bitwise equal per row to the scalar per-instance call;
     - metric columns (one ``(machines,)`` array per tick) become each
-      member's :class:`~repro.metrics.collector.MachineMetrics` columns,
-      metric integrals and window-tail replays once, at the end of the
-      run, with one gather per column.
+      member's :class:`~repro.metrics.collector.MachineMetrics` columns
+      (the ``tail_ms`` column is the one record of window tails) and
+      metric integrals once, at the end of the run, with one gather per
+      column.
 
     All experiments must share ``duration_s`` and ``control_period_s``
     (one lockstep clock). ``on_tick(t, tails)`` — ``tails`` indexed
@@ -711,7 +712,6 @@ class FleetColocationKernel:
         #: moves a counter.
         self._counts: Optional[Tuple] = None
         self._acts: List[List[str]] = []
-        self._wins: List[Tuple[List[bool], List[float]]] = []
 
         # -- small-fleet python fast path -----------------------------------
         # Up to ``_SMALL_FLEET_MACHINES`` rows that start live (dormant
@@ -848,8 +848,7 @@ class FleetColocationKernel:
 
         Runs at construction and after every fork or merge. ``_rowmap``
         maps each member's home row to the row it rides (``None`` while
-        every member rides its own slot, as in a fleet); ``_ride_map``
-        is the same per member (slot index), ``None`` alike.
+        every member rides its own slot, as in a fleet).
         """
         rows_of = self._inst_machines
         self._live_rows = sorted(m for i in self._live for m in rows_of[i])
@@ -857,15 +856,13 @@ class FleetColocationKernel:
             (i, self._inj[i]) for i in self._live if self._inj[i] is not None
         ]
         if all(r == c for c, r in enumerate(self._ride)):
-            self._ride_map = None
             self._rowmap = None
             return
         rowmap = [0] * self._n_machines
         for c, r in enumerate(self._ride):
             for mh, mr in zip(rows_of[c], rows_of[r]):
                 rowmap[mh] = mr
-        # Fresh objects every time: each tick's columns keep a reference.
-        self._ride_map = list(self._ride)
+        # A fresh object every time: each tick's columns keep a reference.
         self._rowmap = rowmap
 
     def member_world(self, c: int) -> "ColocationExperiment":
@@ -1267,15 +1264,15 @@ class FleetColocationKernel:
         w_n: List[int],
         slow_l: List[float],
         infl_l: List[float],
-    ) -> Tuple[List[bool], List[float]]:
+    ) -> List[float]:
         """Latency sampling + window tails for every live slot.
 
         Per-slot RNG draws stay sequential (stream identity); the tail
         reduction groups slots by ``(n_samples, percentile)`` and runs
         one partitioned percentile per group, bitwise equal to the
-        scalar per-instance ``np.percentile`` call.
+        scalar per-instance ``np.percentile`` call. A slot whose window
+        drew no samples gets 0.0, like the scalar loop.
         """
-        n_exp = len(self._exps)
         groups: Dict[Tuple[int, float], Tuple[List[int], List[np.ndarray]]] = {}
         for i in self._live:
             n = w_n[i]
@@ -1296,17 +1293,15 @@ class FleetColocationKernel:
                 groups[key] = bucket
             bucket[0].append(i)
             bucket[1].append(lat)
-        closed = [False] * n_exp
-        tails = [0.0] * n_exp
+        tails = [0.0] * len(self._exps)
         for (_n, pct), (idxs, lats) in groups.items():
             if len(lats) == 1:
                 vals = [percentile_linear(lats[0], pct)]
             else:
                 vals = percentile_linear_rows(np.stack(lats), pct)
             for i, tail in zip(idxs, vals):
-                closed[i] = True
                 tails[i] = tail
-        return closed, tails
+        return tails
 
     def _control(
         self,
@@ -1347,7 +1342,7 @@ class FleetColocationKernel:
         self._acts.append(acts)
 
     def _keep_columns(
-        self, t, dt, w_load, tails, closed, metrics: Tuple, counts: Tuple, copier
+        self, t, dt, w_load, tails, metrics: Tuple, counts: Tuple, copier
     ) -> None:
         """Keep this tick's metric columns per slot row (loads and tails
         per slot), with the row map members rode by this tick; they are
@@ -1358,7 +1353,6 @@ class FleetColocationKernel:
         if self._counts is None:
             self._counts = tuple(map(copier, counts))
         self._cols.append((t, dt, self._rowmap, w_load, tails) + metrics + self._counts)
-        self._wins.append((closed, tails, self._ride_map))
 
     def _snapshot(self, membw_l, net_l, rates, m: int) -> BeResourceSnapshot:
         """Row ``m``'s ``last_snapshot``: this tick's BE bandwidth shares
@@ -1734,11 +1728,11 @@ class FleetColocationKernel:
         self._elapsed += dt
 
         # Phase 2: latency sampling (shared with the vectorized path).
-        closed, tails = self._sample_tails(w_real, w_n, slow_l, infl_l)
+        tails = self._sample_tails(w_real, w_n, slow_l, infl_l)
 
         counts = (self._cnt_inst_l, self._cnt_cores_l, self._cnt_ways_l)
         metrics = (busy_tot_l, membw_tot_l, rate_tot_l)
-        self._keep_columns(t, dt, w_load, tails, closed, metrics, counts, list)
+        self._keep_columns(t, dt, w_load, tails, metrics, counts, list)
 
         self._lc_busy = lc_busy_l
         self._last_net = lc_net_l
@@ -1847,7 +1841,7 @@ class FleetColocationKernel:
         # Phase 2: latency sampling per slot (per-slot RNG), tails
         # reduced per (n_samples, percentile) group in one
         # partitioned-percentile call — bitwise equal per row.
-        closed, tails = self._sample_tails(w_real, w_n, slow_l, infl_l)
+        tails = self._sample_tails(w_real, w_n, slow_l, infl_l)
 
         # Phase 3: BE progress, in place (elementwise == python floats).
         self._nw += dt * rate
@@ -1857,7 +1851,7 @@ class FleetColocationKernel:
         counts = (self._cnt_inst, self._cnt_cores, self._cnt_ways)
         busy = lc_busy + self._busy_be
         metrics = (busy, np.minimum(1.0, lc_membw + snap_membw), rate_total)
-        self._keep_columns(t, dt, w_load, tails, closed, metrics, counts, np.copy)
+        self._keep_columns(t, dt, w_load, tails, metrics, counts, np.copy)
 
         self._lc_busy = lc_busy
         self._last_net = lc_net
@@ -1940,21 +1934,14 @@ class FleetColocationKernel:
         Each tick's columns are per slot row (loads and tails per slot),
         with the row map members rode by then (``None`` in a fleet):
         :meth:`_finalize_columns` turns them into every member's
-        columns and metric integrals, and the window tails replay into
-        each member's tail tracker. The machines stop journaling.
+        columns and metric integrals. The ``tail_ms`` column is the one
+        record of the window tails (an unclosed window's tail is 0.0).
+        The machines stop journaling.
         """
         self._write_back(self._live_rows)
         for machine in self._m_mach:
             machine.be_changes = None
         self._finalize_columns()
-        wins = self._wins
-        for c, rows in enumerate(self._inst_machines):
-            slots = [c if ride is None else ride[c] for _, _, ride in wins]
-            window_tails = [
-                tails[i] for (closed, tails, _), i in zip(wins, slots) if closed[i]
-            ]
-            for m in rows:
-                self._m_home[m].metrics.tail.record_window_tails(window_tails)
 
     def _finalize_columns(self) -> None:
         """Gather every member machine's per-tick columns and integrals.

@@ -36,10 +36,6 @@ class ContextId:
     pid: int
     tid: int
 
-    def same_thread(self, other: "ContextId") -> bool:
-        """True when two events ran on the same thread of the same process."""
-        return self == other
-
 
 @dataclass(frozen=True)
 class MessageId:

@@ -43,11 +43,6 @@ class QueueingStats:
     #: finishes) — the throughput denominator for kernel benchmarks.
     events: int = 0
 
-    @property
-    def mean_service_ms(self) -> float:
-        """Mean in-service time (sojourn minus queueing wait)."""
-        return self.mean_sojourn_ms - self.mean_wait_ms
-
 
 class QueueingComponent:
     """A G/G/c FIFO queue driven by the discrete-event engine.

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.interference.sensitivity import SensitivityVector
+from repro.parallel.profile import clear_profile_memo
 from repro.sim.rng import RandomStreams
 from repro.workloads.spec import (
     CallNode,
@@ -117,3 +118,19 @@ def fanout_service() -> ServiceSpec:
 def streams() -> RandomStreams:
     """Deterministic random streams."""
     return RandomStreams(42)
+
+
+@pytest.fixture
+def fresh_profile_memo():
+    """An empty in-process profile memo around one test.
+
+    The memo is module state shared by every test in the process, so a
+    test that asserts profiling counts (a "cold" run that simulates, a
+    warm one that does not) must not see an earlier test's artifacts.
+    Opt-in: clearing before every test makes the whole suite re-profile.
+    The fixture's value is ``clear_profile_memo``; call it to empty the
+    memo again mid-test, as a second process would start.
+    """
+    clear_profile_memo()
+    yield clear_profile_memo
+    clear_profile_memo()

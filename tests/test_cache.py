@@ -52,19 +52,12 @@ from repro.parallel import (
     run_comparison_grid,
 )
 from repro.parallel.grid import _CellTask, cell_cache_key
-from repro.parallel.profile import clear_profile_memo, profile_services_parallel
+from repro.parallel.profile import profile_services_parallel
 from repro.workloads.latency import LatencyModel
 from conftest import make_tiny_service
 
 import repro.parallel.grid as grid_module
 import repro.parallel.profile as profile_module
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh_profile_memo():
-    clear_profile_memo()
-    yield
-    clear_profile_memo()
 
 
 @pytest.fixture(scope="module")
@@ -754,30 +747,30 @@ class TestCacheLookup:
 
 
 class TestArtifactCaching:
-    def test_warm_profile_skips_probe(self, store, monkeypatch):
+    def test_warm_profile_skips_probe(
+        self, store, monkeypatch, fresh_profile_memo
+    ):
         service = make_tiny_service("cached-svc")
         cells = [GridCell(service, evaluation_be_jobs()[0], 0.3, seed=0)]
-        clear_profile_memo()
         first = profile_services_parallel(cells, probe_slacklimits=False, cache=store)
 
         def _boom(*args, **kwargs):
             raise AssertionError("warm profile must come from the store")
 
         monkeypatch.setattr(profile_module, "run_envelopes", _boom)
-        clear_profile_memo()
+        fresh_profile_memo()
         second = profile_services_parallel(cells, probe_slacklimits=False, cache=store)
         assert second == first
 
-    def test_profiling_knobs_change_the_key(self, store):
+    def test_profiling_knobs_change_the_key(self, store, fresh_profile_memo):
         service = make_tiny_service("keyed-svc")
         cells = [GridCell(service, evaluation_be_jobs()[0], 0.3, seed=0)]
-        clear_profile_memo()
         profile_services_parallel(cells, probe_slacklimits=False, cache=store)
         entries = store.stats().entries
         # Sub-profile granularity: one artifact plus one entry per sweep
         # load point.
         assert entries > 1
-        clear_profile_memo()
+        fresh_profile_memo()
         profile_services_parallel(
             cells,
             probe_slacklimits=False,

@@ -15,7 +15,7 @@ from repro.experiments.fleet import rhythm_fleet_policies
 from repro.experiments.runner import run_cell
 from repro.faults.spec import FaultSchedule
 from repro.loadgen.patterns import ConstantLoad
-from repro.parallel.profile import clear_profile_memo, profile_service_parallel
+from repro.parallel.profile import profile_service_parallel
 from repro.workloads.catalog import (
     lc_service_spec,
     service_profiling_mode,
@@ -304,7 +304,9 @@ class TestScenarioCli:
         assert report["detection_rate"] == 1.0
         assert report["digest"] != report["baseline_digest"]
 
-    def test_drift_runs_small(self, capsys, monkeypatch, tmp_path):
+    def test_drift_runs_small(
+        self, capsys, monkeypatch, tmp_path, fresh_profile_memo
+    ):
         monkeypatch.setenv("RHYTHM_CACHE_DIR", str(tmp_path / "cachedir"))
         out_file = tmp_path / "drift.json"
         assert main([
@@ -321,15 +323,14 @@ class TestScenarioCli:
         assert report["epochs"][1]["sweep_cache_hits"] > 0
 
     def test_drift_warm_run_reports_epochs_served_whole(
-        self, capsys, monkeypatch, tmp_path
+        self, capsys, monkeypatch, tmp_path, fresh_profile_memo
     ):
         monkeypatch.setenv("RHYTHM_CACHE_DIR", str(tmp_path / "cachedir"))
         argv = ["scenario", "drift", "--epochs", "2"]
-        clear_profile_memo()
         assert main(argv) == 0
         cold = capsys.readouterr().out
         assert "0 epoch(s) served whole" in cold
-        clear_profile_memo()  # as in a second invocation of the CLI
+        fresh_profile_memo()  # as in a second invocation of the CLI
         assert main(argv) == 0
         warm = capsys.readouterr().out
         assert (

@@ -138,19 +138,28 @@ class TestFleetIdentity:
             fleet_identity_probe("turbo")
 
 
+def _cold_plan(fleet):
+    """The shard plan of a cold run: every zone pending."""
+    return fleet._pending_shard_plan(
+        [(zid, start, count, None) for zid, start, count in fleet.zone_plan()]
+    )
+
+
 class TestShardPlan:
     def test_plan_is_zone_aligned_and_complete(self):
         fleet = small_fleet(n_instances=7, shards=3, zone_size=2)
-        plan = fleet.shard_plan()
+        plan = _cold_plan(fleet)
+        assert len(plan) == 3
         covered = []
-        for start, count in plan:
-            assert start % 2 == 0, "shard must start at a zone boundary"
-            covered.extend(range(start, start + count))
+        for spans in plan:
+            for start, count in spans:
+                assert start % 2 == 0, "shard must start at a zone boundary"
+                covered.extend(range(start, start + count))
         assert covered == list(range(7))
 
     def test_more_shards_than_zones_collapses(self):
         fleet = small_fleet(n_instances=2, shards=16, zone_size=2)
-        assert len(fleet.shard_plan()) == 1
+        assert len(_cold_plan(fleet)) == 1
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

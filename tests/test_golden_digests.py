@@ -5,9 +5,10 @@ A change that alters what the same config simulates, or how results
 are encoded, must bump it, or warm runs serve stale entries.
 ``tests/golden_digests.json`` holds the digests of one small run of
 each cached kind (colocation cell, fleet zone, bake-off cell, storm
-zone, profile artifact) with the salt they were made under. The test
-re-simulates the set and fails when a digest moved while the salt did
-not.
+zone, profile artifact), plus a faulted colocation cell whose
+zero-load step leaves windows unclosed, with the salt they were made
+under. The test re-simulates the set and fails when a digest moved
+while the salt did not.
 
 Re-record after a deliberate salt bump (from the repository root)::
 
@@ -40,8 +41,9 @@ from repro.experiments.colocation import (
 )
 from repro.experiments.fleet import FleetConfig, alibaba_fleet
 from repro.experiments.scenarios import storm_fleet
+from repro.faults.spec import FaultSchedule
 from repro.faults.topology import CorrelatedFaultSchedule, FleetTopology
-from repro.loadgen.patterns import ConstantLoad
+from repro.loadgen.patterns import ConstantLoad, StepLoad
 from repro.parallel.artifact import artifact_for
 from repro.sim.rng import RandomStreams
 from repro.workloads.catalog import lc_service_spec
@@ -59,6 +61,24 @@ def _colocation_cell() -> str:
         ConstantLoad(0.45),
         streams=RandomStreams(7),
         config=ColocationConfig(duration_s=DURATION_S),
+    )
+    result = exp.run()
+    return result_digest(exp.streams, result)
+
+
+def _colocation_idle_windows() -> str:
+    """A faulted cell whose zero-load step leaves windows unclosed."""
+    service = lc_service_spec("Redis")
+    exp = ColocationExperiment(
+        service,
+        heracles_controllers(service),
+        [evaluation_be_jobs()[0]],
+        StepLoad([(0.0, 0.5), (10.0, 0.0), (20.0, 0.6)]),
+        streams=RandomStreams(7),
+        config=ColocationConfig(
+            duration_s=DURATION_S,
+            faults=FaultSchedule.generate(8, DURATION_S, faults_per_minute=6.0),
+        ),
     )
     result = exp.run()
     return result_digest(exp.streams, result)
@@ -113,6 +133,7 @@ def golden_digests() -> Dict[str, str]:
     """Re-simulate the golden set."""
     return {
         "colocation_cell": _colocation_cell(),
+        "colocation_idle_windows": _colocation_idle_windows(),
         "fleet_zone": _fleet_zone(),
         "bakeoff_cell": _bakeoff_cell(),
         "storm_zone": _storm_zone(),

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.metrics.collector import MachineMetrics
 from repro.metrics.emu import EmuAccumulator, UtilisationAccumulator
-from repro.metrics.percentile import WindowedTailTracker, percentile
+from repro.metrics.percentile import percentile
 
 
 class TestPercentile:
@@ -25,27 +25,39 @@ class TestPercentile:
             percentile([1.0], 101.0)
 
 
+def _tail_metrics(tails, sla_ms: float = 100.0) -> MachineMetrics:
+    """A machine whose ticks recorded ``tails`` (0.0: the window drew no
+    samples and did not close)."""
+    m = MachineMetrics(
+        machine_name="m0", servpod="pod", total_cores=40.0, sla_ms=sla_ms
+    )
+    for k, tail in enumerate(tails):
+        m.record_tick(
+            t=2.0 * (k + 1), dt=2.0, load=0.5, tail_ms=tail, busy_cores=20.0,
+            membw_fraction=0.4, be_instances=0, be_cores=0, be_llc_ways=0,
+            be_rate=0.0, action="AllowBEGrowth",
+        )
+    return m
+
+
 class TestWindowedTail:
     def test_per_window_tails(self):
-        t = WindowedTailTracker(pct=50.0)
-        t.add_samples([1.0, 2.0, 3.0])
-        assert t.roll_window() == pytest.approx(2.0)
-        t.add_samples([10.0, 20.0, 30.0])
-        assert t.roll_window() == pytest.approx(20.0)
-        assert t.worst_tail == pytest.approx(20.0)
-        assert t.current_tail == pytest.approx(20.0)
-        assert t.window_tails == pytest.approx([2.0, 20.0])
+        m = _tail_metrics(
+            [percentile([1.0, 2.0, 3.0], 50.0), percentile([10.0, 20.0, 30.0], 50.0)]
+        )
+        assert m.window_tails == pytest.approx([2.0, 20.0])
+        assert m.worst_tail_ms == pytest.approx(20.0)
 
-    def test_empty_window_returns_none(self):
-        t = WindowedTailTracker()
-        assert t.roll_window() is None
+    def test_unclosed_windows_are_skipped(self):
+        m = _tail_metrics([0.0, 5.0, 0.0, 7.5])
+        assert m.window_tails == (5.0, 7.5)
+        assert m.worst_tail_ms == 7.5
+        idle = _tail_metrics([0.0, 0.0])
+        assert idle.window_tails == () and idle.worst_tail_ms == 0.0
+        assert _tail_metrics([]).worst_tail_ms == 0.0
 
     def test_violation_count(self):
-        t = WindowedTailTracker(pct=50.0)
-        for values in ([1.0], [5.0], [2.0]):
-            t.add_samples(values)
-            t.roll_window()
-        assert t.violation_count(sla=3.0) == 1
+        assert _tail_metrics([1.0, 5.0, 2.0, 0.0], sla_ms=3.0).sla_violations == 1
 
 
 class TestEmu:

@@ -19,17 +19,15 @@ import pytest
 import repro.experiments.colocation as colocation_module
 import repro.parallel.grid as grid_module
 import repro.sim.kernel as kernel_module
+from repro.baselines.heracles import heracles_controllers
 from repro.bejobs.catalog import evaluation_be_jobs
 from repro.errors import ConfigurationError, ExperimentError, ProfilingError
-from repro.experiments.colocation import ColocationConfig
+from repro.experiments.colocation import ColocationConfig, ColocationExperiment
 from repro.experiments.runner import CellComparison, get_rhythm
 from repro.faults.spec import FaultSchedule
 from repro.loadgen.patterns import StepLoad
-from repro.metrics.percentile import (
-    HistogramTailTracker,
-    WindowedTailTracker,
-    percentile,
-)
+from repro.metrics.collector import COUNT_COLUMNS, FLOAT_COLUMNS, MachineMetrics
+from repro.metrics.percentile import HistogramTailTracker, percentile
 from repro.metrics.streaming import WelfordAccumulator
 from repro.parallel import (
     GridCell,
@@ -43,6 +41,7 @@ from repro.parallel import (
 )
 from repro.parallel.profile import clear_profile_memo, profile_services_parallel
 from repro.sim.kernel import FleetColocationKernel
+from repro.sim.rng import RandomStreams
 from repro.workloads.catalog import ecommerce_service, redis_service
 from conftest import make_tiny_service
 
@@ -459,17 +458,35 @@ class TestWelford:
 
 class TestHotPathSatellites:
     def test_window_tails_returns_tuple(self):
-        tracker = WindowedTailTracker()
-        tracker.add_samples([1.0, 2.0, 3.0])
-        tracker.roll_window()
-        tails = tracker.window_tails
+        metrics = MachineMetrics("m", "pod", total_cores=8.0, sla_ms=10.0)
+        floats = np.zeros((len(FLOAT_COLUMNS), 3))
+        floats[FLOAT_COLUMNS.index("tail_ms")] = [4.5, 0.0, 12.0]
+        counts = np.zeros((len(COUNT_COLUMNS), 3), dtype=np.int64)
+        metrics.set_columns(floats, counts, ["AllowBEGrowth"] * 3)
+        tails = metrics.window_tails
         assert isinstance(tails, tuple)
+        assert tails == (4.5, 12.0)
+        assert all(type(tail) is float for tail in tails)
 
-    def test_record_window_tail_matches_roll(self):
-        samples = [5.0, 9.0, 1.0, 22.0]
-        a, b = WindowedTailTracker(pct=99.0), WindowedTailTracker(pct=99.0)
-        a.add_samples(samples)
-        rolled = a.roll_window()
-        b.record_window_tail(percentile(samples, 99.0))
-        assert b.window_tails == (rolled,)
-        assert b.worst_tail == a.worst_tail
+    def test_idle_windows_skipped_on_both_kernels(self):
+        # The zero-load step draws no samples, so its windows never close.
+        service = redis_service()
+        results = []
+        for kernel in ("scalar", "batched"):
+            results.append(
+                ColocationExperiment(
+                    service,
+                    heracles_controllers(service),
+                    evaluation_be_jobs()[:1],
+                    StepLoad([(0.0, 0.5), (6.0, 0.0), (12.0, 0.6)]),
+                    streams=RandomStreams(7),
+                    config=FAST,
+                    kernel=kernel,
+                ).run()
+            )
+            for metrics in results[-1].machines.values():
+                assert 0 < len(metrics.window_tails) < len(metrics.actions)
+                assert metrics.worst_tail_ms == max(metrics.window_tails)
+        assert colocation_fingerprint(results[0]) == colocation_fingerprint(
+            results[1]
+        )

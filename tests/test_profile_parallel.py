@@ -51,11 +51,7 @@ from conftest import make_tiny_service
 FAST = ColocationConfig(duration_s=20.0, sample_cap=150, min_samples=50)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_profiling_state():
-    clear_profile_memo()
-    yield
-    clear_profile_memo()
+pytestmark = pytest.mark.usefixtures("fresh_profile_memo")
 
 
 @pytest.fixture(scope="module")
@@ -127,7 +123,7 @@ class TestProfilingIdentity:
 class TestWarmProfileCache:
     """A warm cache re-run must execute zero simulations."""
 
-    def test_artifact_level_hit(self, service, store):
+    def test_artifact_level_hit(self, service, store, fresh_profile_memo):
         cold = ProfileStats()
         first = profile_service_parallel(
             service, seed=0, workers=1, cache=store, stats=cold
@@ -136,7 +132,7 @@ class TestWarmProfileCache:
         assert cold.slack_executed == cold.slack.total == len(
             service.servpod_names
         )
-        clear_profile_memo()
+        fresh_profile_memo()
         warm = ProfileStats()
         second = profile_service_parallel(
             service, seed=0, workers=1, cache=store, stats=warm
@@ -146,7 +142,9 @@ class TestWarmProfileCache:
         assert warm.sweep_executed == 0 and warm.slack_executed == 0
         assert warm.sweep.total == 0 and warm.slack.total == 0
 
-    def test_sub_profile_hits_after_artifact_eviction(self, service, store):
+    def test_sub_profile_hits_after_artifact_eviction(
+        self, service, store, fresh_profile_memo
+    ):
         cold = ProfileStats()
         first = profile_service_parallel(
             service, seed=0, workers=1, cache=store, stats=cold
@@ -156,7 +154,7 @@ class TestWarmProfileCache:
         store._path(
             artifact_cache_key(service, 0, "direct", True)
         ).unlink()
-        clear_profile_memo()
+        fresh_profile_memo()
         warm = ProfileStats()
         second = profile_service_parallel(
             service, seed=0, workers=1, cache=store, stats=warm
@@ -207,15 +205,15 @@ class TestWrongShapedEntries:
         cold = profile_service_parallel(service, seed=0, workers=1, cache=store)
         return store, cold
 
-    def _warm(self, service, store):
-        clear_profile_memo()
+    def _warm(self, service, store, fresh_profile_memo):
+        fresh_profile_memo()
         stats = ProfileStats()
         warm = profile_service_parallel(
             service, seed=0, workers=1, cache=store, stats=stats
         )
         return warm, stats
 
-    def test_load_point(self, service, tmp_path):
+    def test_load_point(self, service, tmp_path, fresh_profile_memo):
         store, cold = self._cold(service, tmp_path)
         (art_key,) = store.keys_of(RhythmArtifact)
         store._path(art_key).unlink()  # reach the sub-profile lookups
@@ -223,32 +221,32 @@ class TestWrongShapedEntries:
         good = store.get(key)
         # Another load's point is the wrong entry for this key.
         store.put(key, store.get(other))
-        warm, stats = self._warm(service, store)
+        warm, stats = self._warm(service, store, fresh_profile_memo)
         assert warm == cold
         assert stats.sweep_executed == 1
         assert stats.sweep.hits == stats.sweep.total - 1
         assert stats.slack_executed == 0
         assert store.get(key) == good
 
-    def test_slacklimit_walk(self, service, tmp_path):
+    def test_slacklimit_walk(self, service, tmp_path, fresh_profile_memo):
         store, cold = self._cold(service, tmp_path)
         (art_key,) = store.keys_of(RhythmArtifact)
         store._path(art_key).unlink()
         key = store.keys_of(float)[0]
         good = store.get(key)
         store.put(key, str(good))
-        warm, stats = self._warm(service, store)
+        warm, stats = self._warm(service, store, fresh_profile_memo)
         assert warm == cold
         assert stats.sweep_executed == 0
         assert stats.slack_executed == 1
         assert stats.slack.hits == stats.slack.total - 1
         assert store.get(key) == good
 
-    def test_whole_artifact(self, service, tmp_path):
+    def test_whole_artifact(self, service, tmp_path, fresh_profile_memo):
         store, cold = self._cold(service, tmp_path)
         (art_key,) = store.keys_of(RhythmArtifact)
         store.put(art_key, replace(cold, service_name="another-service"))
-        warm, stats = self._warm(service, store)
+        warm, stats = self._warm(service, store, fresh_profile_memo)
         assert warm == cold
         assert stats.artifact_cache_hits == 0
         assert stats.sweep_executed == 0 and stats.slack_executed == 0

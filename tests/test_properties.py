@@ -27,11 +27,8 @@ from repro.core.actions import BeAction
 from repro.core.top_controller import ControllerThresholds, TopController
 from repro.interference.model import InterferenceModel, Pressure
 from repro.interference.sensitivity import SensitivityVector
-from repro.metrics.percentile import (
-    HistogramTailTracker,
-    WindowedTailTracker,
-    percentile,
-)
+from repro.metrics.collector import MachineMetrics
+from repro.metrics.percentile import HistogramTailTracker, percentile
 from repro.metrics.streaming import WelfordAccumulator
 from repro.sim.events import EventQueue
 from repro.tracing.causality import CausalityMatcher
@@ -73,14 +70,20 @@ def test_percentile_within_range(samples, pct):
 
 
 @fast
-@given(st.lists(st.lists(st.floats(min_value=0.1, max_value=100.0),
-                         min_size=1, max_size=20), min_size=1, max_size=10))
-def test_worst_tail_is_max_of_window_tails(windows):
-    tracker = WindowedTailTracker(pct=99.0)
-    for window in windows:
-        tracker.add_samples(window)
-        tracker.roll_window()
-    assert tracker.worst_tail == pytest.approx(max(tracker.window_tails))
+@given(st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=100.0)),
+                max_size=30))
+def test_worst_tail_is_max_of_window_tails(tails):
+    # A 0.0 tick is a window that drew no samples.
+    metrics = MachineMetrics("m", "pod", total_cores=8.0, sla_ms=10.0)
+    for t, tail in enumerate(tails):
+        metrics.record_tick(
+            t=float(t), dt=1.0, load=0.5, tail_ms=tail, busy_cores=2.0,
+            membw_fraction=0.1, be_instances=0, be_cores=0, be_llc_ways=0,
+            be_rate=0.0, action="AllowBEGrowth",
+        )
+    closed = tuple(tail for tail in tails if tail > 0.0)
+    assert metrics.window_tails == closed
+    assert metrics.worst_tail_ms == (max(closed) if closed else 0.0)
 
 
 # --- contribution math --------------------------------------------------------

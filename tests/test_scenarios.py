@@ -257,7 +257,7 @@ class TestDrift:
         with pytest.raises(ConfigurationError, match="escapes"):
             run_drift(epochs=5, start=0.5, step=0.1, window=5)
 
-    def test_incremental_reprofiling(self, store):
+    def test_incremental_reprofiling(self, store, fresh_profile_memo):
         report = run_drift(
             service="Redis",
             epochs=3,

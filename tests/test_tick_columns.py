@@ -167,8 +167,8 @@ class TestSamplesFromColumns:
                 be_llc_ways=0, be_rate=0, action="AllowBEGrowth",
             )
         assert metrics.sla_violations == 2
-        # No window closed: the worst tail falls back to the column.
         assert metrics.worst_tail_ms == 15.5
+        assert metrics.window_tails == (4.0, 12.0, 10.0, 15.5)
 
 
 #: sha256 of Figure 17's CSV export for a 60 s run (seed 0). Only one
