@@ -19,6 +19,15 @@ Measures the single-pass multi-controller evaluation engine end to end:
   (``_merge_converged``, one call per tick with more live slots than
   scenarios) from a separate instrumented pass, and the speedup over
   independent runs. Members must stay bit-identical.
+- ``diverged``: the merge check on the four-member roster (Rhythm,
+  Heracles, interference, predictive) at loads 0.45 and 0.6, where it
+  forks: merge attempts (``_merge_converged`` calls, one per tick with
+  more live slots than scenarios) and the mean µs of one attempt, best
+  of five instrumented passes, with the fork/merge counts, the shared
+  pass's best-of-five wall time and the members' identity against
+  their solo runs. To compare two commits, run this script with
+  ``PYTHONPATH`` at each commit's ``src`` back to back: host speed
+  swings about 2x.
 - ``cached``: the same roster against a private store — the cold run
   writes one ``bakeoff-cell`` entry per member, the warm re-run must
   execute ZERO shared passes and return identical digests.
@@ -48,6 +57,7 @@ from repro.cache import CacheStore
 from repro.experiments.bakeoff import (
     BakeoffConfig,
     bakeoff_scenario_grid,
+    default_members,
     heracles_member,
     interference_member,
     predictive_member,
@@ -71,6 +81,9 @@ BENCH_ROUNDS = 5
 #: re-merges dozens of times over the run while still sharing most
 #: physics passes.
 DIVERGENT_LOAD = 0.45
+#: The merge-check probe's loads: the four-member roster forks and
+#: re-merges at both, and checks for a merge on every tick in between.
+DIVERGED_LOADS = (0.45, 0.6)
 
 
 def _members(service: str):
@@ -120,9 +133,13 @@ def _independent_vs_shared(scenarios, members, config):
     return independent_s, bakeoff_s, identical, shared
 
 
-def _branch_bookkeeping(scenarios, members, config) -> Dict[str, float]:
-    """Mean µs of one fork and one merge check, instrumented pass."""
-    spent = {"_fork": [0.0, 0], "_merge_converged": [0.0, 0]}
+def _branch_bookkeeping(
+    scenarios, members, config, rounds: int = 1
+) -> Dict[str, float]:
+    """Mean µs of one fork and one merge check: the best of ``rounds``
+    instrumented passes, cyclic GC paused in each."""
+    best = {"_fork": float("inf"), "_merge_converged": float("inf")}
+    spent = {name: [0.0, 0] for name in best}
     originals = {name: getattr(FleetColocationKernel, name) for name in spent}
 
     def timed(name):
@@ -141,20 +158,64 @@ def _branch_bookkeeping(scenarios, members, config) -> Dict[str, float]:
     for name in spent:
         setattr(FleetColocationKernel, name, timed(name))
     try:
-        run_bakeoff(scenarios, members, config=config, cache=None)
+        for _ in range(rounds):
+            for entry in spent.values():
+                entry[:] = [0.0, 0]
+            gc.collect()
+            gc.disable()
+            try:
+                run_bakeoff(scenarios, members, config=config, cache=None)
+            finally:
+                gc.enable()
+            for name, (seconds, _calls) in spent.items():
+                best[name] = min(best[name], seconds)
     finally:
         for name, original in originals.items():
             setattr(FleetColocationKernel, name, original)
-    (fork_s, forks), (merge_s, merge_calls) = (
-        spent["_fork"],
-        spent["_merge_converged"],
-    )
+    fork_s, merge_s = best["_fork"], best["_merge_converged"]
+    forks, merge_calls = spent["_fork"][1], spent["_merge_converged"][1]
     return {
         "merge_calls": merge_calls,
         "us_per_fork": round(fork_s / forks * 1e6, 1) if forks else None,
         "us_per_merge_call": (
             round(merge_s / merge_calls * 1e6, 1) if merge_calls else None
         ),
+    }
+
+
+def _merge_check(service: str, config) -> Dict[str, object]:
+    """The ``diverged`` block: the four-member roster's merge check."""
+    members = default_members(service)
+    scenarios = bakeoff_scenario_grid(
+        service=service,
+        loads=DIVERGED_LOADS,
+        be_jobs=(BENCH_BE_JOB,),
+        duration_s=BENCH_DURATION_S,
+        seed=BENCH_SEED,
+    )
+    # Warm-up outside the timed rounds (it also profiles Rhythm).
+    shared = run_bakeoff(scenarios, members, config=config, cache=None)
+    solo = [
+        run_member_reference(scenario, member, config).digest
+        for scenario in scenarios
+        for member in members
+    ]
+    book = _branch_bookkeeping(scenarios, members, config, rounds=BENCH_ROUNDS)
+    bakeoff_s = _best_of(
+        lambda: run_bakeoff(scenarios, members, config=config, cache=None)
+    )
+    return {
+        "members": [member.name for member in members],
+        "loads": list(DIVERGED_LOADS),
+        "cpu_count": environment()["cpu_count"],
+        "forks": shared.forks,
+        "merges": shared.merges,
+        "branch_ticks": shared.branch_ticks,
+        "merge_attempts": book["merge_calls"],
+        "us_per_attempt": book["us_per_merge_call"],
+        "bakeoff_s": round(bakeoff_s, 4),
+        "identical_results": [cell.digest for cell in shared.cells] == solo,
+        "exercised": shared.forks > 0 and shared.merges > 0,
     }
 
 
@@ -205,6 +266,7 @@ def run_benchmark(
     }
     # The probe must keep exercising both branch operations.
     divergent["exercised"] = divergent["forks"] > 0 and divergent["merges"] > 0
+    diverged = _merge_check(service, config)
 
     cache_dir = tempfile.mkdtemp(prefix="rhythm-bench-bakeoff-")
     try:
@@ -255,12 +317,15 @@ def run_benchmark(
             "shared_fraction": round(shared.shared_fraction, 4),
         },
         "divergent": divergent,
+        "diverged": diverged,
         "cached": cached,
     }
     correct = bool(
         identical
         and d_identical
         and divergent["exercised"]
+        and diverged["identical_results"]
+        and diverged["exercised"]
         and cached["warm_zero_passes"]
         and cached["warm_identical_digest"]
     )

@@ -20,7 +20,9 @@
 #      benchmark with its 2x aggregate-speedup gate
 #      (benchmarks/bench_bakeoff.py --gate 2.0), the storm
 #      benchmark with its 10x warm-cache gate
-#      (benchmarks/bench_storm.py --gate 10.0), and the parallel grid
+#      (benchmarks/bench_storm.py --gate 10.0), the fleet zone-cache
+#      benchmark with its 50x warm-cache gate
+#      (benchmarks/bench_fleet_cache.py --gate 50.0), and the parallel grid
 #      benchmark and the profiling benchmark, whose pools must not be
 #      slower than the inline runs on a host with two or more CPUs
 #      (benchmarks/bench_parallel.py --gate 1.0,
@@ -50,6 +52,9 @@ if [[ "${RHYTHM_BENCH_GATE:-0}" == "1" ]]; then
   echo
   echo "== storm benchmark gate (RHYTHM_BENCH_GATE=1) =="
   python benchmarks/bench_storm.py --gate 10.0
+  echo
+  echo "== fleet zone-cache benchmark gate (RHYTHM_BENCH_GATE=1) =="
+  python benchmarks/bench_fleet_cache.py --gate 50.0
   echo
   echo "== parallel grid benchmark gate (RHYTHM_BENCH_GATE=1) =="
   python benchmarks/bench_parallel.py --gate 1.0

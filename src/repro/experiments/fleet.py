@@ -64,6 +64,7 @@ from repro.experiments.colocation import (
     ColocationConfig,
     ColocationExperiment,
     ColocationResult,
+    check_clock,
     result_digest,
 )
 from repro.faults.spec import FaultSchedule
@@ -172,8 +173,7 @@ class FleetConfig:
     max_be_instances: int = 16
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0 or self.control_period_s <= 0:
-            raise ConfigurationError("fleet duration/period must be positive")
+        check_clock(self.duration_s, self.control_period_s)
         if self.shards < 1:
             raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
         if self.zone_size < 1:
@@ -867,6 +867,8 @@ def alibaba_fleet(
     """
     if n_machines < 1:
         raise ConfigurationError(f"n_machines must be >= 1, got {n_machines}")
+    # Before the config comparison below: NaN differs from itself.
+    check_clock(duration_s)
     if policy not in ("rhythm", "heracles"):
         raise ConfigurationError(
             f"policy must be 'rhythm' or 'heracles', got {policy!r}"

@@ -56,6 +56,7 @@ import functools
 import heapq
 import math
 import os
+import struct
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -424,11 +425,12 @@ class FleetColocationKernel:
     partitioned, and each extra partition **forks** the pre-apply world
     into a dormant slot of the same scenario and moves there. After the
     tick, live slots of one scenario whose worlds re-converged
-    (:func:`_world_key`, then :func:`_world_detail` on key collisions)
-    **merge**: the later slot turns dormant and its members ride the
-    survivor, with their kill/suspension totals carried as exact
-    integer offsets. Controllers never change RNG consumption, so every
-    slot's streams stay bitwise equal to each member's solo run.
+    (:meth:`_pre_key` off the rows, then, on pre-key collisions only,
+    :func:`_world_key` and :func:`_world_detail`) **merge**: the later
+    slot turns dormant and its members ride the survivor, with their
+    kill/suspension totals carried as exact integer offsets. Controllers
+    never change RNG consumption, so every slot's streams stay bitwise
+    equal to each member's solo run.
 
     A scenario's slots have identical static rows, so a fork or a merge
     never resizes an array: it rebinds the slot's world objects, reloads
@@ -470,7 +472,8 @@ class FleetColocationKernel:
       (``kill`` floors the work; the row then drops the dead jobs),
       before a row reset, before a fork copies a world or a merge key
       reads one (:meth:`_write_back`, which also syncs the requested
-      BE frequency and the NIC caps), and at finalize;
+      BE frequency and the NIC caps; a merge check writes back only
+      the slots whose pre-keys collide), and at finalize;
     - row sync costs what changed (:meth:`_sync_rows`): launches and
       resizes patch cells in place, anything else resets the row, and
       the vec path scatters only the changed cells, one gather and one
@@ -688,6 +691,11 @@ class FleetColocationKernel:
         self._row_py: List[Tuple] = []
         self._row_table = np.zeros((0, len(self._soa_cols)))
         self._rids: List[List[int]] = [[] for _ in range(M)]
+        #: Per row id, a small int naming the row's BE identity (spec
+        #: name, allocated cores and ways): what the merge pre-key
+        #: (:meth:`_pre_key`) compares of a cell besides its progress.
+        self._row_shape: List[int] = []
+        self._shape_ids: Dict[Tuple[str, int, int], int] = {}
         self._busy_be = np.zeros(M)
         self._busy_be_l: List[float] = [0.0] * M
         self._p_cpu_l: List[float] = [0.0] * M
@@ -985,6 +993,10 @@ class FleetColocationKernel:
                 )
             )
             self._row_cache[key] = rid
+            shape = (spec.name, alloc.cores, alloc.llc_ways)
+            self._row_shape.append(
+                self._shape_ids.setdefault(shape, len(self._shape_ids))
+            )
         return rid
 
     def _add_cells(self, m: int, jobs: Sequence) -> None:
@@ -1526,16 +1538,42 @@ class FleetColocationKernel:
         self.forks += 1
         return dst
 
+    def _pre_key(self, i: int) -> Tuple:
+        """Live slot ``i``'s merge pre-key, read off its synced rows.
+
+        Per pod, the row's cells: the running, unsuspended jobs in pool
+        order, each as its BE identity (:attr:`_row_shape`: spec name,
+        cores, ways) and the exact bits of its ``normalized_work`` and
+        ``running_seconds``, which the rows hold ahead of the jobs. Equal
+        :func:`_world_digest` gives equal cells, so a slot whose pre-key
+        is unique merges with nothing and needs no write-back. The world
+        fields are left to :func:`_world_key`: on the bake-off roster
+        they never separate two slots whose cells are equal.
+        """
+        shape = self._row_shape
+        key = []
+        for m in self._inst_machines[i]:
+            if self._small:
+                nw, rs = self._nw_py[m], self._rs_py[m]
+                bits = struct.pack("%dd" % (2 * len(nw)), *nw, *rs)
+            else:
+                k = self._njobs_l[m]
+                bits = self._nw[m, :k].tobytes() + self._rs[m, :k].tobytes()
+            key.append((tuple([shape[rid] for rid in self._rids[m]]), bits))
+        return tuple(key)
+
     def _merge_groups(self, slots: List[int]) -> List[List[int]]:
         """Live ``slots`` (one scenario, written back) grouped by equal
         :func:`_world_digest`.
 
-        Two stages: every slot gets the cheap scalar :func:`_world_key`,
-        and only slots whose keys collide pay for the detailed part
-        (:func:`_world_detail`). The key is a projection of the digest,
-        so equal digests imply equal keys: grouping by
-        ``(key, detail-or-None)`` is exactly the grouping by full
-        digest. Groups and their slots keep first-seen order.
+        The last two of the merge check's three stages
+        (:meth:`_merge_converged` runs the pre-key): every slot gets the
+        cheap scalar :func:`_world_key`, and only slots whose keys
+        collide pay for the detailed part (:func:`_world_detail`). The
+        key is a projection of the digest, so equal digests imply equal
+        keys: grouping by ``(key, detail-or-None)`` is exactly the
+        grouping by full digest. Groups and their slots keep first-seen
+        order.
         """
         keys = [_world_key(self._exps[i]) for i in slots]
         counts: Dict[Tuple, int] = {}
@@ -1549,7 +1587,19 @@ class FleetColocationKernel:
 
     def _merge_converged(self) -> None:
         """Retire live slots whose world re-converged with an earlier
-        live slot of the same scenario; their riders move over."""
+        live slot of the same scenario; their riders move over.
+
+        Three stages, each reading a projection of
+        :func:`_world_digest`: the dirty rows are synced (the next tick
+        would sync them anyway) and every live slot of a scenario with
+        several gets its :meth:`_pre_key`; only slots whose pre-key
+        collides with another slot's are written back and grouped, in
+        live order, by :meth:`_merge_groups` (key, then detail). A slot
+        with a unique pre-key has a unique digest, so the groups are
+        exactly those of the full digest over every live slot.
+        """
+        if self._dirty:
+            self._sync_rows()
         by_head: Dict[int, List[int]] = {}
         for i in self._live:
             by_head.setdefault(self._head[i], []).append(i)
@@ -1557,6 +1607,13 @@ class FleetColocationKernel:
         for slots in by_head.values():
             if len(slots) < 2:
                 continue
+            by_pre: Dict[Tuple, List[int]] = {}
+            for i in slots:
+                by_pre.setdefault(self._pre_key(i), []).append(i)
+            if len(by_pre) == len(slots):
+                continue
+            paired = {i for group in by_pre.values() if len(group) > 1 for i in group}
+            slots = [i for i in slots if i in paired]
             for i in slots:
                 self._write_back(self._inst_machines[i])
             for group in self._merge_groups(slots):
@@ -1575,7 +1632,6 @@ class FleetColocationKernel:
                     for mk, mo in zip(
                         self._inst_machines[keep], self._inst_machines[other]
                     ):
-                        self._dirty.discard(mo)
                         self._m_mach[mo].be_changes = None
                         self._adopt_memo(mk, mo)
                     self.merges += 1

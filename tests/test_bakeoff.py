@@ -142,6 +142,20 @@ def assert_members_identical(service, members, pattern, seed, config):
     return kernel
 
 
+#: Five members that disagree early and often; under faults, the
+#: worst case for forking, with a mid-run flip that lets branches
+#: re-converge.
+FAULTED_ROSTER = {
+    "grower": scripted({}, BeAction.ALLOW_BE_GROWTH),
+    "stopper": scripted({}, BeAction.STOP_BE),
+    "flipper": scripted(
+        {0: BeAction.ALLOW_BE_GROWTH, 1: BeAction.STOP_BE}, BeAction.STOP_BE
+    ),
+    "late": scripted({3: BeAction.STOP_BE}, BeAction.ALLOW_BE_GROWTH),
+    "heracles": heracles_controllers,
+}
+
+
 def check_merge_key(monkeypatch):
     """Pin every merge grouping to the full-digest partition.
 
@@ -165,6 +179,46 @@ def check_merge_key(monkeypatch):
         return got
 
     monkeypatch.setattr(FleetColocationKernel, "_merge_groups", checked)
+    return seen
+
+
+def check_merge_completeness(monkeypatch):
+    """Pin every merge check to the full-digest partition of *all* live
+    slots.
+
+    Before each ``_merge_converged`` call, every live slot is written
+    back and the slots of each scenario are grouped by full
+    ``_world_digest``; the call must retire exactly the later slots of
+    each group onto its first, whose riders they then join. Unlike
+    :func:`check_merge_key`, this sees a slot the pre-key stage wrongly
+    keeps from the later stages. Returns a dict counting the calls and
+    the merges checked.
+    """
+    seen = {"calls": 0, "merges": 0}
+    original = FleetColocationKernel._merge_converged
+
+    def checked(self):
+        groups = {}
+        for i in self._live:
+            self._write_back(self._inst_machines[i])
+            key = (self._head[i], _world_digest(self._exps[i]))
+            groups.setdefault(key, []).append(i)
+        retire = {
+            other: group[0] for group in groups.values() for other in group[1:]
+        }
+        live = list(self._live)
+        riders = {i: list(self._riders[i]) for i in live}
+        merges = self.merges
+        original(self)
+        assert self._live == [i for i in live if i not in retire]
+        assert self.merges == merges + len(retire)
+        for other, keep in retire.items():
+            assert self._riders[other] == []
+            assert all(self._ride[c] == keep for c in riders[other])
+        seen["calls"] += 1
+        seen["merges"] += len(retire)
+
+    monkeypatch.setattr(FleetColocationKernel, "_merge_converged", checked)
     return seen
 
 
@@ -278,18 +332,7 @@ class TestBakeoffKernelIdentity:
         faults = FaultSchedule.generate(11, 60.0, faults_per_minute=6.0)
         kernel = assert_members_identical(
             service,
-            {
-                "grower": scripted({}, BeAction.ALLOW_BE_GROWTH),
-                "stopper": scripted({}, BeAction.STOP_BE),
-                "flipper": scripted(
-                    {0: BeAction.ALLOW_BE_GROWTH, 1: BeAction.STOP_BE},
-                    BeAction.STOP_BE,
-                ),
-                "late": scripted(
-                    {3: BeAction.STOP_BE}, BeAction.ALLOW_BE_GROWTH
-                ),
-                "heracles": heracles_controllers,
-            },
+            FAULTED_ROSTER,
             DiurnalLoad(base=0.5, amplitude=0.25, period_s=60.0),
             5,
             ColocationConfig(duration_s=60.0, faults=faults),
@@ -343,18 +386,7 @@ class TestTickPaths:
         faults = FaultSchedule.generate(11, 60.0, faults_per_minute=6.0)
         kernel = assert_members_identical(
             service,
-            {
-                "grower": scripted({}, BeAction.ALLOW_BE_GROWTH),
-                "stopper": scripted({}, BeAction.STOP_BE),
-                "flipper": scripted(
-                    {0: BeAction.ALLOW_BE_GROWTH, 1: BeAction.STOP_BE},
-                    BeAction.STOP_BE,
-                ),
-                "late": scripted(
-                    {3: BeAction.STOP_BE}, BeAction.ALLOW_BE_GROWTH
-                ),
-                "heracles": heracles_controllers,
-            },
+            FAULTED_ROSTER,
             DiurnalLoad(base=0.5, amplitude=0.25, period_s=60.0),
             5,
             ColocationConfig(duration_s=60.0, faults=faults),
@@ -362,6 +394,67 @@ class TestTickPaths:
         assert kernel._small == (limit > 0)
         assert kernel.forks >= 3 and kernel.merges >= 1
         assert merge_checks["merging"] > 0
+
+
+def redis_roster_bakeoff(seed):
+    """The four-member Redis roster over loads 0.3/0.45/0.6 (stream-llc,
+    600 s): one shared pass of three scenarios."""
+    scenarios = bakeoff_scenario_grid(
+        service="Redis",
+        loads=(0.3, 0.45, 0.6),
+        be_jobs=("stream-llc",),
+        duration_s=600.0,
+        seed=seed,
+    )
+    return run_bakeoff(
+        scenarios,
+        default_members("Redis"),
+        BakeoffConfig(duration_s=600.0),
+        cache=None,
+    )
+
+
+class TestMergeCompleteness:
+    """The merge check retires exactly the slots the full digest over
+    every live slot would, on both tick paths; the pre-key only skips
+    write-backs."""
+
+    @pytest.mark.parametrize("limit", [0, 64])
+    def test_faulted_five_member_roster(self, limit, monkeypatch):
+        monkeypatch.setattr(kernel_mod, "_SMALL_FLEET_MACHINES", limit)
+        seen = check_merge_completeness(monkeypatch)
+        faults = FaultSchedule.generate(11, 60.0, faults_per_minute=6.0)
+        kernel, _ = run_shared(
+            redis_service(),
+            FAULTED_ROSTER,
+            DiurnalLoad(base=0.5, amplitude=0.25, period_s=60.0),
+            5,
+            ColocationConfig(duration_s=60.0, faults=faults),
+        )
+        assert kernel._small == (limit > 0)
+        assert seen["merges"] == kernel.merges > 0
+
+    @pytest.mark.parametrize("limit", [0, 64])
+    def test_four_member_redis_roster(self, limit, monkeypatch):
+        monkeypatch.setattr(kernel_mod, "_SMALL_FLEET_MACHINES", limit)
+        seen = check_merge_completeness(monkeypatch)
+        result = redis_roster_bakeoff(1)
+        assert seen["calls"] > 0
+        assert seen["merges"] == result.merges > 0
+
+
+class TestBranchCounters:
+    """Forks, merges and branch ticks of the four-member Redis roster,
+    as recorded before the merge check read rows: a cheaper check must
+    not move them."""
+
+    @pytest.mark.parametrize(
+        "seed, counters",
+        [(1, (7, 4, 1690)), (2, (5, 2, 1705)), (3, (8, 6, 1498))],
+    )
+    def test_redis_roster_counters(self, seed, counters):
+        result = redis_roster_bakeoff(seed)
+        assert (result.forks, result.merges, result.branch_ticks) == counters
 
 
 class TestTickPathChoice:

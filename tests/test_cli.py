@@ -180,6 +180,21 @@ class TestFleetCli:
         assert "zones" not in capsys.readouterr().out
 
 
+class TestFleetDurationValidation:
+    """``fleet`` and ``storm`` reject an unusable duration before any
+    fleet is built, with the message ``compare``/``grid``/``bakeoff``
+    give (NaN once slipped past as a config mismatch: ``nan != nan``)."""
+
+    @pytest.mark.parametrize("command", ["fleet", "storm"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-5"])
+    def test_bad_duration_is_a_clean_error(self, command, bad, capsys):
+        argv = [command, "--machines", "2", "--duration", bad, "--no-cache"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "duration_s must be finite and positive" in err
+        assert "disagrees" not in err
+
+
 class TestCacheCli:
     def test_grid_cache_flag_defaults_on(self):
         args = build_parser().parse_args(["grid", "servpod"])

@@ -67,19 +67,25 @@ def row_state(kernel, m):
 
 def checking(kernel, seen):
     """Wrap ``kernel.tick`` to check every live row after each tick;
-    ``seen`` counts the journal entries the row syncs consumed and the
-    fault refreshes that dropped journals."""
+    ``seen`` counts the journal entries the row syncs consumed (where
+    ``_patch_row`` reads them: a bake-off's merge check syncs inside the
+    tick) and the fault refreshes that dropped journals."""
     tick = kernel.tick
     refresh = kernel._refresh_faults
+    patch = kernel._patch_row
 
     def counted(i):
         seen["fault refresh"] += 1
         refresh(i)
 
+    def counted_patch(m):
+        changes = kernel._m_mach[m].be_changes
+        if changes is not None:
+            seen.update(kind for kind, _job in changes)
+        return patch(m)
+
     def checked(t, dt, last):
         tick(t, dt, last)
-        for m in kernel._dirty:
-            seen.update(kind for kind, _job in kernel._m_mach[m].be_changes)
         if kernel._dirty:
             kernel._sync_rows()
         rows = kernel._live_rows
@@ -95,6 +101,7 @@ def checking(kernel, seen):
 
     kernel.tick = checked
     kernel._refresh_faults = counted
+    kernel._patch_row = counted_patch
 
 
 def random_actions(seed):
