@@ -6,36 +6,31 @@ Measures the single-pass multi-controller evaluation engine end to end:
   interference-scoring, predictive) evaluated on one scenario — first
   as three independent reference runs, then as one shared-physics
   pass (three aliased slots of one
-  :class:`~repro.sim.kernel.FleetColocationKernel`). The shared pass
-  must be >=2x faster in aggregate and reproduce every member's cell
-  digest bit-identically (``identical_results``).
+  :class:`~repro.sim.kernel.FleetColocationKernel`), in the harness's
+  interleaved pairs. The shared pass must be >=2x faster in aggregate
+  (the median pair ratio) and reproduce every member's cell digest
+  bit-identically in every pair.
 - ``divergent``: the same roster at a load where the members keep
   disagreeing (the interference member says DISALLOW every few ticks
   while the others ALLOW), the case the shared pass pays slot
   bookkeeping for: it forks and re-merges until a merge has carried
-  the proof that both actions are no-ops to the surviving slot. Records the
-  fork and merge counts, the mean cost of one fork
-  (``FleetColocationKernel._fork``) and of one merge check
-  (``_merge_converged``, one call per tick with more live slots than
-  scenarios) from a separate instrumented pass, and the speedup over
-  independent runs. Members must stay bit-identical.
+  the proof that both actions are no-ops to the surviving slot. Records
+  the fork and merge counts, the branch ticks, the share of physics
+  shared and the pairs' speedup over independent runs. Members must
+  stay bit-identical.
 - ``diverged``: the merge check on the four-member roster (Rhythm,
   Heracles, interference, predictive) at loads 0.45 and 0.6, where it
   forks: merge attempts (``_merge_converged`` calls, one per tick with
-  more live slots than scenarios) and the mean µs of one attempt, best
-  of five instrumented passes, with the fork/merge counts, the shared
-  pass's best-of-five wall time and the members' identity against
-  their solo runs. To compare two commits, run this script with
-  ``PYTHONPATH`` at each commit's ``src`` back to back: host speed
-  swings about 2x.
-- ``cached``: the same roster against a private store — the cold run
-  writes one ``bakeoff-cell`` entry per member, the warm re-run must
-  execute ZERO shared passes and return identical digests.
-
-Timing takes the best of five rounds per side with the cyclic GC
-paused inside each round (the work is deterministic; the repeats and
-GC hygiene only shed scheduler and collector noise, which dominates
-run-to-run variance on small shared CPU quotas).
+  more live slots than scenarios), the mean µs of one attempt and of
+  one fork (``_fork``), each the best of :data:`harness.PAIRS`
+  instrumented passes, with the fork/merge counts and the members'
+  identity against their solo runs. To compare two commits, run this
+  script with ``PYTHONPATH`` at each commit's ``src`` back to back:
+  host speed swings about 2x.
+- ``cached``: the same roster against a fresh store per cold/warm pair
+  — the cold run writes one ``bakeoff-cell`` entry per member, the
+  warm re-run must execute ZERO shared passes and return identical
+  digests.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_bakeoff.py
 [--out BENCH_bakeoff.json] [--gate 2.0]``) or via
@@ -44,16 +39,10 @@ Run standalone (``PYTHONPATH=src python benchmarks/bench_bakeoff.py
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-import shutil
-import tempfile
-import time
-from typing import Callable, Dict, Optional
+from time import perf_counter
+from typing import Dict, Optional, Tuple
 
-from bench_env import environment
-from repro.cache import CacheStore
+import harness
 from repro.experiments.bakeoff import (
     BakeoffConfig,
     bakeoff_scenario_grid,
@@ -66,8 +55,8 @@ from repro.experiments.bakeoff import (
 )
 from repro.sim.kernel import FleetColocationKernel
 
-DEFAULT_REPORT = "BENCH_bakeoff.json"
-DEFAULT_GATE = None
+REPORT = "BENCH_bakeoff.json"
+GATE = 2.0
 
 #: The probe scenario: ten simulated minutes at a load where the three
 #: rival controllers keep agreeing (full physics sharing, zero forks) —
@@ -76,317 +65,189 @@ BENCH_DURATION_S = 600.0
 BENCH_LOAD = 0.30
 BENCH_BE_JOB = "stream-llc"
 BENCH_SEED = 11
-BENCH_ROUNDS = 5
 #: The divergence probe's load: at this seed the roster forks and
-#: re-merges dozens of times over the run while still sharing most
-#: physics passes.
+#: re-merges over the run while still sharing most physics passes.
 DIVERGENT_LOAD = 0.45
 #: The merge-check probe's loads: the four-member roster forks and
 #: re-merges at both, and checks for a merge on every tick in between.
 DIVERGED_LOADS = (0.45, 0.6)
 
 
-def _members(service: str):
-    return [
-        heracles_member(service),
-        interference_member(),
-        predictive_member(),
-    ]
-
-
-def _best_of(fn: Callable[[], object]) -> float:
-    """Best wall time of ``BENCH_ROUNDS`` calls, cyclic GC paused in each."""
-    best = float("inf")
-    for _ in range(BENCH_ROUNDS):
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
-        finally:
-            gc.enable()
-    return best
-
-
-def _independent_vs_shared(scenarios, members, config):
-    """(independent_s, bakeoff_s, identical, shared result) for a grid."""
-    # Warm-up: both paths once, outside the timed rounds.
-    references = {
-        member.name: run_member_reference(scenarios[0], member, config)
-        for member in members
-    }
-    shared = run_bakeoff(scenarios, members, config=config, cache=None)
-
-    def independent():
-        for scenario in scenarios:
-            for member in members:
-                run_member_reference(scenario, member, config)
-
-    independent_s = _best_of(independent)
-    bakeoff_s = _best_of(
-        lambda: run_bakeoff(scenarios, members, config=config, cache=None)
-    )
-    identical = all(
-        cell.digest == references[cell.member].digest for cell in shared.cells
-    )
-    return independent_s, bakeoff_s, identical, shared
-
-
-def _branch_bookkeeping(
-    scenarios, members, config, rounds: int = 1
-) -> Dict[str, float]:
-    """Mean µs of one fork and one merge check: the best of ``rounds``
-    instrumented passes, cyclic GC paused in each."""
-    best = {"_fork": float("inf"), "_merge_converged": float("inf")}
-    spent = {name: [0.0, 0] for name in best}
-    originals = {name: getattr(FleetColocationKernel, name) for name in spent}
-
-    def timed(name):
-        original = originals[name]
-
-        def wrapper(*args):
-            t0 = time.perf_counter()
-            try:
-                return original(*args)
-            finally:
-                spent[name][0] += time.perf_counter() - t0
-                spent[name][1] += 1
-
-        return wrapper
-
-    for name in spent:
-        setattr(FleetColocationKernel, name, timed(name))
-    try:
-        for _ in range(rounds):
-            for entry in spent.values():
-                entry[:] = [0.0, 0]
-            gc.collect()
-            gc.disable()
-            try:
-                run_bakeoff(scenarios, members, config=config, cache=None)
-            finally:
-                gc.enable()
-            for name, (seconds, _calls) in spent.items():
-                best[name] = min(best[name], seconds)
-    finally:
-        for name, original in originals.items():
-            setattr(FleetColocationKernel, name, original)
-    fork_s, merge_s = best["_fork"], best["_merge_converged"]
-    forks, merge_calls = spent["_fork"][1], spent["_merge_converged"][1]
-    return {
-        "merge_calls": merge_calls,
-        "us_per_fork": round(fork_s / forks * 1e6, 1) if forks else None,
-        "us_per_merge_call": (
-            round(merge_s / merge_calls * 1e6, 1) if merge_calls else None
-        ),
-    }
-
-
-def _merge_check(service: str, config) -> Dict[str, object]:
-    """The ``diverged`` block: the four-member roster's merge check."""
-    members = default_members(service)
-    scenarios = bakeoff_scenario_grid(
-        service=service,
-        loads=DIVERGED_LOADS,
+def _scenarios(loads):
+    return bakeoff_scenario_grid(
+        service="Redis",
+        loads=loads,
         be_jobs=(BENCH_BE_JOB,),
         duration_s=BENCH_DURATION_S,
         seed=BENCH_SEED,
     )
-    # Warm-up outside the timed rounds (it also profiles Rhythm).
+
+
+def _independent_vs_shared(scenarios, members, config) -> Tuple[harness.Pairs, bool]:
+    """Timed pairs of independent runs vs the shared pass, and whether
+    every pair's shared cells match its independent runs."""
+
+    def independent():
+        return [
+            run_member_reference(scenario, member, config).digest
+            for scenario in scenarios
+            for member in members
+        ]
+
+    def shared():
+        return run_bakeoff(scenarios, members, config=config, cache=None)
+
+    # Warm-up: both paths once, outside the timed pairs.
+    independent()
+    shared()
+    pairs = harness.ab_pairs(independent, shared, ("independent_s", "bakeoff_s"))
+    identical = all(
+        solo == [cell.digest for cell in result.cells]
+        for solo, result in pairs.results
+    )
+    return pairs, identical
+
+
+def _shared_pass(result) -> Dict[str, object]:
+    return {
+        "passes": result.passes,
+        "forks": result.forks,
+        "merges": result.merges,
+        "branch_ticks": result.branch_ticks,
+        "member_ticks": result.member_ticks,
+        "shared_fraction": round(result.shared_fraction, 4),
+    }
+
+
+def _merge_check(config) -> Tuple[Dict[str, object], Dict[str, bool]]:
+    """The ``diverged`` block: the four-member roster's merge check.
+
+    Mean µs of one fork and one merge check, each the best of
+    :data:`harness.PAIRS` instrumented passes.
+    """
+    members = default_members("Redis")
+    scenarios = _scenarios(DIVERGED_LOADS)
+    # Warm-up outside the instrumented passes (it also profiles Rhythm).
     shared = run_bakeoff(scenarios, members, config=config, cache=None)
     solo = [
         run_member_reference(scenario, member, config).digest
         for scenario in scenarios
         for member in members
     ]
-    book = _branch_bookkeeping(scenarios, members, config, rounds=BENCH_ROUNDS)
-    bakeoff_s = _best_of(
-        lambda: run_bakeoff(scenarios, members, config=config, cache=None)
-    )
-    return {
+    best = {"_fork": float("inf"), "_merge_converged": float("inf")}
+    spent = {name: [0.0, 0] for name in best}
+    originals = {name: getattr(FleetColocationKernel, name) for name in spent}
+
+    def instrumented(name):
+        original = originals[name]
+
+        def wrapper(*args):
+            t0 = perf_counter()
+            try:
+                return original(*args)
+            finally:
+                spent[name][0] += perf_counter() - t0
+                spent[name][1] += 1
+
+        return wrapper
+
+    for name in spent:
+        setattr(FleetColocationKernel, name, instrumented(name))
+    try:
+        for _ in range(harness.PAIRS):
+            for entry in spent.values():
+                entry[:] = [0.0, 0]
+            harness.timed(
+                lambda: run_bakeoff(scenarios, members, config=config, cache=None)
+            )
+            for name, (seconds, _calls) in spent.items():
+                best[name] = min(best[name], seconds)
+    finally:
+        for name, original in originals.items():
+            setattr(FleetColocationKernel, name, original)
+    forks, attempts = spent["_fork"][1], spent["_merge_converged"][1]
+    block = {
         "members": [member.name for member in members],
         "loads": list(DIVERGED_LOADS),
-        "cpu_count": environment()["cpu_count"],
         "forks": shared.forks,
         "merges": shared.merges,
         "branch_ticks": shared.branch_ticks,
-        "merge_attempts": book["merge_calls"],
-        "us_per_attempt": book["us_per_merge_call"],
-        "bakeoff_s": round(bakeoff_s, 4),
-        "identical_results": [cell.digest for cell in shared.cells] == solo,
-        "exercised": shared.forks > 0 and shared.merges > 0,
+        "merge_attempts": attempts,
+        "us_per_attempt": (
+            round(best["_merge_converged"] / attempts * 1e6, 1) if attempts else None
+        ),
+        "us_per_fork": round(best["_fork"] / forks * 1e6, 1) if forks else None,
     }
+    checks = {
+        "diverged_identical": [cell.digest for cell in shared.cells] == solo,
+        "diverged_exercised": shared.forks > 0 and shared.merges > 0,
+    }
+    return block, checks
 
 
 def run_benchmark(
-    out: Optional[str] = DEFAULT_REPORT,
-    gate: Optional[float] = DEFAULT_GATE,
+    out: Optional[str] = REPORT,
+    gate: Optional[float] = None,
 ) -> Dict[str, object]:
     """Run the independent-vs-shared and cold/warm sequences and report."""
-    service = "Redis"
-    members = _members(service)
-    scenarios = bakeoff_scenario_grid(
-        service=service,
-        loads=(BENCH_LOAD,),
-        be_jobs=(BENCH_BE_JOB,),
-        duration_s=BENCH_DURATION_S,
-        seed=BENCH_SEED,
-    )
+    members = [heracles_member("Redis"), interference_member(), predictive_member()]
+    scenarios = _scenarios((BENCH_LOAD,))
     config = BakeoffConfig(duration_s=BENCH_DURATION_S)
-    independent_s, bakeoff_s, identical, shared = _independent_vs_shared(
-        scenarios, members, config
-    )
-    speedup = round(independent_s / bakeoff_s, 2) if bakeoff_s > 0 else None
+    pairs, identical = _independent_vs_shared(scenarios, members, config)
 
-    divergent_scenarios = bakeoff_scenario_grid(
-        service=service,
-        loads=(DIVERGENT_LOAD,),
-        be_jobs=(BENCH_BE_JOB,),
-        duration_s=BENCH_DURATION_S,
-        seed=BENCH_SEED,
+    d_pairs, d_identical = _independent_vs_shared(
+        _scenarios((DIVERGENT_LOAD,)), members, config
     )
-    d_independent_s, d_bakeoff_s, d_identical, d_shared = (
-        _independent_vs_shared(divergent_scenarios, members, config)
+    d_shared = d_pairs.results[-1][1]
+    diverged, diverged_checks = _merge_check(config)
+
+    cache_pairs, disk = harness.cold_warm_pairs(
+        lambda store: run_bakeoff(scenarios, members, config=config, cache=store),
+        lambda store: store.stats(),
     )
-    divergent = {
-        "load": DIVERGENT_LOAD,
-        "cpu_count": environment()["cpu_count"],
-        "forks": d_shared.forks,
-        "merges": d_shared.merges,
-        "branch_ticks": d_shared.branch_ticks,
-        "shared_fraction": round(d_shared.shared_fraction, 4),
-        **_branch_bookkeeping(divergent_scenarios, members, config),
-        "independent_s": round(d_independent_s, 4),
-        "bakeoff_s": round(d_bakeoff_s, 4),
-        "speedup": (
-            round(d_independent_s / d_bakeoff_s, 2) if d_bakeoff_s > 0 else None
-        ),
-        "identical_results": d_identical,
-    }
-    # The probe must keep exercising both branch operations.
-    divergent["exercised"] = divergent["forks"] > 0 and divergent["merges"] > 0
-    diverged = _merge_check(service, config)
-
-    cache_dir = tempfile.mkdtemp(prefix="rhythm-bench-bakeoff-")
-    try:
-        store = CacheStore(directory=cache_dir)
-        cold = run_bakeoff(scenarios, members, config=config, cache=store)
-        warm = run_bakeoff(scenarios, members, config=config, cache=store)
-        disk = store.stats()
-        cached = {
-            "cold": {
-                "hits": cold.cache.hits,
-                "misses": cold.cache.misses,
-                "passes": cold.passes,
-            },
-            "warm": {
-                "hits": warm.cache.hits,
-                "misses": warm.cache.misses,
-                "passes": warm.passes,
-            },
-            "warm_zero_passes": warm.passes == 0,
-            "warm_identical_digest": warm.digest == cold.digest,
-            "store_entries": disk.entries,
-            "store_bytes": disk.total_bytes,
-        }
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-
-    report: Dict[str, object] = {
-        "benchmark": "bakeoff",
-        **environment(),
+    cold, warm = cache_pairs.results[-1]
+    body: Dict[str, object] = {
         "roster": {
             "members": [member.name for member in members],
-            "service": service,
+            "service": "Redis",
             "load": BENCH_LOAD,
             "be_job": BENCH_BE_JOB,
             "duration_s": BENCH_DURATION_S,
             "seed": BENCH_SEED,
         },
-        "independent_s": round(independent_s, 4),
-        "bakeoff_s": round(bakeoff_s, 4),
-        "speedup": speedup,
-        "identical_results": identical,
-        "shared_pass": {
-            "passes": shared.passes,
-            "forks": shared.forks,
-            "merges": shared.merges,
-            "branch_ticks": shared.branch_ticks,
-            "member_ticks": shared.member_ticks,
-            "shared_fraction": round(shared.shared_fraction, 4),
+        "shared_pass": _shared_pass(pairs.results[-1][1]),
+        "divergent": {
+            "load": DIVERGENT_LOAD,
+            **_shared_pass(d_shared),
+            **d_pairs.report(),
         },
-        "divergent": divergent,
         "diverged": diverged,
-        "cached": cached,
+        "cached": {
+            **cache_pairs.report(),
+            "cold": {**harness.outcomes(cold.cache), "passes": cold.passes},
+            "warm": {**harness.outcomes(warm.cache), "passes": warm.passes},
+            "store_entries": disk.entries,
+            "store_bytes": disk.total_bytes,
+        },
     }
-    correct = bool(
-        identical
-        and d_identical
-        and divergent["exercised"]
-        and diverged["identical_results"]
-        and diverged["exercised"]
-        and cached["warm_zero_passes"]
-        and cached["warm_identical_digest"]
-    )
-    report["correct"] = correct
-    if gate is not None:
-        report["gate"] = gate
-        report["gate_passed"] = bool(
-            correct and speedup is not None and speedup >= gate
-        )
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    return report
+    checks = {
+        "identical_results": identical,
+        "divergent_identical": d_identical,
+        # The probe must keep exercising both branch operations.
+        "divergent_exercised": d_shared.forks > 0 and d_shared.merges > 0,
+        **diverged_checks,
+        "warm_zero_passes": all(w.passes == 0 for _, w in cache_pairs.results),
+        "warm_identical_digest": all(
+            w.digest == c.digest for c, w in cache_pairs.results
+        ),
+    }
+    return harness.finish("bakeoff", body, checks, pairs, out, gate)
 
 
 def test_bakeoff_speedup(benchmark):
     """One measured round: >=2x aggregate, bit-identical, warm at 0 passes."""
-    from conftest import run_once
-
-    report = run_once(benchmark, run_benchmark)
-    print()
-    print(json.dumps(report, indent=2))
-    assert report["correct"], "bakeoff diverged from reference or re-simulated"
-    assert report["speedup"] >= 2.0, (
-        f"expected >=2x aggregate bake-off speedup, got {report['speedup']}x"
-    )
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=DEFAULT_REPORT)
-    parser.add_argument(
-        "--gate",
-        type=float,
-        default=None,
-        help="fail (exit 1) if aggregate speedup < GATE or any check fails",
-    )
-    args = parser.parse_args()
-    report = run_benchmark(out=args.out, gate=args.gate)
-    print(json.dumps(report, indent=2))
-    if not report["correct"]:
-        print(
-            "FAIL: bake-off diverged from the reference, re-simulated, "
-            "or the divergence probe stopped forking/merging"
-        )
-        return 1
-    print(
-        f"\nindependent {report['independent_s']}s | "
-        f"bakeoff {report['bakeoff_s']}s | speedup {report['speedup']}x | "
-        f"{report['shared_pass']['shared_fraction']:.0%} physics shared | "
-        f"report -> {args.out}"
-    )
-    if args.gate is not None and not report.get("gate_passed"):
-        print(
-            f"FAIL: aggregate speedup {report['speedup']}x "
-            f"below gate {args.gate}x"
-        )
-        return 1
-    return 0
+    harness.check(benchmark, run_benchmark, GATE)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(run_benchmark, __doc__, REPORT))

@@ -3,9 +3,10 @@
 Measures the shard-granular fleet result cache end to end:
 
 - ``cold`` vs ``warm``: the same Alibaba-shaped fleet run twice against
-  one private store. The warm run must be >=50x faster, execute ZERO
-  simulations (every zone a hit) and reproduce the cold run's
-  ``FleetResult.digest`` bit-identically.
+  one fresh store per pair of the harness's cold/warm pairs. The warm
+  run must be >=50x faster, execute ZERO simulations (every zone a
+  hit) and reproduce the cold run's ``FleetResult.digest``
+  bit-identically.
 - ``resharded``: the warm fleet again under a different shard count —
   zone entries are shard-count-invariant, so it must also be all-hits.
 - ``incremental``: one instance's seed is bumped (a one-zone edit) and
@@ -18,20 +19,14 @@ Run standalone (``PYTHONPATH=src python benchmarks/bench_fleet_cache.py
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
-import shutil
-import tempfile
-import time
 from typing import Dict, Optional
 
-from bench_env import environment
-from repro.cache import CacheStore
+import harness
 from repro.experiments.fleet import FleetConfig, FleetExperiment, alibaba_fleet
 
-DEFAULT_REPORT = "BENCH_fleet_cache.json"
-DEFAULT_GATE = None
+REPORT = "BENCH_fleet_cache.json"
+GATE = 50.0
 
 #: The probe fleet: big enough that a cold run is solidly measurable
 #: (dozens of instances, ten simulated minutes) while a warm run is a
@@ -43,18 +38,9 @@ BENCH_SHARDS = 4
 BENCH_ZONE_SIZE = 4
 
 
-def _stats(result) -> Dict[str, object]:
-    return {
-        "hits": result.cache.hits,
-        "misses": result.cache.misses,
-        "skipped": result.cache.skipped,
-        "zero_simulations": result.cache.simulated == 0,
-    }
-
-
 def run_benchmark(
-    out: Optional[str] = DEFAULT_REPORT,
-    gate: Optional[float] = DEFAULT_GATE,
+    out: Optional[str] = REPORT,
+    gate: Optional[float] = None,
     workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """Run the cold/warm/resharded/incremental sequence and report."""
@@ -71,129 +57,67 @@ def run_benchmark(
         seed=BENCH_SEED,
         config=config,
     )
-    cache_dir = tempfile.mkdtemp(prefix="rhythm-bench-fleet-cache-")
-    store = CacheStore(directory=cache_dir)
-    try:
-        t0 = time.perf_counter()
-        cold = fleet.run(cache=store)
-        cold_s = time.perf_counter() - t0
+    # One-zone edit: bump one instance's seed. Only its zone's key
+    # changes, so only that zone may re-simulate.
+    specs = list(fleet.instances)
+    edited_index = len(specs) // 2
+    specs[edited_index] = dataclasses.replace(
+        specs[edited_index], seed=specs[edited_index].seed + 10_000
+    )
 
-        t0 = time.perf_counter()
-        warm = fleet.run(cache=store)
-        warm_s = time.perf_counter() - t0
-
+    def follow_up(store):
         resharded = FleetExperiment(
             fleet.instances, dataclasses.replace(config, shards=1)
         ).run(cache=store)
-
-        # One-zone edit: bump one instance's seed. Only its zone's key
-        # changes, so only that zone may re-simulate.
-        specs = list(fleet.instances)
-        edited_index = len(specs) // 2
-        specs[edited_index] = dataclasses.replace(
-            specs[edited_index], seed=specs[edited_index].seed + 10_000
-        )
         incremental = FleetExperiment(specs, config).run(cache=store)
+        return resharded, incremental, store.stats()
 
-        disk = store.stats()
-        speedup = round(cold_s / warm_s, 1) if warm_s > 0 else None
-        zones = cold.cache.total
-        report: Dict[str, object] = {
-            "benchmark": "fleet_zone_cache",
-            **environment(),
-            "fleet": {
-                "machines": cold.n_machines,
-                "instances": cold.n_instances,
-                "zones": zones,
-                "duration_s": BENCH_DURATION_S,
-                "shards": BENCH_SHARDS,
-                "zone_size": BENCH_ZONE_SIZE,
-            },
-            "cold_s": round(cold_s, 4),
-            "warm_s": round(warm_s, 4),
-            "speedup": speedup,
-            "cold": _stats(cold),
-            "warm": _stats(warm),
-            "warm_identical_digest": warm.digest == cold.digest,
-            "resharded": {
-                **_stats(resharded),
-                "shards": 1,
-                "identical_digest": resharded.digest == cold.digest,
-            },
-            "incremental": {
-                **_stats(incremental),
-                "edited_instance": edited_index,
-                "edited_zone": edited_index // BENCH_ZONE_SIZE,
-                "only_touched_zone": (
-                    incremental.cache.misses == 1
-                    and incremental.cache.hits == zones - 1
-                ),
-            },
-            "store_entries": disk.entries,
-            "store_bytes": disk.total_bytes,
-        }
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-    correct = bool(
-        report["warm"]["zero_simulations"]
-        and report["warm_identical_digest"]
-        and report["resharded"]["zero_simulations"]
-        and report["resharded"]["identical_digest"]
-        and report["incremental"]["only_touched_zone"]
+    pairs, (resharded, incremental, disk) = harness.cold_warm_pairs(
+        lambda store: fleet.run(cache=store), follow_up
     )
-    report["correct"] = correct
-    if gate is not None:
-        report["gate"] = gate
-        report["gate_passed"] = bool(
-            correct and speedup is not None and speedup >= gate
-        )
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    return report
+    cold, warm = pairs.results[-1]
+    zones = cold.cache.total
+    body: Dict[str, object] = {
+        "fleet": {
+            "machines": cold.n_machines,
+            "instances": cold.n_instances,
+            "zones": zones,
+            "duration_s": BENCH_DURATION_S,
+            "shards": BENCH_SHARDS,
+            "zone_size": BENCH_ZONE_SIZE,
+        },
+        "cold": harness.outcomes(cold.cache),
+        "warm": harness.outcomes(warm.cache),
+        "resharded": {**harness.outcomes(resharded.cache), "shards": 1},
+        "incremental": {
+            **harness.outcomes(incremental.cache),
+            "edited_instance": edited_index,
+            "edited_zone": edited_index // BENCH_ZONE_SIZE,
+        },
+        "store_entries": disk.entries,
+        "store_bytes": disk.total_bytes,
+    }
+    checks = {
+        "warm_zero_simulations": all(
+            w.cache.simulated == 0 for _, w in pairs.results
+        ),
+        "warm_identical_digest": all(
+            w.digest == c.digest for c, w in pairs.results
+        ),
+        "resharded_zero_simulations": resharded.cache.simulated == 0,
+        "resharded_identical_digest": resharded.digest == cold.digest,
+        "incremental_only_touched_zone": (
+            incremental.cache.misses == 1
+            and incremental.cache.hits == zones - 1
+        ),
+    }
+    return harness.finish("fleet_zone_cache", body, checks, pairs, out, gate)
 
 
 def test_fleet_cache_speedup(benchmark):
     """One measured round: warm >=50x, zero sims, identical digests."""
-    from conftest import run_once
-
-    report = run_once(benchmark, run_benchmark)
-    print()
-    print(json.dumps(report, indent=2))
-    assert report["correct"], "fleet cache broke digests or re-simulated"
-    assert report["speedup"] >= 50.0, (
-        f"expected >=50x warm fleet re-run, got {report['speedup']}x"
-    )
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=DEFAULT_REPORT)
-    parser.add_argument(
-        "--gate",
-        type=float,
-        default=None,
-        help="fail (exit 1) if warm speedup < GATE or any check fails",
-    )
-    parser.add_argument("--workers", type=int, default=None)
-    args = parser.parse_args()
-    report = run_benchmark(out=args.out, gate=args.gate, workers=args.workers)
-    print(json.dumps(report, indent=2))
-    if not report["correct"]:
-        print("FAIL: fleet cache broke digests or re-simulated cached zones")
-        return 1
-    print(
-        f"\ncold {report['cold_s']}s | warm {report['warm_s']}s | "
-        f"speedup {report['speedup']}x | "
-        f"{report['fleet']['zones']} zones, "
-        f"incremental re-simulated 1 | report -> {args.out}"
-    )
-    if args.gate is not None and not report.get("gate_passed"):
-        print(f"FAIL: warm speedup {report['speedup']}x below gate {args.gate}x")
-        return 1
-    return 0
+    harness.check(benchmark, run_benchmark, GATE)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(run_benchmark, __doc__, REPORT, workers=None))

@@ -9,29 +9,26 @@ events/sec and the speedup, per workload and in aggregate:
   where the engine-free Lindley recurrence replaces hundreds of
   thousands of discrete events).
 
-Identity is checked the hard way before any number is reported:
-fingerprints plus the final state of every RNG stream must match across
-kernels in-process, in a fork-started child and in a spawn-started
-child, with and without fault injection. ``identical_results`` is the
-conjunction of all of those checks — a fast batched kernel that drifts
-by one bit fails the benchmark outright.
+Each workload times scalar against batched in the harness's interleaved
+pairs; the aggregate pair sums both workloads' pairs, and the gate
+reads its median ratio. Identity is checked the hard way: fingerprints
+plus the final state of every RNG stream must match across kernels in
+every pair, in-process under every probe pattern, and in a
+fork-started and a spawn-started child, with and without fault
+injection. A fast batched kernel that drifts by one bit fails the
+benchmark outright.
 
 Run standalone (``PYTHONPATH=src python benchmarks/bench_kernel.py
 [--out BENCH_kernel.json] [--gate 5.0]``) or via
-``pytest benchmarks/bench_kernel.py --benchmark-only``. With ``--gate
-X`` the process exits non-zero when the aggregate speedup falls below
-``X``× or identity fails — CI wires this behind ``RHYTHM_BENCH_GATE=1``.
+``pytest benchmarks/bench_kernel.py --benchmark-only``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import multiprocessing
-import time
 from typing import Dict, Optional, Tuple
 
-from bench_env import environment
+import harness
 from repro.baselines.heracles import heracles_controllers
 from repro.bejobs.catalog import evaluation_be_jobs
 from repro.experiments.colocation import ColocationConfig, ColocationExperiment
@@ -50,16 +47,19 @@ from repro.workloads.queueing import QueueingComponent
 COLOCATION_DURATION_S = 2400.0
 QUEUE_DURATION_S = 120.0
 QUEUE_LOAD = 0.7
-#: Timing repeats per (workload, kernel); the reported time is the
-#: minimum, the standard estimator for a deterministic workload's cost
-#: on a noisy machine. Identity is still checked on every repeat.
-TIMING_REPEATS = 3
-DEFAULT_REPORT = "BENCH_kernel.json"
-DEFAULT_GATE = None
+REPORT = "BENCH_kernel.json"
+GATE = 5.0
 
 
-def _run_colocation(kernel: str) -> Tuple[float, int, Tuple]:
-    """One timed co-location cell; returns (seconds, events, fingerprint)."""
+def _stream_states(streams: RandomStreams) -> Tuple:
+    return tuple(
+        (name, repr(streams._streams[name].bit_generator.state))
+        for name in sorted(streams._streams)
+    )
+
+
+def _run_colocation(kernel: str) -> Tuple[int, Tuple]:
+    """One co-location cell; returns (events, fingerprint)."""
     service = redis_service()
     experiment = ColocationExperiment(
         service,
@@ -70,33 +70,21 @@ def _run_colocation(kernel: str) -> Tuple[float, int, Tuple]:
         config=ColocationConfig(duration_s=COLOCATION_DURATION_S),
         kernel=kernel,
     )
-    t0 = time.perf_counter()
     result = experiment.run()
-    elapsed = time.perf_counter() - t0
-    states = tuple(
-        (name, repr(experiment.streams._streams[name].bit_generator.state))
-        for name in sorted(experiment.streams._streams)
-    )
-    return elapsed, result.events_fired, (colocation_fingerprint(result), states)
+    return result.events_fired, (result, experiment.streams)
 
 
-def _run_queueing(kernel: str) -> Tuple[float, int, Tuple]:
-    """One timed queueing run; returns (seconds, events, fingerprint)."""
+def _run_queueing(kernel: str) -> Tuple[int, Tuple]:
+    """One queueing run; returns (events, fingerprint)."""
     component = QueueingComponent(2.0, 0.3, workers=8)
     streams = RandomStreams(11)
-    t0 = time.perf_counter()
     stats = component.simulate(
         QUEUE_LOAD * component.capacity_qps,
         QUEUE_DURATION_S,
         streams,
         kernel=kernel,
     )
-    elapsed = time.perf_counter() - t0
-    states = tuple(
-        (name, repr(streams._streams[name].bit_generator.state))
-        for name in sorted(streams._streams)
-    )
-    return elapsed, stats.events, (stats, states)
+    return stats.events, (stats, streams)
 
 
 def _subprocess_identity() -> bool:
@@ -121,132 +109,66 @@ def _subprocess_identity() -> bool:
 
 
 def run_benchmark(
-    out: Optional[str] = DEFAULT_REPORT, gate: Optional[float] = DEFAULT_GATE
+    out: Optional[str] = REPORT, gate: Optional[float] = None
 ) -> Dict[str, object]:
     """Time both kernels on both workloads; write and return the report."""
     workloads: Dict[str, Dict[str, object]] = {}
+    total = None
     identical = True
-    total = {"scalar_s": 0.0, "batched_s": 0.0, "events": 0}
-
-    def timed_best_of(runner, kernel):
-        """Best-of-``TIMING_REPEATS`` timing; every repeat must agree."""
-        best_s, events, print_ = runner(kernel)
-        for _ in range(TIMING_REPEATS - 1):
-            s, ev, p = runner(kernel)
-            if (ev, p) != (events, print_):
-                raise AssertionError(
-                    f"{kernel} kernel was not deterministic across repeats"
-                )
-            best_s = min(best_s, s)
-        return best_s, events, print_
-
-    for name, runner in (("colocation", _run_colocation), ("queueing", _run_queueing)):
-        scalar_s, scalar_events, scalar_print = timed_best_of(runner, "scalar")
-        batched_s, batched_events, batched_print = timed_best_of(runner, "batched")
-        same = scalar_print == batched_print and scalar_events == batched_events
+    for name, runner, fingerprint in (
+        ("colocation", _run_colocation, colocation_fingerprint),
+        ("queueing", _run_queueing, lambda stats: stats),
+    ):
+        pairs = harness.ab_pairs(
+            lambda: runner("scalar"),
+            lambda: runner("batched"),
+            ("scalar_s", "batched_s"),
+        )
+        # Every run of either kernel must print the first scalar run.
+        prints = [
+            (events, fingerprint(output), _stream_states(streams))
+            for pair in pairs.results
+            for events, (output, streams) in pair
+        ]
+        same = all(p == prints[0] for p in prints)
         identical = identical and same
+        events = prints[0][0]
         workloads[name] = {
-            "scalar_s": round(scalar_s, 4),
-            "batched_s": round(batched_s, 4),
-            "events": scalar_events,
-            "events_per_sec_scalar": round(scalar_events / scalar_s, 1),
-            "events_per_sec_batched": round(batched_events / batched_s, 1),
-            "speedup": round(scalar_s / batched_s, 2) if batched_s > 0 else None,
-            "identical": same,
+            **pairs.report(),
+            "events": events,
+            "events_per_sec_scalar": round(events / pairs.median(0), 1),
+            "events_per_sec_batched": round(events / pairs.median(1), 1),
         }
-        total["scalar_s"] += scalar_s
-        total["batched_s"] += batched_s
-        total["events"] += scalar_events
-
-    # In-process identity under every probe pattern, plus faults.
-    probe_ok = all(
-        kernel_identity_probe("scalar", seed=3, pattern_name=p, with_faults=f)
-        == kernel_identity_probe("batched", seed=3, pattern_name=p, with_faults=f)
-        for p, f in (
-            ("constant", False),
-            ("step", False),
-            ("sweep", False),
-            ("diurnal", True),
-        )
-    )
-    subprocess_ok = _subprocess_identity()
-    identical = identical and probe_ok and subprocess_ok
-
-    speedup = (
-        round(total["scalar_s"] / total["batched_s"], 2)
-        if total["batched_s"] > 0
-        else None
-    )
-    report: Dict[str, object] = {
-        "benchmark": "simulation_kernel",
-        **environment(),
-        "workloads": workloads,
-        "sim_events": total["events"],
-        "scalar_s": round(total["scalar_s"], 4),
-        "batched_s": round(total["batched_s"], 4),
-        "events_per_sec_scalar": round(total["events"] / total["scalar_s"], 1),
-        "events_per_sec_batched": round(total["events"] / total["batched_s"], 1),
-        "speedup": speedup,
-        "identity_checks": {
-            "workload_outputs": all(
-                w["identical"] for w in workloads.values()
-            ),
-            "probe_patterns": probe_ok,
-            "fork_and_spawn_subprocesses": subprocess_ok,
-        },
-        "identical_results": identical,
+        total = pairs if total is None else total + pairs
+    sim_events = sum(w["events"] for w in workloads.values())
+    checks = {
+        "workload_outputs": identical,
+        # In-process identity under every probe pattern, plus faults.
+        "probe_patterns": all(
+            kernel_identity_probe("scalar", seed=3, pattern_name=p, with_faults=f)
+            == kernel_identity_probe("batched", seed=3, pattern_name=p, with_faults=f)
+            for p, f in (
+                ("constant", False),
+                ("step", False),
+                ("sweep", False),
+                ("diurnal", True),
+            )
+        ),
+        "fork_and_spawn_subprocesses": _subprocess_identity(),
     }
-    if gate is not None:
-        report["gate"] = gate
-        report["gate_passed"] = bool(
-            identical and speedup is not None and speedup >= gate
-        )
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    return report
+    body = {
+        "workloads": workloads,
+        "sim_events": sim_events,
+        "events_per_sec_scalar": round(sim_events / total.median(0), 1),
+        "events_per_sec_batched": round(sim_events / total.median(1), 1),
+    }
+    return harness.finish("simulation_kernel", body, checks, total, out, gate)
 
 
 def test_kernel_speedup(benchmark):
     """One measured round: scalar vs batched kernel, bit-identity checked."""
-    from conftest import run_once
-
-    report = run_once(benchmark, run_benchmark)
-    print()
-    print(json.dumps(report, indent=2))
-    assert report["identical_results"], "batched kernel diverged from scalar"
-    assert report["speedup"] >= 5.0, (
-        f"expected >=5x aggregate kernel speedup, got {report['speedup']}x"
-    )
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=DEFAULT_REPORT)
-    parser.add_argument(
-        "--gate",
-        type=float,
-        default=None,
-        help="fail (exit 1) if aggregate speedup < GATE or identity fails",
-    )
-    args = parser.parse_args()
-    report = run_benchmark(out=args.out, gate=args.gate)
-    print(json.dumps(report, indent=2))
-    if not report["identical_results"]:
-        print("FAIL: batched kernel diverged from the scalar reference")
-        return 1
-    line = (
-        f"\n{report['sim_events']} events | scalar {report['scalar_s']}s | "
-        f"batched {report['batched_s']}s | speedup {report['speedup']}x | "
-        f"report -> {args.out}"
-    )
-    print(line)
-    if args.gate is not None and not report.get("gate_passed"):
-        print(f"FAIL: speedup {report['speedup']}x below gate {args.gate}x")
-        return 1
-    return 0
+    harness.check(benchmark, run_benchmark, GATE)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(run_benchmark, __doc__, REPORT))

@@ -2,10 +2,11 @@
 
 Runs a reduced Figure 9–11 grid (2 services × 3 BE jobs × 3 loads, each
 cell simulated under Rhythm *and* Heracles) inline (``workers=1``) and
-on the process pool in interleaved pairs, verifies the results are
-bit-identical, and records wall clock, simulation events/sec, the
-median pair's speedup, the envelopes the pool shipped (one per worker
-chunk) and peak resident memory of the parent and of the workers.
+on the process pool in the harness's interleaved pairs, verifies every
+pair's results are bit-identical, and records wall clock, simulation
+events/sec, the median pair's speedup, the envelopes the pool shipped
+(one per worker chunk) and peak resident memory of the parent and of
+the workers.
 
 Profiling happens once in the parent before any timed run, so every
 timing measures pure grid execution — exactly what the pool
@@ -14,26 +15,17 @@ parallelises.
 Run standalone (``PYTHONPATH=src python benchmarks/bench_parallel.py
 [--workers 2] [--out BENCH_parallel.json] [--gate 1.0]``) or via
 ``pytest benchmarks/bench_parallel.py --benchmark-only``. ``--workers``
-defaults to ``RHYTHM_WORKERS``, then the CPU count.
-
-``--gate X`` fails the run when the results diverge, or when the host
-has at least two CPUs and the speedup is below X; on one CPU the pool
-cannot speed anything up, so the speedup half of the gate is skipped
-(and says so). The report records ``cpu_count`` so single-core runs
-stay honest.
+defaults to ``RHYTHM_WORKERS``, then the CPU count. The speedup is a
+pool ratio: on one CPU the gate checks identity alone.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import resource
-import statistics
-import time
 from typing import Dict, List, Optional
 
+import harness
 from repro.bejobs.catalog import evaluation_be_jobs
-from bench_env import environment
 from repro.experiments.colocation import ColocationConfig
 from repro.parallel.grid import (
     GridCell,
@@ -50,9 +42,8 @@ BENCH_SERVICES = ("E-commerce", "Redis")
 BENCH_LOADS = (0.25, 0.45, 0.65)
 BENCH_BE_JOBS = 3
 BENCH_DURATION_S = 120.0
-#: Interleaved serial/pooled timing pairs; the report reads the median.
-PAIRS = 3
-DEFAULT_REPORT = "BENCH_parallel.json"
+REPORT = "BENCH_parallel.json"
+GATE = 1.0
 
 
 def build_cells(seed: int = 0) -> List[GridCell]:
@@ -74,7 +65,7 @@ def _peak_rss_mb(who: int) -> float:
 def run_benchmark(
     workers: Optional[int] = None,
     seed: int = 0,
-    out: Optional[str] = DEFAULT_REPORT,
+    out: Optional[str] = REPORT,
     gate: Optional[float] = None,
 ) -> Dict[str, object]:
     """Time the grid serial and parallel; write and return the report."""
@@ -91,54 +82,34 @@ def run_benchmark(
     cells = build_cells(seed)
 
     # Profile once, up front: every timed run ships the same artifacts.
-    t0 = time.perf_counter()
-    artifacts = profile_services_parallel(cells)
-    profiling_s = time.perf_counter() - t0
-
+    profiling_s, artifacts = harness.timed(
+        lambda: profile_services_parallel(cells)
+    )
     # The pool is persistent (one per process), so its startup is a
     # one-time cost — measure it apart from steady-state grid execution.
-    t0 = time.perf_counter()
-    if workers > 1:
-        get_pool(workers)
-    pool_startup_s = time.perf_counter() - t0
+    pool_startup_s, _ = harness.timed(
+        lambda: get_pool(workers) if workers > 1 else None
+    )
 
-    def timed(n_workers: int):
-        start = time.perf_counter()
-        results = run_comparison_grid(
+    def grid(n_workers: int):
+        return run_comparison_grid(
             cells, config=config, workers=n_workers, artifacts=artifacts
         )
-        return results, time.perf_counter() - start
 
-    pairs: List[Dict[str, float]] = []
-    identical = True
-    envelopes = retries = 0
-    for _ in range(PAIRS):
-        serial, serial_s = timed(1)
+    def pooled():
         reset_pool_stats()
-        parallel, parallel_s = timed(workers)
-        stats = pool_stats()
-        envelopes, retries = stats.submitted, stats.retries
-        identical = identical and [
-            comparison_fingerprint(r) for r in serial
-        ] == [comparison_fingerprint(r) for r in parallel]
-        pairs.append(
-            {
-                "serial_s": round(serial_s, 4),
-                "parallel_s": round(parallel_s, 4),
-                "speedup": round(serial_s / parallel_s, 3),
-            }
-        )
-    serial_s = statistics.median(p["serial_s"] for p in pairs)
-    parallel_s = statistics.median(p["parallel_s"] for p in pairs)
-    speedup = statistics.median(p["speedup"] for p in pairs)
+        return grid(workers)
+
+    pairs = harness.ab_pairs(lambda: grid(1), pooled, ("serial_s", "parallel_s"))
+    stats = pool_stats()  # of the last pooled run: inline runs skip the pool
     rss_parent = _peak_rss_mb(resource.RUSAGE_SELF)
     shutdown_pool()  # reaps the workers, so their peak RSS is readable
     rss_workers = _peak_rss_mb(resource.RUSAGE_CHILDREN)
 
+    serial = pairs.results[0][0]
     events = sum(r.rhythm.events_fired + r.heracles.events_fired for r in serial)
-    env = environment(parallel_speedup=speedup)
-    report: Dict[str, object] = {
-        "benchmark": "parallel_grid_engine",
+    prints = [comparison_fingerprint(r) for r in serial]
+    body: Dict[str, object] = {
         "kernel": resolve_kernel(),
         "grid": {
             "services": list(BENCH_SERVICES),
@@ -148,96 +119,40 @@ def run_benchmark(
             "simulations": 2 * len(cells),
             "duration_s_per_cell": BENCH_DURATION_S,
         },
-        **env,
         "workers": workers,
         "profiling_s": round(profiling_s, 4),
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "phases": {
-            "profiling_s": round(profiling_s, 4),
-            "pool_startup_s": round(pool_startup_s, 4),
-            "serial_grid_s": serial_s,
-            "parallel_grid_s": parallel_s,
-        },
-        "pairs": pairs,
-        "speedup": speedup,
-        "envelopes_shipped": envelopes,
-        "pool_retries": retries,
+        "pool_startup_s": round(pool_startup_s, 4),
+        "envelopes_shipped": stats.submitted,
+        "pool_retries": stats.retries,
         "peak_rss_mb": {"parent": rss_parent, "worker_max": rss_workers},
         "sim_events": events,
-        "events_per_sec_serial": round(events / serial_s, 1),
-        "events_per_sec_parallel": round(events / parallel_s, 1),
-        "identical_results": identical,
+        "events_per_sec_serial": round(events / pairs.median(0), 1),
+        "events_per_sec_parallel": round(events / pairs.median(1), 1),
     }
-    if gate is not None:
-        report["gate"] = gate
-        report["gate_passed"] = identical and (
-            env["cpu_count"] < 2 or speedup >= gate
+    checks = {
+        "identical_results": all(
+            [comparison_fingerprint(r) for r in side] == prints
+            for pair in pairs.results
+            for side in pair
         )
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    return report
+    }
+    return harness.finish(
+        "parallel_grid_engine", body, checks, pairs, out, gate, pool=True
+    )
 
 
 def test_parallel_grid_speedup(benchmark):
     """One measured round: serial vs 4-worker parallel, bit-identity checked."""
-    from conftest import run_once
-
-    report = run_once(benchmark, run_benchmark, workers=4)
-    print()
-    print(json.dumps(report, indent=2))
-    assert report["identical_results"], "parallel results diverged from serial"
-    cpus = report["cpu_count"] or 1
+    report = harness.check(benchmark, run_benchmark, GATE, workers=4)
+    cpus = report["cpu_count"]
     if cpus >= 4:
         assert report["speedup"] >= 2.0, (
             f"expected >=2x speedup with 4 workers on {cpus} CPUs, "
             f"got {report['speedup']}x"
         )
-    if cpus >= 2:
-        assert report["speedup"] >= 1.0, (
-            f"the pool slowed the grid down on {cpus} CPUs: "
-            f"{report['speedup']}x"
-        )
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=DEFAULT_REPORT)
-    parser.add_argument(
-        "--gate",
-        type=float,
-        default=None,
-        help="fail (exit 1) if results diverge, or if the host has >= 2 "
-        "CPUs and the median pair's speedup < GATE",
-    )
-    args = parser.parse_args()
-    report = run_benchmark(
-        workers=args.workers, seed=args.seed, out=args.out, gate=args.gate
-    )
-    print(json.dumps(report, indent=2))
-    if not report["identical_results"]:
-        print("FAIL: parallel results diverged from serial")
-        return 1
-    note = " [degraded: not enough cores to parallelize]" if report["degraded"] else ""
-    print(
-        f"\n{report['grid']['simulations']} simulations | "
-        f"serial {report['serial_s']}s | parallel {report['parallel_s']}s "
-        f"({report['workers']} workers, {report['cpu_count']} CPUs, "
-        f"{report['envelopes_shipped']} envelopes) | "
-        f"speedup {report['speedup']}x{note} | report -> {args.out}"
-    )
-    if args.gate is not None:
-        if report["cpu_count"] < 2:
-            print(f"gate {args.gate}x skipped: 1 CPU cannot run a pool faster")
-        elif not report["gate_passed"]:
-            print(f"FAIL: speedup {report['speedup']}x below gate {args.gate}x")
-            return 1
-    return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(
+        harness.main(run_benchmark, __doc__, REPORT, workers=None, seed=0)
+    )

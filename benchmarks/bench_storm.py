@@ -3,10 +3,11 @@
 Measures the storm pipeline against the zone-granular fleet cache:
 
 - ``cold`` vs ``warm``: the same seeded storm overlaid on the same
-  fleet, run twice against one private store. The warm run must
-  execute ZERO simulations and reproduce the cold ``FleetResult.digest``
-  bit-identically — a storm is just per-instance fault schedules, so
-  it caches like any other fleet.
+  fleet, run twice against one fresh store per pair of the harness's
+  cold/warm pairs. Every warm run must execute ZERO simulations and
+  reproduce its cold ``FleetResult.digest`` bit-identically — a storm
+  is just per-instance fault schedules, so it caches like any other
+  fleet.
 - ``resharded``: the stormed fleet under different shard counts.
   Shards are a wall-clock knob, never a cache-key coordinate, so every
   shard count must be all-hits with an identical digest.
@@ -21,22 +22,16 @@ Run standalone (``PYTHONPATH=src python benchmarks/bench_storm.py
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
-import shutil
-import tempfile
-import time
 from typing import Dict, Optional
 
-from bench_env import environment
-from repro.cache import CacheStore
+import harness
 from repro.experiments.fleet import FleetConfig, FleetExperiment, alibaba_fleet
 from repro.experiments.scenarios import storm_fleet
 from repro.faults.topology import CorrelatedFaultSchedule, FleetTopology
 
-DEFAULT_REPORT = "BENCH_storm.json"
-DEFAULT_GATE = None
+REPORT = "BENCH_storm.json"
+GATE = 10.0
 
 #: The probe fleet: enough zones that blast radii are a strict subset
 #: and the warm-vs-cold gap is solidly measurable.
@@ -50,18 +45,9 @@ BENCH_EVENTS_PER_MINUTE = 1.0
 RESHARD_COUNTS = (1, 2, 8)
 
 
-def _stats(result) -> Dict[str, object]:
-    return {
-        "hits": result.cache.hits,
-        "misses": result.cache.misses,
-        "skipped": result.cache.skipped,
-        "zero_simulations": result.cache.simulated == 0,
-    }
-
-
 def run_benchmark(
-    out: Optional[str] = DEFAULT_REPORT,
-    gate: Optional[float] = DEFAULT_GATE,
+    out: Optional[str] = REPORT,
+    gate: Optional[float] = None,
     workers: Optional[int] = None,
 ) -> Dict[str, object]:
     """Run the cold/warm/resharded/one-event sequence and report."""
@@ -100,136 +86,76 @@ def run_benchmark(
     )
     reduced_fleet = storm_fleet(fleet, reduced)
 
-    cache_dir = tempfile.mkdtemp(prefix="rhythm-bench-storm-")
-    store = CacheStore(directory=cache_dir)
-    try:
-        t0 = time.perf_counter()
-        cold = stormed.run(cache=store)
-        cold_s = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        warm = stormed.run(cache=store)
-        warm_s = time.perf_counter() - t0
-
-        resharded = {}
-        for shards in RESHARD_COUNTS:
-            res = FleetExperiment(
+    def follow_up(store):
+        resharded = {
+            shards: FleetExperiment(
                 stormed.instances, dataclasses.replace(config, shards=shards)
             ).run(cache=store)
-            resharded[str(shards)] = {
-                **_stats(res),
-                "identical_digest": res.digest == cold.digest,
-            }
-
-        one_event = reduced_fleet.run(cache=store)
-
-        disk = store.stats()
-        speedup = round(cold_s / warm_s, 1) if warm_s > 0 else None
-        zones = cold.cache.total
-        report: Dict[str, object] = {
-            "benchmark": "fleet_storm",
-            **environment(),
-            "fleet": {
-                "machines": cold.n_machines,
-                "instances": cold.n_instances,
-                "zones": zones,
-                "duration_s": BENCH_DURATION_S,
-                "shards": BENCH_SHARDS,
-                "zone_size": BENCH_ZONE_SIZE,
-            },
-            "storm": {
-                "seed": BENCH_STORM_SEED,
-                "events": len(storm),
-                "events_per_minute": BENCH_EVENTS_PER_MINUTE,
-                "affected_zones": len(storm.affected_zones()),
-                "counts_by_kind": dict(sorted(storm.counts_by_kind().items())),
-            },
-            "cold_s": round(cold_s, 4),
-            "warm_s": round(warm_s, 4),
-            "speedup": speedup,
-            "cold": _stats(cold),
-            "warm": _stats(warm),
-            "warm_identical_digest": warm.digest == cold.digest,
-            "resharded": resharded,
-            "one_event": {
-                **_stats(one_event),
-                "dropped_event": f"{dropped.kind.value} {dropped.domain}",
-                "dropped_blast_zones": sorted(dropped_zones),
-                "only_blast_radius": (
-                    one_event.cache.misses == len(dropped_zones)
-                    and one_event.cache.hits == zones - len(dropped_zones)
-                ),
-            },
-            "store_entries": disk.entries,
-            "store_bytes": disk.total_bytes,
+            for shards in RESHARD_COUNTS
         }
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-    correct = bool(
-        report["warm"]["zero_simulations"]
-        and report["warm_identical_digest"]
-        and all(
-            entry["zero_simulations"] and entry["identical_digest"]
-            for entry in resharded.values()
-        )
-        and report["one_event"]["only_blast_radius"]
-        and len(dropped_zones) < zones
+        return resharded, reduced_fleet.run(cache=store), store.stats()
+
+    pairs, (resharded, one_event, disk) = harness.cold_warm_pairs(
+        lambda store: stormed.run(cache=store), follow_up
     )
-    report["correct"] = correct
-    if gate is not None:
-        report["gate"] = gate
-        report["gate_passed"] = bool(
-            correct and speedup is not None and speedup >= gate
-        )
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    return report
+    cold, warm = pairs.results[-1]
+    zones = cold.cache.total
+    body: Dict[str, object] = {
+        "fleet": {
+            "machines": cold.n_machines,
+            "instances": cold.n_instances,
+            "zones": zones,
+            "duration_s": BENCH_DURATION_S,
+            "shards": BENCH_SHARDS,
+            "zone_size": BENCH_ZONE_SIZE,
+        },
+        "storm": {
+            "seed": BENCH_STORM_SEED,
+            "events": len(storm),
+            "events_per_minute": BENCH_EVENTS_PER_MINUTE,
+            "affected_zones": len(storm.affected_zones()),
+            "counts_by_kind": dict(sorted(storm.counts_by_kind().items())),
+        },
+        "cold": harness.outcomes(cold.cache),
+        "warm": harness.outcomes(warm.cache),
+        "resharded": {
+            str(shards): harness.outcomes(res.cache)
+            for shards, res in resharded.items()
+        },
+        "one_event": {
+            **harness.outcomes(one_event.cache),
+            "dropped_event": f"{dropped.kind.value} {dropped.domain}",
+            "dropped_blast_zones": sorted(dropped_zones),
+        },
+        "store_entries": disk.entries,
+        "store_bytes": disk.total_bytes,
+    }
+    checks = {
+        "warm_zero_simulations": all(
+            w.cache.simulated == 0 for _, w in pairs.results
+        ),
+        "warm_identical_digest": all(
+            w.digest == c.digest for c, w in pairs.results
+        ),
+        "resharded_zero_simulations": all(
+            res.cache.simulated == 0 for res in resharded.values()
+        ),
+        "resharded_identical_digest": all(
+            res.digest == cold.digest for res in resharded.values()
+        ),
+        "one_event_only_blast_radius": (
+            one_event.cache.misses == len(dropped_zones)
+            and one_event.cache.hits == zones - len(dropped_zones)
+        ),
+        "blast_radius_strict_subset": len(dropped_zones) < zones,
+    }
+    return harness.finish("fleet_storm", body, checks, pairs, out, gate)
 
 
 def test_storm_cache(benchmark):
     """One measured round: warm zero-sim, shard-invariant, blast-exact."""
-    from conftest import run_once
-
-    report = run_once(benchmark, run_benchmark)
-    print()
-    print(json.dumps(report, indent=2))
-    assert report["correct"], "storm broke digests or over-invalidated zones"
-    assert report["speedup"] >= 10.0, (
-        f"expected >=10x warm storm re-run, got {report['speedup']}x"
-    )
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=DEFAULT_REPORT)
-    parser.add_argument(
-        "--gate",
-        type=float,
-        default=None,
-        help="fail (exit 1) if warm speedup < GATE or any check fails",
-    )
-    parser.add_argument("--workers", type=int, default=None)
-    args = parser.parse_args()
-    report = run_benchmark(out=args.out, gate=args.gate, workers=args.workers)
-    print(json.dumps(report, indent=2))
-    if not report["correct"]:
-        print("FAIL: storm broke digests or over-invalidated zones")
-        return 1
-    print(
-        f"\ncold {report['cold_s']}s | warm {report['warm_s']}s | "
-        f"speedup {report['speedup']}x | "
-        f"{report['storm']['events']} events over "
-        f"{report['fleet']['zones']} zones, one-event re-simulated "
-        f"{len(report['one_event']['dropped_blast_zones'])} | "
-        f"report -> {args.out}"
-    )
-    if args.gate is not None and not report.get("gate_passed"):
-        print(f"FAIL: warm speedup {report['speedup']}x below gate {args.gate}x")
-        return 1
-    return 0
+    harness.check(benchmark, run_benchmark, GATE)
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(run_benchmark, __doc__, REPORT, workers=None))

@@ -13,20 +13,16 @@
 #      caches, crash-storm retries, scalar vs batched kernels, fleet and
 #      storm vs the scalar reference, and bake-off forks and merges;
 #      then
-#   2. (opt-in, RHYTHM_BENCH_GATE=1) the full kernel benchmark with a 5x
-#      aggregate-speedup gate (benchmarks/bench_kernel.py --gate 5.0),
-#      the fleet benchmark with its 10x colocation-path gate
-#      (benchmarks/bench_fleet.py --gate 10.0), the bake-off
-#      benchmark with its 2x aggregate-speedup gate
-#      (benchmarks/bench_bakeoff.py --gate 2.0), the storm
-#      benchmark with its 10x warm-cache gate
-#      (benchmarks/bench_storm.py --gate 10.0), the fleet zone-cache
-#      benchmark with its 50x warm-cache gate
-#      (benchmarks/bench_fleet_cache.py --gate 50.0), and the parallel grid
-#      benchmark and the profiling benchmark, whose pools must not be
-#      slower than the inline runs on a host with two or more CPUs
-#      (benchmarks/bench_parallel.py --gate 1.0,
-#      benchmarks/bench_profile.py --gate 1.0; skipped on one CPU).
+#   2. (opt-in, RHYTHM_BENCH_GATE=1) the gated benchmarks, each at the
+#      GATE its emitter declares: kernel 5x, fleet 10x, bake-off 2x,
+#      storm warm cache 10x, fleet zone cache 50x, and the parallel grid
+#      and profiling pools 1x. Every emitter runs on
+#      benchmarks/harness.py: it times interleaved pairs (cold/warm
+#      pairs against a fresh store each), gates on the median pair
+#      ratio, and exits 1 if any recorded check fails or the ratio is
+#      below the gate. The two pool ratios skip the ratio half of the
+#      gate on one CPU. tests/test_bench_harness.py pins each --gate
+#      below to its emitter's GATE.
 #
 # Any failure aborts with a non-zero exit code.
 

@@ -21,7 +21,7 @@ SCRIPTS = sorted((ROOT / "examples").glob("*.py")) + sorted(
 )
 #: Sibling modules the benchmarks import by bare name; ``conftest``
 #: would otherwise resolve to this suite's own.
-SIBLINGS = ("conftest", "bench_env")
+SIBLINGS = ("conftest", "harness")
 
 
 @pytest.fixture
