@@ -170,11 +170,11 @@ class ColocationResult:
             raise ExperimentError(f"no machine for Servpod {servpod!r}") from None
 
 
-def result_digest(streams: RandomStreams, result: ColocationResult) -> str:
-    """SHA-256 over one run's result and its final RNG stream states.
+def result_hash(result: ColocationResult) -> "hashlib._Hash":
+    """A SHA-256 object fed with one run's result: the result half of
+    :func:`result_digest`, and the grid's result fingerprint.
 
-    The bit-identity coordinate of fleet instances, storm zones and
-    bake-off cells. It hashes, in order (DESIGN §10 has the format):
+    It hashes, in order (DESIGN §10 has the format):
 
     - ``repr`` of the result head (service, duration, mean load, kill
       and suspension totals, violations, worst tail, events);
@@ -183,12 +183,11 @@ def result_digest(streams: RandomStreams, result: ColocationResult) -> str:
       bandwidth utilisation); its window tails (the tail column's
       positive entries) as a little-endian int64 count then float64
       bytes; its tick count, then its float64 and int64 column blocks
-      as ``ndarray.tobytes()``; its actions joined by U+001F;
-    - per RNG stream, in name order: the name, then ``repr`` of its
-      bit-generator state.
+      as ``ndarray.tobytes()``; its actions joined by U+001F.
 
     Floats enter as raw IEEE-754 bytes, so one changed bit anywhere in
-    a series changes the digest, and no per-tick python object is built.
+    a series changes the hash, and no per-tick python object is built.
+    This is the one list of a result's fields that identity checks read.
     """
     h = hashlib.sha256()
     head = (
@@ -221,6 +220,17 @@ def result_digest(streams: RandomStreams, result: ColocationResult) -> str:
         h.update(floats.astype("<f8", copy=False).tobytes())
         h.update(counts.astype("<i8", copy=False).tobytes())
         h.update("\x1f".join(metrics.actions).encode("utf-8"))
+    return h
+
+
+def result_digest(streams: RandomStreams, result: ColocationResult) -> str:
+    """SHA-256 over one run's result and its final RNG stream states.
+
+    The bit-identity coordinate of fleet instances, storm zones and
+    bake-off cells: :func:`result_hash`, then per RNG stream, in name
+    order, the name and ``repr`` of its bit-generator state.
+    """
+    h = result_hash(result)
     for name in sorted(streams._streams):
         h.update(name.encode("utf-8"))
         h.update(repr(streams._streams[name].bit_generator.state).encode("utf-8"))

@@ -24,6 +24,7 @@ from repro.experiments.colocation import (
     ColocationConfig,
     ColocationExperiment,
     ColocationResult,
+    result_digest,
     run_experiments,
 )
 from repro.loadgen.patterns import ConstantLoad, LoadPattern
@@ -165,20 +166,20 @@ def kernel_identity_probe(
     pattern_name: str = "constant",
     with_faults: bool = False,
     duration_s: float = 60.0,
-) -> Tuple:
-    """Run one small colocation cell under ``kernel`` and fingerprint it.
+) -> str:
+    """Run one small colocation cell under ``kernel`` and digest it.
 
     Importable by reference (spawn-safe), so the kernel-identity tests
     and benchmark can execute it in fork- and spawn-started subprocesses
-    and compare full result fingerprints plus the final state of every
-    RNG stream across kernels. Uses the Heracles controller set — the
-    probe exercises the simulation kernel, not the profiling pipeline.
+    and compare its :func:`~repro.experiments.colocation.result_digest`
+    (the full result plus the final state of every RNG stream) across
+    kernels. Uses the Heracles controller set — the probe exercises the
+    simulation kernel, not the profiling pipeline.
     """
     from repro.baselines.heracles import heracles_controllers
     from repro.bejobs.catalog import evaluation_be_jobs
     from repro.faults.spec import FaultSchedule
     from repro.loadgen.patterns import ConstantLoad, DiurnalLoad, StepLoad, SweepLoad
-    from repro.parallel.grid import colocation_fingerprint
     from repro.workloads.catalog import redis_service
 
     patterns = {
@@ -204,12 +205,7 @@ def kernel_identity_probe(
         config=ColocationConfig(duration_s=duration_s, faults=faults),
         kernel=kernel,
     )
-    fingerprint = colocation_fingerprint(experiment.run())
-    rng_states = tuple(
-        (name, repr(experiment.streams._streams[name].bit_generator.state))
-        for name in sorted(experiment.streams._streams)
-    )
-    return fingerprint, rng_states
+    return result_digest(experiment.streams, experiment.run())
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Measurement utilities: percentiles, moments, EMU and collectors.
 
-- :mod:`repro.metrics.percentile` — tail-latency estimation (the
-  percentile helper, fixed-bin streaming histograms),
+- :mod:`repro.metrics.percentile` — the linear-interpolation
+  percentile helper,
 - :mod:`repro.metrics.streaming` — single-pass Welford/Chan moment
   accumulators,
 - :mod:`repro.metrics.emu` — the paper's EMU (effective machine
@@ -11,13 +11,12 @@
   record of each control window's tail.
 """
 
-from repro.metrics.percentile import HistogramTailTracker, percentile
+from repro.metrics.percentile import percentile
 from repro.metrics.streaming import WelfordAccumulator
 from repro.metrics.emu import EmuAccumulator, UtilisationAccumulator
 from repro.metrics.collector import MachineMetrics, TickSample
 
 __all__ = [
-    "HistogramTailTracker",
     "WelfordAccumulator",
     "percentile",
     "EmuAccumulator",

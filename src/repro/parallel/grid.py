@@ -60,7 +60,11 @@ from repro.cache.store import (
     resolve_store,
 )
 from repro.errors import ExperimentError
-from repro.experiments.colocation import ColocationConfig, ColocationResult
+from repro.experiments.colocation import (
+    ColocationConfig,
+    ColocationResult,
+    result_hash,
+)
 from repro.experiments.runner import (
     CellComparison,
     ComparisonResult,
@@ -361,38 +365,14 @@ def run_comparison_grid(
 # -- result fingerprints -------------------------------------------------
 #
 # ColocationResult nests accumulators without __eq__; these fingerprints
-# reduce a result to plain tuples covering every reported quantity down
-# to individual tick samples, so "bit-identical" is checkable with ==.
+# reduce a result to hex digests of every reported quantity down to
+# individual tick samples, so "bit-identical" is checkable with ==.
 
 
-def colocation_fingerprint(result: ColocationResult) -> Tuple:
-    """A deep, hashable fingerprint of one co-location result."""
-    machines = []
-    for pod in sorted(result.machines):
-        metrics = result.machines[pod]
-        machines.append(
-            (
-                pod,
-                metrics.machine_name,
-                metrics.completed_be_throughput,
-                metrics.avg_emu,
-                metrics.avg_cpu_utilisation,
-                metrics.avg_membw_utilisation,
-                metrics.window_tails,
-                tuple(metrics.tick_rows()),
-            )
-        )
-    return (
-        result.service,
-        result.duration_s,
-        result.lc_load_mean,
-        result.be_kills,
-        result.be_suspensions,
-        result.sla_violations,
-        result.worst_tail_ms,
-        result.events_fired,
-        tuple(machines),
-    )
+def colocation_fingerprint(result: ColocationResult) -> str:
+    """The hex digest of :func:`~repro.experiments.colocation.result_hash`:
+    the result half of ``result_digest``, without the RNG states."""
+    return result_hash(result).hexdigest()
 
 
 def comparison_fingerprint(result: ComparisonResult) -> Tuple:

@@ -2125,9 +2125,9 @@ def _scenario_shared_state(exp: "ColocationExperiment") -> List[object]:
     ``MachineRun.metrics`` (the kernel consults only *members'*
     controllers and metrics, never a world's). Sharing these turns the
     fork deep-copy into a copy-on-write snapshot of just the mutable
-    world; the ``divergent`` block of ``bench_bakeoff.py`` records what
-    one fork costs on a roster that forks and re-merges every few
-    ticks.
+    world; ``us_per_fork`` in the ``diverged`` block of
+    ``bench_bakeoff.py`` records what one fork costs on a roster that
+    forks and re-merges every few ticks.
     """
     shared: List[object] = [
         exp.spec,

@@ -36,13 +36,37 @@ def sibling_imports(monkeypatch):
         sys.modules.update(saved)
 
 
+def import_script(path: Path, monkeypatch):
+    """Import ``path`` as a fresh module without running its ``__main__``
+    block. The module sits in ``sys.modules`` while it runs, as a run
+    script does, so code that looks itself up there (``@dataclass``
+    under ``from __future__ import annotations``) works."""
+    name = f"_entry_point_{path.parent.name}_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize(
     "path", SCRIPTS, ids=[f"{p.parent.name}/{p.name}" for p in SCRIPTS]
 )
-def test_script_imports(path, sibling_imports):
+def test_script_imports(path, sibling_imports, monkeypatch):
     sibling_imports(path.parent)
-    spec = importlib.util.spec_from_file_location(
-        f"_entry_point_{path.parent.name}_{path.stem}", path
+    import_script(path, monkeypatch)
+
+
+def test_script_defining_a_dataclass_imports(tmp_path, monkeypatch):
+    script = tmp_path / "dataclass_script.py"
+    script.write_text(
+        "from __future__ import annotations\n"
+        "from dataclasses import dataclass\n"
+        "\n"
+        "@dataclass\n"
+        "class Pair:\n"
+        "    first: int\n"
+        "    second: float = 0.0\n"
     )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = import_script(script, monkeypatch)
+    assert module.Pair(1) == module.Pair(1, 0.0)

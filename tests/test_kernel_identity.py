@@ -2,9 +2,10 @@
 
 The batched structure-of-arrays kernel (:mod:`repro.sim.kernel`) is only
 allowed to exist because it is *bit-identical* to the scalar object
-world: same ``ColocationResult`` fingerprints down to individual tick
-samples, same final state of every RNG stream, in the parent process and
-in fork- and spawn-started children, with and without fault injection.
+world: same ``result_digest`` (the ``ColocationResult`` down to
+individual tick samples, and the final state of every RNG stream), in
+the parent process and in fork- and spawn-started children, with and
+without fault injection.
 These tests are that contract. They also pin the cache-key consequences:
 because the kernels are provably identical, grid-cell cache keys are
 deliberately shared across kernels (``kernel`` is runtime dispatch, not
@@ -73,8 +74,8 @@ class TestColocationIdentity:
     def test_bit_identical_across_patterns(self, pattern):
         scalar = kernel_identity_probe("scalar", seed=3, pattern_name=pattern)
         batched = kernel_identity_probe("batched", seed=3, pattern_name=pattern)
-        assert scalar[0] == batched[0], "result fingerprints diverged"
-        assert scalar[1] == batched[1], "final RNG stream states diverged"
+        # The digest covers the whole result and the final RNG states.
+        assert scalar == batched, "result digests diverged"
 
     def test_bit_identical_under_faults(self):
         scalar = kernel_identity_probe(

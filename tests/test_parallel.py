@@ -4,8 +4,6 @@ Covers the issue's acceptance criteria:
 
 - same-seed serial and parallel grid runs produce bit-identical
   ``ColocationResult`` fingerprints (down to individual tick samples),
-- ``HistogramTailTracker`` quantile error vs the exact percentile is
-  bounded on heavy-tailed samples,
 - Welford streaming statistics match the naive two-pass computation.
 """
 
@@ -21,13 +19,12 @@ import repro.parallel.grid as grid_module
 import repro.sim.kernel as kernel_module
 from repro.baselines.heracles import heracles_controllers
 from repro.bejobs.catalog import evaluation_be_jobs
-from repro.errors import ConfigurationError, ExperimentError, ProfilingError
+from repro.errors import ExperimentError, ProfilingError
 from repro.experiments.colocation import ColocationConfig, ColocationExperiment
 from repro.experiments.runner import CellComparison, get_rhythm
 from repro.faults.spec import FaultSchedule
 from repro.loadgen.patterns import StepLoad
 from repro.metrics.collector import COUNT_COLUMNS, FLOAT_COLUMNS, MachineMetrics
-from repro.metrics.percentile import HistogramTailTracker, percentile
 from repro.metrics.streaming import WelfordAccumulator
 from repro.parallel import (
     GridCell,
@@ -343,71 +340,6 @@ class TestResolveWorkers:
         monkeypatch.setenv("RHYTHM_WORKERS", "many")
         with pytest.raises(ExperimentError):
             resolve_workers()
-
-
-class TestHistogramTailTracker:
-    def test_bounded_error_on_heavy_tail(self):
-        rng = np.random.default_rng(42)
-        # Lognormal with sigma=1.5: a genuinely heavy upper tail.
-        samples = rng.lognormal(mean=3.0, sigma=1.5, size=20_000)
-        tracker = HistogramTailTracker(pct=99.0)
-        tracker.add_samples(samples)
-        estimate = tracker.roll_window()
-        exact = percentile(samples, 99.0)
-        # Nearest-rank vs interpolated percentile differ by at most one
-        # sample's spacing; allow twice the geometric bin bound.
-        assert estimate == pytest.approx(exact, rel=2 * tracker.error_bound + 0.01)
-
-    def test_error_bound_matches_geometry(self):
-        tracker = HistogramTailTracker(lo_ms=1.0, hi_ms=100.0, bins=100)
-        rng = np.random.default_rng(7)
-        samples = rng.uniform(1.0, 100.0, size=5_000)
-        tracker.add_samples(samples)
-        estimate = tracker.roll_window()
-        exact = percentile(samples, 99.0)
-        assert abs(estimate - exact) / exact <= 2 * tracker.error_bound + 0.01
-
-    def test_scalar_and_batch_insert_agree(self):
-        rng = np.random.default_rng(3)
-        samples = rng.lognormal(2.0, 1.0, size=500)
-        a = HistogramTailTracker()
-        b = HistogramTailTracker()
-        a.add_samples(samples)
-        for v in samples:
-            b.add(v)
-        assert a.roll_window() == pytest.approx(b.roll_window())
-
-    def test_window_api_mirrors_windowed_tracker(self):
-        tracker = HistogramTailTracker(pct=99.0)
-        assert tracker.roll_window() is None
-        tracker.add_samples([10.0] * 100)
-        first = tracker.roll_window()
-        assert first == pytest.approx(10.0, rel=tracker.error_bound + 1e-6)
-        tracker.add_samples([100.0] * 100)
-        second = tracker.roll_window()
-        assert tracker.current_tail == second
-        assert tracker.worst_tail == max(first, second)
-        assert tracker.window_tails == (first, second)
-        assert tracker.violation_count(first + 1e-9) == 1
-
-    def test_overflow_reports_window_max(self):
-        tracker = HistogramTailTracker(lo_ms=1.0, hi_ms=10.0, bins=8)
-        tracker.add_samples([5.0] * 10 + [5000.0] * 90)
-        assert tracker.roll_window() == pytest.approx(5000.0)
-
-    def test_record_window_tail_o1_path(self):
-        tracker = HistogramTailTracker()
-        tracker.record_window_tail(12.5)
-        assert tracker.worst_tail == 12.5
-        assert tracker.window_tails == (12.5,)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            HistogramTailTracker(pct=0.0)
-        with pytest.raises(ConfigurationError):
-            HistogramTailTracker(lo_ms=5.0, hi_ms=1.0)
-        with pytest.raises(ConfigurationError):
-            HistogramTailTracker(bins=1)
 
 
 class TestWelford:

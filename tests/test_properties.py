@@ -28,7 +28,7 @@ from repro.core.top_controller import ControllerThresholds, TopController
 from repro.interference.model import InterferenceModel, Pressure
 from repro.interference.sensitivity import SensitivityVector
 from repro.metrics.collector import MachineMetrics
-from repro.metrics.percentile import HistogramTailTracker, percentile
+from repro.metrics.percentile import percentile
 from repro.metrics.streaming import WelfordAccumulator
 from repro.sim.events import EventQueue
 from repro.tracing.causality import CausalityMatcher
@@ -344,80 +344,6 @@ class TestWelfordProperties:
         empty = WelfordAccumulator()
         acc.merge(empty)  # merging an empty accumulator changes nothing
         assert acc.count == 1 and acc.mean == pytest.approx(3.5)
-
-
-# --- histogram tail tracker (hand-rolled seeded generators) -------------------
-
-
-def _nearest_rank(samples: np.ndarray, pct: float) -> float:
-    """The exact nearest-rank percentile the histogram approximates."""
-    rank = max(1, int(math.ceil(pct / 100.0 * samples.size)))
-    return float(np.sort(samples)[rank - 1])
-
-
-class TestHistogramTailProperties:
-    """HistogramTailTracker vs exact nearest-rank references."""
-
-    @pytest.mark.parametrize("pct", [50.0, 90.0, 99.0])
-    @pytest.mark.parametrize("seed", range(8))
-    def test_in_range_estimate_within_error_bound(self, seed, pct):
-        rng = np.random.default_rng(5000 * seed + 41)
-        tracker = HistogramTailTracker(pct=pct)
-        n = int(rng.integers(5, 2000))
-        # Log-uniform strictly inside (lo_ms, hi_ms): every sample lands
-        # in a regular bin, so the geometric-midpoint bound applies.
-        log_lo = math.log(tracker.lo_ms * 1.01)
-        log_hi = math.log(tracker.hi_ms * 0.99)
-        samples = np.exp(rng.uniform(log_lo, log_hi, size=n))
-        tracker.add_samples(samples)
-        estimate = tracker.roll_window()
-        exact = _nearest_rank(samples, pct)
-        # 1.0001 absorbs float rounding at bin boundaries.
-        assert abs(estimate - exact) / exact <= tracker.error_bound * 1.0001
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_add_and_add_samples_agree(self, seed):
-        rng = np.random.default_rng(6000 * seed + 43)
-        samples = np.exp(rng.uniform(math.log(0.1), math.log(1e4), size=300))
-        one_by_one = HistogramTailTracker()
-        for value in samples:
-            one_by_one.add(float(value))
-        batched = HistogramTailTracker()
-        batched.add_samples(samples)
-        assert one_by_one.roll_window() == pytest.approx(batched.roll_window())
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_overflow_bucket_reports_exact_window_max(self, seed):
-        rng = np.random.default_rng(7000 * seed + 47)
-        tracker = HistogramTailTracker(pct=99.0, lo_ms=0.1, hi_ms=10.0, bins=16)
-        # Mostly-overflowing window: the 99th-percentile rank falls in
-        # the overflow bucket, whose quantile is the exact maximum.
-        samples = rng.uniform(20.0, 500.0, size=200)
-        tracker.add_samples(samples)
-        assert tracker.roll_window() == pytest.approx(float(samples.max()))
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_worst_tail_and_violations_track_windows(self, seed):
-        rng = np.random.default_rng(8000 * seed + 53)
-        tracker = HistogramTailTracker(pct=95.0)
-        for _ in range(int(rng.integers(2, 8))):
-            tracker.add_samples(np.exp(rng.uniform(0.0, 6.0, size=50)))
-            tracker.roll_window()
-        tails = tracker.window_tails
-        assert tracker.worst_tail == pytest.approx(max(tails))
-        sla = float(np.median(tails))
-        assert tracker.violation_count(sla) == sum(1 for t in tails if t > sla)
-
-    def test_error_bound_matches_bin_geometry(self):
-        tracker = HistogramTailTracker()  # lo=1e-2, hi=1e5, bins=512
-        expected = math.sqrt(tracker.hi_ms / tracker.lo_ms) ** (1.0 / 512) - 1.0
-        assert tracker.error_bound == pytest.approx(expected, rel=1e-9)
-        assert tracker.error_bound < 0.017  # ~1.6% with the defaults
-
-    def test_empty_window_rolls_to_none(self):
-        tracker = HistogramTailTracker()
-        assert tracker.roll_window() is None
-        assert tracker.worst_tail is None and tracker.window_tails == ()
 
 
 class TestStormExpansionPurity:

@@ -5,10 +5,13 @@ series as columns, the fleet kernel gathers them once at finalize, and
 :func:`~repro.experiments.colocation.result_digest` hashes them as raw
 bytes. These tests pin that this is a change of encoding only:
 
-- the binary digest tells results apart exactly where the text digest
-  it replaced (``sha256`` over the ``repr`` of the fingerprint and the
-  RNG states) does, on scalar and fleet runs, shard counts 1/2/4, two
-  seeds and a one-ulp change to one tick's tail;
+- the binary digest, and the grid fingerprints built on its result
+  half, tell results apart exactly where an independent text digest
+  (``sha256`` over the ``repr`` of per-tick python tuples and the RNG
+  states, built in this module) does, on scalar and fleet runs, shard
+  counts 1/2/4, two seeds, and copies of one result with one tick's
+  tail or load, one count entry, one action or the completed BE
+  throughput moved by one ulp or one unit;
 - the ``TickSample`` rows built from the columns equal the rows the
   scalar ``record_tick`` arguments define, on both paths;
 - Figure 17's CSV export is pinned, and the SLA counters read the tail
@@ -25,12 +28,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from repro.core.actions import BeAction
 from repro.experiments.colocation import ColocationConfig, result_digest
 from repro.experiments.export import timeline_to_csv
 from repro.experiments.figures.figure17 import run_figure17
 from repro.experiments.fleet import FleetConfig, _build_experiment, alibaba_fleet
-from repro.metrics.collector import FLOAT_COLUMNS, MachineMetrics, TickSample
-from repro.parallel.grid import colocation_fingerprint
+from repro.experiments.runner import ComparisonResult
+from repro.metrics.collector import (
+    COUNT_COLUMNS,
+    FLOAT_COLUMNS,
+    MachineMetrics,
+    TickSample,
+)
+from repro.parallel.grid import colocation_fingerprint, comparison_fingerprint
 from repro.sim.kernel import FleetColocationKernel
 
 from tests.test_fleet_faults import tick_path  # noqa: F401 (fixture)
@@ -38,13 +48,45 @@ from tests.test_fleet_faults import tick_path  # noqa: F401 (fixture)
 DURATION_S = 30.0
 
 
+def text_fingerprint(result) -> tuple:
+    """Every reported quantity of ``result`` as python tuples, one per
+    tick: the reference the binary result hash must agree with."""
+    machines = []
+    for pod in sorted(result.machines):
+        metrics = result.machines[pod]
+        machines.append(
+            (
+                pod,
+                metrics.machine_name,
+                metrics.completed_be_throughput,
+                metrics.avg_emu,
+                metrics.avg_cpu_utilisation,
+                metrics.avg_membw_utilisation,
+                metrics.window_tails,
+                tuple(metrics.tick_rows()),
+            )
+        )
+    return (
+        result.service,
+        result.duration_s,
+        result.lc_load_mean,
+        result.be_kills,
+        result.be_suspensions,
+        result.sla_violations,
+        result.worst_tail_ms,
+        result.events_fired,
+        tuple(machines),
+    )
+
+
 def text_digest(streams, result) -> str:
-    """The text digest the binary format replaced."""
+    """``sha256`` over the ``repr`` of the text fingerprint and the RNG
+    states."""
     rng_states = tuple(
         (name, repr(streams._streams[name].bit_generator.state))
         for name in sorted(streams._streams)
     )
-    blob = repr((colocation_fingerprint(result), rng_states))
+    blob = repr((text_fingerprint(result), rng_states))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -76,6 +118,39 @@ def _fleet_runs(seed: int, shards: int):
     return [(exp.streams, result) for exp, result in zip(exps, results)]
 
 
+def _bump_float(column):
+    def bump(metrics):
+        series = metrics.columns()[0][FLOAT_COLUMNS.index(column)]
+        series[3] = np.nextafter(series[3], np.inf)
+
+    return bump
+
+
+def _bump_count(metrics):
+    metrics.columns()[1][COUNT_COLUMNS.index("be_cores")][3] += 1
+
+
+def _bump_action(metrics):
+    names = [action.value for action in BeAction]
+    metrics._actions[3] = names[(names.index(metrics._actions[3]) + 1) % len(names)]
+
+
+def _bump_throughput(metrics):
+    metrics.completed_be_throughput = float(
+        np.nextafter(metrics.completed_be_throughput, np.inf)
+    )
+
+
+#: One-ulp or one-unit moves of single result fields, on copies.
+NUDGES = {
+    "tail": _bump_float("tail_ms"),
+    "load": _bump_float("load"),
+    "count": _bump_count,
+    "action": _bump_action,
+    "throughput": _bump_throughput,
+}
+
+
 class TestDigestEqualityClasses:
     def test_binary_and_text_digests_partition_alike(self, tick_path):
         runs = []  # (label, streams, result)
@@ -85,23 +160,36 @@ class TestDigestEqualityClasses:
             for shards in (1, 2, 4):
                 for k, run in enumerate(_fleet_runs(seed, shards)):
                     runs.append((f"seed{seed}/shards{shards}/{k}", *run))
-        # One tick's tail moved by one ulp on a copy of the first run.
+        n_instances = len(runs) // 8
         label, streams, result = runs[0]
-        nudged = copy.deepcopy(result)
-        metrics = nudged.machines[sorted(nudged.machines)[0]]
-        tails = metrics.columns()[0][FLOAT_COLUMNS.index("tail_ms")]
-        tails[3] = np.nextafter(tails[3], np.inf)
-        runs.append((label + "/ulp", streams, nudged))
+        for name, nudge in NUDGES.items():
+            nudged = copy.deepcopy(result)
+            nudge(nudged.machines[sorted(nudged.machines)[0]])
+            runs.append((f"{label}/{name}", streams, nudged))
 
         old = [text_digest(s, r) for _, s, r in runs]
         new = [result_digest(s, r) for _, s, r in runs]
+        old_fp = [repr(text_fingerprint(r)) for _, _, r in runs]
+        new_fp = [colocation_fingerprint(r) for _, _, r in runs]
         for i, j in combinations(range(len(runs)), 2):
-            assert (old[i] == old[j]) == (new[i] == new[j]), (runs[i][0], runs[j][0])
+            pair = (runs[i][0], runs[j][0])
+            assert (old[i] == old[j]) == (new[i] == new[j]), pair
+            assert (old_fp[i] == old_fp[j]) == (new_fp[i] == new_fp[j]), pair
         # The classes are the identity contract's: one per (seed,
-        # instance) across scalar and every shard count, plus the copy.
-        n_instances = len(runs) // 8
-        assert len(set(new)) == 2 * n_instances + 1
-        assert new[-1] != new[0]
+        # instance) across scalar and every shard count, plus one per
+        # nudged copy.
+        assert len(set(new)) == 2 * n_instances + len(NUDGES)
+
+        def cell(rhythm, heracles):
+            return comparison_fingerprint(
+                ComparisonResult("svc", "be", 0.5, rhythm, heracles)
+            )
+
+        for _, _, nudged in runs[-len(NUDGES):]:
+            assert colocation_fingerprint(nudged) != colocation_fingerprint(result)
+            assert cell(nudged, result) != cell(result, result)
+            assert cell(result, nudged) != cell(result, result)
+            assert result_digest(streams, nudged) != new[0]
 
 
 def _recorded_rows(monkeypatch):
