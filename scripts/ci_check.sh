@@ -10,9 +10,9 @@
 #      chaos/spawn tests are excluded by pyproject addopts). It pins
 #      every identity and cache round trip the gate checks: pool vs
 #      serial grids and profiling, warm grid/profile/fleet/storm/bake-off
-#      caches, crash-storm retries, scalar vs batched kernels, fleet and
-#      storm vs the scalar reference, and bake-off forks and merges;
-#      then
+#      caches, crash-storm retries, a worker lost between batches,
+#      scalar vs batched kernels, fleet and storm vs the scalar
+#      reference, and bake-off forks and merges; then
 #   2. (opt-in, RHYTHM_BENCH_GATE=1) the gated benchmarks, each at the
 #      GATE its emitter declares: kernel 5x, fleet 10x, bake-off 2x,
 #      storm warm cache 10x, fleet zone cache 50x, and the parallel grid

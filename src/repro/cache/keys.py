@@ -90,14 +90,6 @@ from repro.errors import CacheKeyError
 #: (see ``tests/test_golden_digests.py``).
 CODE_VERSION_SALT = "rhythm-repro-cache:9"
 
-_PRIMITIVE_TAGS = {
-    type(None): b"N",
-    bool: b"B",
-    int: b"I",
-    str: b"S",
-    bytes: b"Y",
-}
-
 
 def _feed(h: "hashlib._Hash", obj: Any) -> None:
     """Recursively feed the canonical encoding of ``obj`` into ``h``."""

@@ -22,7 +22,6 @@ from repro.core.contribution import (
     ServpodContribution,
 )
 from repro.core.loadlimit import derive_loadlimit
-from repro.core.slacklimit import find_slacklimits
 from repro.core.actions import BeAction
 from repro.core.top_controller import ControllerThresholds, TopController
 from repro.core.subcontrollers import (
@@ -42,7 +41,6 @@ __all__ = [
     "ContributionResult",
     "ServpodContribution",
     "derive_loadlimit",
-    "find_slacklimits",
     "BeAction",
     "ControllerThresholds",
     "TopController",

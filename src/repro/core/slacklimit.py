@@ -2,15 +2,15 @@
 
 The slacklimit of a Servpod is the smallest latency slack at which BE
 jobs may still *grow* on its machine; it is inversely related to the
-Servpod's interference tolerance. Algorithm 1 lowers every Servpod's
-candidate limit from 1.0 in per-Servpod steps of ``1 − C_i/ΣC`` (so
-low-contribution Servpods plunge toward small limits immediately), runs
-the co-located system at each configuration, and backtracks one step on
-the first SLA violation.
+Servpod's interference tolerance. Algorithm 1 lowers each Servpod's
+candidate limit from 1.0 in steps of ``1 − C_i/ΣC`` (so low-contribution
+Servpods plunge toward small limits immediately), runs the co-located
+system at each candidate with every other Servpod held at the
+conservative 1.0, and backtracks one step on the first SLA violation.
 
 The paper recommends running the probe with representative mixed BE jobs
-several times; :func:`find_slacklimits` takes the probe as a callback so
-the caller chooses the BE mix and run length.
+several times; :func:`find_slacklimits_independent` takes the probe as a
+callback so the caller chooses the BE mix and run length.
 """
 
 from __future__ import annotations
@@ -26,66 +26,6 @@ MIN_SLACKLIMIT = 0.01
 #: A probe runs the co-located system under candidate limits and reports
 #: whether the SLA was violated.
 SlaProbe = Callable[[Mapping[str, float]], bool]
-
-
-def find_slacklimits(
-    contributions: Mapping[str, float],
-    sla_probe: SlaProbe,
-    max_rounds: int = 50,
-) -> Dict[str, float]:
-    """Algorithm 1, jointly over all Servpods of one service.
-
-    Parameters
-    ----------
-    contributions:
-        Raw contributions ``C_i`` per Servpod (Eq. 4/5); normalized here.
-    sla_probe:
-        Called with a candidate ``{servpod: slacklimit}`` configuration;
-        returns ``True`` if running the system there violates the SLA.
-    max_rounds:
-        Safety valve on the while loop.
-
-    Returns
-    -------
-    dict
-        The selected slacklimit per Servpod: the last configuration that
-        ran without an SLA violation (the initial all-1.0 configuration
-        if even the first step violates).
-    """
-    if not contributions:
-        raise ProfilingError("no contributions provided")
-    total = sum(contributions.values())
-    if total <= 0:
-        raise ProfilingError("total contribution must be positive")
-
-    step_size = {
-        pod: 1.0 - c / total for pod, c in contributions.items()
-    }  # Algorithm 1, line 1
-    current = {pod: 1.0 for pod in contributions}  # line 2
-    record: List[Dict[str, float]] = []
-
-    for _ in range(max_rounds):
-        proposal = {}
-        moved = False
-        for pod, limit in current.items():
-            candidate = limit - step_size[pod]  # line 5
-            if candidate > 0:
-                # Still above zero: take the step (floored at the
-                # minimum usable limit).
-                proposal[pod] = max(candidate, MIN_SLACKLIMIT)
-                if proposal[pod] != limit:
-                    moved = True
-            else:
-                # This Servpod has bottomed out; hold its last value
-                # (curLimit > 0 loop guard, per Servpod).
-                proposal[pod] = max(limit, MIN_SLACKLIMIT)
-        if not moved:
-            break
-        if sla_probe(proposal):  # lines 6-7
-            return record[-1] if record else dict(current)  # lines 8-10
-        record.append(dict(proposal))  # line 12
-        current = proposal
-    return dict(current)
 
 
 def find_slacklimit_for_pod(

@@ -15,19 +15,18 @@ multiprocessing context changed; :func:`pool_constructions` counts
 creations so tests can assert a cold grid run builds exactly one pool.
 
 **Broadcast, not re-pickle.** :func:`broadcast` registers a frozen
-object (an artifact, a service spec, a run config) in a parent-side
-registry and hands back a tiny digest-addressed :class:`BroadcastRef`.
-Task envelopes carry refs; workers resolve them against a local object
-store populated three ways, cheapest first:
+object (an artifact, a service spec, a run config) in this process's
+object store and hands back a tiny digest-addressed :class:`BroadcastRef`.
+Task envelopes carry refs; a worker resolves them against its own copy
+of that store, which gets a payload one of two ways:
 
-1. *fork inheritance* — objects broadcast before the pool existed are in
-   the forked child's memory for free,
-2. *seeding* — objects broadcast later are pushed once per worker by a
-   barrier-synchronised absorb round (fork) or attached to the first
-   envelope batch that needs them (spawn),
-3. *miss-resubmit* — a worker that still lacks a digest (e.g. it was
-   respawned) reports a miss and the parent resubmits that envelope with
-   the payload attached; the worker caches it for every later task.
+1. *fork inheritance* — a fork worker starts holding every object
+   broadcast before its pool was built (a spawn worker starts empty),
+2. *attached blobs* — any other payload rides the first attempt of each
+   envelope that references it; a worker that still lacks a digest (it
+   took none of those envelopes, or was respawned) reports a miss and
+   the parent resubmits that envelope with the payload attached. A
+   worker keeps what it absorbs for every later task.
 
 Worker counts resolve through :func:`resolve_workers` /
 :func:`resolve_profile_workers`: explicit argument, then the
@@ -57,6 +56,7 @@ from __future__ import annotations
 
 import atexit
 import hashlib
+import math
 import multiprocessing
 import os
 import pickle
@@ -156,13 +156,16 @@ def resolve_task_timeout(timeout: Optional[float] = None) -> Optional[float]:
 
     Explicit ``timeout`` wins; otherwise ``RHYTHM_TASK_TIMEOUT_S``;
     otherwise :data:`DEFAULT_TASK_TIMEOUT_S`. A value <= 0 disables the
-    timeout entirely.
+    timeout entirely; NaN and +inf are rejected, since neither is a
+    deadline the futures wait can honour.
     """
+    source = "timeout"
     if timeout is not None:
         value = float(timeout)
     else:
         env = os.environ.get(TASK_TIMEOUT_ENV_VAR, "").strip()
         if env:
+            source = TASK_TIMEOUT_ENV_VAR
             try:
                 value = float(env)
             except ValueError:
@@ -172,6 +175,11 @@ def resolve_task_timeout(timeout: Optional[float] = None) -> Optional[float]:
                 ) from None
         else:
             value = DEFAULT_TASK_TIMEOUT_S
+    if math.isnan(value) or value == math.inf:
+        raise ExperimentError(
+            f"{source} must be a finite number of seconds (<= 0 disables "
+            f"the deadline), got {value!r}"
+        )
     return value if value > 0 else None
 
 
@@ -258,12 +266,12 @@ class BroadcastMissError(ExperimentError):
         self.digests = tuple(digests)
 
 
-#: Parent-side registry: digest -> live object / pickled blob.
-_PARENT_OBJECTS: Dict[str, Any] = {}
-_PARENT_BLOBS: Dict[str, bytes] = {}
-#: Worker-side object store (also used by fork children via inheritance
-#: of _PARENT_OBJECTS; this dict holds explicitly seeded payloads).
-_WORKER_OBJECTS: Dict[str, Any] = {}
+#: This process's object store: digest -> live object. ``broadcast``
+#: fills it in the parent, fork workers inherit it, and
+#: ``_absorb_blobs`` adds attached payloads to it in a worker.
+_OBJECTS: Dict[str, Any] = {}
+#: Parent-side pickled payloads, attached to envelopes that need them.
+_BLOBS: Dict[str, bytes] = {}
 
 
 def broadcast(obj: Any) -> BroadcastRef:
@@ -274,59 +282,30 @@ def broadcast(obj: Any) -> BroadcastRef:
     """
     blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     digest = hashlib.sha256(blob).hexdigest()
-    if digest not in _PARENT_OBJECTS:
-        _PARENT_OBJECTS[digest] = obj
-        _PARENT_BLOBS[digest] = blob
+    if digest not in _OBJECTS:
+        _OBJECTS[digest] = obj
+        _BLOBS[digest] = blob
     return BroadcastRef(digest)
 
 
 def resolve_ref(ref: BroadcastRef) -> Any:
-    """Look a ref up in the local object store (worker or parent).
+    """Look a ref up in this process's object store (worker or parent).
 
-    Resolution order: explicitly seeded worker store, then the (possibly
-    fork-inherited) parent registry. Raises :class:`BroadcastMissError`
-    when neither has it — the pool turns that into a resubmission with
-    the payload attached.
+    Raises :class:`BroadcastMissError` when the store lacks it — the
+    pool turns that into a resubmission with the payload attached.
     """
-    obj = _WORKER_OBJECTS.get(ref.digest)
-    if obj is not None:
-        return obj
-    obj = _PARENT_OBJECTS.get(ref.digest)
-    if obj is not None:
-        return obj
-    raise BroadcastMissError([ref.digest])
+    try:
+        return _OBJECTS[ref.digest]
+    except KeyError:
+        raise BroadcastMissError([ref.digest]) from None
 
 
-def _absorb_blobs(blobs: Dict[str, bytes]) -> None:
-    """Unpickle payloads into the worker-side store (idempotent)."""
-    for digest, blob in blobs.items():
-        if digest not in _WORKER_OBJECTS:
-            _WORKER_OBJECTS[digest] = pickle.loads(blob)
-
-
-def _worker_init(blobs: Dict[str, bytes]) -> None:
-    """Pool initializer: seed the store with the creation-time snapshot."""
-    _absorb_blobs(blobs)
-
-
-def _absorb_task(blobs: Dict[str, bytes]) -> int:
-    """Seeding task: absorb payloads, then rendezvous so every worker
-    takes exactly one absorb task instead of a fast worker draining the
-    whole round.
-
-    The barrier reaches fork workers through module-state inheritance
-    (`_STATE.barrier` was created before the worker forked); it cannot
-    travel as a task argument because multiprocessing synchronisation
-    primitives refuse to pickle.
-    """
-    _absorb_blobs(blobs)
-    barrier = _STATE.barrier
-    if barrier is not None:
-        try:
-            barrier.wait(timeout=30.0)
-        except Exception:  # broken barrier: distribution was uneven;
-            pass  # the miss-resubmit safety net covers any gap.
-    return len(blobs)
+def _absorb_blobs(blobs: Iterable[Tuple[str, bytes]]) -> None:
+    """Unpickle an envelope's attached payloads into the object store
+    (idempotent: a digest already held is not unpickled again)."""
+    for digest, blob in blobs:
+        if digest not in _OBJECTS:
+            _OBJECTS[digest] = pickle.loads(blob)
 
 
 # -- the persistent pool --------------------------------------------------
@@ -337,10 +316,9 @@ class _PoolState:
     executor: Optional[ProcessPoolExecutor] = None
     workers: int = 0
     method: str = ""
-    #: Digests every live worker is known to hold.
+    #: Digests the workers are taken to hold; any other referenced
+    #: payload is attached to the envelopes of the next batch.
     seeded: set = field(default_factory=set)
-    #: Reusable rendezvous barrier (fork contexts only).
-    barrier: Any = None
     constructions: int = 0
 
 
@@ -374,7 +352,6 @@ def shutdown_pool() -> None:
     _STATE.workers = 0
     _STATE.method = ""
     _STATE.seeded = set()
-    _STATE.barrier = None
 
 
 def reset_pool_state_for_tests() -> None:
@@ -394,6 +371,10 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
     profiling phase followed by a wider grid phase still pays startup
     once (the profiling call already asks for the full width via
     :func:`resolve_profile_workers`).
+
+    A new pool counts as seeded with exactly the payloads its workers
+    inherit: fork workers start at the first submit, so they hold at
+    least every payload registered now; spawn workers start with none.
     """
     workers = max(2, int(workers))
     method = _context_method()
@@ -404,23 +385,13 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
     ):
         return _STATE.executor
     shutdown_pool()
-    ctx = multiprocessing.get_context(method)
-    # The rendezvous barrier must exist before the workers so fork
-    # children inherit it; spawn contexts cannot inherit synchronisation
-    # primitives and fall back to envelope-attached payloads.
-    barrier = ctx.Barrier(workers) if method == "fork" else None
-    snapshot = dict(_PARENT_BLOBS)
     executor = ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=ctx,
-        initializer=_worker_init,
-        initargs=(snapshot,),
+        max_workers=workers, mp_context=multiprocessing.get_context(method)
     )
     _STATE.executor = executor
     _STATE.workers = workers
     _STATE.method = method
-    _STATE.seeded = set(snapshot)
-    _STATE.barrier = barrier
+    _STATE.seeded = set(_OBJECTS) if method == "fork" else set()
     _STATE.constructions += 1
     return executor
 
@@ -434,12 +405,14 @@ class Envelope:
 
     ``fn`` must be a module-level callable (picklable by reference).
     ``refs`` declares every :class:`BroadcastRef` the task resolves, so
-    the pool can seed workers before the batch runs. ``blobs`` carries
-    inline payloads on the resubmission path only. ``task_key`` is a
-    content hash of (fn, args) stamped by :func:`run_envelopes`;
-    ``attempt`` counts resubmissions of this task; ``chaos`` is the
-    installed :class:`~repro.faults.executor.ExecutorFaultPlan` (or
-    None), consulted worker-side before the task runs.
+    the pool can attach the payloads its workers may lack. ``blobs``
+    carries those payloads inline: on a first attempt the ones not yet
+    delivered, on a retry or after a miss every referenced one.
+    ``task_key`` is a content hash of (fn, args) stamped by
+    :func:`run_envelopes`; ``attempt`` counts resubmissions of this
+    task; ``chaos`` is the installed
+    :class:`~repro.faults.executor.ExecutorFaultPlan` (or None),
+    consulted worker-side before the task runs.
     """
 
     fn: Callable[..., Any]
@@ -482,7 +455,7 @@ def shard_task_key(tag: str, ref: BroadcastRef, coords: Any) -> str:
 def _run_envelope(env: Envelope) -> Tuple[str, Any]:
     """Worker-side envelope execution: absorb, sabotage?, resolve, run."""
     if env.blobs:
-        _absorb_blobs(dict(env.blobs))
+        _absorb_blobs(env.blobs)
     if env.chaos is not None:
         action = env.chaos.action_for(env.task_key, env.attempt)
         if action == "kill":
@@ -500,34 +473,10 @@ def _run_envelope(env: Envelope) -> Tuple[str, Any]:
         return ("miss", miss.digests)
 
 
-def _seed_workers(pool: ProcessPoolExecutor, digests: Iterable[str]) -> None:
-    """Push not-yet-seeded payloads to every worker (fork contexts).
-
-    Submits one barrier-synchronised absorb task per worker; the barrier
-    guarantees no worker takes two, so after the round every worker
-    holds the payloads. On spawn contexts (no inheritable barrier) this
-    is a no-op and payloads ride along with the envelopes instead.
-    """
-    missing = [d for d in digests if d not in _STATE.seeded]
-    if not missing:
-        return
-    if _STATE.barrier is None:
-        return
-    blobs = {d: _PARENT_BLOBS[d] for d in missing if d in _PARENT_BLOBS}
-    if not blobs:
-        return
-    futures = [
-        pool.submit(_absorb_task, blobs) for _ in range(_STATE.workers)
-    ]
-    for future in futures:
-        future.result()
-    _STATE.seeded.update(blobs)
-
-
 def _attach_blobs(env: Envelope, digests: Iterable[str]) -> Envelope:
     """A copy of ``env`` carrying payloads for ``digests`` inline."""
     blobs = tuple(
-        (d, _PARENT_BLOBS[d]) for d in sorted(set(digests)) if d in _PARENT_BLOBS
+        (d, _BLOBS[d]) for d in sorted(set(digests)) if d in _BLOBS
     )
     return replace(env, blobs=blobs)
 
@@ -537,9 +486,9 @@ def _force_pool_rebuild() -> None:
 
     ``ProcessPoolExecutor`` cannot cancel a *running* task, so the only
     way to reclaim a worker stuck past its deadline is to terminate the
-    processes and rebuild. The next :func:`get_pool` call starts fresh;
-    its initializer snapshot re-seeds every broadcast payload, so no
-    seeding state is lost.
+    processes and rebuild. The next :func:`get_pool` call starts fresh:
+    fork workers inherit every broadcast payload, and retries carry
+    every payload they reference, so no payload is lost.
     """
     executor = _STATE.executor
     if executor is not None:
@@ -557,7 +506,6 @@ def _force_pool_rebuild() -> None:
     _STATE.workers = 0
     _STATE.method = ""
     _STATE.seeded = set()
-    _STATE.barrier = None
     _POOL_STATS.pool_rebuilds += 1
 
 
@@ -600,12 +548,9 @@ def run_envelopes(
         for env in envelopes
     ]
     pool = get_pool(n_workers)
-    referenced = {ref.digest for env in base for ref in env.refs}
-    _seed_workers(pool, referenced)
-    unseeded = referenced - _STATE.seeded
+    # Payloads the workers may lack ride each envelope's first attempt.
+    unseeded = {ref.digest for env in base for ref in env.refs} - _STATE.seeded
     if unseeded:
-        # Spawn context (or a broken seeding round): payloads travel with
-        # the envelopes that need them.
         base = [
             _attach_blobs(env, [r.digest for r in env.refs if r.digest in unseeded])
             if any(r.digest in unseeded for r in env.refs)
@@ -617,14 +562,13 @@ def run_envelopes(
     results: List[Any] = [None] * n
     attempts = [0] * n
     missed = [False] * n
-    needs_blobs = [False] * n
     pending: deque = deque(range(n))
     in_flight: Dict[Any, int] = {}
     deadlines: Dict[Any, float] = {}
 
     def ship(i: int) -> Envelope:
         env = base[i]
-        if attempts[i] > 0 or needs_blobs[i]:
+        if attempts[i] > 0 or missed[i]:
             env = _attach_blobs(env, [r.digest for r in env.refs])
         if attempts[i] > 0:
             env = replace(env, attempt=attempts[i])
@@ -717,11 +661,10 @@ def run_envelopes(
                         f"{value!r} even with inline blobs attached"
                     )
                 missed[i] = True
-                needs_blobs[i] = True
                 pending.append(i)
         if broken:
             handle_broken_pool()
-    if unseeded:
-        # The batch delivered the payloads; later batches can drop them.
-        _STATE.seeded.update(d for d in unseeded if d in _PARENT_BLOBS)
+    # The batch delivered the payloads; later batches can drop them (a
+    # worker that took none of these envelopes reports a miss instead).
+    _STATE.seeded |= unseeded
     return results

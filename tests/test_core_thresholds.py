@@ -10,7 +10,6 @@ from repro.core.loadlimit import derive_loadlimit, loadlimit_table
 from repro.core.slacklimit import (
     MIN_SLACKLIMIT,
     expected_first_step,
-    find_slacklimits,
     find_slacklimits_independent,
     violation_free_fixed_point,
 )
@@ -77,10 +76,8 @@ class TestLoadlimit:
 
 
 class TestSlacklimitJoint:
-    def test_no_violation_walks_to_fixed_point(self):
-        contributions = {"a": 0.3, "b": 0.7}
-        limits = find_slacklimits(contributions, lambda cfg: False)
-        assert limits == violation_free_fixed_point(contributions)
+    """Algorithm 1 over a service's contributions as a whole: the first
+    step, the floor and input validation, on the per-Servpod walk."""
 
     def test_first_step_equals_normalized_contribution(self):
         contributions = {"a": 0.2, "b": 0.35, "c": 0.45}
@@ -88,32 +85,19 @@ class TestSlacklimitJoint:
         assert sum(first.values()) == pytest.approx(1.0)
         assert first["b"] == pytest.approx(0.35)
 
-    def test_violation_reverts_to_previous_round(self):
-        contributions = {"a": 0.25, "b": 0.75}
-        calls = []
-
-        def probe(cfg):
-            calls.append(dict(cfg))
-            return len(calls) >= 2  # second round violates
-
-        limits = find_slacklimits(contributions, probe)
-        assert limits == calls[0]
-
-    def test_immediate_violation_keeps_initial(self):
-        limits = find_slacklimits({"a": 0.5, "b": 0.5}, lambda cfg: True)
-        assert limits == {"a": 1.0, "b": 1.0}
-
     def test_small_contribution_floors_at_min(self):
-        limits = find_slacklimits({"tiny": 0.001, "big": 0.999}, lambda cfg: False)
+        limits = find_slacklimits_independent(
+            {"tiny": 0.001, "big": 0.999}, lambda cfg: False
+        )
         assert limits["tiny"] == MIN_SLACKLIMIT
 
     def test_empty_rejected(self):
         with pytest.raises(ProfilingError):
-            find_slacklimits({}, lambda cfg: False)
+            find_slacklimits_independent({}, lambda cfg: False)
 
     def test_zero_total_rejected(self):
         with pytest.raises(ProfilingError):
-            find_slacklimits({"a": 0.0}, lambda cfg: False)
+            find_slacklimits_independent({"a": 0.0}, lambda cfg: False)
 
 
 class TestSlacklimitIndependent:

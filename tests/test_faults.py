@@ -19,13 +19,16 @@ Covers the issue's criteria:
 
 from __future__ import annotations
 
+import os
+import signal
+
 import pytest
 
 import repro.parallel.grid as grid_module
 from repro.bejobs.catalog import evaluation_be_jobs
 from repro.cluster.machine import BE_DOMAIN, LC_DOMAIN
 from repro.core.servpod import deploy_service
-from repro.errors import FaultError, TracingError
+from repro.errors import ExperimentError, FaultError, TracingError
 from repro.experiments.colocation import ColocationConfig
 from repro.experiments.bakeoff import (
     BakeoffConfig,
@@ -56,10 +59,13 @@ from repro.parallel import (
 )
 from repro.parallel.pool import (
     Envelope,
+    broadcast,
     envelope_task_key,
+    get_pool,
     pool_stats,
     reset_pool_state_for_tests,
     reset_pool_stats,
+    resolve_ref,
     resolve_task_timeout,
     run_envelopes,
 )
@@ -406,6 +412,19 @@ def _make_envelopes(n=12):
     return [Envelope(fn=_mul, args=(i, 3)) for i in range(n)]
 
 
+def _weighted(ref, x):
+    """A task that reads a broadcast ``(tag, weights)`` payload."""
+    return sum(resolve_ref(ref)[1]) * x
+
+
+def _payload_envelopes(ref, n=6):
+    return [Envelope(fn=_weighted, args=(ref, i), refs=(ref,)) for i in range(n)]
+
+
+#: Start methods for the pool tests; spawn children are slow to start.
+START_METHODS = ["fork", pytest.param("spawn", marks=pytest.mark.slow)]
+
+
 class TestExecutorFaultPlan:
     def test_deterministic_and_first_attempt_only(self):
         plan = ExecutorFaultPlan(seed=4, crash_rate=0.5)
@@ -463,6 +482,18 @@ class TestChaosHardenedPool:
         assert resolve_task_timeout() == 2.5
         monkeypatch.setenv("RHYTHM_TASK_TIMEOUT_S", "-1")
         assert resolve_task_timeout() is None
+        monkeypatch.setenv("RHYTHM_TASK_TIMEOUT_S", "-inf")
+        assert resolve_task_timeout() is None
+        # NaN and +inf are no deadline the futures wait can take: +inf
+        # overflows its timestamp, NaN would silently disable the limit.
+        for bad in ("inf", "nan", "+inf", "NaN"):
+            monkeypatch.setenv("RHYTHM_TASK_TIMEOUT_S", bad)
+            with pytest.raises(ExperimentError, match="RHYTHM_TASK_TIMEOUT_S"):
+                resolve_task_timeout()
+        monkeypatch.delenv("RHYTHM_TASK_TIMEOUT_S")
+        for bad in (float("inf"), float("nan")):
+            with pytest.raises(ExperimentError, match="timeout"):
+                resolve_task_timeout(bad)
 
     def test_crash_storm_counters_match_plan(self):
         envelopes = _make_envelopes()
@@ -556,6 +587,59 @@ class TestChaosHardenedPool:
         stats = pool_stats()
         assert stats.task_failures >= 2
         assert stats.inline_fallbacks >= 1
+
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_worker_lost_between_batches(self, method, monkeypatch):
+        # An idle worker dies between two batches, and the second batch
+        # references a payload broadcast after the pool was built: the
+        # batch must rebuild the pool once and return the inline answers.
+        monkeypatch.setenv("RHYTHM_MP_CONTEXT", method)
+        assert run_envelopes(_make_envelopes(4), workers=2) == [
+            i * 3 for i in range(4)
+        ]
+        victim = next(iter(get_pool(2)._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        victim.join(timeout=30.0)
+        ref = broadcast((f"worker-lost-between-batches-{method}", (1.5, 2.25)))
+        envelopes = _payload_envelopes(ref)
+        inline = run_envelopes(envelopes, workers=1)
+        assert run_envelopes(envelopes, workers=2) == inline
+        assert pool_stats().pool_rebuilds == 1
+
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_payload_broadcast_after_the_pool_exists(self, method, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        monkeypatch.setenv("RHYTHM_MP_CONTEXT", method)
+        assert run_envelopes(_make_envelopes(4), workers=2) == [
+            i * 3 for i in range(4)
+        ]
+        ref = broadcast((f"broadcast-after-pool-{method}", (0.5, 4.0)))
+        envelopes = _payload_envelopes(ref)
+        inline = run_envelopes(envelopes, workers=1)
+
+        shipped = []
+        submit = ProcessPoolExecutor.submit
+
+        def recording_submit(self, fn, *args, **kwargs):
+            shipped.append(args[0].blobs)
+            return submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", recording_submit)
+        # First batch: the workers cannot hold the payload yet, so every
+        # first attempt carries it.
+        assert run_envelopes(envelopes, workers=2) == inline
+        assert len(shipped) == len(envelopes)
+        assert all(blobs and blobs[0][0] == ref.digest for blobs in shipped)
+        # Second batch: the payload was delivered, so envelopes ship
+        # without it; only a worker that took none of the first batch's
+        # envelopes reports a miss and gets it resent.
+        shipped.clear()
+        reset_pool_stats()
+        assert run_envelopes(envelopes, workers=2) == inline
+        assert sum(1 for blobs in shipped if blobs) == pool_stats().broadcast_misses
+        assert len(shipped) == len(envelopes) + pool_stats().broadcast_misses
+        assert pool_stats().pool_rebuilds == 0
 
     def test_inline_path_ignores_chaos(self):
         envelopes = _make_envelopes(4)

@@ -20,7 +20,7 @@ from repro.core.contribution import ContributionAnalyzer, pearson
 from repro.core.loadlimit import derive_loadlimit
 from repro.core.slacklimit import (
     MIN_SLACKLIMIT,
-    find_slacklimits,
+    find_slacklimits_independent,
     violation_free_fixed_point,
 )
 from repro.core.actions import BeAction
@@ -157,7 +157,7 @@ def test_algorithm1_result_never_below_floor(contributions, violate_after):
         calls[0] += 1
         return calls[0] > violate_after
 
-    limits = find_slacklimits(contributions, probe)
+    limits = find_slacklimits_independent(contributions, probe)
     for value in limits.values():
         assert MIN_SLACKLIMIT <= value <= 1.0
 
